@@ -1,0 +1,98 @@
+"""The benchmark's tracer still finds every hook point it wraps.
+
+``perfbench/tracer.py`` wraps distheap from outside, at the attributes
+callers resolve: engine methods, every class-level ``size_bits``, the
+message-size helpers and the protocol methods.  A refactor that moves one
+of them breaks only the traced benchmark run; these tests catch it here.
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from distheap import run_skeap
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracer as perf_tracer  # noqa: E402
+
+N = 8
+
+
+def _snapshot() -> dict:
+    """Every distheap module global and class attribute, by identity."""
+    out = {}
+    for modname, module in list(sys.modules.items()):
+        if modname != "distheap" and not modname.startswith("distheap."):
+            continue
+        for attr, value in vars(module).items():
+            out[(modname, attr)] = value
+            if isinstance(value, type) and value.__module__ == modname:
+                for cattr, cvalue in vars(value).items():
+                    out[(modname, attr, cattr)] = cvalue
+    return out
+
+
+def _run_installed(timing: bool):
+    tr = perf_tracer.Tracer(timing)
+    before = _snapshot()
+    tr.install()
+    try:
+        patched = {(owner, attr) for owner, attr, _ in tr._patched}
+        result = run_skeap(
+            N, seed=1, priorities=2, lam=2, epochs=2, trace=None if timing else tr
+        )
+    finally:
+        tr.restore()
+    after = _snapshot()
+    assert after.keys() == before.keys()
+    moved = [key for key, value in before.items() if after[key] is not value]
+    assert moved == []
+    return tr, result, patched
+
+
+def _expected_hooks(leaves: bool) -> set:
+    """Methods wrapped in both passes; with ``leaves``, the counting pass's size helpers."""
+    from distheap import batches, kselect, node, sim
+
+    hooks = {(sim.Simulator, attr) for attr in ("step_round", "run_sync", "run_async", "send")}
+    for module in (node, kselect):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ \
+                    and "size_bits" in cls.__dict__:
+                hooks.add((cls, "size_bits"))
+    if leaves:
+        hooks |= {(cls, "bits") for cls in (sim.Element, batches.Batch, batches.EntryShare)}
+        hooks |= {(sim, "nat_bits"), (sim, "interval_bits"), (node, "value_bits")}
+    return hooks
+
+
+def test_counting_tracer_hooks_and_restore():
+    tr, result, patched = _run_installed(timing=False)
+    assert _expected_hooks(leaves=True) <= patched
+    rounds = result.metrics["rounds"]
+    assert rounds > 0
+    assert tr.activations == N * rounds
+    assert tr.counts["sim.step_round"] == rounds
+    assert tr.counts["sim.run_sync"] == 1
+    assert tr.counts["sim.send"] == result.metrics["messages_sent"]
+    assert tr.counts["msgsize.size_bits"] > 0
+    assert tr.counts["msgsize.leaf"] > 0
+
+
+def test_timing_tracer_hooks_and_restore():
+    tr, result, patched = _run_installed(timing=True)
+    assert _expected_hooks(leaves=False) <= patched
+    table = tr.table()
+    assert table["sim.step_round"][0] == result.metrics["rounds"]
+    assert table["sim.send"][0] == result.metrics["messages_sent"]
+    assert table["msgsize.size_bits"][0] > 0
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_tracer_leaves_runs_unchanged(timing):
+    plain = run_skeap(N, seed=1, priorities=2, lam=2, epochs=2)
+    _, traced, _ = _run_installed(timing)
+    assert traced.metrics == plain.metrics
+    assert [r.to_json() for r in traced.records] == [r.to_json() for r in plain.records]
