@@ -163,10 +163,6 @@ class EntryShare:
 Share = tuple  # tuple[EntryShare, ...]
 
 
-def share_bits(share: Share) -> int:
-    return nat_bits(len(share)) + sum(e.bits() for e in share)
-
-
 def anchor_assign(state: AnchorState, batch: Batch, serial_base: int) -> tuple[Share, int]:
     """Assign position intervals to every entry of a combined batch.
 

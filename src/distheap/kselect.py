@@ -324,6 +324,12 @@ class KSelectNode(OverlayNode):
         self.elements = sorted(elements, key=lambda e: e.key)
 
     @property
+    def needs_activation(self) -> bool:
+        # selections are driven by messages alone; a subclass that acts on
+        # activation overrides this
+        return False
+
+    @property
     def done(self) -> bool:
         if self.selection is None:
             return True

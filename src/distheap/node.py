@@ -20,34 +20,42 @@ asynchronous delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .batches import Batch, EntryShare
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, ProtocolNode, SimulationFault, Simulator, nat_bits
 
 
+def _sequence_bits(sim: Simulator, obj: tuple | list) -> int:
+    return nat_bits(len(obj)) + sum(value_bits(sim, x) for x in obj)
+
+
+# Bit accounting per message field type.
+_FIELD_BITS: dict[type, Callable[[Simulator, Any], int]] = {
+    type(None): lambda sim, obj: 1,
+    bool: lambda sim, obj: 1,
+    int: lambda sim, obj: nat_bits(abs(obj)) + 1,
+    float: lambda sim, obj: sim.label_bits,
+    str: lambda sim, obj: 8,
+    Element: lambda sim, obj: obj.bits(),
+    Batch: lambda sim, obj: obj.bits(),
+    EntryShare: lambda sim, obj: obj.bits(),
+    VirtualId: lambda sim, obj: nat_bits(obj.owner) + 2,
+    tuple: _sequence_bits,
+    list: _sequence_bits,
+}
+
+
 def value_bits(sim: Simulator, obj: Any) -> int:
     """Modeled bit size of a message field."""
-    if obj is None:
-        return 1
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return nat_bits(abs(obj)) + 1
-    if isinstance(obj, float):
-        return sim.label_bits
-    if isinstance(obj, str):
-        return 8
-    if isinstance(obj, Element):
-        return obj.bits()
-    if isinstance(obj, (Batch, EntryShare)):
-        return obj.bits()
-    if isinstance(obj, VirtualId):
-        return nat_bits(obj.owner) + 2
-    if isinstance(obj, (tuple, list)):
-        return nat_bits(len(obj)) + sum(value_bits(sim, x) for x in obj)
-    raise SimulationFault(f"no bit accounting for {type(obj).__name__}")
+    rule = _FIELD_BITS.get(type(obj))
+    if rule is None:
+        # a subclass is sized by its nearest accounted base
+        rule = next((_FIELD_BITS[t] for t in type(obj).__mro__ if t in _FIELD_BITS), None)
+        if rule is None:
+            raise SimulationFault(f"no bit accounting for {type(obj).__name__}")
+    return rule(sim, obj)
 
 
 @dataclass(slots=True)
@@ -94,13 +102,14 @@ class RouteMsg:
     hop: int
     vid: VirtualId
     inner: Any
+    inner_bits: int  # ``inner.size_bits``, computed once when the route starts
 
     def size_bits(self, sim: Simulator) -> int:
         return (
             2 * sim.label_bits
             + nat_bits(self.hop)
             + value_bits(sim, self.vid)
-            + self.inner.size_bits(sim)
+            + self.inner_bits
         )
 
 
@@ -246,9 +255,6 @@ class OverlayNode(ProtocolNode):
             parent = self.topo.parent[vid]
             self.send_vid(parent, WaveUpMsg(kind, key, parent, vid, sess.combined))
 
-    def wave_session(self, kind: str, key: tuple, vid: VirtualId) -> _WaveSession:
-        return self._session(kind, key, vid)
-
     def wave_down(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
         """Decompose ``share`` at ``vid`` and push child shares down."""
         sess = self._session(kind, key, vid)
@@ -296,19 +302,24 @@ class OverlayNode(ProtocolNode):
     # -- routing and DHT -----------------------------------------------------------
     def route_send(self, key: float, inner: Any) -> None:
         start = self.middle
-        self._route_advance(start, key, self.topo.label(start), 0, inner)
+        self._route_advance(
+            start, key, self.topo.label(start), 0, inner, inner.size_bits(self.sim)
+        )
 
     def _route_receive(self, msg: RouteMsg) -> None:
-        self._route_advance(msg.vid, msg.key, msg.start_label, msg.hop, msg.inner)
+        self._route_advance(
+            msg.vid, msg.key, msg.start_label, msg.hop, msg.inner, msg.inner_bits
+        )
 
     def _route_advance(
-        self, vid: VirtualId, key: float, start_label: float, hop: int, inner: Any
+        self, vid: VirtualId, key: float, start_label: float, hop: int, inner: Any,
+        inner_bits: int,
     ) -> None:
         nxt = self.topo.route_step(vid, key, start_label, hop)
         if nxt is None:
             self._route_arrived(vid, key, inner)
         else:
-            self.send_vid(nxt, RouteMsg(key, start_label, hop + 1, nxt, inner))
+            self.send_vid(nxt, RouteMsg(key, start_label, hop + 1, nxt, inner, inner_bits))
 
     def _route_arrived(self, vid: VirtualId, key: float, inner: Any) -> None:
         if isinstance(inner, PutOp):

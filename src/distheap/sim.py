@@ -3,9 +3,13 @@
 Two execution modes share one node/channel model:
 
 * synchronous rounds: every message sent in round ``i`` is handled in
-  round ``i + 1``, and every node is activated once per round.  Round
-  metrics (per-node message counts, congestion, largest message) are
-  recorded in this mode.
+  round ``i + 1``.  Each round activates the nodes whose
+  ``needs_activation`` holds; a node that no longer needs it is never
+  asked again.  A ``trace=`` callback still records one
+  ``activate`` event per node per round, in id order, so the trace is the
+  same as if every node were activated.  A round drains only the
+  channels that hold messages.  Round metrics (per-node message counts,
+  congestion, largest message) are recorded in this mode.
 * asynchronous schedule: a seeded scheduler assigns every message a
   random delivery deadline at most ``async_delay_max`` picks in the
   future and activates nodes periodically.  Delivery is non-FIFO, never
@@ -14,8 +18,9 @@ Two execution modes share one node/channel model:
 
 Message sizes are modeled, not serialized: every payload computes its
 size in bits from module-level accounting rules (naturals cost
-``ceil(log2(max(v, 2) + 1))`` bits, an interval costs two naturals, an
-element costs priority plus tiebreaker bits, labels/keys cost
+``ceil(log2(max(v, 2) + 1))`` bits, computed exactly as
+``max(v, 2).bit_length()``, an interval costs two naturals, an element
+costs priority plus tiebreaker bits, labels/keys cost
 ``2 * ceil(log2(3n))`` bits, plus a fixed 8-bit action tag per message).
 """
 from __future__ import annotations
@@ -24,8 +29,8 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .hashing import Tag, mix64
 
@@ -44,7 +49,7 @@ def nat_bits(value: int) -> int:
     """Modeled encoding cost of a natural number."""
     if value < 0:
         raise SimulationFault(f"negative natural {value}")
-    return math.ceil(math.log2(max(value, 2) + 1))
+    return max(value, 2).bit_length()
 
 
 def interval_bits(lo: int, hi: int) -> int:
@@ -75,10 +80,6 @@ class Element:
             + nat_bits(self.seq)
             + 8 * len(self.payload)
         )
-
-
-def element_bits(e: Element) -> int:
-    return e.bits()
 
 
 @dataclass(slots=True)
@@ -157,6 +158,17 @@ class ProtocolNode:
         raise NotImplementedError
 
     @property
+    def needs_activation(self) -> bool:
+        """Whether ``on_activate`` may still do anything.
+
+        Once False it must stay False, and ``on_activate`` must then be a
+        no-op: in synchronous mode the simulator checks it before each
+        round's activations, skips the node from the first round it is
+        False and never asks again.  Asynchronous mode ignores it.
+        """
+        return True
+
+    @property
     def done(self) -> bool:
         return True
 
@@ -172,6 +184,8 @@ class Simulator:
         self.cfg = config
         self.nodes: list[ProtocolNode] = []
         self.channels: list[deque[Envelope]] = []
+        self._busy: set[int] = set()  # ids of non-empty channels (sync mode)
+        self._awake: list[int] = []  # ids still activated in sync mode
         self.time = 0
         self.sent = 0
         self.delivered = 0
@@ -186,6 +200,7 @@ class Simulator:
 
     # -- topology of nodes -------------------------------------------------
     def add_node(self, node: ProtocolNode) -> None:
+        self._awake.append(len(self.nodes))
         self.nodes.append(node)
         self.channels.append(deque())
 
@@ -203,11 +218,15 @@ class Simulator:
         self._send_seq += 1
         self.sent += 1
         self._pending += 1
-        self.max_message_bits = max(self.max_message_bits, bits)
-        self.channels[dst].append(env)
+        if bits > self.max_message_bits:
+            self.max_message_bits = bits
         if self._sched_rng is not None:
+            # while an async schedule runs, its event heap owns the envelope
             env.deadline = self.time + 1 + self._sched_rng.randrange(self.cfg.async_delay_max)
             heapq.heappush(self._events, (env.deadline, env.seq, _MSG, env))
+        else:
+            self.channels[dst].append(env)
+            self._busy.add(dst)
         if self._trace:
             self._trace(
                 {"kind": "send", "time": self.time, "src": src, "dst": dst, "bits": bits}
@@ -217,7 +236,7 @@ class Simulator:
         return self._pending
 
     def _deliver(self, env: Envelope) -> None:
-        """Hand ``env`` (already removed from its channel) to the recipient."""
+        """Hand ``env`` (no longer in a channel or the event heap) to the recipient."""
         self.delivered += 1
         self._pending -= 1
         if self._trace:
@@ -232,36 +251,52 @@ class Simulator:
             )
         self.nodes[env.dst].on_message(env.src, env.payload)
 
-    def _activate(self, node_id: int) -> None:
+    def _activate(self, node_id: int, handler: bool = True) -> None:
         if self._trace:
             self._trace(
                 {"kind": "activate", "time": self.time, "src": node_id, "dst": node_id, "bits": 0}
             )
-        self.nodes[node_id].on_activate()
+        if handler:
+            self.nodes[node_id].on_activate()
 
     # -- synchronous mode ----------------------------------------------------
     def step_round(self) -> RoundMetrics:
-        """Deliver everything sent before this round, then activate each node."""
+        """Deliver everything sent before this round, then activate each node
+        whose ``needs_activation`` holds."""
         self.time += 1
         per_node: dict[int, int] = {}
         max_bits = 0
         delivered = 0
-        batches: list[list[Envelope]] = []
-        for dst in range(len(self.nodes)):
+        batches: list[tuple[int, list[Envelope]]] = []
+        busy = sorted(self._busy)
+        self._busy.clear()
+        for dst in busy:
             ch = self.channels[dst]
             due: list[Envelope] = []
             # channels are FIFO in enqueue time, so due envelopes are a prefix
             while ch and ch[0].enqueue_time < self.time:
                 due.append(ch.popleft())
-            batches.append(due)
-        for dst, envs in enumerate(batches):
+            if ch:
+                self._busy.add(dst)
+            if due:
+                batches.append((dst, due))
+        for dst, envs in batches:
             for env in envs:
                 self._deliver(env)
-                delivered += 1
-                per_node[dst] = per_node.get(dst, 0) + 1
-                max_bits = max(max_bits, env.size_bits)
-        for node_id in range(len(self.nodes)):
-            self._activate(node_id)
+                if env.size_bits > max_bits:
+                    max_bits = env.size_bits
+            per_node[dst] = len(envs)
+            delivered += len(envs)
+        nodes = self.nodes
+        awake = self._awake = [i for i in self._awake if nodes[i].needs_activation]
+        if self._trace:
+            # the trace records every node, as if every node were activated
+            is_awake = set(awake)
+            for node_id in range(len(nodes)):
+                self._activate(node_id, handler=node_id in is_awake)
+        else:
+            for node_id in awake:
+                nodes[node_id].on_activate()
         metrics = RoundMetrics(
             round=self.time,
             per_node_messages=per_node,
@@ -313,11 +348,13 @@ class Simulator:
         for node_id in range(len(self.nodes)):
             first = self.time + 1 + rng.randrange(interval)
             heapq.heappush(self._events, (first, -node_id, _ACT, node_id))
-        # register deadlines for anything already pending
+        # the event heap takes over anything already pending, in channel order
         for ch in self.channels:
             for env in ch:
                 env.deadline = self.time + 1 + rng.randrange(self.cfg.async_delay_max)
                 heapq.heappush(self._events, (env.deadline, env.seq, _MSG, env))
+            ch.clear()
+        self._busy.clear()
         picks = 0
         while self._events:
             if picks >= max_picks:
@@ -337,7 +374,6 @@ class Simulator:
                 _, _, kind, item = heapq.heappop(self._events)
                 if kind == _MSG:
                     self._delays.append((item.enqueue_time, self.time))
-                    self.channels[item.dst].remove(item)
                     self._deliver(item)
                 else:
                     self._activate(item)
@@ -346,6 +382,11 @@ class Simulator:
                             self._events, (self.time + interval, -item, _ACT, item)
                         )
         self._sched_rng = None
+        # an early stop hands the envelopes still in flight back to their channels
+        for env in sorted((e for _, _, kind, e in self._events if kind == _MSG),
+                          key=lambda e: e.seq):
+            self.channels[env.dst].append(env)
+            self._busy.add(env.dst)
         return picks
 
     def delivery_delays(self) -> list[int]:

@@ -84,6 +84,11 @@ class SkeapNode(OverlayNode):
         self.contribute_all(_WAVE, (epoch,), batch, Batch(self.priorities))
 
     @property
+    def needs_activation(self) -> bool:
+        # activations inject requests and enter epoch 0; epoch and budget are monotone
+        return self.epoch < 0 or not self.source.exhausted
+
+    @property
     def done(self) -> bool:
         return self.finished and not self.outstanding and not self.waiting_gets
 

@@ -68,6 +68,11 @@ class SkeapPlusNode(KSelectNode):
         return stored
 
     @property
+    def needs_activation(self) -> bool:
+        # activations inject requests and enter epoch 0; epoch and budget are monotone
+        return self.epoch < 0 or not self.source.exhausted
+
+    @property
     def done(self) -> bool:
         return (
             self.finished

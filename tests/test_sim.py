@@ -1,7 +1,12 @@
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import pytest
 
+from distheap.batches import Batch, EntryShare
+from distheap.node import value_bits
+from distheap.overlay import VirtualId
 from distheap.sim import (
     ASYNC,
     SYNC,
@@ -54,6 +59,63 @@ def test_nat_bits_rule():
     assert nat_bits(4) == 3
     assert nat_bits(7) == 3
     assert nat_bits(8) == 4
+    assert nat_bits(2**49 - 1) == 49
+    assert nat_bits(2**49) == 50
+    assert nat_bits(2**53) == 54
+    assert nat_bits(2**64) == 65
+    with pytest.raises(SimulationFault):
+        nat_bits(-1)
+
+
+def _float_nat_bits(value: int) -> int:
+    """The earlier float formula; exact only while log2 is (below 2**49)."""
+    return math.ceil(math.log2(max(value, 2) + 1))
+
+
+def test_nat_bits_matches_float_formula_below_2_20():
+    assert all(nat_bits(v) == _float_nat_bits(v) for v in range(2**20))
+
+
+def _chained_value_bits(sim, obj):
+    """The earlier isinstance chain that value_bits' type table replaced."""
+    if obj is None or isinstance(obj, bool):
+        return 1
+    if isinstance(obj, int):
+        return nat_bits(abs(obj)) + 1
+    if isinstance(obj, float):
+        return sim.label_bits
+    if isinstance(obj, str):
+        return 8
+    if isinstance(obj, (Element, Batch, EntryShare)):
+        return obj.bits()
+    if isinstance(obj, VirtualId):
+        return nat_bits(obj.owner) + 2
+    if isinstance(obj, (tuple, list)):
+        return nat_bits(len(obj)) + sum(_chained_value_bits(sim, x) for x in obj)
+    raise SimulationFault(f"no bit accounting for {type(obj).__name__}")
+
+
+def test_value_bits_matches_isinstance_chain():
+    sim, _ = make_sim(n=8)
+    pair = namedtuple("pair", "a b")
+    fields = [
+        None, True, False, 0, 1, -5, 2**60, 0.25, "k2n",
+        Element(3, 1, 7), Element(2**40, 5, 1, b"xy"),
+        Batch(2, (((1, 0), 2), ((0, 3), 0))),
+        EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 6, 0, 2),
+        VirtualId(6, "M"), (), (1, "a", (None, 2.5)), [VirtualId(0, "L"), 9],
+        pair(4, (1, 2)),
+    ]
+    for obj in fields:
+        assert value_bits(sim, obj) == _chained_value_bits(sim, obj), obj
+
+
+def test_value_bits_unknown_type_is_fault():
+    sim, _ = make_sim()
+    with pytest.raises(SimulationFault):
+        value_bits(sim, {"no": "dicts"})
+    with pytest.raises(SimulationFault):
+        value_bits(sim, (1, b"bytes"))
 
 
 def test_send_appends_to_channel():
@@ -189,3 +251,99 @@ def test_async_same_seed_same_delays():
         return sim.delivery_delays()
 
     assert delays() == delays()
+
+
+class Sleeper(Recorder):
+    """Needs activation only for its first ``k`` activations."""
+
+    def __init__(self, sim, node_id, k):
+        super().__init__(sim, node_id)
+        self.k = k
+
+    @property
+    def needs_activation(self):
+        return self.activations < self.k
+
+
+def test_sync_stops_activating_a_node_that_no_longer_needs_it():
+    sim, nodes = make_sim(n=4)
+    sleeper = sim.nodes[2] = Sleeper(sim, 2, k=3)
+    for _ in range(7):
+        sim.step_round()
+    assert sleeper.activations == 3
+    assert [nodes[i].activations for i in (0, 1, 3)] == [7, 7, 7]
+
+
+def test_sleeping_node_still_receives_messages():
+    sim, _ = make_sim(n=3)
+    sleeper = sim.nodes[1] = Sleeper(sim, 1, k=0)
+    sim.step_round()
+    sim.send(0, 1, Ping())
+    sim.step_round()
+    assert sleeper.activations == 0
+    assert sleeper.got == [(0, Ping())]
+
+
+def test_sync_trace_logs_every_node_each_round():
+    events = []
+    sim = Simulator(SimConfig(n=4, seed=1), trace=events.append)
+    for i in range(4):
+        sim.add_node(Sleeper(sim, i, k=i))
+    for _ in range(5):
+        sim.step_round()
+    activations = [(e["time"], e["src"]) for e in events if e["kind"] == "activate"]
+    assert activations == [(t, i) for t in range(1, 6) for i in range(4)]
+    assert [node.activations for node in sim.nodes] == [0, 1, 2, 3]
+
+
+def test_sync_drains_only_busy_channels_in_id_order():
+    events = []
+    sim = Simulator(SimConfig(n=5, seed=1), trace=events.append)
+    for i in range(5):
+        sim.add_node(Recorder(sim, i))
+    for dst in (4, 1, 4, 3):
+        sim.send(0, dst, Ping())
+    m = sim.step_round()
+    delivered = [e["dst"] for e in events if e["kind"] == "deliver"]
+    assert delivered == [1, 3, 4, 4]
+    assert m.per_node_messages == {1: 1, 3: 1, 4: 2}
+    assert all(not ch for ch in sim.channels)
+    assert sim.step_round().delivered == 0
+
+
+def test_async_run_leaves_no_envelope_behind():
+    cfg = SimConfig(n=4, seed=3, mode=ASYNC, async_delay_max=5)
+    sim = Simulator(cfg)
+    nodes = [Recorder(sim, i) for i in range(4)]
+    for node in nodes:
+        sim.add_node(node)
+
+    class Echo(Recorder):
+        def on_message(self, src, payload):
+            super().on_message(src, payload)
+            if payload.note == "ping":
+                self.sim.send(self.id, src, Ping("pong"))
+
+    sim.nodes[2] = Echo(sim, 2)
+    for i in range(12):
+        sim.send(i % 4, 2, Ping())
+    sim.run_async(schedule_seed=4)
+    assert all(not ch for ch in sim.channels)
+    assert sim.pending_messages() == 0
+    assert sim.sent == sim.delivered == 24
+
+
+def test_async_early_stop_keeps_undelivered_messages_in_channels():
+    cfg = SimConfig(n=3, seed=2, mode=ASYNC, async_delay_max=50)
+    sim = Simulator(cfg)
+    for i in range(3):
+        sim.add_node(Recorder(sim, i))
+    for i in range(30):
+        sim.send(0, 1 + i % 2, Ping())
+    sim.run_async(schedule_seed=0, until=lambda s: s.delivered >= 10)
+    left = [env for ch in sim.channels for env in ch]
+    assert len(left) == sim.pending_messages() == 30 - sim.delivered
+    assert all(list(ch) == sorted(ch, key=lambda e: e.seq) for ch in sim.channels)
+    sim.run_async(schedule_seed=1)
+    assert sim.pending_messages() == 0
+    assert sim.delivered == 30
