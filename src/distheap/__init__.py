@@ -14,7 +14,6 @@ from .consistency import (
 from .experiments import (
     HeapRunResult,
     KSelectResult,
-    dht_load_profile,
     run_kselect,
     run_skeap,
     run_skeap_plus,
@@ -46,7 +45,6 @@ __all__ = [
     "check_heap_consistency",
     "check_local_consistency",
     "check_serializable",
-    "dht_load_profile",
     "hash_unit",
     "hash_unit_pair",
     "make_verdict",

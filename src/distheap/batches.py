@@ -19,7 +19,7 @@ request can compute a unique serialization index locally.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .sim import SimulationFault, interval_bits, nat_bits

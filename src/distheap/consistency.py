@@ -26,18 +26,15 @@ checkers themselves.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from .batches import DELETE, INSERT
 from .sim import Element
 
 BOTTOM = "bottom"
-
-INSERT = "insert"
-DELETE = "deletemin"
 
 
 @dataclass(slots=True)

@@ -10,15 +10,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from . import consistency
-from .batches import DELETE, INSERT
 from .consistency import BOTTOM, OperationRecord, Verdict, make_verdict
 from .hashing import Tag, mix64
 from .kselect import KSelectNode
 from .metrics import run_metrics
 from .overlay import CycleTopology
-from .sim import ASYNC, SYNC, Element, SimConfig, Simulator
-from .skeap import SkeapNode, build_skeap
+from .sim import SYNC, Element, SimConfig, Simulator
+from .skeap import build_skeap
 from .skeap_plus import SkeapPlusNode, build_skeap_plus, finalize_records
 
 
@@ -68,7 +66,7 @@ def run_kselect(
     from .kselect import exponent_for
 
     universe = n ** exponent_for(n, max(m, 2))
-    cfg = SimConfig(n=n, seed=seed, mode=mode, protocol="kselect", c_delta=c_delta)
+    cfg = SimConfig(n=n, seed=seed, mode=mode, c_delta=c_delta)
     sim = Simulator(cfg, trace=trace)
     topo = CycleTopology.build(n, seed)
     nodes = [KSelectNode(sim, v, topo) for v in range(n)]
@@ -118,6 +116,33 @@ class HeapRunResult:
         return self.verdict.ok(require_local=self.protocol == "skeap")
 
 
+def _run_heap(
+    build: Callable[[Simulator, CycleTopology], list],
+    schedule_seed: int,
+    trace: Callable[[dict], None] | None,
+    script: dict[int, list[tuple[str, int | None]]] | None,
+    **config: Any,
+) -> tuple[Simulator, list, Any]:
+    """Build a heap protocol from ``config``, preload ``script`` and run it.
+
+    Returns the simulator, the nodes and the anchor node.
+    """
+    cfg = SimConfig(**config)
+    sim = Simulator(cfg, trace=trace)
+    topo = CycleTopology.build(cfg.n, cfg.seed)
+    nodes = build(sim, topo)
+    if script:
+        for node_id, reqs in script.items():
+            nodes[node_id].source.preload(reqs)
+        for node in nodes:
+            node.source.budget = 0
+    if cfg.mode == SYNC:
+        sim.run_sync()
+    else:
+        sim.run_async(schedule_seed)
+    return sim, nodes, nodes[topo.root.owner]
+
+
 def run_skeap(
     n: int,
     seed: int,
@@ -130,33 +155,15 @@ def run_skeap(
     trace: Callable[[dict], None] | None = None,
     script: dict[int, list[tuple[str, int | None]]] | None = None,
 ) -> HeapRunResult:
-    cfg = SimConfig(
-        n=n,
-        seed=seed,
-        priority_count=priorities,
-        lam=lam,
-        mode=mode,
-        protocol="skeap",
-        epochs=epochs,
+    sim, nodes, anchor = _run_heap(
+        build_skeap, schedule_seed, trace, script,
+        n=n, seed=seed, priority_count=priorities, lam=lam, mode=mode, epochs=epochs,
         requests_per_node=requests_per_node,
     )
-    sim = Simulator(cfg, trace=trace)
-    topo = CycleTopology.build(n, seed)
-    nodes = build_skeap(sim, topo)
-    if script:
-        for node_id, reqs in script.items():
-            nodes[node_id].source.preload(reqs)
-        for node in nodes:
-            node.source.budget = 0
-    if mode == SYNC:
-        sim.run_sync()
-    else:
-        sim.run_async(schedule_seed)
     records: list[OperationRecord] = []
     for node in nodes:
         records.extend(node.records())
     verdict = make_verdict(records)
-    anchor = nodes[topo.root.owner]
     extra = {
         "protocol": "skeap",
         "batches_processed": anchor.batches_processed,
@@ -178,32 +185,14 @@ def run_skeap_plus(
     trace: Callable[[dict], None] | None = None,
     script: dict[int, list[tuple[str, int | None]]] | None = None,
 ) -> HeapRunResult:
-    cfg = SimConfig(
-        n=n,
-        seed=seed,
-        priority_universe=priority_universe if priority_universe > 0 else n * n,
-        lam=lam,
-        mode=mode,
-        protocol="skeap_plus",
-        epochs=epochs,
-        requests_per_node=requests_per_node,
+    sim, nodes, anchor = _run_heap(
+        build_skeap_plus, schedule_seed, trace, script,
+        n=n, seed=seed, priority_universe=priority_universe if priority_universe > 0 else n * n,
+        lam=lam, mode=mode, epochs=epochs, requests_per_node=requests_per_node,
         c_delta=c_delta,
     )
-    sim = Simulator(cfg, trace=trace)
-    topo = CycleTopology.build(n, seed)
-    nodes = build_skeap_plus(sim, topo)
-    if script:
-        for node_id, reqs in script.items():
-            nodes[node_id].source.preload(reqs)
-        for node in nodes:
-            node.source.budget = 0
-    if mode == SYNC:
-        sim.run_sync()
-    else:
-        sim.run_async(schedule_seed)
     records = finalize_records(nodes)
     verdict = make_verdict(records)
-    anchor = nodes[topo.root.owner]
     phase_ok, phase_violation = check_phase_optimality(nodes, anchor)
     extra = {
         "protocol": "skeap_plus",
@@ -212,10 +201,9 @@ def run_skeap_plus(
         "phase_violation": phase_violation,
         "requests_completed": len(records),
     }
-    result = HeapRunResult(
+    return HeapRunResult(
         "skeap_plus", n, seed, records, verdict, run_metrics(sim, extra), extra
     )
-    return result
 
 
 def check_phase_optimality(
@@ -249,13 +237,3 @@ def check_phase_optimality(
         store.difference_update(returned)
     return True, None
 
-
-def dht_load_profile(n: int, m: int, seed: int) -> list[int]:
-    """Balls-into-bins view of DHT fairness: m random keys mapped to owners."""
-    topo = CycleTopology.build(n, seed)
-    rng = random.Random(mix64(seed, Tag.WORKLOAD, 0xBA15))
-    loads = [0] * n
-    for _ in range(m):
-        vid = topo.responsible(rng.random())
-        loads[vid.owner] += 1
-    return loads

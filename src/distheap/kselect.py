@@ -49,9 +49,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .hashing import Tag, hash_unit
-from .node import OverlayNode, value_bits
+from .node import Message, Nat, OverlayNode, split_interval
 from .overlay import MIDDLE, CycleTopology, VirtualId
-from .sim import Element, SimulationFault, Simulator, nat_bits
+from .sim import Element, SimulationFault, Simulator
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -143,119 +143,64 @@ def combine_minmax(parts):
 
 
 @dataclass(slots=True)
-class CandOp:
+class CandOp(Message):
     """A sampled candidate routed to the owner of its position key."""
 
     key: tuple  # (inv, it, salt)
-    pos: int
-    n_prime: int
-    probe_lo: int
-    probe_hi: int
-    target: int  # order to report as the final answer, or 0
+    pos: Nat
+    n_prime: Nat
+    probe_lo: Nat
+    probe_hi: Nat
+    target: Nat  # order to report as the final answer, or 0
     element: Element
-
-    def size_bits(self, sim) -> int:
-        return (
-            value_bits(sim, self.key)
-            + nat_bits(self.pos)
-            + nat_bits(self.n_prime)
-            + nat_bits(self.probe_lo)
-            + nat_bits(self.probe_hi)
-            + nat_bits(self.target)
-            + self.element.bits()
-        )
 
 
 @dataclass(slots=True)
-class CopySplit:
+class CopySplit(Message):
     key: tuple
-    i: int
-    lo: int
-    hi: int
-    n_prime: int
-    probe_lo: int
-    probe_hi: int
-    target: int
+    i: Nat
+    lo: Nat
+    hi: Nat
+    n_prime: Nat
+    probe_lo: Nat
+    probe_hi: Nat
+    target: Nat
     element: Element
     vid: VirtualId
-    parent_node: int
+    parent_node: Nat
     parent_slot: tuple | None
 
-    def size_bits(self, sim) -> int:
-        return (
-            value_bits(sim, self.key)
-            + nat_bits(self.i)
-            + nat_bits(self.lo)
-            + nat_bits(self.hi)
-            + nat_bits(self.n_prime)
-            + nat_bits(self.probe_lo)
-            + nat_bits(self.probe_hi)
-            + nat_bits(self.target)
-            + self.element.bits()
-            + value_bits(sim, self.vid)
-            + nat_bits(self.parent_node)
-            + value_bits(sim, self.parent_slot)
-        )
-
 
 @dataclass(slots=True)
-class CompareOp:
+class CompareOp(Message):
     key: tuple
-    i: int
-    j: int
+    i: Nat
+    j: Nat
     element: Element
-    holder: int
+    holder: Nat
     slot: tuple
-
-    def size_bits(self, sim) -> int:
-        return (
-            value_bits(sim, self.key)
-            + nat_bits(self.i)
-            + nat_bits(self.j)
-            + self.element.bits()
-            + nat_bits(self.holder)
-            + value_bits(sim, self.slot)
-        )
 
 
 @dataclass(slots=True)
-class VoteMsg:
+class VoteMsg(Message):
     key: tuple
     slot: tuple
     vector: tuple[int, int]
 
-    def size_bits(self, sim) -> int:
-        return value_bits(sim, self.key) + value_bits(sim, self.slot) + value_bits(
-            sim, self.vector
-        )
-
 
 @dataclass(slots=True)
-class CopyAggMsg:
+class CopyAggMsg(Message):
     key: tuple
     slot: tuple
     vector: tuple[int, int]
 
-    def size_bits(self, sim) -> int:
-        return value_bits(sim, self.key) + value_bits(sim, self.slot) + value_bits(
-            sim, self.vector
-        )
-
 
 @dataclass(slots=True)
-class ProbeReport:
+class ProbeReport(Message):
     key: tuple
     role: str  # "lo", "hi" or "target"
-    order: int
+    order: Nat
     element: Element
-
-    def size_bits(self, sim) -> int:
-        return (
-            value_bits(sim, self.key)
-            + 8
-            + nat_bits(self.order)
-            + self.element.bits()
-        )
 
 
 class _CopySlot:
@@ -289,12 +234,9 @@ class _Selection:
     def __init__(self, inv: int, k: int, on_done: Callable[["_Selection"], None]):
         self.inv = inv
         self.k = k
-        self.initial_k = k
         self.on_done = on_done
-        self.m = 0
         self.q = 1
         self.N = 0
-        self.phase = "init"
         self.p1_iter = 0
         self.p1_total = 0
         self.p2_iter = 0
@@ -306,8 +248,6 @@ class _Selection:
         self.probe_lo = 0
         self.probe_hi = 0
         self.probes: dict[str, Element] = {}
-        self.expected_n = None
-        self.pending_k = 0
         self.result: Element | None = None
         self.error: str | None = None
         self.finished = False
@@ -399,14 +339,12 @@ class KSelectNode(OverlayNode):
     # -- initialization ----------------------------------------------------------------
     def _root_init(self, total: int) -> None:
         sel = self.selection
-        sel.m = total
         sel.N = total
         if not 1 <= sel.k <= total:
             self._finish(None, f"k={sel.k} outside [1, {total}]")
             return
         sel.q = exponent_for(self.sim.cfg.n, max(total, 1))
         sel.p1_total = phase1_iterations(sel.q)
-        sel.phase = "p1"
         self._p1_start()
 
     # -- phase 1 -------------------------------------------------------------------------
@@ -449,7 +387,6 @@ class KSelectNode(OverlayNode):
         elif sel.N <= threshold:
             self._p3_start()
         else:
-            sel.phase = "p2"
             self._p2_start()
 
     # -- phase 2 ----------------------------------------------------------------------------
@@ -500,20 +437,8 @@ class KSelectNode(OverlayNode):
     def wave_split(self, kind, key, vid, sess, share):
         if kind != "k2n":
             return super().wave_split(kind, key, vid, sess, share)
-        lo, hi, n_prime, plo, phi, target = share
         kids = self.topo.children[vid]
-        cursor = lo
-        own_count = sess.own
-        own_share = (cursor, cursor + own_count - 1, n_prime, plo, phi, target)
-        cursor += own_count
-        child_shares = []
-        for child in kids:
-            cnt = sess.child_values[child]
-            child_shares.append((cursor, cursor + cnt - 1, n_prime, plo, phi, target))
-            cursor += cnt
-        if cursor != hi + 1:
-            raise SimulationFault("position interval does not match sample counts")
-        return own_share, child_shares
+        return split_interval(share, sess.own, [sess.child_values[c] for c in kids])
 
     def wave_deliver(self, kind, key, vid, share) -> None:
         if kind != "k2n":
@@ -766,7 +691,6 @@ class KSelectNode(OverlayNode):
     # -- phase 3 --------------------------------------------------------------------------------
     def _p3_start(self) -> None:
         sel = self.selection
-        sel.phase = "p3"
         sel.p2_iter += 1
         sel.mode = "all"
         self._sample_start()

@@ -1,8 +1,5 @@
-"""Run metrics assembly and summary fitting."""
+"""Run metrics assembly."""
 from __future__ import annotations
-
-import math
-from typing import Sequence
 
 from .sim import Simulator
 
@@ -29,39 +26,3 @@ def run_metrics(sim: Simulator, extra: dict | None = None) -> dict:
         out.update(extra)
     return out
 
-
-def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
-    """Least squares y = slope*x + intercept; returns (slope, intercept, r2)."""
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need at least two points")
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    if sxx == 0:
-        raise ValueError("x values are constant")
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - my) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r2
-
-
-def fit_report(points: dict[int, float], against: str = "log2(n)") -> dict:
-    """Fit mean values per n against log2 n."""
-    ns = sorted(points)
-    if len(ns) < 3:
-        raise ValueError("need at least three distinct n values")
-    xs = [math.log2(n) for n in ns]
-    ys = [points[n] for n in ns]
-    slope, intercept, r2 = linear_fit(xs, ys)
-    return {
-        "against": against,
-        "n_values": ns,
-        "means": ys,
-        "slope": slope,
-        "intercept": intercept,
-        "r2": r2,
-    }

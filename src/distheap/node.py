@@ -16,11 +16,18 @@ the virtual-node overlay:
 Sessions are keyed by (kind, key, virtual node), so pipelined epochs and
 overlapping protocol steps never interfere even under adversarial
 asynchronous delivery.
+
+Every message class derives its size from one rule (``Message``): the sum
+of its fields' sizes, where a field annotated ``Nat`` costs ``nat_bits``
+and any other field costs ``value_bits`` (an ``int`` there keeps a sign
+bit); the simulator adds the 8-bit tag.  ``RouteMsg`` alone sizes itself,
+adding the routed operation's size cached when the route starts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, fields
+from functools import cache
+from typing import Annotated, Any, Callable
 
 from .batches import Batch, EntryShare
 from .overlay import MIDDLE, CycleTopology, VirtualId
@@ -58,41 +65,55 @@ def value_bits(sim: Simulator, obj: Any) -> int:
     return rule(sim, obj)
 
 
+Nat = Annotated[int, "natural"]  # a message field sized by ``nat_bits``, unsigned
+
+
+@cache
+def _size_plan(cls: type) -> tuple[tuple[str, bool], ...]:
+    # names and natural flags only: the helpers are resolved at call time
+    return tuple((f.name, f.type in (Nat, "Nat")) for f in fields(cls))
+
+
+class Message:
+    """A modeled message: its size is the sum of its fields' sizes.
+
+    A field annotated ``Nat`` costs ``nat_bits`` (no sign bit); every other
+    field costs ``value_bits``.  The simulator adds the 8-bit tag.
+    """
+
+    __slots__ = ()
+
+    def size_bits(self, sim: Simulator) -> int:
+        total = 0
+        for name, natural in _size_plan(type(self)):
+            value = getattr(self, name)
+            total += nat_bits(value) if natural else value_bits(sim, value)
+        return total
+
+
 @dataclass(slots=True)
-class FloodMsg:
+class FloodMsg(Message):
     kind: str
     key: tuple
     vid: VirtualId
     payload: Any
 
-    def size_bits(self, sim: Simulator) -> int:
-        return sum(value_bits(sim, x) for x in (self.kind, self.key, self.vid, self.payload))
-
 
 @dataclass(slots=True)
-class WaveUpMsg:
+class WaveUpMsg(Message):
     kind: str
     key: tuple
     parent: VirtualId
     child: VirtualId
     value: Any
 
-    def size_bits(self, sim: Simulator) -> int:
-        return sum(
-            value_bits(sim, x)
-            for x in (self.kind, self.key, self.parent, self.child, self.value)
-        )
-
 
 @dataclass(slots=True)
-class WaveDownMsg:
+class WaveDownMsg(Message):
     kind: str
     key: tuple
     vid: VirtualId
     share: Any
-
-    def size_bits(self, sim: Simulator) -> int:
-        return sum(value_bits(sim, x) for x in (self.kind, self.key, self.vid, self.share))
 
 
 @dataclass(slots=True)
@@ -114,54 +135,55 @@ class RouteMsg:
 
 
 @dataclass(slots=True)
-class PutOp:
+class PutOp(Message):
     ns: str
     key_id: tuple
     element: Element
     reply_to: int
     token: Any
 
-    def size_bits(self, sim: Simulator) -> int:
-        return sum(
-            value_bits(sim, x)
-            for x in (self.ns, self.key_id, self.element, self.reply_to, self.token)
-        )
-
 
 @dataclass(slots=True)
-class GetOp:
+class GetOp(Message):
     ns: str
     key_id: tuple
     requester: int
     token: Any
 
-    def size_bits(self, sim: Simulator) -> int:
-        return sum(
-            value_bits(sim, x) for x in (self.ns, self.key_id, self.requester, self.token)
-        )
-
 
 @dataclass(slots=True)
-class PutAckMsg:
+class PutAckMsg(Message):
     ns: str
     token: Any
 
-    def size_bits(self, sim: Simulator) -> int:
-        return value_bits(sim, self.ns) + value_bits(sim, self.token)
-
 
 @dataclass(slots=True)
-class GetReplyMsg:
+class GetReplyMsg(Message):
     ns: str
     token: Any
     element: Element
 
-    def size_bits(self, sim: Simulator) -> int:
-        return (
-            value_bits(sim, self.ns)
-            + value_bits(sim, self.token)
-            + self.element.bits()
+
+def split_interval(
+    share: tuple, own: int, child_counts: list[int]
+) -> tuple[tuple, list[tuple]]:
+    """Carve ``share = (lo, hi, *rest)`` into consecutive intervals.
+
+    The own interval holds ``own`` positions and comes first, then one
+    interval per child count in combine order; each carries ``rest``
+    along.  The counts must cover ``[lo, hi]`` exactly.
+    """
+    lo, hi, *rest = share
+    cursor = lo
+    pieces = []
+    for count in (own, *child_counts):
+        pieces.append((cursor, cursor + count - 1, *rest))
+        cursor += count
+    if cursor != hi + 1:
+        raise SimulationFault(
+            f"interval [{lo}, {hi}] does not match counts {[own, *child_counts]}"
         )
+    return pieces[0], pieces[1:]
 
 
 class _WaveSession:

@@ -25,9 +25,9 @@ node.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .hashing import Tag, hash_unit
 
@@ -144,23 +144,14 @@ class CycleTopology:
         path = [start]
         current = start
         start_label = self.labels[start]
-        d = self.debruijn_hops()
+        limit = self.debruijn_hops() + 3 * self.n
         hop = 0
-        while self.responsible(key) != current:
-            if hop < d:
-                j = hop + 1
-                prefix = math.floor(key * (1 << j))
-                waypoint = (prefix + start_label) / (1 << j)
-                nxt = self.responsible(waypoint)
-            elif self.labels[current] <= key:
-                nxt = self.succ(current)
-            else:
-                nxt = self.pred(current)
+        while (nxt := self.route_step(current, key, start_label, hop)) is not None:
             hop += 1
             if nxt != current:
                 path.append(nxt)
             current = nxt
-            if hop > d + 3 * self.n:
+            if hop > limit:
                 raise RuntimeError("routing failed to terminate")
         return path
 

@@ -16,12 +16,13 @@ Two execution modes share one node/channel model:
   drops or duplicates, and is always within the deadline, which makes
   runs terminating and replayable.
 
-Message sizes are modeled, not serialized: every payload computes its
-size in bits from module-level accounting rules (naturals cost
+Message sizes are modeled, not serialized, by one rule: a message costs
+the sum of its fields plus a fixed 8-bit action tag.  Natural fields cost
 ``ceil(log2(max(v, 2) + 1))`` bits, computed exactly as
-``max(v, 2).bit_length()``, an interval costs two naturals, an element
-costs priority plus tiebreaker bits, labels/keys cost
-``2 * ceil(log2(3n))`` bits, plus a fixed 8-bit action tag per message).
+``max(v, 2).bit_length()``, with no sign bit; any other ``int`` costs one
+sign bit more; an interval costs two naturals, an element costs priority
+plus tiebreaker bits, labels/keys cost ``2 * ceil(log2(3n))`` bits.  The
+per-field rules live in ``node.value_bits`` and ``node.Message``.
 """
 from __future__ import annotations
 
@@ -120,7 +121,6 @@ class SimConfig:
     mode: str = SYNC
     async_delay_max: int = 16
     activation_interval: int = 0  # 0 -> async_delay_max
-    protocol: str = "skeap"
     epochs: int = 2
     requests_per_node: int = -1  # -1 -> lam * epochs * 2
     insert_ratio: float = 0.6

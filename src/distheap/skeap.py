@@ -24,12 +24,12 @@ from __future__ import annotations
 from typing import Any
 
 from . import batches
-from .batches import AnchorState, Batch, DELETE, INSERT, anchor_assign, decompose
+from .batches import AnchorState, Batch, DELETE, anchor_assign, decompose
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .node import OverlayNode
 from .overlay import MIDDLE, CycleTopology, VirtualId
-from .sim import Element, SimConfig, SimulationFault, Simulator
+from .sim import Element, SimulationFault, Simulator
 from .workload import HeapRequest, RequestSource
 
 _NS = "skeap"

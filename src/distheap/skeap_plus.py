@@ -24,14 +24,15 @@ issue order.
 """
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from .batches import DELETE, INSERT
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .kselect import KSelectError, KSelectNode, _Selection
+from .node import split_interval
 from .overlay import MIDDLE, CycleTopology, VirtualId
-from .sim import Element, SimConfig, SimulationFault, Simulator
+from .sim import Element, SimulationFault, Simulator
 from .workload import HeapRequest, RequestSource
 
 _ELEM = "elem"
@@ -48,7 +49,6 @@ class SkeapPlusNode(KSelectNode):
         )
         self.total_epochs = cfg.epochs
         self.epoch = -1
-        self.phase = "idle"
         self.finished = False
         self.ins_snapshot: dict[int, list[HeapRequest]] = {}
         self.del_snapshot: dict[int, list[HeapRequest]] = {}
@@ -92,7 +92,6 @@ class SkeapPlusNode(KSelectNode):
             self.finished = True
             return
         self.epoch = epoch
-        self.phase = "insert"
         snap = self.source.snapshot(INSERT)
         for req in snap:
             req.epoch = epoch
@@ -100,7 +99,6 @@ class SkeapPlusNode(KSelectNode):
         self.contribute_all("si", (epoch,), len(snap), 0)
 
     def _enter_delete(self, epoch: int) -> None:
-        self.phase = "delete"
         snap = self.source.snapshot(DELETE)
         for req in snap:
             req.epoch = epoch
@@ -165,19 +163,8 @@ class SkeapPlusNode(KSelectNode):
     def wave_split(self, kind, key, vid, sess, share):
         if kind not in ("sd", "sq"):
             return super().wave_split(kind, key, vid, sess, share)
-        lo, hi, *rest = share
         kids = self.topo.children[vid]
-        cursor = lo
-        own_share = (cursor, cursor + sess.own - 1, *rest)
-        cursor += sess.own
-        child_shares = []
-        for child in kids:
-            cnt = sess.child_values[child]
-            child_shares.append((cursor, cursor + cnt - 1, *rest))
-            cursor += cnt
-        if cursor != hi + 1:
-            raise SimulationFault(f"{kind} interval does not match counts")
-        return own_share, child_shares
+        return split_interval(share, sess.own, [sess.child_values[c] for c in kids])
 
     def wave_deliver(self, kind, key, vid, share) -> None:
         if kind == "sd":

@@ -5,7 +5,19 @@ from dataclasses import dataclass
 import pytest
 
 from distheap.batches import Batch, EntryShare
-from distheap.node import value_bits
+from distheap.kselect import CandOp, CompareOp, CopyAggMsg, CopySplit, ProbeReport, VoteMsg
+from distheap.node import (
+    FloodMsg,
+    GetOp,
+    GetReplyMsg,
+    Message,
+    PutAckMsg,
+    PutOp,
+    RouteMsg,
+    WaveDownMsg,
+    WaveUpMsg,
+    value_bits,
+)
 from distheap.overlay import VirtualId
 from distheap.sim import (
     ASYNC,
@@ -116,6 +128,107 @@ def test_value_bits_unknown_type_is_fault():
         value_bits(sim, {"no": "dicts"})
     with pytest.raises(SimulationFault):
         value_bits(sim, (1, b"bytes"))
+
+
+def _vb(sim, *fields):
+    return sum(value_bits(sim, x) for x in fields)
+
+
+def _key(v):
+    return (v, v + 1, 0)
+
+
+def _elem(v):
+    return Element(v, v, v)
+
+
+def _vid(v):
+    return VirtualId(v, "M")
+
+
+# class -> (an instance whose ints are all ``v``, the hand-written size_bits
+# the class had before ``Message`` derived it from the fields)
+_MESSAGE_CASES = {
+    FloodMsg: (
+        lambda v: FloodMsg("k2", _key(v), _vid(v), (0.5, "all")),
+        lambda sim, m: _vb(sim, m.kind, m.key, m.vid, m.payload),
+    ),
+    WaveUpMsg: (
+        lambda v: WaveUpMsg("sb", _key(v), _vid(v), _vid(v + 1), (v, v)),
+        lambda sim, m: _vb(sim, m.kind, m.key, m.parent, m.child, m.value),
+    ),
+    WaveDownMsg: (
+        lambda v: WaveDownMsg("k2n", _key(v), _vid(v), (v, v, v, 0, 1, 0)),
+        lambda sim, m: _vb(sim, m.kind, m.key, m.vid, m.share),
+    ),
+    RouteMsg: (
+        lambda v: RouteMsg(0.25, 0.5, v, _vid(v), GetOp("pos", _key(v), v, None), 40 + v),
+        lambda sim, m: 2 * sim.label_bits + nat_bits(m.hop) + value_bits(sim, m.vid)
+        + m.inner_bits,
+    ),
+    PutOp: (
+        lambda v: PutOp("elem", _key(v), _elem(v), v, (v,)),
+        lambda sim, m: _vb(sim, m.ns, m.key_id, m.element, m.reply_to, m.token),
+    ),
+    GetOp: (
+        lambda v: GetOp("pos", _key(v), v, (v, v)),
+        lambda sim, m: _vb(sim, m.ns, m.key_id, m.requester, m.token),
+    ),
+    PutAckMsg: (
+        lambda v: PutAckMsg("elem", (v,)),
+        lambda sim, m: _vb(sim, m.ns) + _vb(sim, m.token),
+    ),
+    GetReplyMsg: (
+        lambda v: GetReplyMsg("skeap", (v,), _elem(v)),
+        lambda sim, m: _vb(sim, m.ns) + _vb(sim, m.token) + m.element.bits(),
+    ),
+    CandOp: (
+        lambda v: CandOp(_key(v), v, v + 1, v, v + 2, v, _elem(v)),
+        lambda sim, m: _vb(sim, m.key) + nat_bits(m.pos) + nat_bits(m.n_prime)
+        + nat_bits(m.probe_lo) + nat_bits(m.probe_hi) + nat_bits(m.target)
+        + m.element.bits(),
+    ),
+    CopySplit: (
+        lambda v: CopySplit(
+            _key(v), v, v, v + 3, v + 4, v, v + 1, 0, _elem(v), _vid(v), v, _key(v) + (v, v, v)
+        ),
+        lambda sim, m: _vb(sim, m.key) + nat_bits(m.i) + nat_bits(m.lo) + nat_bits(m.hi)
+        + nat_bits(m.n_prime) + nat_bits(m.probe_lo) + nat_bits(m.probe_hi)
+        + nat_bits(m.target) + m.element.bits() + _vb(sim, m.vid)
+        + nat_bits(m.parent_node) + _vb(sim, m.parent_slot),
+    ),
+    CompareOp: (
+        lambda v: CompareOp(_key(v), v, v + 1, _elem(v), v, _key(v) + (v, 0, v)),
+        lambda sim, m: _vb(sim, m.key) + nat_bits(m.i) + nat_bits(m.j) + m.element.bits()
+        + nat_bits(m.holder) + _vb(sim, m.slot),
+    ),
+    VoteMsg: (
+        lambda v: VoteMsg(_key(v), _key(v) + (v, v, v), (v, 0)),
+        lambda sim, m: _vb(sim, m.key) + _vb(sim, m.slot) + _vb(sim, m.vector),
+    ),
+    CopyAggMsg: (
+        lambda v: CopyAggMsg(_key(v), _key(v) + (v, v, v), (v, v)),
+        lambda sim, m: _vb(sim, m.key) + _vb(sim, m.slot) + _vb(sim, m.vector),
+    ),
+    ProbeReport: (
+        lambda v: ProbeReport(_key(v), "target", v, _elem(v)),
+        lambda sim, m: _vb(sim, m.key) + 8 + nat_bits(m.order) + m.element.bits(),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0, 1, 2**49, 2**64])
+@pytest.mark.parametrize("cls", list(_MESSAGE_CASES), ids=lambda c: c.__name__)
+def test_message_size_matches_hand_written_formula(cls, value):
+    # by name: ``dataclass(slots=True)`` leaves the pre-slots class behind as a subclass
+    covered = {c.__name__ for c in _MESSAGE_CASES}
+    assert {c.__name__ for c in Message.__subclasses__()} | {"RouteMsg"} == covered
+    if cls is not RouteMsg:
+        assert "size_bits" not in cls.__dict__
+    sim, _ = make_sim(n=8)
+    build, reference = _MESSAGE_CASES[cls]
+    msg = build(value)
+    assert msg.size_bits(sim) == reference(sim, msg)
 
 
 def test_send_appends_to_channel():
