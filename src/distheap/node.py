@@ -22,6 +22,13 @@ of its fields' sizes, where a field annotated ``Nat`` costs ``nat_bits``
 and any other field costs ``value_bits`` (an ``int`` there keeps a sign
 bit); the simulator adds the 8-bit tag.  ``RouteMsg`` alone sizes itself,
 adding the routed operation's size cached when the route starts.
+
+The rule does not change with how it is evaluated: a tuple whose elements
+are all value-sized (``int``, ``str``, ``None``, ``Element``,
+``VirtualId``) is sized once per run and then looked up by value in
+``Simulator.size_memo``.  Tuples holding a ``bool`` or ``float`` (equal to
+an ``int`` yet sized differently) or a mutable or container element are
+sized element by element every time.
 """
 from __future__ import annotations
 
@@ -38,6 +45,25 @@ def _sequence_bits(sim: Simulator, obj: tuple | list) -> int:
     return nat_bits(len(obj)) + sum(value_bits(sim, x) for x in obj)
 
 
+# Element types whose equal values always have equal sizes.  Not ``bool`` or
+# ``float``: ``(1, 2) == (True, 2) == (1.0, 2)`` but the three cost different
+# bits.  Not the mutable ``EntryShare`` or lists, nor ``Batch`` or nested
+# tuples, containers whose own elements would need the same check; not int
+# subclasses either.
+_VALUE_SIZED = frozenset({int, str, type(None), Element, VirtualId})
+
+
+def _tuple_bits(sim: Simulator, obj: tuple) -> int:
+    """``_sequence_bits``, looked up in the run's memo when every element is
+    value-sized, so each distinct protocol key is sized once per run."""
+    if not _VALUE_SIZED.issuperset(map(type, obj)):
+        return _sequence_bits(sim, obj)
+    bits = sim.size_memo.get(obj)
+    if bits is None:
+        bits = sim.size_memo[obj] = _sequence_bits(sim, obj)
+    return bits
+
+
 # Bit accounting per message field type.
 _FIELD_BITS: dict[type, Callable[[Simulator, Any], int]] = {
     type(None): lambda sim, obj: 1,
@@ -49,7 +75,7 @@ _FIELD_BITS: dict[type, Callable[[Simulator, Any], int]] = {
     Batch: lambda sim, obj: obj.bits(),
     EntryShare: lambda sim, obj: obj.bits(),
     VirtualId: lambda sim, obj: nat_bits(obj.owner) + 2,
-    tuple: _sequence_bits,
+    tuple: _tuple_bits,
     list: _sequence_bits,
 }
 

@@ -50,6 +50,7 @@ class CycleTopology:
             raise ValueError("need at least two nodes")
         self.n = n
         self.seed = seed
+        self._debruijn_hops = math.ceil(math.log2(n)) + 2
         self.labels: dict[VirtualId, float] = {}
         for v, m in middle_labels.items():
             self.labels[VirtualId(v, MIDDLE)] = m
@@ -120,7 +121,7 @@ class CycleTopology:
 
     # -- routing ---------------------------------------------------------------
     def debruijn_hops(self) -> int:
-        return math.ceil(math.log2(self.n)) + 2
+        return self._debruijn_hops
 
     def route_step(
         self, current: VirtualId, key: float, start_label: float, hop: int
@@ -128,8 +129,7 @@ class CycleTopology:
         """Next virtual node on the route, or None if ``current`` is responsible."""
         if self.responsible(key) == current:
             return None
-        d = self.debruijn_hops()
-        if hop < d:
+        if hop < self._debruijn_hops:
             j = hop + 1
             prefix = math.floor(key * (1 << j))
             waypoint = (prefix + start_label) / (1 << j)

@@ -22,7 +22,11 @@ the sum of its fields plus a fixed 8-bit action tag.  Natural fields cost
 ``max(v, 2).bit_length()``, with no sign bit; any other ``int`` costs one
 sign bit more; an interval costs two naturals, an element costs priority
 plus tiebreaker bits, labels/keys cost ``2 * ceil(log2(3n))`` bits.  The
-per-field rules live in ``node.value_bits`` and ``node.Message``.
+per-field rules live in ``node.value_bits`` and ``node.Message``.  Each
+simulator keeps a ``size_memo`` so that a tuple of value-sized elements
+(a protocol key, a copy-slot id) is sized once per run; the sizes are the
+rule's, unchanged.  Tuples holding ``bool``, ``float`` or mutable elements
+bypass it, since equal values of those need not have equal sizes.
 """
 from __future__ import annotations
 
@@ -195,7 +199,8 @@ class Simulator:
         self._trace = trace
         self._send_seq = 0
         self._sched_rng: random.Random | None = None
-        self._delays: list[tuple[int, int]] = []  # (enqueue pick, delivery pick)
+        self._delays: list[int] = []  # picks from enqueue to delivery, async mode
+        self.size_memo: dict[tuple, int] = {}  # tuple value -> bits, see node._tuple_bits
         self.label_bits = 2 * max(1, math.ceil(math.log2(max(3 * config.n, 2))))
 
     # -- topology of nodes -------------------------------------------------
@@ -373,7 +378,7 @@ class Simulator:
             while self._events and self._events[0][0] <= self.time:
                 _, _, kind, item = heapq.heappop(self._events)
                 if kind == _MSG:
-                    self._delays.append((item.enqueue_time, self.time))
+                    self._delays.append(self.time - item.enqueue_time)
                     self._deliver(item)
                 else:
                     self._activate(item)
@@ -390,4 +395,4 @@ class Simulator:
         return picks
 
     def delivery_delays(self) -> list[int]:
-        return [done - sent for sent, done in self._delays]
+        return list(self._delays)

@@ -1,10 +1,15 @@
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from enum import IntEnum
+from itertools import permutations
 
 import pytest
 
+from distheap import node as node_module
+from distheap import run_kselect, run_skeap, run_skeap_plus
 from distheap.batches import Batch, EntryShare
+from distheap.hashing import Tag
 from distheap.kselect import CandOp, CompareOp, CopyAggMsg, CopySplit, ProbeReport, VoteMsg
 from distheap.node import (
     FloodMsg,
@@ -128,6 +133,86 @@ def test_value_bits_unknown_type_is_fault():
         value_bits(sim, {"no": "dicts"})
     with pytest.raises(SimulationFault):
         value_bits(sim, (1, b"bytes"))
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+# Equal tuples whose elements' types differ: (1, 2) == (True, 2) == (1.0, 2)
+# == (_Level.ONE, 2), yet they cost 8, 6, 5 + label_bits and 8 bits.
+_MEMO_CASES = [
+    (1, 2), (True, 2), (1.0, 2), (_Level.ONE, 2),
+    (Element(1, 0, 0),), ("x", None, VirtualId(3, "M")), (Tag.KS_PAIR, 5, 2),
+]
+
+
+def test_tuple_memo_is_exact_in_every_order():
+    want = [node_module._sequence_bits(make_sim(n=8)[0], t) for t in _MEMO_CASES]
+    assert len(set(want[:4])) == 3  # the equal tuples do not all cost the same
+    for order in permutations(range(len(_MEMO_CASES))):
+        sim, _ = make_sim(n=8)
+        for _ in range(2):  # a miss, then a hit for the memoized ones
+            for i in order:
+                assert value_bits(sim, _MEMO_CASES[i]) == want[i], (order, _MEMO_CASES[i])
+        # only the tuples of exactly int, str, None, Element and VirtualId are kept
+        assert len(sim.size_memo) == 4
+        assert {type(x) for key in sim.size_memo for x in key} == {
+            int, str, type(None), Element, VirtualId
+        }
+
+
+def test_tuple_memo_resizes_mutable_elements():
+    sim, _ = make_sim(n=8)
+    share = EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 6, 0, 2)
+    key = ("sd", 3, share)
+    before = value_bits(sim, key)
+    share.bottoms = 2**40
+    assert value_bits(sim, key) == node_module._sequence_bits(sim, key) > before
+    items = [1, "a"]
+    before = value_bits(sim, items)
+    items.append(2**40)
+    assert value_bits(sim, items) == node_module._sequence_bits(sim, items) > before
+    nested = (4, items)
+    before = value_bits(sim, nested)
+    items.append(7)
+    assert value_bits(sim, nested) == node_module._sequence_bits(sim, nested) > before
+    assert sim.size_memo == {}
+
+
+def test_tuple_memo_is_per_simulator():
+    small, _ = make_sim(n=4)
+    large, _ = make_sim(n=64)
+    key = (7, 3, 11, 0, 1, 5)
+    assert value_bits(small, key) == value_bits(large, key)
+    assert small.size_memo == large.size_memo == {key: value_bits(small, key)}
+    assert small.size_memo is not large.size_memo
+    labels = (0.5, 7)  # a float depends on n and is never memoized
+    assert value_bits(small, labels) != value_bits(large, labels)
+    assert labels not in small.size_memo and labels not in large.size_memo
+
+
+def _trace_stream(run):
+    events = []
+    run(lambda e: events.append((e["kind"], e["time"], e["src"], e["dst"], e["bits"])))
+    return events
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda trace: run_kselect(16, m=256, k=16, seed=1, trace=trace),
+        lambda trace: run_skeap(8, seed=1, trace=trace),
+        lambda trace: run_skeap_plus(8, seed=1, mode=ASYNC, trace=trace),
+    ],
+    ids=["kselect-sync-n16", "skeap-sync-n8", "seap-async-n8"],
+)
+def test_tuple_memo_keeps_whole_run_trace(run, monkeypatch):
+    with_memo = _trace_stream(run)
+    monkeypatch.setitem(node_module._FIELD_BITS, tuple, node_module._sequence_bits)
+    without_memo = _trace_stream(run)
+    assert len(with_memo) > 1000
+    assert with_memo == without_memo
 
 
 def _vb(sim, *fields):
