@@ -50,7 +50,6 @@ class CycleTopology:
             raise ValueError("need at least two nodes")
         self.n = n
         self.seed = seed
-        self._debruijn_hops = math.ceil(math.log2(n)) + 2
         self.labels: dict[VirtualId, float] = {}
         for v, m in middle_labels.items():
             self.labels[VirtualId(v, MIDDLE)] = m
@@ -121,7 +120,7 @@ class CycleTopology:
 
     # -- routing ---------------------------------------------------------------
     def debruijn_hops(self) -> int:
-        return self._debruijn_hops
+        return math.ceil(math.log2(self.n)) + 2
 
     def route_step(
         self, current: VirtualId, key: float, start_label: float, hop: int
@@ -129,7 +128,8 @@ class CycleTopology:
         """Next virtual node on the route, or None if ``current`` is responsible."""
         if self.responsible(key) == current:
             return None
-        if hop < self._debruijn_hops:
+        d = self.debruijn_hops()
+        if hop < d:
             j = hop + 1
             prefix = math.floor(key * (1 << j))
             waypoint = (prefix + start_label) / (1 << j)

@@ -140,23 +140,29 @@ class _Level(IntEnum):
 
 
 # Equal tuples whose elements' types differ: (1, 2) == (True, 2) == (1.0, 2)
-# == (_Level.ONE, 2), yet they cost 8, 6, 5 + label_bits and 8 bits.
-_MEMO_CASES = [
-    (1, 2), (True, 2), (1.0, 2), (_Level.ONE, 2),
-    (Element(1, 0, 0),), ("x", None, VirtualId(3, "M")), (Tag.KS_PAIR, 5, 2),
-]
+# == (_Level.ONE, 2), yet they cost 8, 6, 5 + label_bits and 8 bits.  Only
+# their relative order can expose a wrong memo hit.
+_EQUAL_TUPLES = [(1, 2), (True, 2), (1.0, 2), (_Level.ONE, 2)]
+# Tuples equal to none of the above (``Tag`` members are plain ints).
+_OTHER_TUPLES = [(Element(1, 0, 0),), ("x", None, VirtualId(3, "M")), (Tag.KS_PAIR, 5, 2)]
 
 
 def test_tuple_memo_is_exact_in_every_order():
-    want = [node_module._sequence_bits(make_sim(n=8)[0], t) for t in _MEMO_CASES]
-    assert len(set(want[:4])) == 3  # the equal tuples do not all cost the same
-    for order in permutations(range(len(_MEMO_CASES))):
+    reference = make_sim(n=8)[0]
+    want = {t: node_module._sequence_bits(reference, t) for t in _OTHER_TUPLES}
+    want_equal = [node_module._sequence_bits(reference, t) for t in _EQUAL_TUPLES]
+    assert len(set(want_equal)) == 3  # the equal tuples do not all cost the same
+    for order in permutations(range(len(_EQUAL_TUPLES))):
         sim, _ = make_sim(n=8)
+        for t in _OTHER_TUPLES:  # sized before any of the equal tuples
+            assert value_bits(sim, t) == want[t]
         for _ in range(2):  # a miss, then a hit for the memoized ones
             for i in order:
-                assert value_bits(sim, _MEMO_CASES[i]) == want[i], (order, _MEMO_CASES[i])
+                assert value_bits(sim, _EQUAL_TUPLES[i]) == want_equal[i], (order, i)
+        for t in _OTHER_TUPLES:  # and again after hits
+            assert value_bits(sim, t) == want[t]
         # only the tuples of exactly int, str, None, Element and VirtualId are kept
-        assert len(sim.size_memo) == 4
+        assert set(sim.size_memo) == {(1, 2), *_OTHER_TUPLES}
         assert {type(x) for key in sim.size_memo for x in key} == {
             int, str, type(None), Element, VirtualId
         }
