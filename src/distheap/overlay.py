@@ -19,8 +19,10 @@ Key responsibility follows the predecessor rule: the virtual node v with
 v <= key < succ(v) (cyclically) owns the key.  Routing emulates de
 Bruijn bit-shifting on labels: hop j targets the real value whose
 binary expansion is the top j bits of the key followed by the bits of
-the start label, and a final linear walk lands on the exact responsible
-node.
+the start label.  Each step resolves the key to the cycle index of its
+responsible node; after the de Bruijn hops the route walks toward that
+index the shorter way round the cycle, so a route that ends next to the
+wrap crosses it instead of circling the ring.
 """
 from __future__ import annotations
 
@@ -112,11 +114,14 @@ class CycleTopology:
     # -- DHT responsibility ----------------------------------------------------
     def responsible(self, key: float) -> VirtualId:
         """The unique virtual node v with v <= key < succ(v), cyclically."""
+        return self.order[self._cycle_index(key)]
+
+    def _cycle_index(self, key: float) -> int:
+        """Position in ``order`` of the node responsible for ``key``."""
         if not (0.0 <= key < 1.0):
             raise ValueError("keys live in [0, 1)")
-        i = bisect_right(self._sorted_labels, key)
         # keys below the smallest label wrap to the largest
-        return self.order[i - 1] if i else self.order[-1]
+        return (bisect_right(self._sorted_labels, key) - 1) % len(self.order)
 
     # -- routing ---------------------------------------------------------------
     def debruijn_hops(self) -> int:
@@ -125,8 +130,15 @@ class CycleTopology:
     def route_step(
         self, current: VirtualId, key: float, start_label: float, hop: int
     ) -> VirtualId | None:
-        """Next virtual node on the route, or None if ``current`` is responsible."""
-        if self.responsible(key) == current:
+        """Next virtual node on the route, or None if ``current`` is responsible.
+
+        The first ``debruijn_hops()`` hops go to de Bruijn waypoints; after
+        them the route walks toward the cycle index of the node responsible
+        for ``key``, one neighbour at a time, the shorter way round.
+        """
+        target = self._cycle_index(key)
+        at = self._index[current]
+        if at == target:
             return None
         d = self.debruijn_hops()
         if hop < d:
@@ -134,10 +146,10 @@ class CycleTopology:
             prefix = math.floor(key * (1 << j))
             waypoint = (prefix + start_label) / (1 << j)
             return self.responsible(waypoint)
-        # linear walk toward the responsible node
-        if self.labels[current] <= key:
-            return self.succ(current)
-        return self.pred(current)
+        size = len(self.order)
+        if (target - at) % size <= size // 2:
+            return self.order[(at + 1) % size]
+        return self.order[(at - 1) % size]
 
     def route(self, start: VirtualId, key: float) -> list[VirtualId]:
         """Full path from ``start`` to the responsible node (inclusive)."""

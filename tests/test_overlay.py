@@ -128,6 +128,29 @@ def test_route_exhaustive_small():
                 assert path[-1] == topo.responsible(key)
 
 
+@pytest.mark.parametrize(
+    "n,seed", [(n, s) for n in (16, 64, 256) for s in range(3)] + [(512, 1)]
+)
+def test_route_hops_logarithmic_across_the_wrap(n, seed):
+    # (512, 1) is the benchmark's Skeap overlay.  Keys below the smallest
+    # label belong to the largest-label node, so a route that ends near the
+    # wrap must cross it rather than walk back round the ring.
+    topo = CycleTopology.build(n, seed)
+    labels = sorted(topo.labels.values())
+    keys = [labels[0] / 2, (labels[-1] + 1) / 2]
+    for lo, hi in zip(labels[:4], labels[1:5]):
+        keys += [lo, (lo + hi) / 2, math.nextafter(hi, 0.0)]
+    bound = 2 * topo.debruijn_hops()
+    for start in topo.order:
+        start_label = topo.label(start)
+        for key in keys:
+            current, hop = start, 0
+            while (nxt := topo.route_step(current, key, start_label, hop)) is not None:
+                current, hop = nxt, hop + 1
+                assert hop <= bound, (start, key)
+            assert current == topo.responsible(key)
+
+
 def test_route_length_grows_affinely_in_log_n():
     import random
 

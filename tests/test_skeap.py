@@ -8,6 +8,7 @@ from distheap.consistency import (
     check_serializable,
 )
 from distheap.experiments import run_skeap
+from distheap.overlay import CycleTopology
 from distheap.sim import ASYNC, SYNC
 
 
@@ -135,3 +136,16 @@ def test_metrics_shape():
     assert m["messages_sent"] == m["messages_delivered"]
     assert m["max_message_bits"] > 0
     assert len(m["per_round"]) == m["rounds"]
+
+
+@pytest.mark.parametrize(
+    "n,seed", [(n, s) for n in (16, 64, 256) for s in range(3)] + [(512, 1)]
+)
+def test_sync_rounds_bounded_by_tree_height(n, seed):
+    # an epoch is a wave up the aggregation tree and a share back down, so
+    # about 2 * height rounds; a DHT route that circles the ring breaks the
+    # bound.  (512, 1) is the benchmark's Skeap workload.
+    epochs = 4
+    res = run_skeap(n, seed=seed, priorities=4, lam=2, epochs=epochs)
+    assert res.ok, res.verdict.violation
+    assert res.metrics["rounds"] <= 2 * epochs * CycleTopology.build(n, seed).height()

@@ -40,25 +40,25 @@ EXPECTED = {
     ('seap', 'synchronous', 2, 0): ('0eb5a5b03c4bb75d', '3cc614f9072381d6', 'ad059a2f458a62ec'),
     ('seap', 'synchronous', 2, 1): ('2e0f25b2ce9048ef', '7c756086b65236f6', 'cd759585625a7ebd'),
     ('seap', 'synchronous', 8, 0): ('0c73b18c78c8b94d', '63c1dd3ae0ab1822', 'c34774c28ec71f55'),
-    ('seap', 'synchronous', 8, 1): ('7d079974f4f128df', '908554c562cdfa92', '1fa280e2399e5649'),
+    ('seap', 'synchronous', 8, 1): ('f10ef5a8d0c84d0b', '908554c562cdfa92', '4a2ca08e1fe72821'),
     ('seap', 'synchronous', 32, 0): ('7fff6e8b8a25dce6', '215be5ac71832bd5', '2005353a0e5adbb1'),
     ('seap', 'synchronous', 32, 1): ('cbaae7cacfeb20e6', '215f0bdeb34c5d17', '6cb7612e457bc46d'),
     ('seap', 'asynchronous', 2, 0): ('d002ddf0f513e129', '3cc614f9072381d6', '8c0a60548891e2ae'),
     ('seap', 'asynchronous', 2, 1): ('2fc9708605171fc5', '7c756086b65236f6', 'a73c4159534bd396'),
     ('seap', 'asynchronous', 8, 0): ('98a4dd5ff3228cde', '63c1dd3ae0ab1822', '88eabe9580840caa'),
-    ('seap', 'asynchronous', 8, 1): ('b0f645cb990ccdb9', '908554c562cdfa92', '2105ecb97486a383'),
+    ('seap', 'asynchronous', 8, 1): ('a0ee7983c7ae3144', '908554c562cdfa92', '5c63dd8bf6d24d09'),
     ('seap', 'asynchronous', 32, 0): ('3859612518c1dbde', '215be5ac71832bd5', '33682d15557defc1'),
     ('seap', 'asynchronous', 32, 1): ('042fe559c3aecb4c', '215f0bdeb34c5d17', 'd16e2bc977a22bf1'),
     ('kselect', 'synchronous', 2, 0): ('437efc91eed9f6c1', '1563b2bc06c2066a', 'dc4c7279fa3c8e03'),
     ('kselect', 'synchronous', 2, 1): ('fd71da55155b9a24', 'e246066e2ac6e35c', 'a71f86db664d6eeb'),
     ('kselect', 'synchronous', 8, 0): ('f59718f66650a661', '32bb65e896aa9c5e', '024bd4944715812a'),
-    ('kselect', 'synchronous', 8, 1): ('b9bb60eeac4c3e40', 'd786f306a78458c4', 'e14c6be0e5677b8f'),
+    ('kselect', 'synchronous', 8, 1): ('0c8b73b12461b53f', 'd786f306a78458c4', '19ff89a1cae518f8'),
     ('kselect', 'synchronous', 32, 0): ('9e29525d88ab0a99', 'be398730afb5f2f9', '5bfec958e97e27ed'),
     ('kselect', 'synchronous', 32, 1): ('0c88f60e6ac9eeb2', '71971ff8771a698e', 'e18975fbc5893439'),
     ('kselect', 'asynchronous', 2, 0): ('c604ddbd48cffd6d', 'f475dec9c1ad0fe2', '43661e1b6a5b1a2f'),
     ('kselect', 'asynchronous', 2, 1): ('b16e86a5bc571c56', '22cb40e67d72f64d', '43661e1b6a5b1a2f'),
     ('kselect', 'asynchronous', 8, 0): ('b04955b0abe4454b', '1cca31c1f230af3f', '49bd15135b5f46a0'),
-    ('kselect', 'asynchronous', 8, 1): ('f23b01f877e78969', 'b22708624a5212da', '2c612e68a8ff8e4b'),
+    ('kselect', 'asynchronous', 8, 1): ('214b9386f996deac', '509bd5be9e063467', '43ffa817e388b9ca'),
     ('kselect', 'asynchronous', 32, 0): ('891aea2ab6c579d5', '3873f6288087ab50', '32c03585aceab779'),
     ('kselect', 'asynchronous', 32, 1): ('8661026bc365d4f7', 'cbadfe17e34b2f84', 'b17516069927b71e'),
 }
