@@ -34,6 +34,7 @@ class KSelectResult:
     phase2_iterations: int
     diag: list[dict]
     metrics: dict
+    final_time: int = 0  # the simulator's clock after the run
 
     @property
     def correct(self) -> bool:
@@ -98,6 +99,7 @@ def run_kselect(
         phase2_iterations=sel.p2_iter,
         diag=sel.diag,
         metrics=run_metrics(sim),
+        final_time=sim.time,
     )
 
 
@@ -110,6 +112,7 @@ class HeapRunResult:
     verdict: Verdict
     metrics: dict
     extra: dict = field(default_factory=dict)
+    final_time: int = 0  # the simulator's clock after the run
 
     @property
     def ok(self) -> bool:
@@ -169,7 +172,9 @@ def run_skeap(
         "batches_processed": anchor.batches_processed,
         "requests_completed": len(records),
     }
-    return HeapRunResult("skeap", n, seed, records, verdict, run_metrics(sim, extra), extra)
+    return HeapRunResult(
+        "skeap", n, seed, records, verdict, run_metrics(sim, extra), extra, sim.time
+    )
 
 
 def run_skeap_plus(
@@ -202,7 +207,7 @@ def run_skeap_plus(
         "requests_completed": len(records),
     }
     return HeapRunResult(
-        "skeap_plus", n, seed, records, verdict, run_metrics(sim, extra), extra
+        "skeap_plus", n, seed, records, verdict, run_metrics(sim, extra), extra, sim.time
     )
 
 

@@ -11,10 +11,20 @@ Two execution modes share one node/channel model:
   channels that hold messages.  Round metrics (per-node message counts,
   congestion, largest message) are recorded in this mode.
 * asynchronous schedule: a seeded scheduler assigns every message a
-  random delivery deadline at most ``async_delay_max`` picks in the
-  future and activates nodes periodically.  Delivery is non-FIFO, never
-  drops or duplicates, and is always within the deadline, which makes
-  runs terminating and replayable.
+  random delivery deadline at most ``async_delay_max`` clock ticks in
+  the future and activates each node periodically, from a random first
+  time, until it is ``done``.  A node whose ``needs_activation`` is False
+  is not activated; a run with neither ``trace=`` nor ``until=`` also
+  drops its activation events, so the picks follow traffic.  Otherwise
+  the events stay, and with ``trace=`` each still records an
+  ``activate`` event, so the trace is the same as if the node were
+  activated.  Delivery is non-FIFO, never drops or duplicates, and is
+  always within the deadline, which makes runs terminating and
+  replayable.
+
+In both modes a run without ``until=`` that has no message in flight and
+a node that is not ``done`` but needs no activation can never progress;
+it raises a stall ``SimulationFault`` at once.
 
 Message sizes are modeled, not serialized, by one rule: a message costs
 the sum of its fields plus a fixed 8-bit action tag.  Natural fields cost
@@ -168,7 +178,10 @@ class ProtocolNode:
         Once False it must stay False, and ``on_activate`` must then be a
         no-op: in synchronous mode the simulator checks it before each
         round's activations, skips the node from the first round it is
-        False and never asks again.  Asynchronous mode ignores it.
+        False and never asks again.  In asynchronous mode it is read when
+        the node's activation event comes due; from the first time it is
+        False the handler is skipped and, in a run with neither ``trace=``
+        nor ``until=``, the node is not scheduled again.
         """
         return True
 
@@ -199,7 +212,7 @@ class Simulator:
         self._trace = trace
         self._send_seq = 0
         self._sched_rng: random.Random | None = None
-        self._delays: list[int] = []  # picks from enqueue to delivery, async mode
+        self._delays: list[int] = []  # ticks from enqueue to delivery, async mode
         self.size_memo: dict[tuple, int] = {}  # tuple value -> bits, see node._tuple_bits
         self.label_bits = 2 * max(1, math.ceil(math.log2(max(3 * config.n, 2))))
 
@@ -313,6 +326,25 @@ class Simulator:
         self.round_metrics.append(metrics)
         return metrics
 
+    def _quiescent(self, engine: str) -> bool:
+        """True if no message is in flight and every node is ``done``.
+
+        Raises a stall fault if no message is in flight and no node that is
+        not ``done`` needs activation: nothing can ever happen again.
+        """
+        if self._pending:
+            return False
+        nodes = self.nodes
+        if all(nd.done for nd in nodes):
+            return True
+        if not any(nd.needs_activation for nd in nodes if not nd.done):
+            stuck = [i for i, nd in enumerate(nodes) if not nd.done]
+            raise SimulationFault(
+                f"{engine} stalled at time {self.time}: no message in flight and "
+                f"nodes {stuck} are not done but need no activation"
+            )
+        return False
+
     def run_sync(
         self,
         until: Callable[["Simulator"], bool] | None = None,
@@ -323,9 +355,7 @@ class Simulator:
         while self.time - start < max_rounds:
             if until is not None and until(self):
                 return self.time - start
-            if until is None and self.pending_messages() == 0 and all(
-                nd.done for nd in self.nodes
-            ):
+            if until is None and self._quiescent("run_sync"):
                 return self.time - start
             self.step_round()
         raise SimulationFault("run_sync exceeded max_rounds")
@@ -337,12 +367,16 @@ class Simulator:
         until: Callable[["Simulator"], bool] | None = None,
         max_picks: int = 20_000_000,
     ) -> int:
-        """Run the seeded bounded-delay schedule until quiescence.
+        """Run the seeded bounded-delay schedule until quiescence.  Returns
+        the number of picks.
 
-        Every pick advances the clock by one; all events whose deadline has
-        arrived are executed at that pick (ordered by deadline then send
-        order), so no envelope is ever delivered later than
-        ``async_delay_max`` picks after it was sent.
+        Each pick advances the clock to the earliest deadline and executes
+        every event due by then (ordered by deadline then send order), so
+        no envelope is ever delivered later than ``async_delay_max`` ticks
+        after it was sent.  A run with neither ``trace=`` nor ``until=``
+        drops the activation events of nodes that need no activation, so
+        it spends no picks on idle activations; message times, the final
+        clock and everything the nodes do are the same as in a traced run.
         """
         if self.cfg.mode != ASYNC:
             raise SimulationFault("run_async requires asynchronous mode")
@@ -350,6 +384,9 @@ class Simulator:
         self._sched_rng = rng
         self._events: list[tuple[int, int, int, Any]] = []
         interval = self.cfg.activation_interval
+        # idle activations may be dropped only where no trace and no ``until``
+        # sees the clock stop at them
+        keep_idle = bool(self._trace) or until is not None
         for node_id in range(len(self.nodes)):
             first = self.time + 1 + rng.randrange(interval)
             heapq.heappush(self._events, (first, -node_id, _ACT, node_id))
@@ -361,16 +398,15 @@ class Simulator:
             ch.clear()
         self._busy.clear()
         picks = 0
-        while self._events:
+        while True:
             if picks >= max_picks:
                 raise SimulationFault("run_async exceeded max_picks")
             if until is not None and until(self):
                 break
-            if (
-                self.pending_messages() == 0
-                and all(nd.done for nd in self.nodes)
-                and until is None
-            ):
+            # checked before the heap: an untraced stall empties it
+            if until is None and self._quiescent("run_async"):
+                break
+            if not self._events:
                 break
             deadline, _, _, _ = self._events[0]
             self.time = max(self.time + 1, deadline)
@@ -381,8 +417,14 @@ class Simulator:
                     self._delays.append(self.time - item.enqueue_time)
                     self._deliver(item)
                 else:
-                    self._activate(item)
-                    if not self.nodes[item].done:
+                    node = self.nodes[item]
+                    if node.needs_activation:
+                        self._activate(item)
+                    elif keep_idle:
+                        self._activate(item, handler=False)
+                    else:
+                        continue  # never needed again: its events leave the heap
+                    if not node.done:
                         heapq.heappush(
                             self._events, (self.time + interval, -item, _ACT, item)
                         )

@@ -31,3 +31,18 @@ def test_run_rejects_a_single_node(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--protocol", "skeap", "--n", "1", "--seed", "0"])
     assert "--n must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["seap", "kselect"])
+def test_async_clock_is_the_last_event_time(protocol, capsys):
+    main(["run", "--protocol", protocol, "--n", "8", "--seed", "1", "--mode", "async",
+          "--schedule-seed", "2"])
+    out = json.loads(capsys.readouterr().out)
+    events = []
+    if protocol == "kselect":
+        direct = run_kselect(8, m=64, k=8, seed=1, mode=ASYNC, schedule_seed=2,
+                             trace=events.append)
+    else:
+        direct = run_skeap_plus(8, seed=1, mode=ASYNC, schedule_seed=2, trace=events.append)
+    assert out["totals"]["rounds"] == 0
+    assert out["clock"] == direct.final_time == events[-1]["time"] > 0

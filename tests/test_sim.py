@@ -551,3 +551,108 @@ def test_async_early_stop_keeps_undelivered_messages_in_channels():
     sim.run_async(schedule_seed=1)
     assert sim.pending_messages() == 0
     assert sim.delivered == 30
+
+
+class Waiter(Sleeper):
+    """Needs its first ``k`` activations, then is done once a message arrives."""
+
+    @property
+    def done(self):
+        return bool(self.got)
+
+
+class Alarm(Recorder):
+    """Sends one ping to ``target`` on its ``fire_at``-th activation, then is done."""
+
+    def __init__(self, sim, node_id, target, fire_at):
+        super().__init__(sim, node_id)
+        self.target = target
+        self.fire_at = fire_at
+
+    def on_activate(self):
+        super().on_activate()
+        if self.activations == self.fire_at:
+            self.sim.send(self.id, self.target, Ping("wake"))
+
+    @property
+    def done(self):
+        return self.activations >= self.fire_at
+
+
+class AlwaysAwakeWaiter(Waiter):
+    """A ``Waiter`` that never says it needs no activation: the periodic schedule."""
+
+    needs_activation = True
+
+    def on_activate(self):
+        if self.activations < self.k:
+            self.activations += 1
+
+
+def run_alarm(waiter_cls, trace=None):
+    sim = Simulator(SimConfig(n=3, seed=4, mode=ASYNC, async_delay_max=5), trace=trace)
+    waiter = waiter_cls(sim, 0, k=3)
+    alarm = Alarm(sim, 1, target=0, fire_at=12)
+    for node in (waiter, alarm, Recorder(sim, 2)):
+        sim.add_node(node)
+    sim.run_async(schedule_seed=2)
+    assert waiter.got == [(1, Ping("wake"))]
+    return sim, waiter
+
+
+def test_async_stops_activating_a_node_that_no_longer_needs_it():
+    sim, waiter = run_alarm(Waiter)
+    # the waiter stays not done for about nine more activation intervals
+    assert sim.time > 10 * sim.cfg.activation_interval
+    assert waiter.activations == 3
+
+
+def test_async_trace_keeps_the_periodic_activation_schedule():
+    def activations(waiter_cls):
+        events = []
+        sim, waiter = run_alarm(waiter_cls, trace=events.append)
+        assert waiter.activations == 3
+        return sim.time, [(e["time"], e["src"]) for e in events if e["kind"] == "activate"]
+
+    clock, got = activations(Waiter)
+    assert (clock, got) == activations(AlwaysAwakeWaiter)
+    waiter_times = [t for t, src in got if src == 0]
+    assert len(waiter_times) > 10
+    assert {b - a for a, b in zip(waiter_times, waiter_times[1:])} == {5}
+    assert clock == run_alarm(Waiter)[0].time
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_async_stall_is_a_fault_at_once(traced):
+    sim = Simulator(SimConfig(n=3, seed=1, mode=ASYNC, async_delay_max=5),
+                    trace=[].append if traced else None)
+    stuck = Waiter(sim, 1, k=2)
+    for node in (Recorder(sim, 0), stuck, Recorder(sim, 2)):
+        sim.add_node(node)
+    sim.send(0, 2, Ping())
+    with pytest.raises(SimulationFault, match=r"run_async stalled .* nodes \[1\]"):
+        sim.run_async(schedule_seed=0, max_picks=100_000)
+    assert stuck.activations == 2
+    assert sim.delivered == 1
+    assert sim.time <= 3 * sim.cfg.activation_interval
+
+
+def test_sync_stall_is_a_fault_at_once():
+    sim, _ = make_sim(n=3)
+    stuck = sim.nodes[1] = Waiter(sim, 1, k=2)
+    sim.send(0, 2, Ping())
+    with pytest.raises(SimulationFault, match=r"run_sync stalled .* nodes \[1\]"):
+        sim.run_sync(max_rounds=100_000)
+    assert stuck.activations == 2
+    assert sim.time <= 3
+
+
+def test_async_until_sees_the_same_clock_traced_or_not():
+    def stop_time(trace):
+        sim = Simulator(SimConfig(n=3, seed=1, mode=ASYNC, async_delay_max=5), trace=trace)
+        for node in (Recorder(sim, 0), Waiter(sim, 1, k=2), Recorder(sim, 2)):
+            sim.add_node(node)
+        sim.run_async(schedule_seed=0, until=lambda s: s.time >= 500)
+        return sim.time
+
+    assert 500 <= stop_time(None) == stop_time([].append) < 505
