@@ -595,22 +595,24 @@ def run_alarm(waiter_cls, trace=None):
     alarm = Alarm(sim, 1, target=0, fire_at=12)
     for node in (waiter, alarm, Recorder(sim, 2)):
         sim.add_node(node)
-    sim.run_async(schedule_seed=2)
+    picks = sim.run_async(schedule_seed=2)
     assert waiter.got == [(1, Ping("wake"))]
-    return sim, waiter
+    return sim, waiter, picks
 
 
 def test_async_stops_activating_a_node_that_no_longer_needs_it():
-    sim, waiter = run_alarm(Waiter)
+    sim, waiter, picks = run_alarm(Waiter)
     # the waiter stays not done for about nine more activation intervals
     assert sim.time > 10 * sim.cfg.activation_interval
     assert waiter.activations == 3
+    # untraced, its idle activation events are dropped, not just skipped
+    assert picks < run_alarm(Waiter, trace=[].append)[2]
 
 
 def test_async_trace_keeps_the_periodic_activation_schedule():
     def activations(waiter_cls):
         events = []
-        sim, waiter = run_alarm(waiter_cls, trace=events.append)
+        sim, waiter, _ = run_alarm(waiter_cls, trace=events.append)
         assert waiter.activations == 3
         return sim.time, [(e["time"], e["src"]) for e in events if e["kind"] == "activate"]
 
@@ -622,13 +624,18 @@ def test_async_trace_keeps_the_periodic_activation_schedule():
     assert clock == run_alarm(Waiter)[0].time
 
 
-@pytest.mark.parametrize("traced", [False, True])
-def test_async_stall_is_a_fault_at_once(traced):
-    sim = Simulator(SimConfig(n=3, seed=1, mode=ASYNC, async_delay_max=5),
-                    trace=[].append if traced else None)
+def stalled_async_sim(trace=None):
+    """Node 1 needs two activations, then waits for a message nobody sends."""
+    sim = Simulator(SimConfig(n=3, seed=1, mode=ASYNC, async_delay_max=5), trace=trace)
     stuck = Waiter(sim, 1, k=2)
     for node in (Recorder(sim, 0), stuck, Recorder(sim, 2)):
         sim.add_node(node)
+    return sim, stuck
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_async_stall_is_a_fault_at_once(traced):
+    sim, stuck = stalled_async_sim(trace=[].append if traced else None)
     sim.send(0, 2, Ping())
     with pytest.raises(SimulationFault, match=r"run_async stalled .* nodes \[1\]"):
         sim.run_async(schedule_seed=0, max_picks=100_000)
@@ -649,9 +656,7 @@ def test_sync_stall_is_a_fault_at_once():
 
 def test_async_until_sees_the_same_clock_traced_or_not():
     def stop_time(trace):
-        sim = Simulator(SimConfig(n=3, seed=1, mode=ASYNC, async_delay_max=5), trace=trace)
-        for node in (Recorder(sim, 0), Waiter(sim, 1, k=2), Recorder(sim, 2)):
-            sim.add_node(node)
+        sim, _ = stalled_async_sim(trace)
         sim.run_async(schedule_seed=0, until=lambda s: s.time >= 500)
         return sim.time
 
