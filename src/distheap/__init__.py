@@ -19,7 +19,7 @@ from .experiments import (
     run_skeap_plus,
 )
 from .hashing import Tag, hash_unit, hash_unit_pair, mix64
-from .overlay import LEFT, MIDDLE, RIGHT, CycleTopology, VirtualId, tree_aggregate, tree_broadcast
+from .overlay import LEFT, MIDDLE, RIGHT, CycleTopology, VirtualId
 from .sim import ASYNC, SYNC, Element, RoundMetrics, SimConfig, SimulationFault, Simulator
 
 __all__ = [
@@ -53,6 +53,4 @@ __all__ = [
     "run_skeap",
     "run_skeap_plus",
     "sequential_oracle",
-    "tree_aggregate",
-    "tree_broadcast",
 ]

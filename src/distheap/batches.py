@@ -42,9 +42,6 @@ class Batch:
     def total_inserts(self) -> int:
         return sum(sum(vec) for vec, _ in self.entries)
 
-    def total_deletes(self) -> int:
-        return sum(d for _, d in self.entries)
-
     def bits(self) -> int:
         total = nat_bits(len(self.entries))
         for vec, d in self.entries:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from .hashing import Tag, hash_unit
 
@@ -182,19 +181,6 @@ class CycleTopology:
             raise RuntimeError("tree does not span all virtual nodes")
         return best
 
-    def postorder(self) -> list[VirtualId]:
-        out: list[VirtualId] = []
-        stack: list[tuple[VirtualId, bool]] = [(self.root, False)]
-        while stack:
-            vid, expanded = stack.pop()
-            if expanded:
-                out.append(vid)
-            else:
-                stack.append((vid, True))
-                for child in reversed(self.children[vid]):
-                    stack.append((child, False))
-        return out
-
     def dump(self) -> dict:
         return {
             "n": self.n,
@@ -214,36 +200,3 @@ class CycleTopology:
             ],
         }
 
-
-def tree_aggregate(
-    topo: CycleTopology,
-    values: dict[VirtualId, Any],
-    combine: Callable[[list[Any]], Any],
-) -> Any:
-    """Combine per-virtual-node values bottom-up; the combine order at every
-    node is own value first, then children ascending by label."""
-    acc: dict[VirtualId, Any] = {}
-    for vid in topo.postorder():
-        parts = [values[vid]] + [acc[c] for c in topo.children[vid]]
-        acc[vid] = combine(parts)
-    return acc[topo.root]
-
-
-def tree_broadcast(
-    topo: CycleTopology,
-    root_value: Any,
-    split: Callable[[VirtualId, Any, list[VirtualId]], tuple[Any, list[Any]]],
-) -> dict[VirtualId, Any]:
-    """Push a root value top-down; ``split`` returns (own share, child shares)
-    in the same order the matching aggregation combined them."""
-    shares: dict[VirtualId, Any] = {}
-    pending = [(topo.root, root_value)]
-    while pending:
-        vid, value = pending.pop()
-        kids = topo.children[vid]
-        own, child_shares = split(vid, value, kids)
-        if len(child_shares) != len(kids):
-            raise ValueError("decomposer must produce one share per child")
-        shares[vid] = own
-        pending.extend(zip(kids, child_shares))
-    return shares

@@ -3,28 +3,26 @@
 Two execution modes share one node/channel model:
 
 * synchronous rounds: every message sent in round ``i`` is handled in
-  round ``i + 1``.  Each round activates the nodes whose
+  round ``i + 1``.  Each round activates, in id order, the nodes whose
   ``needs_activation`` holds; a node that no longer needs it is never
-  asked again.  A ``trace=`` callback still records one
-  ``activate`` event per node per round, in id order, so the trace is the
-  same as if every node were activated.  A round drains only the
-  channels that hold messages.  Round metrics (per-node message counts,
-  congestion, largest message) are recorded in this mode.
+  asked again.  A round drains only the channels that hold messages.
+  Round metrics (per-node message counts, congestion, largest message)
+  are recorded in this mode.
 * asynchronous schedule: a seeded scheduler assigns every message a
   random delivery deadline at most ``async_delay_max`` clock ticks in
   the future and activates each node periodically, from a random first
-  time, until it is ``done``.  A node whose ``needs_activation`` is False
-  is not activated; a run with neither ``trace=`` nor ``until=`` also
-  drops its activation events, so the picks follow traffic.  Otherwise
-  the events stay, and with ``trace=`` each still records an
-  ``activate`` event, so the trace is the same as if the node were
-  activated.  Delivery is non-FIFO, never drops or duplicates, and is
-  always within the deadline, which makes runs terminating and
-  replayable.
+  time, until it is ``done``.  From the first time a node's
+  ``needs_activation`` is False its activation events are dropped, so
+  the picks follow traffic.  Delivery is non-FIFO, never drops or
+  duplicates, and is always within the deadline, which makes runs
+  terminating and replayable.
 
-In both modes a run without ``until=`` that has no message in flight and
-a node that is not ``done`` but needs no activation can never progress;
-it raises a stall ``SimulationFault`` at once.
+A ``trace=`` callback sees every send, delivery and activation; an
+``activate`` event means the node's ``on_activate`` ran.  A traced run
+takes the same path as an untraced one.  In both modes a run that has no
+message in flight and a node that is not ``done`` but needs no
+activation can never progress; it raises a stall ``SimulationFault`` at
+once.
 
 Message sizes are modeled, not serialized, by one rule: a message costs
 the sum of its fields plus a fixed 8-bit action tag.  Natural fields cost
@@ -176,12 +174,10 @@ class ProtocolNode:
         """Whether ``on_activate`` may still do anything.
 
         Once False it must stay False, and ``on_activate`` must then be a
-        no-op: in synchronous mode the simulator checks it before each
-        round's activations, skips the node from the first round it is
-        False and never asks again.  In asynchronous mode it is read when
-        the node's activation event comes due; from the first time it is
-        False the handler is skipped and, in a run with neither ``trace=``
-        nor ``until=``, the node is not scheduled again.
+        no-op.  The simulator reads it before each activation: before each
+        round's activations in synchronous mode, when the node's activation
+        event comes due in asynchronous mode.  From the first time it is
+        False the node is not activated, and not asked, again.
         """
         return True
 
@@ -221,9 +217,6 @@ class Simulator:
         self._awake.append(len(self.nodes))
         self.nodes.append(node)
         self.channels.append(deque())
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     # -- sending -----------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any) -> None:
@@ -269,13 +262,12 @@ class Simulator:
             )
         self.nodes[env.dst].on_message(env.src, env.payload)
 
-    def _activate(self, node_id: int, handler: bool = True) -> None:
+    def _activate(self, node_id: int) -> None:
         if self._trace:
             self._trace(
                 {"kind": "activate", "time": self.time, "src": node_id, "dst": node_id, "bits": 0}
             )
-        if handler:
-            self.nodes[node_id].on_activate()
+        self.nodes[node_id].on_activate()
 
     # -- synchronous mode ----------------------------------------------------
     def step_round(self) -> RoundMetrics:
@@ -306,15 +298,9 @@ class Simulator:
             per_node[dst] = len(envs)
             delivered += len(envs)
         nodes = self.nodes
-        awake = self._awake = [i for i in self._awake if nodes[i].needs_activation]
-        if self._trace:
-            # the trace records every node, as if every node were activated
-            is_awake = set(awake)
-            for node_id in range(len(nodes)):
-                self._activate(node_id, handler=node_id in is_awake)
-        else:
-            for node_id in awake:
-                nodes[node_id].on_activate()
+        self._awake = [i for i in self._awake if nodes[i].needs_activation]
+        for node_id in self._awake:
+            self._activate(node_id)
         metrics = RoundMetrics(
             round=self.time,
             per_node_messages=per_node,
@@ -345,38 +331,25 @@ class Simulator:
             )
         return False
 
-    def run_sync(
-        self,
-        until: Callable[["Simulator"], bool] | None = None,
-        max_rounds: int = 1_000_000,
-    ) -> int:
-        """Step rounds until ``until`` holds (or all nodes idle).  Returns rounds run."""
+    def run_sync(self, max_rounds: int = 1_000_000) -> int:
+        """Step rounds until quiescence.  Returns rounds run."""
         start = self.time
         while self.time - start < max_rounds:
-            if until is not None and until(self):
-                return self.time - start
-            if until is None and self._quiescent("run_sync"):
+            if self._quiescent("run_sync"):
                 return self.time - start
             self.step_round()
         raise SimulationFault("run_sync exceeded max_rounds")
 
     # -- asynchronous mode ---------------------------------------------------
-    def run_async(
-        self,
-        schedule_seed: int,
-        until: Callable[["Simulator"], bool] | None = None,
-        max_picks: int = 20_000_000,
-    ) -> int:
+    def run_async(self, schedule_seed: int, max_picks: int = 20_000_000) -> int:
         """Run the seeded bounded-delay schedule until quiescence.  Returns
         the number of picks.
 
         Each pick advances the clock to the earliest deadline and executes
         every event due by then (ordered by deadline then send order), so
         no envelope is ever delivered later than ``async_delay_max`` ticks
-        after it was sent.  A run with neither ``trace=`` nor ``until=``
-        drops the activation events of nodes that need no activation, so
-        it spends no picks on idle activations; message times, the final
-        clock and everything the nodes do are the same as in a traced run.
+        after it was sent.  A node's activation event is dropped once the
+        node needs no activation, so no pick is spent on idle activations.
         """
         if self.cfg.mode != ASYNC:
             raise SimulationFault("run_async requires asynchronous mode")
@@ -384,9 +357,6 @@ class Simulator:
         self._sched_rng = rng
         self._events: list[tuple[int, int, int, Any]] = []
         interval = self.cfg.activation_interval
-        # idle activations may be dropped only where no trace and no ``until``
-        # sees the clock stop at them
-        keep_idle = bool(self._trace) or until is not None
         for node_id in range(len(self.nodes)):
             first = self.time + 1 + rng.randrange(interval)
             heapq.heappush(self._events, (first, -node_id, _ACT, node_id))
@@ -401,10 +371,8 @@ class Simulator:
         while True:
             if picks >= max_picks:
                 raise SimulationFault("run_async exceeded max_picks")
-            if until is not None and until(self):
-                break
-            # checked before the heap: an untraced stall empties it
-            if until is None and self._quiescent("run_async"):
+            # checked before the heap: a stall empties it
+            if self._quiescent("run_async"):
                 break
             if not self._events:
                 break
@@ -418,22 +386,14 @@ class Simulator:
                     self._deliver(item)
                 else:
                     node = self.nodes[item]
-                    if node.needs_activation:
-                        self._activate(item)
-                    elif keep_idle:
-                        self._activate(item, handler=False)
-                    else:
+                    if not node.needs_activation:
                         continue  # never needed again: its events leave the heap
+                    self._activate(item)
                     if not node.done:
                         heapq.heappush(
                             self._events, (self.time + interval, -item, _ACT, item)
                         )
         self._sched_rng = None
-        # an early stop hands the envelopes still in flight back to their channels
-        for env in sorted((e for _, _, kind, e in self._events if kind == _MSG),
-                          key=lambda e: e.seq):
-            self.channels[env.dst].append(env)
-            self._busy.add(env.dst)
         return picks
 
     def delivery_delays(self) -> list[int]:

@@ -2,15 +2,12 @@ import math
 
 import pytest
 
-from distheap.batches import EntryShare
 from distheap.overlay import (
     LEFT,
     MIDDLE,
     RIGHT,
     CycleTopology,
     VirtualId,
-    tree_aggregate,
-    tree_broadcast,
 )
 
 
@@ -184,76 +181,6 @@ def test_tree_height_logarithmic():
         assert maxima[n] <= 8 * math.log2(n)
     per_doubling = (maxima[256] - maxima[16]) / 4
     assert per_doubling <= 10
-
-
-def test_counting_aggregation_n2():
-    topo = two_node_topo()
-    values = {vid: 1 for vid in topo.order}
-    total = tree_aggregate(topo, values, sum)
-    assert total == 6
-
-
-def test_min_max_aggregation_matches_scan():
-    import random
-
-    topo = CycleTopology.build(10, seed=17)
-    rng = random.Random(3)
-    values = {vid: (rng.randint(0, 1000), rng.randint(0, 1000)) for vid in topo.order}
-
-    def combine(parts):
-        los, his = zip(*parts)
-        return (min(los), max(his))
-
-    got = tree_aggregate(topo, values, combine)
-    assert got == (
-        min(v[0] for v in values.values()),
-        max(v[1] for v in values.values()),
-    )
-
-
-def test_scalar_broadcast_reaches_everyone():
-    topo = CycleTopology.build(5, seed=23)
-    shares = tree_broadcast(topo, "hello", lambda vid, val, kids: (val, [val] * len(kids)))
-    assert all(v == "hello" for v in shares.values())
-    assert len(shares) == 15
-
-
-def test_interval_broadcast_by_counts():
-    # a parent holding [1,4] with own count 1 and child counts 1, 2 splits
-    # into own [1,1], first child [2,2], second child [3,4]
-    topo = two_node_topo()
-    counts = {vid: 0 for vid in topo.order}
-    root = topo.root
-    kids = topo.children[root]  # [l1, m0] by label
-    counts[root] = 1
-    counts[kids[0]] = 1
-    counts[kids[1]] = 2
-
-    def split(vid, interval, children):
-        lo, hi = interval
-        own = (lo, lo + counts[vid] - 1)
-        cursor = lo + counts[vid]
-        out = []
-        for child in children:
-            subtree = counts[child] + sum(
-                counts[g] for g in topo.children[child]
-            ) + sum(counts[gg] for g in topo.children[child] for gg in topo.children[g])
-            out.append((cursor, cursor + subtree - 1))
-            cursor += subtree
-        return own, out
-
-    shares = tree_broadcast(topo, (1, 4), split)
-    assert shares[root] == (1, 1)
-    assert shares[kids[0]][0] == 2
-    assert shares[kids[1]] == (3, 4)
-
-
-def test_empty_interval_broadcast():
-    topo = two_node_topo()
-    shares = tree_broadcast(
-        topo, (1, 0), lambda vid, val, kids: ((1, 0), [(1, 0)] * len(kids))
-    )
-    assert all(hi < lo for lo, hi in shares.values())
 
 
 def test_collision_redraw(monkeypatch):
