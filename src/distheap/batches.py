@@ -125,9 +125,6 @@ class AnchorState:
                     f"first={self.first[p]} last={self.last[p]}"
                 )
 
-    def size(self, priority: int) -> int:
-        return self.last[priority - 1] - self.first[priority - 1] + 1
-
 
 @dataclass(slots=True)
 class EntryShare:

@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 from .consistency import BOTTOM, OperationRecord, Verdict, make_verdict
 from .hashing import Tag, mix64
-from .kselect import KSelectNode
+from .kselect import KSelectNode, exponent_for
 from .metrics import run_metrics
 from .overlay import CycleTopology
 from .sim import SYNC, Element, SimConfig, Simulator
@@ -60,14 +60,11 @@ def run_kselect(
     k: int,
     seed: int,
     mode: str = SYNC,
-    c_delta: float = 0.5,
     schedule_seed: int = 0,
     trace: Callable[[dict], None] | None = None,
 ) -> KSelectResult:
-    from .kselect import exponent_for
-
     universe = n ** exponent_for(n, max(m, 2))
-    cfg = SimConfig(n=n, seed=seed, mode=mode, c_delta=c_delta)
+    cfg = SimConfig(n=n, seed=seed, mode=mode)
     sim = Simulator(cfg, trace=trace)
     topo = CycleTopology.build(n, seed)
     nodes = [KSelectNode(sim, v, topo) for v in range(n)]
@@ -154,14 +151,12 @@ def run_skeap(
     epochs: int = 3,
     mode: str = SYNC,
     schedule_seed: int = 0,
-    requests_per_node: int = -1,
     trace: Callable[[dict], None] | None = None,
     script: dict[int, list[tuple[str, int | None]]] | None = None,
 ) -> HeapRunResult:
     sim, nodes, anchor = _run_heap(
         build_skeap, schedule_seed, trace, script,
         n=n, seed=seed, priority_count=priorities, lam=lam, mode=mode, epochs=epochs,
-        requests_per_node=requests_per_node,
     )
     records: list[OperationRecord] = []
     for node in nodes:
@@ -180,21 +175,17 @@ def run_skeap(
 def run_skeap_plus(
     n: int,
     seed: int,
-    priority_universe: int = 0,
     lam: int = 1,
     epochs: int = 3,
     mode: str = SYNC,
     schedule_seed: int = 0,
-    requests_per_node: int = -1,
-    c_delta: float = 0.5,
     trace: Callable[[dict], None] | None = None,
     script: dict[int, list[tuple[str, int | None]]] | None = None,
 ) -> HeapRunResult:
+    """Run Seap with priorities drawn from ``[1, n^2]``."""
     sim, nodes, anchor = _run_heap(
         build_skeap_plus, schedule_seed, trace, script,
-        n=n, seed=seed, priority_universe=priority_universe if priority_universe > 0 else n * n,
-        lam=lam, mode=mode, epochs=epochs, requests_per_node=requests_per_node,
-        c_delta=c_delta,
+        n=n, seed=seed, priority_universe=n * n, lam=lam, mode=mode, epochs=epochs,
     )
     records = finalize_records(nodes)
     verdict = make_verdict(records)

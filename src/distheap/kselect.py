@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .hashing import Tag, hash_unit
-from .node import Message, Nat, OverlayNode, split_interval
+from .node import Message, Nat, OverlayNode
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
 
@@ -59,6 +59,7 @@ POS_INF = "+inf"
 SAMPLE_FLOOR = 8  # minimum expected sample size; inactive once sqrt(n) >= 8
 PHASE2_CAP = 8
 RESAMPLE_CAP = 20
+C_DELTA = 0.5  # scales the phase-2 probe half-width delta (delta_for)
 
 
 class KSelectError(RuntimeError):
@@ -69,8 +70,8 @@ def sample_probability(n: int, candidates: int) -> float:
     return min(1.0, max(math.sqrt(n), float(SAMPLE_FLOOR)) / candidates)
 
 
-def delta_for(n: int, c_delta: float) -> int:
-    return math.ceil(round(c_delta * math.sqrt(math.log2(n)) * n**0.25, 9))
+def delta_for(n: int) -> int:
+    return math.ceil(round(C_DELTA * math.sqrt(math.log2(n)) * n**0.25, 9))
 
 
 def exponent_for(n: int, m: int) -> int:
@@ -422,7 +423,7 @@ class KSelectNode(OverlayNode):
             sel.probe_lo = sel.probe_hi = 0
             target = sel.k
         else:
-            sel.delta = delta_for(self.sim.cfg.n, self.sim.cfg.c_delta)
+            sel.delta = delta_for(self.sim.cfg.n)
             center = sel.k * n_prime / sel.N
             l = math.floor(center - sel.delta)
             r = math.ceil(center + sel.delta)
@@ -434,12 +435,6 @@ class KSelectNode(OverlayNode):
         self.wave_down("k2n", key, self.topo.root, share)
 
     # -- sort plumbing: positions, copies, rendezvous, votes ---------------------------
-    def wave_split(self, kind, key, vid, sess, share):
-        if kind != "k2n":
-            return super().wave_split(kind, key, vid, sess, share)
-        kids = self.topo.children[vid]
-        return split_interval(share, sess.own, [sess.child_values[c] for c in kids])
-
     def wave_deliver(self, kind, key, vid, share) -> None:
         if kind != "k2n":
             return super().wave_deliver(kind, key, vid, share)

@@ -8,7 +8,9 @@ the virtual-node overlay:
 * waves: values flow leaf-to-root, combined at each virtual node in a
   fixed order (own contribution first, then children ascending by
   label); each session remembers the parts it combined so a matching
-  share can later be decomposed root-to-leaf in the same order.
+  share can later be split root-to-leaf over the same parts, in the same
+  order.  By default a share is an interval ``(lo, hi, *rest)`` split by
+  the parts' counts (``split_interval``); Skeap splits a batch share.
 * routed operations: a message hops along the de Bruijn emulation to the
   virtual node responsible for a key.  Put/Get pairs rendezvous there; a
   Get that arrives before its Put parks until the Put shows up.
@@ -190,37 +192,32 @@ class GetReplyMsg(Message):
     element: Element
 
 
-def split_interval(
-    share: tuple, own: int, child_counts: list[int]
-) -> tuple[tuple, list[tuple]]:
+def split_interval(share: tuple, counts: list[int]) -> list[tuple]:
     """Carve ``share = (lo, hi, *rest)`` into consecutive intervals.
 
-    The own interval holds ``own`` positions and comes first, then one
-    interval per child count in combine order; each carries ``rest``
-    along.  The counts must cover ``[lo, hi]`` exactly.
+    One interval per count, in order, each carrying ``rest`` along; a zero
+    count gets the empty ``(c, c - 1)``.  The counts must cover
+    ``[lo, hi]`` exactly.
     """
     lo, hi, *rest = share
     cursor = lo
     pieces = []
-    for count in (own, *child_counts):
+    for count in counts:
         pieces.append((cursor, cursor + count - 1, *rest))
         cursor += count
     if cursor != hi + 1:
-        raise SimulationFault(
-            f"interval [{lo}, {hi}] does not match counts {[own, *child_counts]}"
-        )
-    return pieces[0], pieces[1:]
+        raise SimulationFault(f"interval [{lo}, {hi}] does not match counts {counts}")
+    return pieces
 
 
 class _WaveSession:
-    __slots__ = ("own", "have_own", "child_values", "sent", "combined")
+    __slots__ = ("own", "have_own", "child_values", "sent")
 
     def __init__(self) -> None:
         self.own: Any = None
         self.have_own = False
         self.child_values: dict[VirtualId, Any] = {}
         self.sent = False
-        self.combined: Any = None
 
 
 class OverlayNode(ProtocolNode):
@@ -295,21 +292,23 @@ class OverlayNode(ProtocolNode):
         if sess.sent or not sess.have_own or any(c not in sess.child_values for c in kids):
             return
         parts = [sess.own] + [sess.child_values[c] for c in kids]
-        sess.combined = self.wave_combine(kind, parts)
+        combined = self.wave_combine(kind, parts)
         sess.sent = True
         if vid == self.topo.root:
-            self.wave_root(kind, key, sess.combined)
+            self.wave_root(kind, key, combined)
         else:
             parent = self.topo.parent[vid]
-            self.send_vid(parent, WaveUpMsg(kind, key, parent, vid, sess.combined))
+            self.send_vid(parent, WaveUpMsg(kind, key, parent, vid, combined))
 
     def wave_down(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
-        """Decompose ``share`` at ``vid`` and push child shares down."""
+        """Split ``share`` at ``vid`` over the combined parts and push child
+        shares down."""
         sess = self._session(kind, key, vid)
         if not sess.sent:
             raise SimulationFault(f"share for {kind}{key} arrived before the wave combined")
         kids = self.topo.children[vid]
-        own_share, child_shares = self.wave_split(kind, key, vid, sess, share)
+        parts = [sess.own] + [sess.child_values[c] for c in kids]
+        own_share, *child_shares = self.wave_split(kind, share, parts)
         for child, child_share in zip(kids, child_shares):
             self.send_vid(child, WaveDownMsg(kind, key, child, child_share))
         self.wave_deliver(kind, key, vid, own_share)
@@ -324,11 +323,10 @@ class OverlayNode(ProtocolNode):
     def wave_root(self, kind: str, key: tuple, combined: Any) -> None:
         raise SimulationFault(f"unexpected wave {kind!r} at the anchor")
 
-    def wave_split(
-        self, kind: str, key: tuple, vid: VirtualId, sess: _WaveSession, share: Any
-    ) -> tuple[Any, list[Any]]:
-        # default: replicate the share to every child (pure broadcast)
-        return share, [share] * len(self.topo.children[vid])
+    def wave_split(self, kind: str, share: Any, parts: list[Any]) -> list[Any]:
+        """One share per combined part, own first: by default the parts are
+        counts and ``share`` is the interval they cover."""
+        return split_interval(share, parts)
 
     def wave_deliver(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
         pass

@@ -1,21 +1,22 @@
 """Deterministic discrete-event engine for message-passing protocols.
 
-Two execution modes share one node/channel model:
+Two execution modes share one node model:
 
 * synchronous rounds: every message sent in round ``i`` is handled in
-  round ``i + 1``.  Each round activates, in id order, the nodes whose
-  ``needs_activation`` holds; a node that no longer needs it is never
-  asked again.  A round drains only the channels that hold messages.
-  Round metrics (per-node message counts, congestion, largest message)
-  are recorded in this mode.
+  round ``i + 1``.  Sends go to one outbox; a round takes the outbox
+  over and delivers the previous round's sends ordered by destination
+  id, then in send order.  It then activates, in id order, the nodes
+  whose ``needs_activation`` holds; a node that no longer needs it is
+  never asked again.  Round metrics (per-node message counts,
+  congestion, largest message) are recorded in this mode.
 * asynchronous schedule: a seeded scheduler assigns every message a
   random delivery deadline at most ``async_delay_max`` clock ticks in
-  the future and activates each node periodically, from a random first
-  time, until it is ``done``.  From the first time a node's
-  ``needs_activation`` is False its activation events are dropped, so
-  the picks follow traffic.  Delivery is non-FIFO, never drops or
-  duplicates, and is always within the deadline, which makes runs
-  terminating and replayable.
+  the future and activates each node every ``async_delay_max`` ticks,
+  from a random first time, until it is ``done``.  From the first time
+  a node's ``needs_activation`` is False its activation events are
+  dropped, so the picks follow traffic.  Delivery is non-FIFO, never
+  drops or duplicates, and is always within the deadline, which makes
+  runs terminating and replayable.
 
 A ``trace=`` callback sees every send, delivery and activation; an
 ``activate`` event means the node's ``on_activate`` ran.  A traced run
@@ -41,8 +42,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable
 
 from .hashing import Tag, mix64
@@ -132,12 +133,8 @@ class SimConfig:
     lam: int = 1
     mode: str = SYNC
     async_delay_max: int = 16
-    activation_interval: int = 0  # 0 -> async_delay_max
     epochs: int = 2
-    requests_per_node: int = -1  # -1 -> lam * epochs * 2
-    insert_ratio: float = 0.6
     priority_universe: int = 0  # 0 -> priority_count; >0 for arbitrary priorities
-    c_delta: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -148,10 +145,6 @@ class SimConfig:
             raise ValueError("async_delay_max must be at least 1")
         if self.mode not in (SYNC, ASYNC):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.activation_interval <= 0:
-            self.activation_interval = self.async_delay_max
-        if self.requests_per_node < 0:
-            self.requests_per_node = self.lam * self.epochs * 2
         if self.priority_universe <= 0:
             self.priority_universe = self.priority_count
 
@@ -188,16 +181,16 @@ class ProtocolNode:
 
 _ACT = 0
 _MSG = 1
+_BY_DST = attrgetter("dst")
 
 
 class Simulator:
-    """Owns nodes, channels, the clock, and metrics."""
+    """Owns nodes, the messages in flight, the clock, and metrics."""
 
     def __init__(self, config: SimConfig, trace: Callable[[dict], None] | None = None):
         self.cfg = config
         self.nodes: list[ProtocolNode] = []
-        self.channels: list[deque[Envelope]] = []
-        self._busy: set[int] = set()  # ids of non-empty channels (sync mode)
+        self._outbox: list[Envelope] = []  # sent, not yet delivered (sync mode)
         self._awake: list[int] = []  # ids still activated in sync mode
         self.time = 0
         self.sent = 0
@@ -216,7 +209,6 @@ class Simulator:
     def add_node(self, node: ProtocolNode) -> None:
         self._awake.append(len(self.nodes))
         self.nodes.append(node)
-        self.channels.append(deque())
 
     # -- sending -----------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any) -> None:
@@ -236,8 +228,7 @@ class Simulator:
             env.deadline = self.time + 1 + self._sched_rng.randrange(self.cfg.async_delay_max)
             heapq.heappush(self._events, (env.deadline, env.seq, _MSG, env))
         else:
-            self.channels[dst].append(env)
-            self._busy.add(dst)
+            self._outbox.append(env)
         if self._trace:
             self._trace(
                 {"kind": "send", "time": self.time, "src": src, "dst": dst, "bits": bits}
@@ -247,7 +238,7 @@ class Simulator:
         return self._pending
 
     def _deliver(self, env: Envelope) -> None:
-        """Hand ``env`` (no longer in a channel or the event heap) to the recipient."""
+        """Hand ``env`` (no longer in the outbox or the event heap) to the recipient."""
         self.delivered += 1
         self._pending -= 1
         if self._trace:
@@ -274,29 +265,15 @@ class Simulator:
         """Deliver everything sent before this round, then activate each node
         whose ``needs_activation`` holds."""
         self.time += 1
+        due, self._outbox = self._outbox, []
+        due.sort(key=_BY_DST)  # stable: each destination's envelopes stay in send order
         per_node: dict[int, int] = {}
         max_bits = 0
-        delivered = 0
-        batches: list[tuple[int, list[Envelope]]] = []
-        busy = sorted(self._busy)
-        self._busy.clear()
-        for dst in busy:
-            ch = self.channels[dst]
-            due: list[Envelope] = []
-            # channels are FIFO in enqueue time, so due envelopes are a prefix
-            while ch and ch[0].enqueue_time < self.time:
-                due.append(ch.popleft())
-            if ch:
-                self._busy.add(dst)
-            if due:
-                batches.append((dst, due))
-        for dst, envs in batches:
-            for env in envs:
-                self._deliver(env)
-                if env.size_bits > max_bits:
-                    max_bits = env.size_bits
-            per_node[dst] = len(envs)
-            delivered += len(envs)
+        for env in due:
+            self._deliver(env)
+            per_node[env.dst] = per_node.get(env.dst, 0) + 1
+            if env.size_bits > max_bits:
+                max_bits = env.size_bits
         nodes = self.nodes
         self._awake = [i for i in self._awake if nodes[i].needs_activation]
         for node_id in self._awake:
@@ -306,7 +283,7 @@ class Simulator:
             per_node_messages=per_node,
             max_congestion=max(per_node.values(), default=0),
             max_message_bits=max_bits,
-            delivered=delivered,
+            delivered=len(due),
         )
         metrics.check()
         self.round_metrics.append(metrics)
@@ -356,17 +333,16 @@ class Simulator:
         rng = random.Random(mix64(self.cfg.seed, Tag.SCHEDULE, schedule_seed))
         self._sched_rng = rng
         self._events: list[tuple[int, int, int, Any]] = []
-        interval = self.cfg.activation_interval
+        interval = self.cfg.async_delay_max
         for node_id in range(len(self.nodes)):
             first = self.time + 1 + rng.randrange(interval)
             heapq.heappush(self._events, (first, -node_id, _ACT, node_id))
-        # the event heap takes over anything already pending, in channel order
-        for ch in self.channels:
-            for env in ch:
-                env.deadline = self.time + 1 + rng.randrange(self.cfg.async_delay_max)
-                heapq.heappush(self._events, (env.deadline, env.seq, _MSG, env))
-            ch.clear()
-        self._busy.clear()
+        # the event heap takes over the outbox in sync delivery order
+        pending, self._outbox = self._outbox, []
+        pending.sort(key=_BY_DST)
+        for env in pending:
+            env.deadline = self.time + 1 + rng.randrange(self.cfg.async_delay_max)
+            heapq.heappush(self._events, (env.deadline, env.seq, _MSG, env))
         picks = 0
         while True:
             if picks >= max_picks:

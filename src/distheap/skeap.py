@@ -50,10 +50,7 @@ class SkeapNode(OverlayNode):
         super().__init__(sim, node_id, topo)
         cfg = sim.cfg
         self.priorities = cfg.priority_count
-        self.source = RequestSource(
-            node_id, cfg.seed, cfg.lam, cfg.requests_per_node, cfg.insert_ratio,
-            cfg.priority_count,
-        )
+        self.source = RequestSource(node_id, cfg, cfg.priority_count)
         self.epoch = -1  # last epoch entered
         self.total_epochs = cfg.epochs
         self.inflight: dict[int, _EpochWork] = {}
@@ -78,8 +75,6 @@ class SkeapNode(OverlayNode):
         snapshot = self.source.snapshot()
         kinds = [(r.kind, r.element.priority if r.element else None) for r in snapshot]
         batch, runs = batches.snapshot_batch(kinds, self.priorities)
-        for req in snapshot:
-            req.epoch = epoch
         self.inflight[epoch] = _EpochWork(snapshot, runs, batch)
         self.contribute_all(_WAVE, (epoch,), batch, Batch(self.priorities))
 
@@ -103,11 +98,8 @@ class SkeapNode(OverlayNode):
         self.batches_processed += 1
         self.wave_down(kind, key, self.topo.root, share)
 
-    def wave_split(self, kind, key, vid, sess, share):
-        kids = self.topo.children[vid]
-        parts = [sess.own] + [sess.child_values[c] for c in kids]
-        pieces = decompose(share, parts)
-        return pieces[0], pieces[1:]
+    def wave_split(self, kind: str, share: Any, parts: list[Batch]) -> list[Any]:
+        return decompose(share, parts)
 
     def wave_deliver(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
         if vid.kind == MIDDLE:

@@ -30,7 +30,6 @@ from .batches import DELETE, INSERT
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .kselect import KSelectError, KSelectNode, _Selection
-from .node import split_interval
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
 from .workload import HeapRequest, RequestSource
@@ -43,10 +42,7 @@ class SkeapPlusNode(KSelectNode):
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id, topo)
         cfg = sim.cfg
-        self.source = RequestSource(
-            node_id, cfg.seed, cfg.lam, cfg.requests_per_node, cfg.insert_ratio,
-            cfg.priority_universe,
-        )
+        self.source = RequestSource(node_id, cfg, cfg.priority_universe)
         self.total_epochs = cfg.epochs
         self.epoch = -1
         self.finished = False
@@ -93,15 +89,11 @@ class SkeapPlusNode(KSelectNode):
             return
         self.epoch = epoch
         snap = self.source.snapshot(INSERT)
-        for req in snap:
-            req.epoch = epoch
         self.ins_snapshot[epoch] = snap
         self.contribute_all("si", (epoch,), len(snap), 0)
 
     def _enter_delete(self, epoch: int) -> None:
         snap = self.source.snapshot(DELETE)
-        for req in snap:
-            req.epoch = epoch
         self.del_snapshot[epoch] = snap
         self.open_gets[epoch] = 0
         self.contribute_all("sd", (epoch,), len(snap), 0)
@@ -159,13 +151,7 @@ class SkeapPlusNode(KSelectNode):
             "sd", (epoch,), self.topo.root, (1, drive["k"], drive["k_star"], epoch)
         )
 
-    # -- interval decomposition for sd and sq --------------------------------------------
-    def wave_split(self, kind, key, vid, sess, share):
-        if kind not in ("sd", "sq"):
-            return super().wave_split(kind, key, vid, sess, share)
-        kids = self.topo.children[vid]
-        return split_interval(share, sess.own, [sess.child_values[c] for c in kids])
-
+    # -- sd and sq shares: intervals split by counts (the default wave_split) ---------------
     def wave_deliver(self, kind, key, vid, share) -> None:
         if kind == "sd":
             if vid.kind == MIDDLE:

@@ -14,7 +14,9 @@ from typing import Any
 
 from .batches import DELETE, INSERT
 from .hashing import Tag, mix64
-from .sim import Element
+from .sim import Element, SimConfig
+
+INSERT_RATIO = 0.6  # share of generated requests that are inserts
 
 
 @dataclass(slots=True)
@@ -25,20 +27,21 @@ class HeapRequest:
     assigned: Any = None
     serial_index: int = -1
     returned: Any = None
-    epoch: int = -1
 
 
 class RequestSource:
-    """Buffers issued requests until a protocol snapshots them."""
+    """Buffers issued requests until a protocol snapshots them.
 
-    def __init__(self, node_id: int, seed: int, lam: int, budget: int, insert_ratio: float,
-                 priority_universe: int):
+    A node issues ``2 * lam * epochs`` random requests in all, with
+    priorities drawn from ``[1, priority_universe]``.
+    """
+
+    def __init__(self, node_id: int, cfg: SimConfig, priority_universe: int):
         self.node_id = node_id
-        self.lam = lam
-        self.budget = budget
-        self.insert_ratio = insert_ratio
+        self.lam = cfg.lam
+        self.budget = cfg.lam * cfg.epochs * 2
         self.priority_universe = priority_universe
-        self.rng = random.Random(mix64(seed, Tag.WORKLOAD, node_id))
+        self.rng = random.Random(mix64(cfg.seed, Tag.WORKLOAD, node_id))
         self.seq = 0
         self.buffer: list[HeapRequest] = []
         self.issued: list[HeapRequest] = []
@@ -62,7 +65,7 @@ class RequestSource:
         """Generate up to ``lam`` random requests; returns how many."""
         count = min(self.lam, self.budget)
         for _ in range(count):
-            if self.rng.random() < self.insert_ratio:
+            if self.rng.random() < INSERT_RATIO:
                 self._issue(INSERT, self.rng.randint(1, self.priority_universe))
             else:
                 self._issue(DELETE, None)

@@ -93,8 +93,8 @@ def test_phase1_worked_example():
 
 
 def test_delta_formula():
-    assert delta_for(64, 0.5) == math.ceil(0.5 * math.sqrt(6) * 64**0.25)
-    assert delta_for(4, 0.5) >= 1
+    assert delta_for(64) == math.ceil(0.5 * math.sqrt(6) * 64**0.25)
+    assert delta_for(4) >= 1
 
 
 def test_sample_probability_floor_and_boundary():

@@ -1,0 +1,63 @@
+import pytest
+
+from distheap.node import OverlayNode, split_interval
+from distheap.overlay import MIDDLE, CycleTopology
+from distheap.sim import SimConfig, SimulationFault, Simulator
+
+
+def test_split_interval_own_piece_first_then_children_in_order():
+    assert split_interval((1, 6), [2, 3, 1]) == [(1, 2), (3, 5), (6, 6)]
+
+
+def test_split_interval_zero_count_gets_an_empty_interval():
+    assert split_interval((4, 5), [0, 2, 0]) == [(4, 3), (4, 5), (6, 5)]
+    assert split_interval((1, 0), [0]) == [(1, 0)]
+
+
+def test_split_interval_carries_rest_along():
+    assert split_interval((1, 3, 9, "x"), [1, 2]) == [(1, 1, 9, "x"), (2, 3, 9, "x")]
+
+
+@pytest.mark.parametrize("counts", [[1, 1], [2, 2], []])
+def test_split_interval_count_mismatch_is_a_fault(counts):
+    with pytest.raises(SimulationFault, match="does not match counts"):
+        split_interval((1, 3), counts)
+
+
+class Counter(OverlayNode):
+    """Sums counts up the tree; the anchor hands the interval [1, total] down."""
+
+    def __init__(self, sim, node_id, topo):
+        super().__init__(sim, node_id, topo)
+        self.shares = {}
+
+    def wave_combine(self, kind, parts):
+        return sum(parts)
+
+    def wave_root(self, kind, key, combined):
+        self.wave_down(kind, key, self.topo.root, (1, combined, "tag"))
+
+    def wave_deliver(self, kind, key, vid, share):
+        self.shares[vid] = share
+
+
+def test_default_wave_split_is_by_counts():
+    n = 8
+    sim = Simulator(SimConfig(n=n, seed=3))
+    topo = CycleTopology.build(n, 3)
+    nodes = [Counter(sim, v, topo) for v in range(n)]
+    for node in nodes:
+        sim.add_node(node)
+    for node in nodes:
+        node.contribute_all("c", (0,), node.id % 3, 0)
+    sim.run_sync()
+    total = sum(v % 3 for v in range(n))
+    covered = []
+    for node in nodes:
+        assert len(node.shares) == 3  # every virtual node got a share
+        for vid, (lo, hi, tag) in node.shares.items():
+            assert tag == "tag"
+            own = node.id % 3 if vid.kind == MIDDLE else 0
+            assert hi - lo + 1 == own
+            covered.extend(range(lo, hi + 1))
+    assert sorted(covered) == list(range(1, total + 1))

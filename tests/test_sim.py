@@ -325,8 +325,11 @@ def test_message_size_matches_hand_written_formula(cls, value):
 def test_send_appends_to_channel():
     sim, nodes = make_sim()
     sim.send(0, 1, Ping())
-    assert len(sim.channels[1]) == 1
-    assert isinstance(sim.channels[1][0].payload, Ping)
+    assert sim.pending_messages() == 1
+    assert nodes[1].got == []
+    sim.step_round()
+    assert sim.pending_messages() == 0
+    assert nodes[1].got == [(0, Ping())]
 
 
 def test_self_send_delivered_next_round():
@@ -499,8 +502,34 @@ def test_sync_drains_only_busy_channels_in_id_order():
     delivered = [e["dst"] for e in events if e["kind"] == "deliver"]
     assert delivered == [1, 3, 4, 4]
     assert m.per_node_messages == {1: 1, 3: 1, 4: 2}
-    assert all(not ch for ch in sim.channels)
+    assert sim.pending_messages() == 0
     assert sim.step_round().delivered == 0
+
+
+def test_sync_sends_during_a_round_arrive_in_the_next():
+    events = []
+    sim = Simulator(SimConfig(n=4, seed=1), trace=events.append)
+
+    class Replier(Recorder):
+        def on_message(self, src, payload):
+            super().on_message(src, payload)
+            if payload.note == "ping":
+                for dst in (0, 3):  # a lower and a higher id than this node's
+                    self.sim.send(self.id, dst, Ping("pong"))
+
+    nodes = [Recorder(sim, 0), Recorder(sim, 1), Replier(sim, 2), Recorder(sim, 3)]
+    for node in nodes:
+        sim.add_node(node)
+    sim.send(1, 2, Ping())
+    first = sim.step_round()
+    assert first.per_node_messages == {2: 1}
+    assert nodes[0].got == nodes[3].got == []
+    assert sim.pending_messages() == 2
+    second = sim.step_round()
+    assert second.per_node_messages == {0: 1, 3: 1}
+    assert nodes[0].got == nodes[3].got == [(2, Ping("pong"))]
+    delivered = [(e["time"], e["dst"]) for e in events if e["kind"] == "deliver"]
+    assert delivered == [(1, 2), (2, 0), (2, 3)]
 
 
 def test_async_run_leaves_no_envelope_behind():
@@ -520,7 +549,6 @@ def test_async_run_leaves_no_envelope_behind():
     for i in range(12):
         sim.send(i % 4, 2, Ping())
     sim.run_async(schedule_seed=4)
-    assert all(not ch for ch in sim.channels)
     assert sim.pending_messages() == 0
     assert sim.sent == sim.delivered == 24
 
@@ -575,7 +603,7 @@ def run_alarm(waiter_cls, trace=None):
 def test_async_stops_activating_a_node_that_no_longer_needs_it():
     sim, waiter, picks = run_alarm(Waiter)
     # the waiter stays not done for about nine more activation intervals
-    assert sim.time > 10 * sim.cfg.activation_interval
+    assert sim.time > 10 * sim.cfg.async_delay_max
     assert waiter.activations == 3
     # traced or not, its idle activation events are dropped, not just skipped
     assert picks == run_alarm(Waiter, trace=[].append)[2] < run_alarm(AlwaysAwakeWaiter)[2]
@@ -622,7 +650,7 @@ def test_async_stall_is_a_fault_at_once(traced):
         sim.run_async(schedule_seed=0, max_picks=100_000)
     assert stuck.activations == 2
     assert sim.delivered == 1
-    assert sim.time <= 3 * sim.cfg.activation_interval
+    assert sim.time <= 3 * sim.cfg.async_delay_max
 
 
 def test_sync_stall_is_a_fault_at_once():
