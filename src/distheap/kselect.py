@@ -1,6 +1,7 @@
 """Distributed k-selection over elements scattered across the overlay.
 
-Three phases, all driven by the anchor through flood/wave barriers:
+The anchor runs each selection as one sequential program (``_select``): a
+count of all elements, then three phases, each step a flood/wave barrier.
 
 * Phase 1 (at most ``ceil(log2 q) + 1`` iterations, ``m <= n^q``): every node
   reports the priorities of its ``floor(k/n)``-th and ``ceil(k/n)``-th
@@ -19,18 +20,19 @@ Three phases, all driven by the anchor through flood/wave barriers:
   so every iteration makes progress; an empty sample is re-drawn with a
   fresh salt and counted as a retry.  After ``PHASE2_CAP`` iterations,
   phase 3 runs if ``N <= n``; otherwise the selection ends with a
-  "phase 2 stalled" error (``_root_survivors``).
-* Phase 3 (``N <= sqrt(n)``, or up to n survivors after the cap): one
-  sorting pass over all survivors with sampling probability one; the
-  order equals the exact rank and the candidate of order k is reported to
-  the anchor.
+  "phase 2 stalled" error.
+* Phase 3 (``N <= sqrt(n)``, a full sample, or up to n survivors after the
+  cap): one sorting pass over all survivors with sampling probability
+  one; the order equals the exact rank and the candidate of order k is
+  reported to the anchor.
 
 Rounds: every step is an anchor barrier, a flood down the aggregation
-tree and a wave back up, which in sync mode costs 2 x tree height rounds;
-each sorting pass adds its routing and vote aggregation.  The anchor
-floods once to start (``ki``), twice per phase-1 iteration (``k1``,
-``k1p``), three times per phase-2 iteration (``k2``, ``k2r``, ``k2p``),
-once per re-drawn sample and once for phase 3, so at most
+tree and a wave back up (``_REPLY`` pairs each flood with its wave), which
+in sync mode costs 2 x tree height rounds; each sorting pass adds its
+routing and vote aggregation.  The anchor floods once to start (``ki``),
+twice per phase-1 iteration (``k1``, ``k1p``), three times per phase-2
+iteration (``k2``, ``k2r``, ``k2p``), once per re-drawn sample and once
+for phase 3, so at most
 ``2 + 2 (ceil(log2 q) + 1) + 3 PHASE2_CAP + retries`` barriers run.
 
 The sorting sub-protocol assigns sampled candidates unique positions via
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 
 from .hashing import Tag, hash_unit
 from .node import Message, Nat, OverlayNode
@@ -140,6 +142,13 @@ def combine_minmax(parts):
     return lo, hi
 
 
+# The anchor's flood kinds, each mapped to the wave that answers it.  A node
+# answers at its middle virtual node; the other two contribute the reply
+# wave's neutral value.
+_REPLY = {"ki": "ki", "k1": "k1", "k1p": "k1c", "k2": "k2n", "k2r": "k2r", "k2p": "k2s"}
+_NEUTRAL = {"ki": 0, "k1": (POS_INF, NEG_INF), "k1c": (0, 0), "k2n": 0, "k2r": (0, 0), "k2s": 0}
+
+
 # -- sort sub-protocol messages ------------------------------------------------
 
 
@@ -230,25 +239,19 @@ class _CopySlot:
 
 
 class _Selection:
-    """Anchor-side bookkeeping for one invocation."""
+    """One invocation as its caller sees it; the anchor program fills it in.
+
+    ``k`` is the requested rank, ``p2_iter`` counts sorting passes (phase-2
+    iterations and the final pass) and ``retries`` counts re-drawn empty
+    samples.
+    """
 
     def __init__(self, inv: int, k: int, on_done: Callable[["_Selection"], None]):
         self.inv = inv
         self.k = k
         self.on_done = on_done
-        self.q = 1
-        self.N = 0
-        self.p1_iter = 0
-        self.p1_total = 0
         self.p2_iter = 0
-        self.salt = 0
         self.retries = 0
-        self.mode = "sample"
-        self.n_prime = 0
-        self.delta = 0
-        self.probe_lo = 0
-        self.probe_hi = 0
-        self.probes: dict[str, Element] = {}
         self.result: Element | None = None
         self.error: str | None = None
         self.finished = False
@@ -267,7 +270,11 @@ class KSelectNode(OverlayNode):
         self.chosen: dict[tuple, list[Element]] = {}
         self.copy_slots: dict[tuple, _CopySlot] = {}
         self.rendezvous: dict[tuple, CompareOp] = {}
-        self.selection: _Selection | None = None  # anchor only
+        # anchor only: the running selection, its program and what it waits for
+        self.selection: _Selection | None = None
+        self._program: Generator | None = None
+        self._awaiting: tuple | None = None  # (reply kind, key)
+        self._reports: dict[str, Element] = {}
 
     # -- element source -------------------------------------------------------
     def selection_universe(self) -> list[Element]:
@@ -297,18 +304,162 @@ class KSelectNode(OverlayNode):
         sel = _Selection(inv, k, on_done or (lambda _s: None))
         sel.start_round = self.sim.time
         self.selection = sel
-        self.flood("ki", (inv,), None)
+        self._program = self._select(sel)
+        self._resume(None)
         return sel
 
-    def _finish(self, result: Element | None, error: str | None) -> None:
-        sel = self.selection
-        sel.result = result
-        sel.error = error
-        sel.finished = True
-        sel.rounds = self.sim.time - sel.start_round
-        sel.on_done(sel)
+    def _resume(self, answer: Any) -> None:
+        """Hand ``answer`` to the program and send the barrier it yields next,
+        or record the outcome it returns."""
+        try:
+            kind, key, payload = self._program.send(answer)
+        except StopIteration as end:
+            self._program = self._awaiting = None
+            sel = self.selection
+            sel.result, sel.error = end.value
+            sel.finished = True
+            sel.rounds = self.sim.time - sel.start_round
+            sel.on_done(sel)
+            return
+        if kind in _REPLY:
+            self._awaiting = (_REPLY[kind], key)
+            self.flood(kind, key, payload)
+        else:  # a sorting pass's share, answered by its probe reports
+            self._awaiting = ("probes", key)
+            self._reports = {}
+            self.wave_down(kind, key, self.topo.root, payload)
 
-    # -- wave dispatch --------------------------------------------------------------
+    def _select(self, sel: _Selection) -> Generator[tuple, Any, tuple]:
+        """The anchor program of one selection.
+
+        Yields one barrier at a time as ``(kind, key, payload)`` and is sent
+        its answer: for a flood, the combined value of the ``_REPLY[kind]``
+        wave; for the ``k2n`` share of a sorting pass, the probe reports by
+        role (``"lo"`` and ``"hi"``, or ``"target"``).  Returns
+        ``(result, error)``.
+        """
+        n = self.sim.cfg.n
+        inv = sel.inv
+        k = sel.k
+        threshold = math.isqrt(n)
+        N = yield "ki", (inv,), None
+        if not 1 <= k <= N:
+            return None, f"k={k} outside [1, {N}]"
+
+        # phase 1: cut at the extreme per-node order statistics
+        for it in range(1, phase1_iterations(exponent_for(n, N)) + 1):
+            key = (inv, it)
+            lo, hi = yield "k1", key, (k, n)
+            below, above = yield "k1p", key, (lo, hi)
+            k -= below
+            N -= below + above
+            sel.diag.append(
+                {
+                    "phase": "p1",
+                    "iteration": it,
+                    "N": N,
+                    "k": k,
+                    "n_prime": 0,
+                    "delta": 0,
+                    "pruned_below": below,
+                    "pruned_above": above,
+                    "p_min": lo,
+                    "p_max": hi,
+                }
+            )
+            if not 1 <= k <= N:
+                raise SimulationFault("phase-1 pruning lost the target")
+            if N <= threshold:
+                break
+
+        # phase 2: sort a sample, rank-check two probes, keep what holds k
+        salt = 0
+        while N > threshold:
+            if sel.p2_iter == PHASE2_CAP:
+                if N > n:
+                    return None, f"phase 2 stalled at N={N} after {PHASE2_CAP} iterations"
+                break
+            p = sample_probability(n, N)
+            if p >= 1.0:
+                # a full sample is an exact sorting pass: the final one
+                break
+            sel.p2_iter += 1
+            while True:
+                key = (inv, sel.p2_iter, salt)
+                n_prime = yield "k2", key, (p, "sample")
+                if n_prime:
+                    break
+                sel.retries += 1
+                salt += 1
+                if sel.retries > RESAMPLE_CAP * sel.p2_iter:
+                    return None, "sampling repeatedly produced no candidates"
+            delta = delta_for(n)
+            center = k * n_prime / N
+            probe_lo = max(1, min(n_prime, math.floor(center - delta)))
+            probe_hi = max(1, min(n_prime, math.ceil(center + delta)))
+            probes = yield "k2n", key, (1, n_prime, n_prime, probe_lo, probe_hi, 0)
+            lo_elem, hi_elem = probes["lo"], probes["hi"]
+            below_lo, below_hi = yield "k2r", key, (lo_elem, hi_elem)
+            rank_lo, rank_hi = below_lo + 1, below_hi + 1
+            if rank_lo <= k <= rank_hi:
+                case, bounds = "window", (lo_elem, hi_elem)
+                new_n, new_k = rank_hi - rank_lo + 1, k - (rank_lo - 1)
+                pruned_below, pruned_above = rank_lo - 1, N - rank_hi
+            elif k < rank_lo:
+                case, bounds = "left", (None, lo_elem)
+                new_n, new_k = rank_lo, k
+                pruned_below, pruned_above = 0, N - rank_lo
+            else:
+                case, bounds = "right", (hi_elem, None)
+                new_n, new_k = N - rank_hi + 1, k - (rank_hi - 1)
+                pruned_below, pruned_above = rank_hi - 1, 0
+            survivors = yield "k2p", key, bounds
+            if survivors != new_n:
+                raise SimulationFault(
+                    f"survivor count {survivors} does not match exact ranks {new_n}"
+                )
+            sel.diag.append(
+                {
+                    "phase": "p2",
+                    "iteration": sel.p2_iter,
+                    "N": new_n,
+                    "k": new_k,
+                    "n_prime": n_prime,
+                    "delta": delta,
+                    "pruned_below": pruned_below,
+                    "pruned_above": pruned_above,
+                    "case": case,
+                    "bounds": bounds,
+                    "rank_lo": rank_lo,
+                    "rank_hi": rank_hi,
+                }
+            )
+            N, k = new_n, new_k
+            if not 1 <= k <= N:
+                raise SimulationFault("phase-2 pruning lost the target")
+
+        # phase 3: sort every survivor; the order is the exact rank
+        sel.p2_iter += 1
+        key = (inv, sel.p2_iter, salt)
+        n_prime = yield "k2", key, (1.0, "all")
+        if n_prime != N:
+            raise SimulationFault("phase-3 sample must cover all candidates")
+        probes = yield "k2n", key, (1, N, N, 0, 0, k)
+        sel.diag.append(
+            {
+                "phase": "p3",
+                "iteration": sel.p2_iter,
+                "N": N,
+                "k": k,
+                "n_prime": n_prime,
+                "delta": 0,
+                "pruned_below": 0,
+                "pruned_above": 0,
+            }
+        )
+        return probes["target"], None
+
+    # -- waves ----------------------------------------------------------------------
     def wave_combine(self, kind: str, parts: list[Any]) -> Any:
         if kind in ("ki", "k2n", "k2s"):
             return sum(parts)
@@ -319,120 +470,9 @@ class KSelectNode(OverlayNode):
         return super().wave_combine(kind, parts)
 
     def wave_root(self, kind: str, key: tuple, combined: Any) -> None:
-        sel = self.selection
-        if sel is None or key[0] != sel.inv:
-            raise SimulationFault(f"wave {kind} for unknown selection {key}")
-        if kind == "ki":
-            self._root_init(combined)
-        elif kind == "k1":
-            self._root_p1_bounds(key, combined)
-        elif kind == "k1c":
-            self._root_p1_counts(combined)
-        elif kind == "k2n":
-            self._root_sample_count(key, combined)
-        elif kind == "k2r":
-            self._root_ranks(combined)
-        elif kind == "k2s":
-            self._root_survivors(combined)
-        else:
-            super().wave_root(kind, key, combined)
-
-    # -- initialization ----------------------------------------------------------------
-    def _root_init(self, total: int) -> None:
-        sel = self.selection
-        sel.N = total
-        if not 1 <= sel.k <= total:
-            self._finish(None, f"k={sel.k} outside [1, {total}]")
-            return
-        sel.q = exponent_for(self.sim.cfg.n, max(total, 1))
-        sel.p1_total = phase1_iterations(sel.q)
-        self._p1_start()
-
-    # -- phase 1 -------------------------------------------------------------------------
-    def _p1_start(self) -> None:
-        sel = self.selection
-        sel.p1_iter += 1
-        self.flood("k1", (sel.inv, sel.p1_iter), (sel.k, self.sim.cfg.n))
-
-    def _root_p1_bounds(self, key: tuple, combined) -> None:
-        sel = self.selection
-        lo, hi = combined
-        sel._p1_bounds = (lo, hi)
-        self.flood("k1p", key, (lo, hi))
-
-    def _root_p1_counts(self, combined) -> None:
-        sel = self.selection
-        below, above = combined
-        lo, hi = sel._p1_bounds
-        sel.k -= below
-        sel.N -= below + above
-        sel.diag.append(
-            {
-                "phase": "p1",
-                "iteration": sel.p1_iter,
-                "N": sel.N,
-                "k": sel.k,
-                "n_prime": 0,
-                "delta": 0,
-                "pruned_below": below,
-                "pruned_above": above,
-                "p_min": lo,
-                "p_max": hi,
-            }
-        )
-        if sel.k < 1 or sel.k > sel.N:
-            raise SimulationFault("phase-1 pruning lost the target")
-        threshold = math.isqrt(self.sim.cfg.n)
-        if sel.p1_iter < sel.p1_total and sel.N > threshold:
-            self._p1_start()
-        elif sel.N <= threshold:
-            self._p3_start()
-        else:
-            self._p2_start()
-
-    # -- phase 2 ----------------------------------------------------------------------------
-    def _p2_start(self) -> None:
-        sel = self.selection
-        sel.p2_iter += 1
-        sel.mode = "sample"
-        self._sample_start()
-
-    def _sample_start(self) -> None:
-        sel = self.selection
-        p = 1.0 if sel.mode == "all" else sample_probability(self.sim.cfg.n, sel.N)
-        if p >= 1.0:
-            # a full sample is an exact sorting pass: the orders are the exact
-            # ranks, so the pass can report the target directly (early phase 3)
-            sel.mode = "all"
-        self.flood("k2", (sel.inv, sel.p2_iter, sel.salt), (p, sel.mode))
-
-    def _root_sample_count(self, key: tuple, n_prime: int) -> None:
-        sel = self.selection
-        if sel.mode == "sample" and n_prime == 0:
-            sel.retries += 1
-            sel.salt += 1
-            if sel.retries > RESAMPLE_CAP * max(1, sel.p2_iter):
-                self._finish(None, "sampling repeatedly produced no candidates")
-                return
-            self._sample_start()
-            return
-        sel.n_prime = n_prime
-        if sel.mode == "all":
-            if n_prime != sel.N:
-                raise SimulationFault("phase-3 sample must cover all candidates")
-            sel.probe_lo = sel.probe_hi = 0
-            target = sel.k
-        else:
-            sel.delta = delta_for(self.sim.cfg.n)
-            center = sel.k * n_prime / sel.N
-            l = math.floor(center - sel.delta)
-            r = math.ceil(center + sel.delta)
-            sel.probe_lo = max(1, min(n_prime, l))
-            sel.probe_hi = max(1, min(n_prime, r))
-            target = 0
-        sel.probes = {}
-        share = (1, n_prime, n_prime, sel.probe_lo, sel.probe_hi, target)
-        self.wave_down("k2n", key, self.topo.root, share)
+        if self._awaiting != (kind, key):
+            raise SimulationFault(f"wave {kind}{key} reached the anchor unasked")
+        self._resume(combined)
 
     # -- sort plumbing: positions, copies, rendezvous, votes ---------------------------
     def wave_deliver(self, kind, key, vid, share) -> None:
@@ -441,7 +481,7 @@ class KSelectNode(OverlayNode):
         if vid.kind != MIDDLE:
             return
         lo, hi, n_prime, plo, phi, target = share
-        chosen = self.chosen.get(key, [])
+        chosen = self.chosen.pop(key, [])
         if hi - lo + 1 != len(chosen):
             raise SimulationFault("sample share does not match chosen candidates")
         for offset, element in enumerate(chosen):
@@ -476,15 +516,18 @@ class KSelectNode(OverlayNode):
                 payload.parent_slot,
                 meta,
             )
-        elif isinstance(payload, VoteMsg):
-            slot = self.copy_slots[payload.slot]
-            if slot.own_vote is not None:
+        elif isinstance(payload, (VoteMsg, CopyAggMsg)):
+            slot = self.copy_slots.get(payload.slot)
+            if slot is None:
+                raise SimulationFault(
+                    f"{type(payload).__name__} for unknown copy slot {payload.slot}"
+                )
+            if isinstance(payload, CopyAggMsg):
+                slot.child_sums.append(payload.vector)
+            elif slot.own_vote is not None:
                 raise SimulationFault("duplicate vote for a copy")
-            slot.own_vote = payload.vector
-            self._slot_try(payload.key, payload.slot)
-        elif isinstance(payload, CopyAggMsg):
-            slot = self.copy_slots[payload.slot]
-            slot.child_sums.append(payload.vector)
+            else:
+                slot.own_vote = payload.vector
             self._slot_try(payload.key, payload.slot)
         elif isinstance(payload, ProbeReport):
             self._probe_report(payload)
@@ -554,6 +597,7 @@ class KSelectNode(OverlayNode):
         slot = self.copy_slots[slot_key]
         if slot.own_vote is None or len(slot.child_sums) != slot.children:
             return
+        del self.copy_slots[slot_key]  # its total is sent below
         total = slot.own_vote
         for vec in slot.child_sums:
             total = (total[0] + vec[0], total[1] + vec[1])
@@ -579,161 +623,42 @@ class KSelectNode(OverlayNode):
             if order == probe_hi:
                 self.sim.send(self.id, anchor, ProbeReport(key, "hi", order, slot.element))
 
-    # -- rank check and pruning ------------------------------------------------------------
     def _probe_report(self, report: ProbeReport) -> None:
-        sel = self.selection
-        if (
-            sel is None
-            or sel.finished
-            or report.key != (sel.inv, sel.p2_iter, sel.salt)
-        ):
-            raise SimulationFault("probe report for a stale sorting pass")
-        if report.role == "target":
-            sel.diag.append(
-                {
-                    "phase": "p3",
-                    "iteration": sel.p2_iter,
-                    "N": sel.N,
-                    "k": sel.k,
-                    "n_prime": sel.n_prime,
-                    "delta": 0,
-                    "pruned_below": 0,
-                    "pruned_above": 0,
-                }
-            )
-            self._finish(report.element, None)
-            return
-        sel.probes[report.role] = report.element
-        if "lo" in sel.probes and "hi" in sel.probes:
-            self.flood(
-                "k2r",
-                report.key,
-                (sel.probes["lo"], sel.probes["hi"]),
-            )
-
-    def _root_ranks(self, combined) -> None:
-        sel = self.selection
-        below_lo, below_hi = combined
-        rank_lo = below_lo + 1
-        rank_hi = below_hi + 1
-        lo_elem = sel.probes["lo"]
-        hi_elem = sel.probes["hi"]
-        if rank_lo <= sel.k <= rank_hi:
-            case = "window"
-            bounds = (lo_elem, hi_elem)
-            new_n = rank_hi - rank_lo + 1
-            new_k = sel.k - (rank_lo - 1)
-        elif sel.k < rank_lo:
-            case = "left"
-            bounds = (None, lo_elem)
-            new_n = rank_lo
-            new_k = sel.k
-        else:
-            case = "right"
-            bounds = (hi_elem, None)
-            new_n = sel.N - rank_hi + 1
-            new_k = sel.k - (rank_hi - 1)
-        sel._prune = (case, bounds, new_n, new_k, rank_lo, rank_hi)
-        key = (sel.inv, sel.p2_iter, sel.salt)
-        self.flood("k2p", key, bounds)
-
-    def _root_survivors(self, survivors: int) -> None:
-        sel = self.selection
-        case, bounds, new_n, new_k, rank_lo, rank_hi = sel._prune
-        if survivors != new_n:
-            raise SimulationFault(
-                f"survivor count {survivors} does not match exact ranks {new_n}"
-            )
-        if case == "window":
-            pruned_below, pruned_above = rank_lo - 1, sel.N - rank_hi
-        elif case == "left":
-            pruned_below, pruned_above = 0, sel.N - rank_lo
-        else:
-            pruned_below, pruned_above = rank_hi - 1, 0
-        sel.diag.append(
-            {
-                "phase": "p2",
-                "iteration": sel.p2_iter,
-                "N": new_n,
-                "k": new_k,
-                "n_prime": sel.n_prime,
-                "delta": sel.delta,
-                "pruned_below": pruned_below,
-                "pruned_above": pruned_above,
-                "case": case,
-                "bounds": bounds,
-                "rank_lo": rank_lo,
-                "rank_hi": rank_hi,
-            }
-        )
-        sel.N = new_n
-        sel.k = new_k
-        if sel.k < 1 or sel.k > sel.N:
-            raise SimulationFault("phase-2 pruning lost the target")
-        threshold = math.isqrt(self.sim.cfg.n)
-        if sel.N <= threshold:
-            self._p3_start()
-        elif sel.p2_iter >= PHASE2_CAP:
-            if sel.N <= self.sim.cfg.n:
-                self._p3_start()
-            else:
-                self._finish(
-                    None, f"phase 2 stalled at N={sel.N} after {PHASE2_CAP} iterations"
-                )
-        else:
-            self._p2_start()
-
-    # -- phase 3 --------------------------------------------------------------------------------
-    def _p3_start(self) -> None:
-        sel = self.selection
-        sel.p2_iter += 1
-        sel.mode = "all"
-        self._sample_start()
+        if self._awaiting != ("probes", report.key):
+            raise SimulationFault(f"probe report for a stale sorting pass {report.key}")
+        self._reports[report.role] = report.element
+        if "target" in self._reports or self._reports.keys() >= {"lo", "hi"}:
+            self._resume(self._reports)
 
     # -- per-node flood handling -------------------------------------------------------------------
     def on_flood(self, kind: str, key: tuple, vid: VirtualId, payload: Any) -> None:
+        reply = _REPLY.get(kind)
+        if reply is None:
+            return super().on_flood(kind, key, vid, payload)
+        value = self._answer(kind, key, payload) if vid.kind == MIDDLE else _NEUTRAL[reply]
+        self.wave_contribute(reply, key, vid, value)
+
+    def _answer(self, kind: str, key: tuple, payload: Any) -> Any:
+        """This node's contribution to the wave that answers flood ``kind``."""
+        inv = key[0]
         if kind == "ki":
-            if vid.kind == MIDDLE:
-                self.candidates[key[0]] = self.selection_universe()
-            count = len(self.candidates.get(key[0], [])) if vid.kind == MIDDLE else 0
-            self.wave_contribute("ki", key, vid, count)
-        elif kind == "k1":
-            if vid.kind == MIDDLE:
-                k, n = payload
-                value = order_statistics(self.candidates[key[0]], k, n)
-            else:
-                value = (POS_INF, NEG_INF)
-            self.wave_contribute("k1", key, vid, value)
-        elif kind == "k1p":
-            value = (0, 0)
-            if vid.kind == MIDDLE:
-                value = self._prune_by_priority(key[0], payload)
-            self.wave_contribute("k1c", key, vid, value)
-        elif kind == "k2":
-            count = 0
-            if vid.kind == MIDDLE:
-                p, mode = payload
-                chosen = self._choose(key, self.candidates[key[0]], p, mode)
+            self.candidates[inv] = self.selection_universe()
+            return len(self.candidates[inv])
+        cands = self.candidates[inv]
+        if kind == "k1":
+            k, n = payload
+            return order_statistics(cands, k, n)
+        if kind == "k1p":
+            return self._prune_by_priority(inv, payload)
+        if kind == "k2":
+            p, mode = payload
+            chosen = self._choose(key, cands, p, mode)
+            if chosen:  # an empty sample gets no share
                 self.chosen[key] = chosen
-                count = len(chosen)
-            self.wave_contribute("k2n", key, vid, count)
-        elif kind == "k2r":
-            value = (0, 0)
-            if vid.kind == MIDDLE:
-                lo_elem, hi_elem = payload
-                cands = self.candidates[key[0]]
-                value = (
-                    bisect_left(cands, lo_elem.key, key=lambda e: e.key),
-                    bisect_left(cands, hi_elem.key, key=lambda e: e.key),
-                )
-            self.wave_contribute("k2r", key, vid, value)
-        elif kind == "k2p":
-            count = 0
-            if vid.kind == MIDDLE:
-                count = self._prune_window(key[0], payload)
-            self.wave_contribute("k2s", key, vid, count)
-        else:
-            super().on_flood(kind, key, vid, payload)
+            return len(chosen)
+        if kind == "k2r":
+            return tuple(bisect_left(cands, e.key, key=lambda c: c.key) for e in payload)
+        return self._prune_window(inv, payload)  # k2p
 
     def _prune_by_priority(self, inv: int, bounds) -> tuple[int, int]:
         lo, hi = bounds

@@ -9,8 +9,9 @@ the virtual-node overlay:
   fixed order (own contribution first, then children ascending by
   label); each session remembers the parts it combined so a matching
   share can later be split root-to-leaf over the same parts, in the same
-  order.  By default a share is an interval ``(lo, hi, *rest)`` split by
-  the parts' counts (``split_interval``); Skeap splits a batch share.
+  order; the split ends the session.  By default a share is an interval
+  ``(lo, hi, *rest)`` split by the parts' counts (``split_interval``);
+  Skeap splits a batch share.
 * routed operations: a message hops along the de Bruijn emulation to the
   virtual node responsible for a key.  Put/Get pairs rendezvous there; a
   Get that arrives before its Put parks until the Put shows up.
@@ -302,9 +303,9 @@ class OverlayNode(ProtocolNode):
 
     def wave_down(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
         """Split ``share`` at ``vid`` over the combined parts and push child
-        shares down."""
-        sess = self._session(kind, key, vid)
-        if not sess.sent:
+        shares down.  The session ends here."""
+        sess = self._waves.pop((kind, key, vid), None)
+        if sess is None or not sess.sent:
             raise SimulationFault(f"share for {kind}{key} arrived before the wave combined")
         kids = self.topo.children[vid]
         parts = [sess.own] + [sess.child_values[c] for c in kids]

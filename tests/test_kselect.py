@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from distheap import kselect
 from distheap.experiments import make_elements, run_kselect
 from distheap.kselect import (
     NEG_INF,
     PHASE2_CAP,
     POS_INF,
+    RESAMPLE_CAP,
     KSelectNode,
+    ProbeReport,
     combine_minmax,
     delta_for,
     exponent_for,
@@ -16,7 +19,8 @@ from distheap.kselect import (
     phase1_iterations,
     sample_probability,
 )
-from distheap.sim import ASYNC, SYNC, Element
+from distheap.overlay import CycleTopology
+from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
 
 
 def E(prio, origin=0, seq=None, _counter=[0]):
@@ -142,10 +146,82 @@ def test_extremes_and_middle(n, m, k_kind):
     assert res.correct, (n, m, k, res.error, res.answer, res.oracle)
 
 
-def test_out_of_range_k_is_protocol_error():
-    res = run_kselect(n=4, m=10, k=11, seed=5)
-    assert res.error is not None
+# (n, m, k, seed, kselect globals patched, error, retries): every early end
+EARLY_ENDS = {
+    "k=0": (4, 10, 0, 5, {}, "k=0 outside [1, 10]", 0),
+    "m=0": (4, 0, 1, 5, {}, "k=1 outside [1, 0]", 0),
+    "k>m": (4, 10, 11, 5, {}, "k=11 outside [1, 10]", 0),
+    "resample-cap": (
+        16, 256, 100, 1, {"sample_probability": lambda n, candidates: 1e-9},
+        "sampling repeatedly produced no candidates", RESAMPLE_CAP + 1,
+    ),
+    "phase2-cap": (
+        64, 4096, 64, 1, {"PHASE2_CAP": 1}, "phase 2 stalled at N=216 after 1 iterations", 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EARLY_ENDS)
+def test_out_of_range_k_is_protocol_error(case, monkeypatch):
+    n, m, k, seed, patches, error, retries = EARLY_ENDS[case]
+    for name, value in patches.items():
+        monkeypatch.setattr(kselect, name, value)
+    res = run_kselect(n=n, m=m, k=k, seed=seed)  # a stall would raise SimulationFault
+    assert res.error == error
     assert res.answer is None
+    assert res.retries == retries
+
+
+def _started(n, m, seed):
+    """A sync KSelect system placed as ``run_kselect`` places it, selection
+    of k=n started; returns (simulator, nodes, anchor)."""
+    sim = Simulator(SimConfig(n=n, seed=seed))
+    topo = CycleTopology.build(n, seed)
+    nodes = [KSelectNode(sim, v, topo) for v in range(n)]
+    for node, elems in zip(nodes, make_elements(n, m, seed, n ** exponent_for(n, m))):
+        sim.add_node(node)
+        node.seed_elements(elems)
+    anchor = nodes[topo.root.owner]
+    anchor.start_selection(n)
+    return sim, nodes, anchor
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [("k1", (0, 1)), ("ki", (1,)), ("k2n", (0, 1, 0))],
+    ids=["next-barrier", "other-selection", "sort-count"],
+)
+def test_anchor_rejects_a_wave_it_does_not_wait_for(kind, key):
+    _, _, anchor = _started(8, 64, 1)  # the selection waits for the ki count
+    with pytest.raises(SimulationFault, match="unasked"):
+        anchor.wave_root(kind, key, (1, 2))
+
+
+def test_anchor_rejects_a_stale_probe_report(monkeypatch):
+    passes = []
+    wave_down = KSelectNode.wave_down
+
+    def recording(self, kind, key, vid, share):
+        if kind == "k2n" and vid == self.topo.root:
+            passes.append(key)
+        wave_down(self, kind, key, vid, share)
+
+    monkeypatch.setattr(KSelectNode, "wave_down", recording)
+    sim, _, anchor = _started(16, 256, 1)
+    while len(passes) < 2:  # run into the second sorting pass
+        sim.step_round()
+    report = ProbeReport(passes[0], "lo", 1, Element(1, 0, 1))
+    with pytest.raises(SimulationFault, match="stale sorting pass"):
+        anchor.on_message(0, report)
+
+
+def test_sorting_state_is_released_after_a_selection():
+    sim, nodes, anchor = _started(16, 256, 1)
+    sim.run_sync()
+    assert anchor.selection.result is not None
+    for node in nodes:
+        assert node.copy_slots == {} and node.chosen == {} and node.rendezvous == {}
+        assert not any(kind == "k2n" for kind, _, _ in node._waves)
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -61,3 +61,18 @@ def test_default_wave_split_is_by_counts():
             assert hi - lo + 1 == own
             covered.extend(range(lo, hi + 1))
     assert sorted(covered) == list(range(1, total + 1))
+
+
+def test_wave_down_ends_its_session():
+    n = 4
+    sim = Simulator(SimConfig(n=n, seed=3))
+    topo = CycleTopology.build(n, 3)
+    nodes = [Counter(sim, v, topo) for v in range(n)]
+    for node in nodes:
+        sim.add_node(node)
+        node.contribute_all("c", (0,), 1, 0)
+    sim.run_sync()
+    assert all(not node._waves for node in nodes)
+    anchor = nodes[topo.root.owner]
+    with pytest.raises(SimulationFault, match="before the wave combined"):
+        anchor.wave_down("c", (0,), topo.root, (1, n, "tag"))

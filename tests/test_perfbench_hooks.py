@@ -105,3 +105,11 @@ def test_tracer_leaves_runs_unchanged(timing):
     _, traced, _ = _run_installed(timing)
     assert traced.metrics == plain.metrics
     assert [r.to_json() for r in traced.records] == [r.to_json() for r in plain.records]
+
+
+def test_tracer_names_every_kselect_flood_and_its_reply_wave():
+    # the traced benchmark's per-phase rounds read these names
+    from distheap import kselect
+
+    assert perf_tracer.KSELECT_REPLY_WAVE == kselect._REPLY
+    assert set(perf_tracer.KSELECT_FLOODS) == set(kselect._REPLY)
