@@ -263,6 +263,9 @@ class _Selection:
 class KSelectNode(OverlayNode):
     """Overlay node that stores elements and participates in selections."""
 
+    # the reply waves that no share splits: all but a sorting pass's ``k2n``
+    one_way_waves = frozenset({"ki", "k1", "k1c", "k2r", "k2s"})
+
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id, topo)
         self.elements: list[Element] = []

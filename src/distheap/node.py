@@ -9,9 +9,11 @@ the virtual-node overlay:
   fixed order (own contribution first, then children ascending by
   label); each session remembers the parts it combined so a matching
   share can later be split root-to-leaf over the same parts, in the same
-  order; the split ends the session.  By default a share is an interval
-  ``(lo, hi, *rest)`` split by the parts' counts (``split_interval``);
-  Skeap splits a batch share.
+  order; the split ends the session.  A wave kind that a protocol lists
+  in ``one_way_waves`` has no down half, and its session ends when its
+  combine is sent.  By default a share is an interval ``(lo, hi, *rest)``
+  split by the parts' counts (``split_interval``); Skeap splits a batch
+  share.
 * routed operations: a message hops along the de Bruijn emulation to the
   virtual node responsible for a key.  Put/Get pairs rendezvous there; a
   Get that arrives before its Put parks until the Put shows up.
@@ -26,12 +28,23 @@ and any other field costs ``value_bits`` (an ``int`` there keeps a sign
 bit); the simulator adds the 8-bit tag.  ``RouteMsg`` alone sizes itself,
 adding the routed operation's size cached when the route starts.
 
-The rule does not change with how it is evaluated: a tuple whose elements
-are all value-sized (``int``, ``str``, ``None``, ``Element``,
-``VirtualId``) is sized once per run and then looked up by value in
-``Simulator.size_memo``.  Tuples holding a ``bool`` or ``float`` (equal to
-an ``int`` yet sized differently) or a mutable or container element are
-sized element by element every time.
+The rule does not change with how it is evaluated:
+
+* each class sizes a message with one function built once from its
+  dataclass fields (``_sizer``).  A ``Nat`` field is sized inline as
+  ``max(v, 2).bit_length()`` (a negative value still faults); a field
+  annotated ``str``, ``tuple``, ``VirtualId`` or ``Element`` whose value
+  has exactly that type takes the matching ``value_bits`` rule inline; any
+  other value goes through ``value_bits``.  ``RouteMsg`` inlines its
+  ``hop`` and ``vid`` terms the same way.
+* a tuple whose elements are all value-sized (``int``, ``str``, ``None``,
+  ``Element``, ``VirtualId``) is sized once per run and then looked up by
+  value in ``Simulator.size_memo``.  Tuples holding a ``bool`` or
+  ``float`` (equal to an ``int`` yet sized differently) or a mutable or
+  container element are sized element by element every time.
+
+Incoming messages are dispatched by their exact type (``_HANDLERS``); a
+type the table does not name goes to ``on_protocol_message``.
 """
 from __future__ import annotations
 
@@ -96,28 +109,64 @@ def value_bits(sim: Simulator, obj: Any) -> int:
 
 Nat = Annotated[int, "natural"]  # a message field sized by ``nat_bits``, unsigned
 
+# Field annotation -> (guard, size): a value that passes the guard is sized by
+# the inlined rule, anything else by ``value_bits``.  The guards test exact
+# types, so a subclass, a ``bool`` or a negative owner takes the full rule.
+# ``(2 if 2 > x else x)`` is ``max(x, 2)`` without the builtin call.
+_FAST_PATHS = {
+    "str": ("type(v) is str", "8"),
+    "tuple": ("type(v) is tuple", "_tuple_bits(sim, v)"),
+    "VirtualId": (
+        "type(v) is VirtualId and v.owner >= 0",
+        "(2 if 2 > v.owner else v.owner).bit_length() + 2",
+    ),
+    "Element": ("type(v) is Element", "v.bits()"),
+}
+
+
+def _field_size(annotation: Any) -> str:
+    """The expression that sizes a field's value ``v`` (``sim`` in scope)."""
+    if annotation in (Nat, "Nat"):
+        # ``nat_bits`` inlined; it still raises the negative-natural fault
+        return "(2 if 2 > v else v).bit_length() if v >= 0 else nat_bits(v)"
+    name = annotation if isinstance(annotation, str) else getattr(annotation, "__name__", "")
+    fast = _FAST_PATHS.get(name.split("[")[0].split("|")[0].strip())
+    if fast is None:
+        return "value_bits(sim, v)"
+    guard, size = fast
+    return f"{size} if {guard} else value_bits(sim, v)"
+
 
 @cache
-def _size_plan(cls: type) -> tuple[tuple[str, bool], ...]:
-    # names and natural flags only: the helpers are resolved at call time
-    return tuple((f.name, f.type in (Nat, "Nat")) for f in fields(cls))
+def _sizer(cls: type) -> Callable[[Any, Simulator], int]:
+    """``cls``'s size function, built once from its dataclass fields.
+
+    The function resolves the helpers it calls in this module's globals at
+    call time, so rebinding one of them (as the benchmark's tracer does)
+    reaches every class, and undoing it leaves nothing behind.
+    """
+    lines = ["def size_bits(self, sim):", "    bits = 0"]
+    for f in fields(cls):
+        lines += [f"    v = self.{f.name}", f"    bits += {_field_size(f.type)}"]
+    lines.append("    return bits")
+    namespace: dict[str, Any] = {}
+    exec("\n".join(lines), globals(), namespace)
+    return namespace["size_bits"]
 
 
 class Message:
     """A modeled message: its size is the sum of its fields' sizes.
 
     A field annotated ``Nat`` costs ``nat_bits`` (no sign bit); every other
-    field costs ``value_bits``.  The simulator adds the 8-bit tag.
+    field costs ``value_bits``.  The simulator adds the 8-bit tag.  Each
+    class evaluates this rule with one function built from its fields
+    (``_sizer``).
     """
 
     __slots__ = ()
 
     def size_bits(self, sim: Simulator) -> int:
-        total = 0
-        for name, natural in _size_plan(type(self)):
-            value = getattr(self, name)
-            total += nat_bits(value) if natural else value_bits(sim, value)
-        return total
+        return _sizer(type(self))(self, sim)
 
 
 @dataclass(slots=True)
@@ -149,16 +198,23 @@ class WaveDownMsg(Message):
 class RouteMsg:
     key: float
     start_label: float
-    hop: int
+    hop: Nat
     vid: VirtualId
     inner: Any
     inner_bits: int  # ``inner.size_bits``, computed once when the route starts
 
     def size_bits(self, sim: Simulator) -> int:
+        # ``Message``'s rule with the routed operation's size cached, the
+        # ``hop`` and ``vid`` terms inlined as in ``_sizer``
+        hop, vid = self.hop, self.vid
         return (
             2 * sim.label_bits
-            + nat_bits(self.hop)
-            + value_bits(sim, self.vid)
+            + ((2 if 2 > hop else hop).bit_length() if hop >= 0 else nat_bits(hop))
+            + (
+                (2 if 2 > vid.owner else vid.owner).bit_length() + 2
+                if type(vid) is VirtualId and vid.owner >= 0
+                else value_bits(sim, vid)
+            )
             + self.inner_bits
         )
 
@@ -222,7 +278,13 @@ class _WaveSession:
 
 
 class OverlayNode(ProtocolNode):
-    """A real node emulating its three virtual overlay positions."""
+    """A real node emulating its three virtual overlay positions.
+
+    ``one_way_waves`` names the wave kinds that have no down half: their
+    sessions end when the combine is sent.
+    """
+
+    one_way_waves: frozenset[str] = frozenset()
 
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id)
@@ -236,20 +298,11 @@ class OverlayNode(ProtocolNode):
 
     # -- dispatch ------------------------------------------------------------
     def on_message(self, src: int, payload: Any) -> None:
-        if isinstance(payload, WaveUpMsg):
-            self._wave_receive(payload)
-        elif isinstance(payload, WaveDownMsg):
-            self._wave_down(payload)
-        elif isinstance(payload, FloodMsg):
-            self._flood_receive(payload)
-        elif isinstance(payload, RouteMsg):
-            self._route_receive(payload)
-        elif isinstance(payload, PutAckMsg):
-            self.on_put_ack(payload.ns, payload.token)
-        elif isinstance(payload, GetReplyMsg):
-            self.on_get_reply(payload.ns, payload.token, payload.element)
-        else:
+        handler = _HANDLERS.get(type(payload))
+        if handler is None:
             self.on_protocol_message(src, payload)
+        else:
+            handler(self, payload)
 
     def on_protocol_message(self, src: int, payload: Any) -> None:
         raise SimulationFault(f"unhandled message {type(payload).__name__}")
@@ -271,7 +324,7 @@ class OverlayNode(ProtocolNode):
             raise SimulationFault(f"duplicate contribution to {kind}{key} at {vid}")
         sess.own = value
         sess.have_own = True
-        self._wave_try(kind, key, vid)
+        self._wave_try(sess, kind, key, vid)
 
     def contribute_all(self, kind: str, key: tuple, real_value: Any, neutral: Any) -> None:
         """Contribute a node-level value at the middle vnode, neutrals elsewhere."""
@@ -281,32 +334,45 @@ class OverlayNode(ProtocolNode):
             )
 
     def _wave_receive(self, msg: WaveUpMsg) -> None:
-        sess = self._session(msg.kind, msg.key, msg.parent)
-        if msg.child in sess.child_values:
+        kind, key, parent, child = msg.kind, msg.key, msg.parent, msg.child
+        if child not in self.topo.children[parent]:
+            raise SimulationFault(f"{child} is no child of {parent} in wave {kind}{key}")
+        sess = self._session(kind, key, parent)
+        if child in sess.child_values:
             raise SimulationFault("duplicate child value in wave")
-        sess.child_values[msg.child] = msg.value
-        self._wave_try(msg.kind, msg.key, msg.parent)
+        sess.child_values[child] = msg.value
+        self._wave_try(sess, kind, key, parent)
 
-    def _wave_try(self, kind: str, key: tuple, vid: VirtualId) -> None:
-        sess = self._session(kind, key, vid)
+    def _wave_try(self, sess: _WaveSession, kind: str, key: tuple, vid: VirtualId) -> None:
         kids = self.topo.children[vid]
-        if sess.sent or not sess.have_own or any(c not in sess.child_values for c in kids):
+        if not sess.have_own or len(sess.child_values) != len(kids):
             return
         parts = [sess.own] + [sess.child_values[c] for c in kids]
         combined = self.wave_combine(kind, parts)
         sess.sent = True
+        if kind in self.one_way_waves:
+            del self._waves[(kind, key, vid)]  # no share will come down
         if vid == self.topo.root:
             self.wave_root(kind, key, combined)
         else:
             parent = self.topo.parent[vid]
             self.send_vid(parent, WaveUpMsg(kind, key, parent, vid, combined))
 
+    def wave_end(self, kind: str, key: tuple, vid: VirtualId) -> _WaveSession:
+        """End the session of a combined wave at ``vid`` and return it.
+
+        ``wave_down`` calls it; a protocol calls it itself where the anchor
+        answers a two-way wave without sending its share down.
+        """
+        sess = self._waves.pop((kind, key, vid), None)
+        if sess is None or not sess.sent:
+            raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
+        return sess
+
     def wave_down(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
         """Split ``share`` at ``vid`` over the combined parts and push child
         shares down.  The session ends here."""
-        sess = self._waves.pop((kind, key, vid), None)
-        if sess is None or not sess.sent:
-            raise SimulationFault(f"share for {kind}{key} arrived before the wave combined")
+        sess = self.wave_end(kind, key, vid)
         kids = self.topo.children[vid]
         parts = [sess.own] + [sess.child_values[c] for c in kids]
         own_share, *child_shares = self.wave_split(kind, share, parts)
@@ -408,3 +474,15 @@ class OverlayNode(ProtocolNode):
 
     def on_get_reply(self, ns: str, token: Any, element: Element) -> None:
         pass
+
+
+# ``OverlayNode.on_message``: message type -> handler; any other type goes to
+# ``on_protocol_message``.
+_HANDLERS: dict[type, Callable[[OverlayNode, Any], None]] = {
+    WaveUpMsg: OverlayNode._wave_receive,
+    WaveDownMsg: OverlayNode._wave_down,
+    FloodMsg: OverlayNode._flood_receive,
+    RouteMsg: OverlayNode._route_receive,
+    PutAckMsg: lambda node, msg: node.on_put_ack(msg.ns, msg.token),
+    GetReplyMsg: lambda node, msg: node.on_get_reply(msg.ns, msg.token, msg.element),
+}

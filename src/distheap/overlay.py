@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hashing import Tag, hash_unit
 
@@ -37,8 +37,13 @@ MIDDLE = "M"
 RIGHT = "R"
 
 
-@dataclass(frozen=True, slots=True)
-class VirtualId:
+class VirtualId(NamedTuple):
+    """A virtual node: its real owner and its position (LEFT, MIDDLE or RIGHT).
+
+    A named tuple, so its hash, ``hash((owner, kind))``, and its equality run
+    in C; vids are dict keys on every wave, flood and route step.
+    """
+
     owner: int
     kind: str  # LEFT, MIDDLE or RIGHT
 

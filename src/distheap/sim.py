@@ -31,11 +31,13 @@ the sum of its fields plus a fixed 8-bit action tag.  Natural fields cost
 ``max(v, 2).bit_length()``, with no sign bit; any other ``int`` costs one
 sign bit more; an interval costs two naturals, an element costs priority
 plus tiebreaker bits, labels/keys cost ``2 * ceil(log2(3n))`` bits.  The
-per-field rules live in ``node.value_bits`` and ``node.Message``.  Each
-simulator keeps a ``size_memo`` so that a tuple of value-sized elements
-(a protocol key, a copy-slot id) is sized once per run; the sizes are the
-rule's, unchanged.  Tuples holding ``bool``, ``float`` or mutable elements
-bypass it, since equal values of those need not have equal sizes.
+per-field rules live in ``node.value_bits`` and ``node.Message``; each
+message class evaluates them with one function built from its fields,
+which sizes naturals and the common field types inline.  Each simulator
+keeps a ``size_memo`` so that a tuple of value-sized elements (a protocol
+key, a copy-slot id) is sized once per run; the sizes are the rule's,
+unchanged.  Tuples holding ``bool``, ``float`` or mutable elements bypass
+it, since equal values of those need not have equal sizes.
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ def nat_bits(value: int) -> int:
     """Modeled encoding cost of a natural number."""
     if value < 0:
         raise SimulationFault(f"negative natural {value}")
-    return max(value, 2).bit_length()
+    return (2 if 2 > value else value).bit_length()  # max(value, 2), without the call
 
 
 def interval_bits(lo: int, hi: int) -> int:

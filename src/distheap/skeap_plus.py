@@ -39,6 +39,8 @@ _POS = "pos"
 
 
 class SkeapPlusNode(KSelectNode):
+    one_way_waves = KSelectNode.one_way_waves | {"si"}  # ``si`` is answered by a flood
+
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id, topo)
         cfg = sim.cfg
@@ -169,6 +171,7 @@ class SkeapPlusNode(KSelectNode):
             if vid.kind == MIDDLE:
                 self._store_inserts(key[0])
         elif kind == "fskip":
+            self.wave_end("sd", key, vid)  # an epoch without deletes sends no share
             if vid.kind == MIDDLE:
                 self._enter_insert(key[0] + 1)
         elif kind == "fq":

@@ -224,6 +224,16 @@ def test_sorting_state_is_released_after_a_selection():
         assert not any(kind == "k2n" for kind, _, _ in node._waves)
 
 
+def test_no_wave_session_outlives_a_selection():
+    # the reply waves but k2n have no down half: they end with their combine
+    sim, nodes, anchor = _started(64, 64 * 64, 1)
+    sim.run_sync()
+    assert anchor.selection.result is not None
+    assert sum(len(node._waves) for node in nodes) == 0
+    with pytest.raises(SimulationFault, match="before the wave combined"):
+        anchor.wave_down("ki", (0,), anchor.topo.root, (1, 1))
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_random_small_sweep_matches_oracle(seed):
     rng = random.Random(seed)

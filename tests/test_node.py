@@ -1,6 +1,6 @@
 import pytest
 
-from distheap.node import OverlayNode, split_interval
+from distheap.node import OverlayNode, WaveUpMsg, split_interval
 from distheap.overlay import MIDDLE, CycleTopology
 from distheap.sim import SimConfig, SimulationFault, Simulator
 
@@ -41,13 +41,18 @@ class Counter(OverlayNode):
         self.shares[vid] = share
 
 
-def test_default_wave_split_is_by_counts():
-    n = 8
-    sim = Simulator(SimConfig(n=n, seed=3))
-    topo = CycleTopology.build(n, 3)
-    nodes = [Counter(sim, v, topo) for v in range(n)]
+def _system(n, cls=Counter, seed=3):
+    sim = Simulator(SimConfig(n=n, seed=seed))
+    topo = CycleTopology.build(n, seed)
+    nodes = [cls(sim, v, topo) for v in range(n)]
     for node in nodes:
         sim.add_node(node)
+    return sim, topo, nodes
+
+
+def test_default_wave_split_is_by_counts():
+    n = 8
+    sim, _, nodes = _system(n)
     for node in nodes:
         node.contribute_all("c", (0,), node.id % 3, 0)
     sim.run_sync()
@@ -65,14 +70,42 @@ def test_default_wave_split_is_by_counts():
 
 def test_wave_down_ends_its_session():
     n = 4
-    sim = Simulator(SimConfig(n=n, seed=3))
-    topo = CycleTopology.build(n, 3)
-    nodes = [Counter(sim, v, topo) for v in range(n)]
+    sim, topo, nodes = _system(n)
     for node in nodes:
-        sim.add_node(node)
         node.contribute_all("c", (0,), 1, 0)
     sim.run_sync()
     assert all(not node._waves for node in nodes)
     anchor = nodes[topo.root.owner]
+    with pytest.raises(SimulationFault, match="before the wave combined"):
+        anchor.wave_down("c", (0,), topo.root, (1, n, "tag"))
+
+
+def test_wave_value_from_a_stray_child_is_a_fault():
+    # stored, a stray value would be left out of the combine without a trace
+    _, topo, nodes = _system(8)
+    parent = next(v for v in topo.order if topo.children[v])
+    stray = next(v for v in topo.order if v != parent and v not in topo.children[parent])
+    with pytest.raises(SimulationFault, match="no child"):
+        nodes[parent.owner].on_message(stray.owner, WaveUpMsg("c", (0,), parent, stray, 1))
+
+
+class OneWayCounter(Counter):
+    """Sums counts up the tree; the anchor keeps the total and sends nothing down."""
+
+    one_way_waves = frozenset({"c"})
+
+    def wave_root(self, kind, key, combined):
+        self.total = combined
+
+
+def test_one_way_wave_sessions_end_with_their_combine():
+    n = 8
+    sim, topo, nodes = _system(n, OneWayCounter)
+    for node in nodes:
+        node.contribute_all("c", (0,), 1, 0)
+    sim.run_sync()
+    anchor = nodes[topo.root.owner]
+    assert anchor.total == n
+    assert all(not node._waves for node in nodes)
     with pytest.raises(SimulationFault, match="before the wave combined"):
         anchor.wave_down("c", (0,), topo.root, (1, n, "tag"))

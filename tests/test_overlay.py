@@ -17,6 +17,20 @@ def two_node_topo():
     return CycleTopology(2, 0, {0: 0.4, 1: 0.6})
 
 
+def test_virtual_id_hashes_and_prints_as_before():
+    # the hash decides dict and set order wherever vids are keys, and so
+    # every run's trace; it is the one the earlier frozen dataclass had
+    for owner in (0, 5, 2**40):
+        for kind in (LEFT, MIDDLE, RIGHT):
+            vid = VirtualId(owner, kind)
+            assert hash(vid) == hash((owner, kind))
+            assert repr(vid) == f"VirtualId(owner={owner}, kind={kind!r})"
+            assert vid == VirtualId(owner, kind)
+    assert VirtualId(5, LEFT) != VirtualId(5, MIDDLE) != VirtualId(5, RIGHT) != VirtualId(5, LEFT)
+    assert VirtualId(5, MIDDLE) != VirtualId(6, MIDDLE)
+    assert len({VirtualId(5, kind) for kind in (LEFT, MIDDLE, RIGHT)}) == 3
+
+
 def test_hand_sorted_labels():
     topo = two_node_topo()
     labels = [topo.label(v) for v in topo.order]

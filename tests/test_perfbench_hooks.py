@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from distheap import run_skeap
+from distheap import node, run_skeap, run_skeap_plus
 from distheap.skeap import SkeapNode
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -105,6 +105,26 @@ def test_tracer_leaves_runs_unchanged(timing):
     _, traced, _ = _run_installed(timing)
     assert traced.metrics == plain.metrics
     assert [r.to_json() for r in traced.records] == [r.to_json() for r in plain.records]
+
+
+def test_sizers_built_under_the_tracer_keep_none_of_its_counters():
+    # each message class's size function is built on first use; one built
+    # while the counting tracer is installed must still call the helpers
+    # that are bound once the tracer is gone
+    node._sizer.cache_clear()
+    tr = perf_tracer.Tracer(timing=False)
+    tr.install()
+    try:
+        run_skeap_plus(N, seed=1, lam=2, epochs=2)
+    finally:
+        tr.restore()
+    assert node._sizer.cache_info().currsize == len(
+        {cls.__name__ for cls in node.Message.__subclasses__()}
+    )  # every message class was first sized under the tracer
+    assert tr.counts["msgsize.size_bits"] > 0 and tr.counts["msgsize.leaf"] > 0
+    counts = dict(tr.counts)
+    run_skeap_plus(N, seed=1, lam=2, epochs=2)
+    assert dict(tr.counts) == counts
 
 
 def test_tracer_names_every_kselect_flood_and_its_reply_wave():

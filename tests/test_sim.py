@@ -1,10 +1,12 @@
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distheap import node as node_module
 from distheap import run_kselect, run_skeap, run_skeap_plus
@@ -16,6 +18,7 @@ from distheap.node import (
     GetOp,
     GetReplyMsg,
     Message,
+    Nat,
     PutAckMsg,
     PutOp,
     RouteMsg,
@@ -215,7 +218,9 @@ def _trace_stream(run):
 )
 def test_tuple_memo_keeps_whole_run_trace(run, monkeypatch):
     with_memo = _trace_stream(run)
+    # off in ``value_bits`` and in the built sizers' tuple fast path
     monkeypatch.setitem(node_module._FIELD_BITS, tuple, node_module._sequence_bits)
+    monkeypatch.setattr(node_module, "_tuple_bits", node_module._sequence_bits)
     without_memo = _trace_stream(run)
     assert sum(event[0] == "send" for event in with_memo) > 300  # each send is sized
     assert with_memo == without_memo
@@ -308,7 +313,7 @@ _MESSAGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("value", [0, 1, 2**49, 2**64])
+@pytest.mark.parametrize("value", [0, 1, 2, 3, 2**49, 2**64])
 @pytest.mark.parametrize("cls", list(_MESSAGE_CASES), ids=lambda c: c.__name__)
 def test_message_size_matches_hand_written_formula(cls, value):
     # by name: ``dataclass(slots=True)`` leaves the pre-slots class behind as a subclass
@@ -320,6 +325,101 @@ def test_message_size_matches_hand_written_formula(cls, value):
     build, reference = _MESSAGE_CASES[cls]
     msg = build(value)
     assert msg.size_bits(sim) == reference(sim, msg)
+
+
+def _nat_fields(cls):
+    return [f.name for f in fields(cls) if f.type in (Nat, "Nat")]
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in _MESSAGE_CASES if _nat_fields(c)], ids=lambda c: c.__name__
+)
+def test_negative_natural_field_is_a_fault(cls):
+    sim, _ = make_sim(n=8)
+    for name in _nat_fields(cls):
+        msg = _MESSAGE_CASES[cls][0](1)
+        setattr(msg, name, -1)
+        with pytest.raises(SimulationFault, match="negative natural -1"):
+            msg.size_bits(sim)
+
+
+class _Int(int):
+    """An int subclass: sized by its base's rule, never by a fast path."""
+
+
+class _Str(str):
+    """A str subclass, likewise."""
+
+
+_small = st.sampled_from([0, 1, 2, 3])
+_nats = st.one_of(
+    _small,
+    st.sampled_from([2**49, 2**64]),
+    st.integers(0, 2**70),
+    st.booleans(),
+    st.just(_Level.ONE),
+    _small.map(_Int),
+)
+_ints = st.one_of(_nats, st.integers(-(2**70), -1), st.integers(-3, -1).map(_Int))
+_strs = st.one_of(st.sampled_from(["k2n", "elem", ""]), st.text(max_size=3))
+_vids = st.builds(
+    VirtualId, st.one_of(_small, st.integers(0, 2**64), st.just(-1)), st.sampled_from("LMR")
+)
+_elements = st.builds(Element, _small, _small, st.integers(0, 2**64), st.binary(max_size=2))
+_scalars = st.one_of(
+    _ints, st.sampled_from([0.0, 1.0, 2.0, 0.5]), st.none(), _strs, _vids, _elements
+)
+_pair = namedtuple("_pair", "a b")
+# Short tuples over few numbers, so that equal tuples of differently sized
+# elements, such as (1, 2), (True, 2) and (1.0, 2), meet in one simulator's memo.
+_colliding = st.lists(
+    st.sampled_from([1, True, 1.0, _Level.ONE, _Int(1), 2]), min_size=1, max_size=2
+).map(tuple)
+_tuples = st.one_of(
+    _colliding,
+    st.lists(st.one_of(_scalars, st.tuples(_scalars, _scalars)), max_size=6).map(tuple),
+    st.builds(_pair, _scalars, _scalars),
+)
+_values = st.one_of(_scalars, _tuples, st.lists(_scalars, max_size=3))
+# a field's annotation -> the values drawn for it: mostly its type, sometimes
+# something else, which the built sizer must hand to ``value_bits``
+_FIELD_VALUES = {
+    "Nat": _nats,
+    "int": _ints,
+    "float": st.floats(0.0, 1.0, exclude_max=True),
+    "str": st.one_of(_strs, _strs.map(_Str)),  # ``ProbeReport``'s reference counts 8
+    "tuple": st.one_of(_tuples, _values),
+    "tuple[int, int]": st.one_of(st.tuples(_ints, _ints), _values),
+    "tuple | None": st.one_of(_tuples, st.none(), _values),
+    "VirtualId": st.one_of(_vids, _values),
+    "Element": _elements,  # the hand-written references call ``.bits()``
+    "Any": _values,
+}
+
+
+def _messages(cls):
+    return st.builds(cls, **{f.name: _FIELD_VALUES[f.type] for f in fields(cls)})
+
+
+@pytest.mark.parametrize("cls", list(_MESSAGE_CASES), ids=lambda c: c.__name__)
+def test_built_sizer_matches_field_by_field_rule(cls):
+    # one simulator for every example, so the built sizers meet a filled memo;
+    # the reference sizes each message on a fresh one
+    sim, _ = make_sim(n=8)
+    reference = _MESSAGE_CASES[cls][1]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_messages(cls))
+    def check(msg):
+        try:
+            want = reference(make_sim(n=8)[0], msg)
+        except SimulationFault:  # a negative natural or VirtualId owner
+            with pytest.raises(SimulationFault, match="negative natural"):
+                msg.size_bits(sim)
+        else:
+            assert msg.size_bits(sim) == want
+
+    check()
 
 
 def test_send_appends_to_channel():

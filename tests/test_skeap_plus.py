@@ -2,8 +2,9 @@ import pytest
 
 from distheap.batches import DELETE, INSERT
 from distheap.consistency import BOTTOM
-from distheap.experiments import run_skeap_plus
+from distheap.experiments import _run_heap, run_skeap_plus
 from distheap.sim import ASYNC, SYNC, Element
+from distheap.skeap_plus import build_skeap_plus
 
 
 def run_script(mode, script, n=4, seed=1, epochs=1):
@@ -27,3 +28,18 @@ def test_insert_then_two_deletes_gives_the_element_and_one_bottom(mode):
     assert res.extra["epochs"] == [{"epoch": 0, "k": 2, "k_star": 1, "m": 1}]
     returned = [r.returned for r in res.records if r.kind == DELETE]
     assert returned == [Element(5, 1, 1), BOTTOM]
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+@pytest.mark.parametrize(
+    "script", [None, {0: [(DELETE, None)]}], ids=["generated", "scripted"]
+)
+def test_no_wave_session_outlives_a_run(mode, script):
+    # si and KSelect's reply waves end with their combine; the sd wave of an
+    # epoch without deletes sends no share and ends at the fskip flood
+    n = 16
+    _, nodes, _ = _run_heap(
+        build_skeap_plus, 3, None, script,
+        n=n, seed=1, priority_universe=n * n, lam=2, mode=mode, epochs=3,
+    )
+    assert sum(len(node._waves) for node in nodes) == 0
