@@ -18,7 +18,9 @@ Each epoch has two strictly separated phases driven by anchor barriers:
   anchor shrinks its total by k* and the next insert phase begins.
 
 The constructed serialization per epoch is: all inserts (in ascending
-element order), then all deletes ordered by assigned position.  Only
+element order), then all deletes ordered by the key of the element they
+return, bottoms last.  Positions are handed out in tree-combine order, not
+in rank order, so the position order is no serialization.  Only
 serializability is claimed; a node's own requests may serialize out of
 issue order.
 """
@@ -264,7 +266,8 @@ def finalize_records(nodes: list[SkeapPlusNode]) -> list[OperationRecord]:
     """Assemble the constructed serialization across all epochs.
 
     Per epoch: inserts in ascending element order, then deletes ordered by
-    assigned position (bottoms land past k* and therefore at the tail).
+    the key of the element they return, then the bottoms by assigned
+    position.
     """
     epochs = max((n.total_epochs for n in nodes), default=0)
     records: list[OperationRecord] = []
@@ -280,7 +283,7 @@ def finalize_records(nodes: list[SkeapPlusNode]) -> list[OperationRecord]:
                     raise SimulationFault("delete finished without an outcome")
                 deletes.append((req.assigned, node, req))
         inserts.sort(key=lambda t: t[0].key)
-        deletes.sort(key=lambda t: t[0])
+        deletes.sort(key=lambda t: (1, t[0]) if t[2].returned == BOTTOM else (0, t[2].returned.key))
         for element, node, req in inserts:
             records.append(
                 OperationRecord(

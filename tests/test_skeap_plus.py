@@ -1,3 +1,10 @@
+"""Seap end to end: every run must be serializable and phase optimal.
+
+The generated workloads issue each node's whole request budget in its first
+few activations, so only epoch 0 has deletes, and its one selection picks
+the whole heap (k* = m).  The later delete phases of the generated runs are
+empty; the scripted runs cover k* = 0.
+"""
 import pytest
 
 from distheap.batches import DELETE, INSERT
@@ -7,11 +14,16 @@ from distheap.sim import ASYNC, SYNC, Element
 from distheap.skeap_plus import build_skeap_plus
 
 
-def run_script(mode, script, n=4, seed=1, epochs=1):
-    res = run_skeap_plus(n, seed=seed, epochs=epochs, mode=mode, schedule_seed=3, script=script)
+def checked(res):
     assert res.ok, res.verdict.violation
     assert res.extra["phase_optimal"], res.extra["phase_violation"]
     return res
+
+
+def run_script(mode, script, n=4, seed=1, epochs=1):
+    return checked(
+        run_skeap_plus(n, seed=seed, epochs=epochs, mode=mode, schedule_seed=3, script=script)
+    )
 
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
@@ -43,3 +55,24 @@ def test_no_wave_session_outlives_a_run(mode, script):
         n=n, seed=1, priority_universe=n * n, lam=2, mode=mode, epochs=3,
     )
     assert sum(len(node._waves) for node in nodes) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_generated_sync_runs_are_correct(n, seed):
+    checked(run_skeap_plus(n, seed=seed, lam=2))
+
+
+@pytest.mark.parametrize("schedule_seed", range(4))
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_generated_async_schedules_are_correct(n, schedule_seed):
+    checked(run_skeap_plus(n, seed=schedule_seed, lam=2, mode=ASYNC, schedule_seed=schedule_seed))
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_equal_seeds_give_identical_records(mode):
+    first, again = (
+        run_skeap_plus(16, seed=2, lam=2, mode=mode, schedule_seed=5) for _ in range(2)
+    )
+    assert [r.to_json() for r in first.records] == [r.to_json() for r in again.records]
+    assert first.extra == again.extra

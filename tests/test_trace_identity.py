@@ -42,16 +42,16 @@ EXPECTED = {
     ('skeap', 'asynchronous', 32, 1): ('fc0bbabda6927c23', 'f47010e4b7efe9d0', 'fc5ac2452a95405d'),
     ('seap', 'synchronous', 2, 0): ('be2b809b06baa9f3', '3cc614f9072381d6', 'ad059a2f458a62ec'),
     ('seap', 'synchronous', 2, 1): ('945d3a16ceb4a996', '7c756086b65236f6', 'cd759585625a7ebd'),
-    ('seap', 'synchronous', 8, 0): ('f91a015dd549f106', '63c1dd3ae0ab1822', 'c34774c28ec71f55'),
-    ('seap', 'synchronous', 8, 1): ('3e845ddb4cfd2cbb', '908554c562cdfa92', '4a2ca08e1fe72821'),
-    ('seap', 'synchronous', 32, 0): ('2ee19223eb4f7542', '215be5ac71832bd5', '2005353a0e5adbb1'),
-    ('seap', 'synchronous', 32, 1): ('38f094d60a51e781', '215f0bdeb34c5d17', '6cb7612e457bc46d'),
+    ('seap', 'synchronous', 8, 0): ('f91a015dd549f106', 'd06939338a165fc2', 'c34774c28ec71f55'),
+    ('seap', 'synchronous', 8, 1): ('3e845ddb4cfd2cbb', 'ca4b983baa9d08a2', '4a2ca08e1fe72821'),
+    ('seap', 'synchronous', 32, 0): ('2ee19223eb4f7542', '9a42dec75bd1d68e', '2005353a0e5adbb1'),
+    ('seap', 'synchronous', 32, 1): ('38f094d60a51e781', 'ace6191fa1c7f811', '6cb7612e457bc46d'),
     ('seap', 'asynchronous', 2, 0): ('4135e18e0779c99c', '3cc614f9072381d6', '8c0a60548891e2ae'),
     ('seap', 'asynchronous', 2, 1): ('d954c97e9b1ff91e', '7c756086b65236f6', 'a73c4159534bd396'),
-    ('seap', 'asynchronous', 8, 0): ('c1acb0323dc5a62e', '63c1dd3ae0ab1822', '88eabe9580840caa'),
-    ('seap', 'asynchronous', 8, 1): ('c9c0f211be97e3d8', '908554c562cdfa92', '5c63dd8bf6d24d09'),
-    ('seap', 'asynchronous', 32, 0): ('940a88b21111edfb', '215be5ac71832bd5', '33682d15557defc1'),
-    ('seap', 'asynchronous', 32, 1): ('65f13857c02b079d', '215f0bdeb34c5d17', 'd16e2bc977a22bf1'),
+    ('seap', 'asynchronous', 8, 0): ('c1acb0323dc5a62e', 'd06939338a165fc2', '88eabe9580840caa'),
+    ('seap', 'asynchronous', 8, 1): ('c9c0f211be97e3d8', 'ca4b983baa9d08a2', '5c63dd8bf6d24d09'),
+    ('seap', 'asynchronous', 32, 0): ('940a88b21111edfb', '9a42dec75bd1d68e', '33682d15557defc1'),
+    ('seap', 'asynchronous', 32, 1): ('65f13857c02b079d', 'ace6191fa1c7f811', 'd16e2bc977a22bf1'),
     ('kselect', 'synchronous', 2, 0): ('bc43eab5a99d95bb', '1563b2bc06c2066a', 'dc4c7279fa3c8e03'),
     ('kselect', 'synchronous', 2, 1): ('7f10e2c2d49405fe', 'e246066e2ac6e35c', 'a71f86db664d6eeb'),
     ('kselect', 'synchronous', 8, 0): ('a2b9dfd25ee0e3a0', '32bb65e896aa9c5e', '024bd4944715812a'),
