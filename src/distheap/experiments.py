@@ -77,11 +77,12 @@ def run_kselect(
         everything.extend(elems)
     everything.sort(key=lambda e: e.key)
     anchor = nodes[topo.root.owner]
-    sel = anchor.start_selection(k)
+    anchor.run_program(anchor.select(k))
     if mode == SYNC:
         sim.run_sync()
     else:
         sim.run_async(schedule_seed)
+    sel = anchor.selection
     oracle = everything[k - 1] if 1 <= k <= m else None
     return KSelectResult(
         n=n,

@@ -1,7 +1,13 @@
 """Distributed k-selection over elements scattered across the overlay.
 
-The anchor runs each selection as one sequential program (``_select``): a
+The anchor runs each selection as one sequential program (``select``): a
 count of all elements, then three phases, each step a flood/wave barrier.
+
+Anchor programs are generators on one driver (``run_program``) that
+Seap's epochs share.  A program sends its own messages and yields the
+barrier it waits for, ``(wave kind, key)`` or ``("probes", key)``; the
+wave root or probe report resumes it.  A root or report that no program
+waits for, and two programs waiting for one barrier, are faults.
 
 * Phase 1 (at most ``ceil(log2 q) + 1`` iterations, ``m <= n^q``): every node
   reports the priorities of its ``floor(k/n)``-th and ``ceil(k/n)``-th
@@ -47,8 +53,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from dataclasses import dataclass, field
+from typing import Any, Generator
 
 from .hashing import Tag, hash_unit
 from .node import Message, Nat, OverlayNode
@@ -238,6 +244,7 @@ class _CopySlot:
         self.meta = meta  # (n_prime, probe_lo, probe_hi, target)
 
 
+@dataclass
 class _Selection:
     """One invocation as its caller sees it; the anchor program fills it in.
 
@@ -246,18 +253,15 @@ class _Selection:
     samples.
     """
 
-    def __init__(self, inv: int, k: int, on_done: Callable[["_Selection"], None]):
-        self.inv = inv
-        self.k = k
-        self.on_done = on_done
-        self.p2_iter = 0
-        self.retries = 0
-        self.result: Element | None = None
-        self.error: str | None = None
-        self.finished = False
-        self.diag: list[dict] = []
-        self.start_round = 0
-        self.rounds = 0
+    inv: int
+    k: int
+    start_round: int
+    p2_iter: int = 0
+    retries: int = 0
+    result: Element | None = None
+    error: str | None = None
+    diag: list[dict] = field(default_factory=list)
+    rounds: int = 0
 
 
 class KSelectNode(OverlayNode):
@@ -273,11 +277,10 @@ class KSelectNode(OverlayNode):
         self.chosen: dict[tuple, list[Element]] = {}
         self.copy_slots: dict[tuple, _CopySlot] = {}
         self.rendezvous: dict[tuple, CompareOp] = {}
-        # anchor only: the running selection, its program and what it waits for
+        # anchor only: the selection opened last, and each running anchor
+        # program by the barrier it waits for
         self.selection: _Selection | None = None
-        self._program: Generator | None = None
-        self._awaiting: tuple | None = None  # (reply kind, key)
-        self._reports: dict[str, Element] = {}
+        self._programs: dict[tuple, Generator] = {}
 
     # -- element source -------------------------------------------------------
     def selection_universe(self) -> list[Element]:
@@ -294,66 +297,65 @@ class KSelectNode(OverlayNode):
 
     @property
     def done(self) -> bool:
-        if self.selection is None:
-            return True
-        return self.selection.finished
+        return not self._programs
 
-    # -- anchor API --------------------------------------------------------------
-    def start_selection(
-        self, k: int, inv: int = 0, on_done: Callable[[_Selection], None] | None = None
-    ) -> _Selection:
+    # -- anchor programs -----------------------------------------------------------
+    def run_program(self, program: Generator, answer: Any = None) -> None:
+        """Send ``answer`` to an anchor program (``None`` starts it) and file
+        it under the barrier it waits for next, until it returns."""
+        try:
+            barrier = program.send(answer)
+        except StopIteration:
+            return
+        if barrier in self._programs:
+            raise SimulationFault(f"two anchor programs wait for {barrier}")
+        self._programs[barrier] = program
+
+    def _ask(self, kind: str, key: tuple, payload: Any) -> tuple:
+        """Flood ``kind`` and return the barrier of the wave that answers it."""
+        self.flood(kind, key, payload)
+        return _REPLY[kind], key
+
+    def _sort(self, key: tuple, share: tuple) -> Generator[tuple, Any, dict]:
+        """Send a sorting pass's ``k2n`` share down and collect its probe
+        reports by role (``"lo"`` and ``"hi"``, or ``"target"``)."""
+        self.wave_down("k2n", key, self.topo.root, share)
+        reports: dict[str, Element] = {}
+        while "target" not in reports and not reports.keys() >= {"lo", "hi"}:
+            report = yield "probes", key
+            reports[report.role] = report.element
+        return reports
+
+    # -- selections ------------------------------------------------------------------
+    def start_selection(self, k: int, inv: int = 0) -> _Selection:
+        """Open the record of a selection of rank ``k``; ``select`` runs it."""
         if not self.is_anchor:
             raise SimulationFault("selection must start at the anchor")
-        sel = _Selection(inv, k, on_done or (lambda _s: None))
-        sel.start_round = self.sim.time
-        self.selection = sel
-        self._program = self._select(sel)
-        self._resume(None)
+        self.selection = _Selection(inv, k, self.sim.time)
+        return self.selection
+
+    def select(self, k: int, inv: int = 0) -> Generator[tuple, Any, _Selection]:
+        """The anchor program of one selection; returns its record filled in."""
+        sel = self.start_selection(k, inv)
+        sel.result, sel.error = yield from self._select(sel)
+        sel.rounds = self.sim.time - sel.start_round
         return sel
 
-    def _resume(self, answer: Any) -> None:
-        """Hand ``answer`` to the program and send the barrier it yields next,
-        or record the outcome it returns."""
-        try:
-            kind, key, payload = self._program.send(answer)
-        except StopIteration as end:
-            self._program = self._awaiting = None
-            sel = self.selection
-            sel.result, sel.error = end.value
-            sel.finished = True
-            sel.rounds = self.sim.time - sel.start_round
-            sel.on_done(sel)
-            return
-        if kind in _REPLY:
-            self._awaiting = (_REPLY[kind], key)
-            self.flood(kind, key, payload)
-        else:  # a sorting pass's share, answered by its probe reports
-            self._awaiting = ("probes", key)
-            self._reports = {}
-            self.wave_down(kind, key, self.topo.root, payload)
-
     def _select(self, sel: _Selection) -> Generator[tuple, Any, tuple]:
-        """The anchor program of one selection.
-
-        Yields one barrier at a time as ``(kind, key, payload)`` and is sent
-        its answer: for a flood, the combined value of the ``_REPLY[kind]``
-        wave; for the ``k2n`` share of a sorting pass, the probe reports by
-        role (``"lo"`` and ``"hi"``, or ``"target"``).  Returns
-        ``(result, error)``.
-        """
+        """Count, then phases 1 to 3; returns ``(result, error)``."""
         n = self.sim.cfg.n
         inv = sel.inv
         k = sel.k
         threshold = math.isqrt(n)
-        N = yield "ki", (inv,), None
+        N = yield self._ask("ki", (inv,), None)
         if not 1 <= k <= N:
             return None, f"k={k} outside [1, {N}]"
 
         # phase 1: cut at the extreme per-node order statistics
         for it in range(1, phase1_iterations(exponent_for(n, N)) + 1):
             key = (inv, it)
-            lo, hi = yield "k1", key, (k, n)
-            below, above = yield "k1p", key, (lo, hi)
+            lo, hi = yield self._ask("k1", key, (k, n))
+            below, above = yield self._ask("k1p", key, (lo, hi))
             k -= below
             N -= below + above
             sel.diag.append(
@@ -389,7 +391,7 @@ class KSelectNode(OverlayNode):
             sel.p2_iter += 1
             while True:
                 key = (inv, sel.p2_iter, salt)
-                n_prime = yield "k2", key, (p, "sample")
+                n_prime = yield self._ask("k2", key, (p, "sample"))
                 if n_prime:
                     break
                 sel.retries += 1
@@ -400,9 +402,9 @@ class KSelectNode(OverlayNode):
             center = k * n_prime / N
             probe_lo = max(1, min(n_prime, math.floor(center - delta)))
             probe_hi = max(1, min(n_prime, math.ceil(center + delta)))
-            probes = yield "k2n", key, (1, n_prime, n_prime, probe_lo, probe_hi, 0)
+            probes = yield from self._sort(key, (1, n_prime, n_prime, probe_lo, probe_hi, 0))
             lo_elem, hi_elem = probes["lo"], probes["hi"]
-            below_lo, below_hi = yield "k2r", key, (lo_elem, hi_elem)
+            below_lo, below_hi = yield self._ask("k2r", key, (lo_elem, hi_elem))
             rank_lo, rank_hi = below_lo + 1, below_hi + 1
             if rank_lo <= k <= rank_hi:
                 case, bounds = "window", (lo_elem, hi_elem)
@@ -416,7 +418,7 @@ class KSelectNode(OverlayNode):
                 case, bounds = "right", (hi_elem, None)
                 new_n, new_k = N - rank_hi + 1, k - (rank_hi - 1)
                 pruned_below, pruned_above = rank_hi - 1, 0
-            survivors = yield "k2p", key, bounds
+            survivors = yield self._ask("k2p", key, bounds)
             if survivors != new_n:
                 raise SimulationFault(
                     f"survivor count {survivors} does not match exact ranks {new_n}"
@@ -444,10 +446,10 @@ class KSelectNode(OverlayNode):
         # phase 3: sort every survivor; the order is the exact rank
         sel.p2_iter += 1
         key = (inv, sel.p2_iter, salt)
-        n_prime = yield "k2", key, (1.0, "all")
+        n_prime = yield self._ask("k2", key, (1.0, "all"))
         if n_prime != N:
             raise SimulationFault("phase-3 sample must cover all candidates")
-        probes = yield "k2n", key, (1, N, N, 0, 0, k)
+        probes = yield from self._sort(key, (1, N, N, 0, 0, k))
         sel.diag.append(
             {
                 "phase": "p3",
@@ -473,9 +475,10 @@ class KSelectNode(OverlayNode):
         return super().wave_combine(kind, parts)
 
     def wave_root(self, kind: str, key: tuple, combined: Any) -> None:
-        if self._awaiting != (kind, key):
+        program = self._programs.pop((kind, key), None)
+        if program is None:
             raise SimulationFault(f"wave {kind}{key} reached the anchor unasked")
-        self._resume(combined)
+        self.run_program(program, combined)
 
     # -- sort plumbing: positions, copies, rendezvous, votes ---------------------------
     def wave_deliver(self, kind, key, vid, share) -> None:
@@ -627,11 +630,10 @@ class KSelectNode(OverlayNode):
                 self.sim.send(self.id, anchor, ProbeReport(key, "hi", order, slot.element))
 
     def _probe_report(self, report: ProbeReport) -> None:
-        if self._awaiting != ("probes", report.key):
+        program = self._programs.pop(("probes", report.key), None)
+        if program is None:
             raise SimulationFault(f"probe report for a stale sorting pass {report.key}")
-        self._reports[report.role] = report.element
-        if "target" in self._reports or self._reports.keys() >= {"lo", "hi"}:
-            self._resume(self._reports)
+        self.run_program(program, report)
 
     # -- per-node flood handling -------------------------------------------------------------------
     def on_flood(self, kind: str, key: tuple, vid: VirtualId, payload: Any) -> None:

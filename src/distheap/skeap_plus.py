@@ -1,37 +1,41 @@
 """Arbitrary-priority distributed heap: alternating insert/delete phases.
 
-Each epoch has two strictly separated phases driven by anchor barriers:
+The anchor runs each epoch as one program (``_epoch``) on KSelect's
+driver, all started with the anchor.  It waits for three counts in turn:
 
-* insert phase: nodes snapshot their buffered inserts and aggregate only
-  the count; the anchor grows its element total and broadcasts the go
-  signal; every element is stored in the DHT under an independent
-  pseudorandom key and acknowledged; a node switches to the delete phase
-  once all its acknowledgments arrived.
-* delete phase: the delete count k aggregates to the anchor, which runs
-  k-selection for the element of rank k* = min(k, stored total).  The
-  bound element is broadcast; every node counts its stored elements up
-  to the bound, the counts aggregate, and the position interval [1, k*]
-  decomposes over the tree so storing nodes move their qualifying
-  elements (ascending) to position-salted DHT keys.  In parallel the
-  interval [1, k] decomposes over the deleting nodes' counts; deletes
-  fetch their positions, and positions beyond k* return bottom.  The
-  anchor shrinks its total by k* and the next insert phase begins.
+* ``si``, the inserts the nodes snapshot: the anchor adds them to its
+  element total m and floods ``fi``; nodes store each element in the DHT
+  under a pseudorandom key and enter the delete phase once all their puts
+  are acknowledged.
+* ``sd``, the deletes k: if k = 0 the anchor floods ``fskip``.  Otherwise
+  it shrinks m by k* = min(k, m), runs the KSelect program for the
+  element of rank k* (none if k* = 0), floods that bound (``fq``) and
+  splits [1, k] down the ``sd`` wave over the deleting nodes; a delete
+  fetches its position from a position-salted DHT key, or returns bottom
+  past k*.
+* ``sq``, the stored elements up to the bound: it must equal k*.  Then
+  [1, k*] splits down the tree, and the storing nodes move those elements
+  (ascending) to the position keys.
+
+Epochs overlap at the anchor: a node whose deletes all return bottom
+enters the next epoch at its ``sd`` share, so the ``si`` of epoch e+1 can
+arrive before the ``sq`` of epoch e.  A count that no program waits for is
+a fault.
 
 The constructed serialization per epoch is: all inserts (in ascending
 element order), then all deletes ordered by the key of the element they
-return, bottoms last.  Positions are handed out in tree-combine order, not
-in rank order, so the position order is no serialization.  Only
+return, bottoms last (positions follow the tree, not the ranks).  Only
 serializability is claimed; a node's own requests may serialize out of
 issue order.
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Generator
 
 from .batches import DELETE, INSERT
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
-from .kselect import KSelectError, KSelectNode, _Selection
+from .kselect import KSelectError, KSelectNode
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
 from .workload import HeapRequest, RequestSource
@@ -58,8 +62,9 @@ class SkeapPlusNode(KSelectNode):
         self.qual_limit: dict[int, Element | None] = {}
         if self.is_anchor:
             self.m = 0
-            self.drive: dict[int, dict] = {}
             self.epoch_log: list[dict] = []
+            for epoch in range(self.total_epochs):
+                self.run_program(self._epoch(epoch))
 
     # -- element source for selections ------------------------------------------
     def selection_universe(self) -> list[Element]:
@@ -108,52 +113,32 @@ class SkeapPlusNode(KSelectNode):
             return sum(parts)
         return super().wave_combine(kind, parts)
 
-    def wave_root(self, kind: str, key: tuple, combined: Any) -> None:
-        if kind == "si":
-            self.m += combined
-            self.flood("fi", key, None)
-        elif kind == "sd":
-            self._root_deletes(key[0], combined)
-        elif kind == "sq":
-            epoch = key[0]
-            k_star = self.drive[epoch]["k_star"]
-            if combined != k_star:
-                raise SimulationFault(
-                    f"qualifying count {combined} != k*={k_star} in epoch {epoch}"
-                )
-            self.wave_down("sq", key, self.topo.root, (1, k_star, epoch))
-        else:
-            super().wave_root(kind, key, combined)
-
-    def _root_deletes(self, epoch: int, k_total: int) -> None:
-        if k_total == 0:
-            self.drive[epoch] = {"k": 0, "k_star": 0}
-            self.epoch_log.append({"epoch": epoch, "k": 0, "k_star": 0, "m": self.m})
-            self.flood("fskip", (epoch,), None)
+    # -- the anchor program of one epoch ---------------------------------------------
+    def _epoch(self, epoch: int) -> Generator[tuple, Any, None]:
+        key = (epoch,)
+        self.m += yield "si", key
+        self.flood("fi", key, None)
+        k = yield "sd", key
+        k_star = min(k, self.m)
+        self.epoch_log.append({"epoch": epoch, "k": k, "k_star": k_star, "m": self.m})
+        if k == 0:
+            self.flood("fskip", key, None)
             return
-        k_star = min(k_total, self.m)
         self.m -= k_star
-        self.drive[epoch] = {"k": k_total, "k_star": k_star}
-        self.epoch_log.append(
-            {"epoch": epoch, "k": k_total, "k_star": k_star, "m": self.m + k_star}
-        )
-        if k_star == 0:
-            self._after_select(epoch, None)
-        else:
-            self.start_selection(
-                k_star, inv=epoch, on_done=lambda sel: self._after_select(epoch, sel)
+        limit = None
+        if k_star:
+            sel = yield from self.select(k_star, epoch)
+            if sel.error:
+                raise KSelectError(sel.error)
+            limit = sel.result
+        self.flood("fq", key, (limit, k_star))
+        self.wave_down("sd", key, self.topo.root, (1, k, k_star, epoch))
+        qualifying = yield "sq", key
+        if qualifying != k_star:
+            raise SimulationFault(
+                f"qualifying count {qualifying} != k*={k_star} in epoch {epoch}"
             )
-
-    def _after_select(self, epoch: int, sel: _Selection | None) -> None:
-        if sel is not None and sel.error:
-            raise KSelectError(sel.error)
-        limit = sel.result if sel is not None else None
-        drive = self.drive[epoch]
-        drive["limit"] = limit
-        self.flood("fq", (epoch,), (limit, drive["k_star"]))
-        self.wave_down(
-            "sd", (epoch,), self.topo.root, (1, drive["k"], drive["k_star"], epoch)
-        )
+        self.wave_down("sq", key, self.topo.root, (1, k_star, epoch))
 
     # -- sd and sq shares: intervals split by counts (the default wave_split) ---------------
     def wave_deliver(self, kind, key, vid, share) -> None:
@@ -283,7 +268,9 @@ def finalize_records(nodes: list[SkeapPlusNode]) -> list[OperationRecord]:
                     raise SimulationFault("delete finished without an outcome")
                 deletes.append((req.assigned, node, req))
         inserts.sort(key=lambda t: t[0].key)
-        deletes.sort(key=lambda t: (1, t[0]) if t[2].returned == BOTTOM else (0, t[2].returned.key))
+        deletes.sort(
+            key=lambda t: (1, t[0]) if t[2].returned == BOTTOM else (0, t[2].returned.key)
+        )
         for element, node, req in inserts:
             records.append(
                 OperationRecord(

@@ -182,7 +182,7 @@ def _started(n, m, seed):
         sim.add_node(node)
         node.seed_elements(elems)
     anchor = nodes[topo.root.owner]
-    anchor.start_selection(n)
+    anchor.run_program(anchor.select(n))
     return sim, nodes, anchor
 
 
@@ -195,6 +195,16 @@ def test_anchor_rejects_a_wave_it_does_not_wait_for(kind, key):
     _, _, anchor = _started(8, 64, 1)  # the selection waits for the ki count
     with pytest.raises(SimulationFault, match="unasked"):
         anchor.wave_root(kind, key, (1, 2))
+
+
+def test_two_programs_may_not_wait_for_one_barrier():
+    _, _, anchor = _started(8, 64, 1)  # the selection waits for the ki count
+
+    def program():
+        yield "ki", (0,)
+
+    with pytest.raises(SimulationFault, match="two anchor programs wait for"):
+        anchor.run_program(program())
 
 
 def test_anchor_rejects_a_stale_probe_report(monkeypatch):

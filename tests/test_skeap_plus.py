@@ -7,11 +7,14 @@ empty; the scripted runs cover k* = 0.
 """
 import pytest
 
+from distheap import kselect
 from distheap.batches import DELETE, INSERT
 from distheap.consistency import BOTTOM
 from distheap.experiments import _run_heap, run_skeap_plus
-from distheap.sim import ASYNC, SYNC, Element
-from distheap.skeap_plus import build_skeap_plus
+from distheap.kselect import KSelectError
+from distheap.overlay import CycleTopology
+from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
+from distheap.skeap_plus import SkeapPlusNode, build_skeap_plus
 
 
 def checked(res):
@@ -50,11 +53,57 @@ def test_no_wave_session_outlives_a_run(mode, script):
     # si and KSelect's reply waves end with their combine; the sd wave of an
     # epoch without deletes sends no share and ends at the fskip flood
     n = 16
-    _, nodes, _ = _run_heap(
+    _, nodes, anchor = _run_heap(
         build_skeap_plus, 3, None, script,
         n=n, seed=1, priority_universe=n * n, lam=2, mode=mode, epochs=3,
     )
     assert sum(len(node._waves) for node in nodes) == 0
+    assert anchor._programs == {}  # every epoch program ran to its end
+
+
+def _recorded_roots(monkeypatch):
+    """The (kind, key) of every wave that reaches the anchor, in order."""
+    roots = []
+    wave_root = SkeapPlusNode.wave_root
+
+    def recording(self, kind, key, combined):
+        roots.append((kind, key))
+        wave_root(self, kind, key, combined)
+
+    monkeypatch.setattr(SkeapPlusNode, "wave_root", recording)
+    return roots
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_epoch_programs_overlap_at_the_anchor(mode, monkeypatch):
+    # a node whose deletes all return bottom enters epoch 1 at its sd share,
+    # so si(1) reaches the anchor while epoch 0 still waits for its sq
+    roots = _recorded_roots(monkeypatch)
+    res = run_script(mode, {0: [(DELETE, None)]}, n=16, epochs=3)
+    assert roots.index(("si", (1,))) < roots.index(("sq", (0,)))
+    assert [row["k_star"] for row in res.extra["epochs"]] == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "kind", ["si", "sq"], ids=["second-insert-count", "qualifying-count-before-deletes"]
+)
+def test_anchor_rejects_a_count_no_epoch_waits_for(kind, monkeypatch):
+    roots = _recorded_roots(monkeypatch)
+    n = 4
+    sim = Simulator(SimConfig(n=n, seed=1, priority_universe=n * n, lam=1, epochs=1))
+    topo = CycleTopology.build(n, 1)
+    anchor = build_skeap_plus(sim, topo)[topo.root.owner]
+    while ("si", (0,)) not in roots:  # then epoch 0 waits for its delete count
+        assert sim.time < 100, "the insert count never reached the anchor"
+        sim.step_round()
+    with pytest.raises(SimulationFault, match="unasked"):
+        anchor.wave_root(kind, (0,), 0)
+
+
+def test_a_failed_selection_stops_the_run(monkeypatch):
+    monkeypatch.setattr(kselect, "sample_probability", lambda n, candidates: 1e-9)
+    with pytest.raises(KSelectError, match="^sampling repeatedly produced no candidates$"):
+        run_skeap_plus(16, seed=1, lam=2, epochs=1)
 
 
 @pytest.mark.parametrize("seed", range(4))
