@@ -116,7 +116,8 @@ class SkeapPlusNode(KSelectNode):
     # -- the anchor program of one epoch ---------------------------------------------
     def _epoch(self, epoch: int) -> Generator[tuple, Any, None]:
         key = (epoch,)
-        self.m += yield "si", key
+        inserted = yield "si", key  # read m only once the count is here
+        self.m += inserted
         self.flood("fi", key, None)
         k = yield "sd", key
         k_star = min(k, self.m)

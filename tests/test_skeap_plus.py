@@ -46,6 +46,28 @@ def test_insert_then_two_deletes_gives_the_element_and_one_bottom(mode):
 
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_elements_left_in_the_heap_count_in_the_next_epoch(mode, monkeypatch):
+    # epoch 0 stores three elements and deletes one; node 1 issues one more
+    # insert and two deletes as it enters epoch 1, which must see m = 2 + 1
+    enter_insert = SkeapPlusNode._enter_insert
+
+    def issuing(self, epoch):
+        if self.id == 1 and epoch == 1:
+            self.source.preload([(INSERT, 9), (DELETE, None), (DELETE, None)])
+        enter_insert(self, epoch)
+
+    monkeypatch.setattr(SkeapPlusNode, "_enter_insert", issuing)
+    script = {1: [(INSERT, 5), (INSERT, 7), (INSERT, 3), (DELETE, None)]}
+    res = run_script(mode, script, epochs=2)
+    assert res.extra["epochs"] == [
+        {"epoch": 0, "k": 1, "k_star": 1, "m": 3},
+        {"epoch": 1, "k": 2, "k_star": 2, "m": 3},
+    ]
+    returned = [r.returned.priority for r in res.records if r.kind == DELETE]
+    assert returned == [3, 5, 7]
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
 @pytest.mark.parametrize(
     "script", [None, {0: [(DELETE, None)]}], ids=["generated", "scripted"]
 )
