@@ -1,8 +1,10 @@
 """History recording and verification of heap semantics.
 
-A completed run yields one record per heap request.  The checkers
-consume the protocol's own serialization order (records sorted by
-``serial_index``) and the matching induced by returned elements:
+The records are the issued requests themselves: ``workload.RequestSource``
+issues each heap request as an ``OperationRecord``, and the protocol fills
+in its outcome.  The checkers consume the protocol's own serialization
+order (records sorted by ``serial_index``) and the matching induced by
+returned elements:
 
 * ``check_serializable`` replays the order against a serial priority
   queue.  A matched delete must return an element that is present and of

@@ -30,19 +30,10 @@ from .hashing import Tag, hash_unit
 from .node import OverlayNode
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
-from .workload import HeapRequest, RequestSource
+from .workload import RequestSource
 
 _NS = "skeap"
 _WAVE = "sb"
-
-
-class _EpochWork:
-    __slots__ = ("requests", "runs", "batch")
-
-    def __init__(self, requests: list[HeapRequest], runs, batch: Batch):
-        self.requests = requests
-        self.runs = runs
-        self.batch = batch
 
 
 class SkeapNode(OverlayNode):
@@ -53,8 +44,9 @@ class SkeapNode(OverlayNode):
         self.source = RequestSource(node_id, cfg, cfg.priority_count)
         self.epoch = -1  # last epoch entered
         self.total_epochs = cfg.epochs
-        self.inflight: dict[int, _EpochWork] = {}
-        self.outstanding: dict[Any, HeapRequest] = {}
+        # epoch -> (snapshot requests, their runs in the batch)
+        self.inflight: dict[int, tuple[list[OperationRecord], list]] = {}
+        self.outstanding: dict[Any, OperationRecord] = {}
         self.finished = False
         if self.is_anchor:
             self.anchor_state = AnchorState(self.priorities)
@@ -75,7 +67,7 @@ class SkeapNode(OverlayNode):
         snapshot = self.source.snapshot()
         kinds = [(r.kind, r.element.priority if r.element else None) for r in snapshot]
         batch, runs = batches.snapshot_batch(kinds, self.priorities)
-        self.inflight[epoch] = _EpochWork(snapshot, runs, batch)
+        self.inflight[epoch] = (snapshot, runs)
         self.contribute_all(_WAVE, (epoch,), batch, Batch(self.priorities))
 
     @property
@@ -109,12 +101,12 @@ class SkeapNode(OverlayNode):
 
     # -- phases 3 and 4 --------------------------------------------------------------
     def _apply_share(self, epoch: int, share) -> None:
-        work = self.inflight.pop(epoch)
-        for j, (ins_idx, del_idx) in enumerate(work.runs):
+        requests, runs = self.inflight.pop(epoch)
+        for j, (ins_idx, del_idx) in enumerate(runs):
             entry = share[j]
             cursors = [iv[0] if iv else None for iv in entry.ins]
             for offset, req_i in enumerate(ins_idx):
-                req = work.requests[req_i]
+                req = requests[req_i]
                 p = req.element.priority
                 pos = cursors[p - 1]
                 cursors[p - 1] += 1
@@ -127,7 +119,7 @@ class SkeapNode(OverlayNode):
                 for pos in range(lo, hi + 1)
             ]
             for offset, req_i in enumerate(del_idx):
-                req = work.requests[req_i]
+                req = requests[req_i]
                 req.serial_index = entry.del_base + entry.del_offset + offset
                 if offset < len(flat):
                     req.assigned = flat[offset]
@@ -140,11 +132,11 @@ class SkeapNode(OverlayNode):
     def _key(self, p: int, pos: int) -> float:
         return hash_unit(Tag.SKEAP_KEY, (p, pos), self.sim.cfg.seed)
 
-    def _execute_insert(self, req: HeapRequest) -> None:
+    def _execute_insert(self, req: OperationRecord) -> None:
         p, pos = req.assigned
         self.dht_put(_NS, (p, pos), self._key(p, pos), req.element, None)
 
-    def _execute_delete(self, req: HeapRequest) -> None:
+    def _execute_delete(self, req: OperationRecord) -> None:
         p, pos = req.assigned
         token = (req.seq,)
         self.outstanding[token] = req
@@ -156,23 +148,10 @@ class SkeapNode(OverlayNode):
 
     # -- reporting --------------------------------------------------------------------
     def records(self) -> list[OperationRecord]:
-        out = []
-        for req in self.source.issued:
-            if req.serial_index < 0:
-                continue  # never snapshotted within the configured epochs
-            if req.kind == DELETE and req.returned is None:
-                raise SimulationFault("delete finished without an outcome")
-            out.append(
-                OperationRecord(
-                    node=self.id,
-                    seq=req.seq,
-                    kind=req.kind,
-                    element=req.element,
-                    assigned=req.assigned,
-                    serial_index=req.serial_index,
-                    returned=req.returned,
-                )
-            )
+        # requests never snapshotted within the configured epochs stay unnumbered
+        out = [req for req in self.source.issued if req.serial_index >= 0]
+        if any(req.kind == DELETE and req.returned is None for req in out):
+            raise SimulationFault("delete finished without an outcome")
         return out
 
 

@@ -38,7 +38,7 @@ from .hashing import Tag, hash_unit
 from .kselect import KSelectError, KSelectNode
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
-from .workload import HeapRequest, RequestSource
+from .workload import RequestSource
 
 _ELEM = "elem"
 _POS = "pos"
@@ -54,10 +54,10 @@ class SkeapPlusNode(KSelectNode):
         self.total_epochs = cfg.epochs
         self.epoch = -1
         self.finished = False
-        self.ins_snapshot: dict[int, list[HeapRequest]] = {}
-        self.del_snapshot: dict[int, list[HeapRequest]] = {}
+        self.ins_snapshot: dict[int, list[OperationRecord]] = {}
+        self.del_snapshot: dict[int, list[OperationRecord]] = {}
         self.pending_put_acks: dict[int, int] = {}
-        self.outstanding_gets: dict[Any, HeapRequest] = {}
+        self.outstanding_gets: dict[Any, OperationRecord] = {}
         self.open_gets: dict[int, int] = {}
         self.qual_limit: dict[int, Element | None] = {}
         if self.is_anchor:
@@ -249,7 +249,8 @@ class SkeapPlusNode(KSelectNode):
 
 
 def finalize_records(nodes: list[SkeapPlusNode]) -> list[OperationRecord]:
-    """Assemble the constructed serialization across all epochs.
+    """Number the requests in place by the constructed serialization and
+    return them in that order.
 
     Per epoch: inserts in ascending element order, then deletes ordered by
     the key of the element they return, then the bottoms by assigned
@@ -257,47 +258,18 @@ def finalize_records(nodes: list[SkeapPlusNode]) -> list[OperationRecord]:
     """
     epochs = max((n.total_epochs for n in nodes), default=0)
     records: list[OperationRecord] = []
-    counter = 1
     for epoch in range(epochs):
-        inserts: list[tuple[Element, SkeapPlusNode, HeapRequest]] = []
-        deletes: list[tuple[int, SkeapPlusNode, HeapRequest]] = []
-        for node in nodes:
-            for req in node.ins_snapshot.get(epoch, []):
-                inserts.append((req.element, node, req))
-            for req in node.del_snapshot.get(epoch, []):
-                if req.returned is None:
-                    raise SimulationFault("delete finished without an outcome")
-                deletes.append((req.assigned, node, req))
-        inserts.sort(key=lambda t: t[0].key)
+        inserts = [r for n in nodes for r in n.ins_snapshot.get(epoch, [])]
+        deletes = [r for n in nodes for r in n.del_snapshot.get(epoch, [])]
+        if any(r.returned is None for r in deletes):
+            raise SimulationFault("delete finished without an outcome")
+        inserts.sort(key=lambda r: r.element.key)
         deletes.sort(
-            key=lambda t: (1, t[0]) if t[2].returned == BOTTOM else (0, t[2].returned.key)
+            key=lambda r: (1, r.assigned) if r.returned == BOTTOM else (0, r.returned.key)
         )
-        for element, node, req in inserts:
-            records.append(
-                OperationRecord(
-                    node=node.id,
-                    seq=req.seq,
-                    kind=INSERT,
-                    element=element,
-                    assigned=None,
-                    serial_index=counter,
-                    returned=None,
-                )
-            )
-            counter += 1
-        for pos, node, req in deletes:
-            records.append(
-                OperationRecord(
-                    node=node.id,
-                    seq=req.seq,
-                    kind=DELETE,
-                    element=None,
-                    assigned=pos,
-                    serial_index=counter,
-                    returned=req.returned,
-                )
-            )
-            counter += 1
+        records += inserts + deletes
+    for index, rec in enumerate(records, start=1):
+        rec.serial_index = index
     return records
 
 

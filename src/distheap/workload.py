@@ -5,32 +5,27 @@ every activation a node injects up to ``lam`` requests until its budget
 is exhausted, mixing inserts and delete-mins; inserted elements carry
 the issuing node and a per-node sequence number as tiebreaker.  A test
 may instead preload a script of requests.
+
+Every request is issued as an ``OperationRecord``.  The protocol fills in
+its ``assigned``, ``serial_index`` and ``returned`` fields, and the
+checkers of ``consistency`` read those same objects.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any
 
 from .batches import DELETE, INSERT
+from .consistency import OperationRecord
 from .hashing import Tag, mix64
 from .sim import Element, SimConfig
 
 INSERT_RATIO = 0.6  # share of generated requests that are inserts
 
 
-@dataclass(slots=True)
-class HeapRequest:
-    kind: str
-    seq: int
-    element: Element | None = None  # only for inserts
-    assigned: Any = None
-    serial_index: int = -1
-    returned: Any = None
-
-
 class RequestSource:
-    """Buffers issued requests until a protocol snapshots them.
+    """Issues requests as ``OperationRecord``s, which the protocol fills in,
+    and buffers them until the protocol snapshots them.  ``issued`` keeps
+    them all in issue order.
 
     A node issues ``2 * lam * epochs`` random requests in all, with
     priorities drawn from ``[1, priority_universe]``.
@@ -43,20 +38,20 @@ class RequestSource:
         self.priority_universe = priority_universe
         self.rng = random.Random(mix64(cfg.seed, Tag.WORKLOAD, node_id))
         self.seq = 0
-        self.buffer: list[HeapRequest] = []
-        self.issued: list[HeapRequest] = []
+        self.buffer: list[OperationRecord] = []
+        self.issued: list[OperationRecord] = []
 
     def preload(self, script: list[tuple[str, int | None]]) -> None:
         for kind, prio in script:
             self._issue(kind, prio)
         self.budget = 0
 
-    def _issue(self, kind: str, prio: int | None) -> HeapRequest:
+    def _issue(self, kind: str, prio: int | None) -> OperationRecord:
         self.seq += 1
         element = None
         if kind == INSERT:
             element = Element(prio, self.node_id, self.seq)
-        req = HeapRequest(kind=kind, seq=self.seq, element=element)
+        req = OperationRecord(self.node_id, self.seq, kind, element)
         self.buffer.append(req)
         self.issued.append(req)
         return req
@@ -72,7 +67,7 @@ class RequestSource:
         self.budget -= count
         return count
 
-    def snapshot(self, kind: str | None = None) -> list[HeapRequest]:
+    def snapshot(self, kind: str | None = None) -> list[OperationRecord]:
         """Remove and return buffered requests (optionally one kind only)."""
         if kind is None:
             taken, self.buffer = self.buffer, []

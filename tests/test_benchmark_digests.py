@@ -1,0 +1,32 @@
+"""The benchmark's workloads still give their pinned results.
+
+``perfbench/workloads.py`` hashes each workload's records, verdict, extra
+fields and simulated metrics.  A change that moves one of these digests
+changes what the benchmark measures, even when every smaller case stays
+green; these tests pin them at schedule seed 0.
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import distheap
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+EXPECTED = {
+    "skeap-sync-n512": "d8e6fb222fb8037c",
+    "kselect-sync-n128": "415bc3a45f41129c",
+    "seap-async-n128": "2b6c8edb394bad28",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_workload_digest_is_pinned(name):
+    wl = workloads.WORKLOADS[name]
+    result = workloads.run(distheap, wl, 0)
+    assert not workloads.failed(wl, result)
+    assert workloads.digest(wl, result) == EXPECTED[name]

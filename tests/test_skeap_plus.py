@@ -45,18 +45,23 @@ def test_insert_then_two_deletes_gives_the_element_and_one_bottom(mode):
     assert returned == [Element(5, 1, 1), BOTTOM]
 
 
+def issue_on_entering_epoch_1(monkeypatch, node_id, requests):
+    """Make ``node_id`` issue ``requests`` as it enters epoch 1."""
+    enter_insert = SkeapPlusNode._enter_insert
+
+    def issuing(self, epoch):
+        if self.id == node_id and epoch == 1:
+            self.source.preload(requests)
+        enter_insert(self, epoch)
+
+    monkeypatch.setattr(SkeapPlusNode, "_enter_insert", issuing)
+
+
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_elements_left_in_the_heap_count_in_the_next_epoch(mode, monkeypatch):
     # epoch 0 stores three elements and deletes one; node 1 issues one more
     # insert and two deletes as it enters epoch 1, which must see m = 2 + 1
-    enter_insert = SkeapPlusNode._enter_insert
-
-    def issuing(self, epoch):
-        if self.id == 1 and epoch == 1:
-            self.source.preload([(INSERT, 9), (DELETE, None), (DELETE, None)])
-        enter_insert(self, epoch)
-
-    monkeypatch.setattr(SkeapPlusNode, "_enter_insert", issuing)
+    issue_on_entering_epoch_1(monkeypatch, 1, [(INSERT, 9), (DELETE, None), (DELETE, None)])
     script = {1: [(INSERT, 5), (INSERT, 7), (INSERT, 3), (DELETE, None)]}
     res = run_script(mode, script, epochs=2)
     assert res.extra["epochs"] == [
@@ -65,6 +70,20 @@ def test_elements_left_in_the_heap_count_in_the_next_epoch(mode, monkeypatch):
     ]
     returned = [r.returned.priority for r in res.records if r.kind == DELETE]
     assert returned == [3, 5, 7]
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_deletes_past_the_stored_elements_return_bottom_in_a_later_epoch(mode, monkeypatch):
+    # epoch 0 keeps one of its two elements; node 2 issues three deletes as
+    # it enters epoch 1, where k = 3 > m = 1
+    issue_on_entering_epoch_1(monkeypatch, 2, [(DELETE, None)] * 3)
+    res = run_script(mode, {1: [(INSERT, 5), (INSERT, 7), (DELETE, None)]}, epochs=2)
+    assert res.extra["epochs"] == [
+        {"epoch": 0, "k": 1, "k_star": 1, "m": 2},
+        {"epoch": 1, "k": 3, "k_star": 1, "m": 1},
+    ]
+    returned = [r.returned for r in res.records if r.kind == DELETE]
+    assert returned == [Element(5, 1, 1), Element(7, 1, 2), BOTTOM, BOTTOM]
 
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
