@@ -4,7 +4,9 @@ A batch compresses a node's buffered heap requests, in issue order, into
 alternating entries: a per-priority insert-count vector followed by a
 delete count.  Consecutive requests of the same kind share an entry.
 Batches combine by entrywise addition (shorter batches are padded with
-zeros), which is what flows up the aggregation tree.
+zeros), which is what flows up the aggregation tree.  The empty batch
+is the identity of that addition, and ``combine_all`` skips it: most
+nodes buffer nothing in a given epoch.
 
 The anchor turns a combined batch into position intervals per entry:
 inserts extend the occupied interval of their priority at the top,
@@ -15,7 +17,9 @@ nothing).  Shares are decomposed back down the tree in the exact order
 the batches were combined: own contribution first, then children
 ascending by label.  Alongside the intervals each share carries the
 entry's global serialization bases and this subtree's offsets, so every
-request can compute a unique serialization index locally.
+request can compute a unique serialization index locally.  A part with
+no entry j, or no inserts in it, gets an all-``None`` insert share
+without a walk over the priorities.
 """
 from __future__ import annotations
 
@@ -103,8 +107,22 @@ def combine(b1: Batch, b2: Batch) -> Batch:
 
 
 def combine_all(batches: Iterable[Batch], priorities: int) -> Batch:
-    out = Batch(priorities)
+    """Fold ``batches`` with ``combine``, in order.
+
+    The empty batch is ``combine``'s identity, so parts without entries are
+    skipped (after their priority count is checked); a single non-empty
+    part comes back unchanged.
+    """
+    nonempty: list[Batch] = []
     for b in batches:
+        if b.priorities != priorities:
+            raise SimulationFault("cannot combine batches over different priority sets")
+        if b.entries:
+            nonempty.append(b)
+    if not nonempty:
+        return Batch(priorities)
+    out = nonempty[0]
+    for b in nonempty[1:]:
         out = combine(out, b)
     return out
 
@@ -212,28 +230,41 @@ def decompose(share: Share, parts: Sequence[Batch]) -> list[Share]:
     batch first, then children ascending by label.
     """
     priorities = parts[0].priorities if parts else 0
-    zero_entry = (tuple([0] * priorities), 0)
+    no_ins: tuple[None, ...] = (None,) * priorities
     out: list[list[EntryShare]] = [[] for _ in parts]
     for j, entry_share in enumerate(share):
-        ins_cursor: list[int] = [iv[0] if iv else 0 for iv in entry_share.ins]
-        del_stream = list(entry_share.dels)
+        share_ins = entry_share.ins
+        ins_cursor: list[int] = [iv[0] if iv else 0 for iv in share_ins]
+        del_stream = entry_share.dels
         del_stream_pos = 0  # index into del_stream
         del_inner = 0  # positions consumed within del_stream[del_stream_pos]
         bottoms_left = entry_share.bottoms
+        ins_base = entry_share.ins_base
+        del_base = entry_share.del_base
         ins_off = entry_share.ins_offset
         del_off = entry_share.del_offset
         for part_i, part in enumerate(parts):
-            vec, d = part.entries[j] if j < len(part.entries) else zero_entry
-            part_ins: list[tuple[int, int] | None] = []
-            for p, count in enumerate(vec):
-                if count == 0:
-                    part_ins.append(None)
-                    continue
-                iv = entry_share.ins[p]
-                if iv is None or ins_cursor[p] + count - 1 > iv[1]:
-                    raise SimulationFault("insert share does not cover sub-batch")
-                part_ins.append((ins_cursor[p], ins_cursor[p] + count - 1))
-                ins_cursor[p] += count
+            if j >= len(part.entries):
+                out[part_i].append(
+                    EntryShare(no_ins, (), 0, ins_base, del_base, ins_off, del_off)
+                )
+                continue
+            vec, d = part.entries[j]
+            n_ins = sum(vec)
+            if n_ins:
+                part_ins: list[tuple[int, int] | None] = []
+                for p, count in enumerate(vec):
+                    if count == 0:
+                        part_ins.append(None)
+                        continue
+                    iv = share_ins[p]
+                    if iv is None or ins_cursor[p] + count - 1 > iv[1]:
+                        raise SimulationFault("insert share does not cover sub-batch")
+                    part_ins.append((ins_cursor[p], ins_cursor[p] + count - 1))
+                    ins_cursor[p] += count
+                ins_tuple: tuple[tuple[int, int] | None, ...] = tuple(part_ins)
+            else:
+                ins_tuple = no_ins
             part_dels: list[tuple[int, int, int]] = []
             need = d
             while need > 0 and del_stream_pos < len(del_stream):
@@ -254,24 +285,21 @@ def decompose(share: Share, parts: Sequence[Batch]) -> list[Share]:
                 bottoms_left -= need
             out[part_i].append(
                 EntryShare(
-                    ins=tuple(part_ins),
+                    ins=ins_tuple,
                     dels=tuple(part_dels),
                     bottoms=part_bottoms,
-                    ins_base=entry_share.ins_base,
-                    del_base=entry_share.del_base,
+                    ins_base=ins_base,
+                    del_base=del_base,
                     ins_offset=ins_off,
                     del_offset=del_off,
                 )
             )
-            ins_off += sum(vec)
+            ins_off += n_ins
             del_off += d
         if (
             del_stream_pos != len(del_stream)
             or bottoms_left != 0
-            or any(
-                entry_share.ins[p] is not None and ins_cursor[p] != entry_share.ins[p][1] + 1
-                for p in range(priorities)
-            )
+            or ins_cursor != [iv[1] + 1 if iv else 0 for iv in share_ins]
         ):
             raise SimulationFault("share cardinality does not match combined batch")
     return [tuple(entries) for entries in out]

@@ -19,10 +19,12 @@ Key responsibility follows the predecessor rule: the virtual node v with
 v <= key < succ(v) (cyclically) owns the key.  Routing emulates de
 Bruijn bit-shifting on labels: hop j targets the real value whose
 binary expansion is the top j bits of the key followed by the bits of
-the start label.  Each step resolves the key to the cycle index of its
-responsible node; after the de Bruijn hops the route walks toward that
-index the shorter way round the cycle, so a route that ends next to the
-wrap crosses it instead of circling the ring.
+the start label.  Arrival is a local check of the current node's own arc
+(its label <= key < its successor's label), so a waypoint hop never
+resolves the key's owner; only after the de Bruijn hops does the route
+resolve the cycle index of the responsible node, and it walks toward
+that index the shorter way round the cycle, so a route that ends next to
+the wrap crosses it instead of circling the ring.
 """
 from __future__ import annotations
 
@@ -66,6 +68,7 @@ class CycleTopology:
         self.order: list[VirtualId] = sorted(self.labels, key=self.labels.__getitem__)
         self._sorted_labels = [self.labels[v] for v in self.order]
         self._index = {vid: i for i, vid in enumerate(self.order)}
+        self._debruijn_hops = math.ceil(math.log2(n)) + 2
         self.root = self.order[0]
         self.parent: dict[VirtualId, VirtualId | None] = {}
         self.children: dict[VirtualId, list[VirtualId]] = {v: [] for v in self.order}
@@ -129,28 +132,34 @@ class CycleTopology:
 
     # -- routing ---------------------------------------------------------------
     def debruijn_hops(self) -> int:
-        return math.ceil(math.log2(self.n)) + 2
+        return self._debruijn_hops
 
     def route_step(
         self, current: VirtualId, key: float, start_label: float, hop: int
     ) -> VirtualId | None:
         """Next virtual node on the route, or None if ``current`` is responsible.
 
-        The first ``debruijn_hops()`` hops go to de Bruijn waypoints; after
-        them the route walks toward the cycle index of the node responsible
-        for ``key``, one neighbour at a time, the shorter way round.
+        Arrival is a local check: ``current`` owns ``key`` when its label
+        <= key < its successor's label, cyclically.  The first
+        ``debruijn_hops()`` hops go to de Bruijn waypoints; after them the
+        route resolves the cycle index of the node responsible for ``key``
+        and walks toward it, one neighbour at a time, the shorter way round.
         """
-        target = self._cycle_index(key)
+        if not (0.0 <= key < 1.0):
+            raise ValueError("keys live in [0, 1)")
+        labels = self._sorted_labels
+        size = len(labels)
         at = self._index[current]
-        if at == target:
+        if at + 1 < size:
+            if labels[at] <= key < labels[at + 1]:
+                return None
+        elif key >= labels[at] or key < labels[0]:  # the last node owns the wrap arc
             return None
-        d = self.debruijn_hops()
-        if hop < d:
+        if hop < self._debruijn_hops:
             j = hop + 1
-            prefix = math.floor(key * (1 << j))
-            waypoint = (prefix + start_label) / (1 << j)
-            return self.responsible(waypoint)
-        size = len(self.order)
+            waypoint = (math.floor(key * (1 << j)) + start_label) / (1 << j)
+            return self.order[(bisect_right(labels, waypoint) - 1) % size]
+        target = self._cycle_index(key)
         if (target - at) % size <= size // 2:
             return self.order[(at + 1) % size]
         return self.order[(at - 1) % size]

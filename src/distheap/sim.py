@@ -25,6 +25,12 @@ message in flight and a node that is not ``done`` but needs no
 activation can never progress; it raises a stall ``SimulationFault`` at
 once.
 
+The simulator keeps two message counters, ``sent`` and ``delivered``.
+An envelope's ``seq``, its place in send order, is the value of ``sent``
+before its send is counted, and the messages in flight number
+``sent - delivered``; ``pending_messages()`` and the quiescence check
+read that difference.
+
 Message sizes are modeled, not serialized, by one rule: a message costs
 the sum of its fields plus a fixed 8-bit action tag.  Natural fields cost
 ``ceil(log2(max(v, 2) + 1))`` bits, computed exactly as
@@ -197,11 +203,9 @@ class Simulator:
         self.time = 0
         self.sent = 0
         self.delivered = 0
-        self._pending = 0
         self.max_message_bits = 0
         self.round_metrics: list[RoundMetrics] = []
         self._trace = trace
-        self._send_seq = 0
         self._sched_rng: random.Random | None = None
         self._delays: list[int] = []  # ticks from enqueue to delivery, async mode
         self.size_memo: dict[tuple, int] = {}  # tuple value -> bits, see node._tuple_bits
@@ -214,15 +218,14 @@ class Simulator:
 
     # -- sending -----------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any) -> None:
-        if not (0 <= dst < len(self.nodes)) or not (0 <= src < len(self.nodes)):
+        size = len(self.nodes)
+        if not (0 <= dst < size and 0 <= src < size):
             raise SimulationFault(f"send to unknown node {src}->{dst}")
         bits = TAG_BITS + payload.size_bits(self)
         if bits <= 0:
             raise SimulationFault("message size must be positive")
-        env = Envelope(src, dst, payload, bits, self.time, self._send_seq)
-        self._send_seq += 1
+        env = Envelope(src, dst, payload, bits, self.time, self.sent)
         self.sent += 1
-        self._pending += 1
         if bits > self.max_message_bits:
             self.max_message_bits = bits
         if self._sched_rng is not None:
@@ -237,12 +240,11 @@ class Simulator:
             )
 
     def pending_messages(self) -> int:
-        return self._pending
+        return self.sent - self.delivered
 
     def _deliver(self, env: Envelope) -> None:
         """Hand ``env`` (no longer in the outbox or the event heap) to the recipient."""
         self.delivered += 1
-        self._pending -= 1
         if self._trace:
             self._trace(
                 {
@@ -297,7 +299,7 @@ class Simulator:
         Raises a stall fault if no message is in flight and no node that is
         not ``done`` needs activation: nothing can ever happen again.
         """
-        if self._pending:
+        if self.sent != self.delivered:
             return False
         nodes = self.nodes
         if all(nd.done for nd in nodes):

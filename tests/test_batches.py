@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +83,34 @@ def test_combine_commutes_as_value(e1, e2):
     b1, b2 = B(*e1), B(*e2)
     assert combine(b1, b2) == combine(b2, b1)
     assert combine(b1, b2).total_inserts() == b1.total_inserts() + b2.total_inserts()
+
+
+@st.composite
+def batches_with_zeros(draw, priorities=2):
+    """A batch that may be empty or end in all-zero entries."""
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 3)] * priorities), st.integers(0, 3)
+            ),
+            max_size=4,
+        )
+    )
+    entries += [((0,) * priorities, 0)] * draw(st.integers(0, 2))
+    return Batch(priorities, tuple(entries))
+
+
+@given(st.lists(st.one_of(st.just(Batch(2)), batches_with_zeros()), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_combine_all_is_the_fold_of_combine(parts):
+    assert combine_all(parts, 2) == functools.reduce(combine, parts, Batch(2))
+
+
+def test_combine_all_checks_the_priority_count_of_empty_parts():
+    with pytest.raises(SimulationFault):
+        combine_all([Batch(3)], 2)
+    with pytest.raises(SimulationFault):
+        combine_all([B(((1, 0), 1)), Batch(3)], 2)
 
 
 def test_anchor_assign_worked_example():
@@ -189,6 +220,22 @@ def test_decompose_mismatch_is_fault():
         decompose(share, [Batch(1, (((1,), 0),))])  # covers only half
 
 
+@pytest.mark.parametrize(
+    "stored,total,parts",
+    [
+        (3, 2, [1]),  # the share matches two deletes, the parts consume one
+        (0, 2, [1]),  # the share has two bottoms, the parts consume one
+        (0, 1, [1, 1]),  # the parts need more deletes than the share holds
+    ],
+)
+def test_decompose_delete_cardinality_faults(stored, total, parts):
+    state = AnchorState(1)
+    state.first, state.last = [1], [stored]
+    share, _ = anchor_assign(state, Batch(1, (((0,), total),)), 1)
+    with pytest.raises(SimulationFault):
+        decompose(share, [Batch(1, (((0,), d),)) for d in parts])
+
+
 @st.composite
 def request_lists(draw):
     kinds = draw(
@@ -237,3 +284,31 @@ def test_anchor_invariant_preserved(reqs):
         batch, _ = snapshot_batch(reqs[chunk_start : chunk_start + 4], 3)
         anchor_assign(state, batch, 1)
         state.check()
+
+
+@given(request_lists(), request_lists(), request_lists())
+@settings(max_examples=60, deadline=None)
+def test_decompose_carries_bases_and_running_offsets(r1, r2, r3):
+    batches = [snapshot_batch(r, 3)[0] for r in (r1, r2, r3)]
+    batches.insert(1, Batch(3))
+    share, _ = anchor_assign(AnchorState(3), combine_all(batches, 3), 5)
+    # a subtree's share starts at nonzero offsets
+    share = tuple(
+        dataclasses.replace(e, ins_offset=7 + j, del_offset=11 + j)
+        for j, e in enumerate(share)
+    )
+    parts = decompose(share, batches)
+    for j, entry in enumerate(share):
+        ins_off, del_off = entry.ins_offset, entry.del_offset
+        for part_share, part_batch in zip(parts, batches):
+            assert len(part_share) == len(share)
+            got = part_share[j]
+            assert (got.ins_base, got.del_base) == (entry.ins_base, entry.del_base)
+            assert (got.ins_offset, got.del_offset) == (ins_off, del_off)
+            if j < len(part_batch.entries):
+                vec, d = part_batch.entries[j]
+                ins_off += sum(vec)
+                del_off += d
+            else:
+                assert got.ins == (None,) * 3
+                assert got.dels == () and got.bottoms == 0

@@ -162,6 +162,27 @@ def test_route_hops_logarithmic_across_the_wrap(n, seed):
             assert current == topo.responsible(key)
 
 
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_route_step_stops_exactly_at_the_owner(n):
+    # route_step decides arrival from the current node's own arc; keys
+    # below the smallest label belong to the last index (the wrap arc).
+    topo = CycleTopology.build(n, seed=3)
+    labels = [topo.label(v) for v in topo.order]
+    keys = labels + [math.nextafter(x, 0.0) for x in labels]
+    keys += [0.0, math.nextafter(1.0, 0.0)]
+    hops = (0, topo.debruijn_hops())  # a waypoint hop and a walk hop
+    for vid in topo.order:
+        start_label = topo.label(vid)
+        for key in keys:
+            owns = topo.responsible(key) == vid
+            for hop in hops:
+                assert (topo.route_step(vid, key, start_label, hop) is None) == owns
+        for key in (-0.1, 1.0, 1.5):
+            for hop in hops:
+                with pytest.raises(ValueError):
+                    topo.route_step(vid, key, start_label, hop)
+
+
 def test_route_length_grows_affinely_in_log_n():
     import random
 
