@@ -7,8 +7,9 @@ It prints one JSON object: the configuration, the ``run_metrics`` totals
 is 0 in async mode), the ``clock`` (the simulator's clock after the run:
 the round count in sync mode, the time of the last event in async mode)
 and the outcome.  For Skeap and Seap that is
-the checkers' verdict and ``ok``; for KSelect, which selects the k-th of
-m = n² elements with k = n, it is ``correct`` and ``error``.
+the checkers' verdict and ``ok``, and for Seap also ``phase_optimal`` and
+``phase_violation``; for KSelect, which selects the k-th of m = n²
+elements with k = n, it is ``correct`` and ``error``.
 """
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ def run(protocol: str, n: int, seed: int, mode: str, schedule_seed: int) -> dict
         runner = run_skeap if protocol == "skeap" else run_skeap_plus
         res = runner(n, seed=seed, mode=MODES[mode], schedule_seed=schedule_seed)
         outcome = {"ok": res.ok, "verdict": res.verdict.to_json()}
+        if protocol == "seap":
+            outcome.update((k, res.extra[k]) for k in ("phase_optimal", "phase_violation"))
     totals = {k: res.metrics[k] for k in TOTALS}
     return {"config": config, "totals": totals, "clock": res.final_time, **outcome}
 

@@ -1,10 +1,11 @@
 """History recording and verification of heap semantics.
 
 The records are the issued requests themselves: ``workload.RequestSource``
-issues each heap request as an ``OperationRecord``, and the protocol fills
-in its outcome.  The checkers consume the protocol's own serialization
-order (records sorted by ``serial_index``) and the matching induced by
-returned elements:
+issues each heap request as an ``OperationRecord``, stamps it with the
+``epoch`` whose snapshot takes it, and the protocol fills in its outcome.
+The checkers read nothing else.  They consume the protocol's own
+serialization order (records sorted by ``serial_index``) and the matching
+induced by returned elements:
 
 * ``check_serializable`` replays the order against a serial priority
   queue.  A matched delete must return an element that is present and of
@@ -18,6 +19,10 @@ returned elements:
   matched inserts precede their deletes; no unmatched delete sits
   between a matched pair; no unmatched insert of strictly smaller
   priority precedes a matched delete.
+* ``check_phase_optimality`` replays Seap's epochs from the records'
+  ``epoch`` stamps: each delete phase must return exactly the k* = min(k, m)
+  smallest stored elements and k - k* bottoms, and the anchor's reported
+  (k, k*) rows must agree with the replay.
 
 ``sequential_oracle`` is the reference executor (a deterministic heap
 ordered by priority then tiebreaker) used to generate known-good
@@ -30,7 +35,7 @@ from __future__ import annotations
 import heapq
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 from .batches import DELETE, INSERT
@@ -48,6 +53,7 @@ class OperationRecord:
     assigned: Any = None  # (p, pos), pos, or BOTTOM
     serial_index: int = -1
     returned: Element | str | None = None  # element, BOTTOM, or None for inserts
+    epoch: int = -1  # the epoch whose snapshot took the request; not in to_json
 
     def to_json(self) -> dict:
         def elem(e: Element | None) -> Any:
@@ -305,6 +311,37 @@ def make_verdict(history: Sequence[OperationRecord]) -> Verdict:
     return Verdict(ser, loc, heap, violation)
 
 
+def check_phase_optimality(
+    records: Sequence[OperationRecord], reported: Sequence[dict]
+) -> tuple[bool, str | None]:
+    """Replay the epochs of a phased heap from the records alone.
+
+    Epoch e sees the m elements inserted up to and in e and not returned
+    before it; with k deletes and k* = min(k, m), they must return exactly
+    the k* smallest of those elements and k - k* bottoms.  Its
+    ``reported`` row must give the same k and k*; no row reports k = 0.
+    """
+    log = {row["epoch"]: (row["k"], row["k_star"]) for row in reported}
+    phases: dict[int, list[OperationRecord]] = {epoch: [] for epoch in log}
+    for rec in records:
+        phases.setdefault(rec.epoch, []).append(rec)
+    store: set[Element] = set()
+    for epoch in sorted(phases):
+        store.update(r.element for r in phases[epoch] if r.kind == INSERT)
+        deletes = [r.returned for r in phases[epoch] if r.kind == DELETE]
+        returned = sorted((e for e in deletes if isinstance(e, Element)), key=lambda e: e.key)
+        k_star = min(len(deletes), len(store))
+        if log.get(epoch, (0, 0)) != (len(deletes), k_star):
+            return False, (
+                f"epoch {epoch}: reported (k, k*) = {log.get(epoch)}, "
+                f"replay gives ({len(deletes)}, {k_star})"
+            )
+        if returned != sorted(store, key=lambda e: e.key)[:k_star]:
+            return False, f"epoch {epoch}: returned set is not the k* smallest"
+        store.difference_update(returned)
+    return True, None
+
+
 # -- exhaustive witness search ---------------------------------------------------
 
 
@@ -359,18 +396,5 @@ def brute_force_order(history: Sequence[OperationRecord]) -> list[OperationRecor
         return False
 
     if search([], records):
-        renumbered = []
-        for i, rec in enumerate(found):
-            renumbered.append(
-                OperationRecord(
-                    node=rec.node,
-                    seq=rec.seq,
-                    kind=rec.kind,
-                    element=rec.element,
-                    assigned=rec.assigned,
-                    serial_index=i,
-                    returned=rec.returned,
-                )
-            )
-        return renumbered
+        return [replace(rec, serial_index=i) for i, rec in enumerate(found)]
     return None

@@ -10,14 +10,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .consistency import BOTTOM, OperationRecord, Verdict, make_verdict
+from .consistency import OperationRecord, Verdict, check_phase_optimality, make_verdict
 from .hashing import Tag, mix64
 from .kselect import KSelectNode, exponent_for
 from .metrics import run_metrics
 from .overlay import CycleTopology
 from .sim import SYNC, Element, SimConfig, Simulator
 from .skeap import build_skeap
-from .skeap_plus import SkeapPlusNode, build_skeap_plus, finalize_records
+from .skeap_plus import build_skeap_plus, finalize_records
 
 
 @dataclass
@@ -114,7 +114,8 @@ class HeapRunResult:
 
     @property
     def ok(self) -> bool:
-        return self.verdict.ok(require_local=self.protocol == "skeap")
+        skeap = self.protocol == "skeap"  # Seap's claim is also phase optimality
+        return self.verdict.ok(require_local=skeap) and (skeap or self.extra["phase_optimal"])
 
 
 def _run_heap(
@@ -159,9 +160,7 @@ def run_skeap(
         build_skeap, schedule_seed, trace, script,
         n=n, seed=seed, priority_count=priorities, lam=lam, mode=mode, epochs=epochs,
     )
-    records: list[OperationRecord] = []
-    for node in nodes:
-        records.extend(node.records())
+    records = [req for node in nodes for req in node.source.recorded()]
     verdict = make_verdict(records)
     extra = {
         "protocol": "skeap",
@@ -188,49 +187,16 @@ def run_skeap_plus(
         build_skeap_plus, schedule_seed, trace, script,
         n=n, seed=seed, priority_universe=n * n, lam=lam, mode=mode, epochs=epochs,
     )
-    records = finalize_records(nodes)
+    records = finalize_records([req for node in nodes for req in node.source.recorded()])
     verdict = make_verdict(records)
-    phase_ok, phase_violation = check_phase_optimality(nodes, anchor)
     extra = {
         "protocol": "skeap_plus",
         "epochs": anchor.epoch_log,
-        "phase_optimal": phase_ok,
-        "phase_violation": phase_violation,
         "requests_completed": len(records),
     }
+    extra["phase_optimal"], extra["phase_violation"] = check_phase_optimality(
+        records, extra["epochs"]
+    )
     return HeapRunResult(
         "skeap_plus", n, seed, records, verdict, run_metrics(sim, extra), extra, sim.time
     )
-
-
-def check_phase_optimality(
-    nodes: list[SkeapPlusNode], anchor: SkeapPlusNode
-) -> tuple[bool, str | None]:
-    """Replay epochs: each delete phase must return exactly the k* = min(k, m)
-    smallest elements stored at that point, and the anchor must log that k*."""
-    store: set[Element] = set()
-    epochs = max((n.total_epochs for n in nodes), default=0)
-    log = {row["epoch"]: row for row in anchor.epoch_log}
-    for epoch in range(epochs):
-        for node in nodes:
-            for req in node.ins_snapshot.get(epoch, []):
-                store.add(req.element)
-        returned: list[Element] = []
-        bottoms = 0
-        for node in nodes:
-            for req in node.del_snapshot.get(epoch, []):
-                if req.returned == BOTTOM:
-                    bottoms += 1
-                elif isinstance(req.returned, Element):
-                    returned.append(req.returned)
-        k = len(returned) + bottoms
-        k_star = min(k, len(store))
-        row = log.get(epoch, {"k": 0, "k_star": 0})
-        if (row["k"], row["k_star"]) != (k, k_star):
-            return False, f"epoch {epoch}: anchor logged {row}, replay gives k*={k_star} of {k}"
-        expected = sorted(store, key=lambda e: e.key)[:k_star]
-        if sorted(returned, key=lambda e: e.key) != expected:
-            return False, f"epoch {epoch}: returned set is not the k* smallest"
-        store.difference_update(returned)
-    return True, None
-

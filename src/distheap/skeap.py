@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from . import batches
-from .batches import AnchorState, Batch, DELETE, anchor_assign, decompose
+from .batches import AnchorState, Batch, anchor_assign, decompose
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .node import OverlayNode
@@ -64,7 +64,7 @@ class SkeapNode(OverlayNode):
             self.finished = True
             return
         self.epoch = epoch
-        snapshot = self.source.snapshot()
+        snapshot = self.source.snapshot(epoch)
         kinds = [(r.kind, r.element.priority if r.element else None) for r in snapshot]
         batch, runs = batches.snapshot_batch(kinds, self.priorities)
         self.inflight[epoch] = (snapshot, runs)
@@ -145,14 +145,6 @@ class SkeapNode(OverlayNode):
     def on_get_reply(self, ns: str, token: Any, element: Element) -> None:
         req = self.outstanding.pop(token)
         req.returned = element
-
-    # -- reporting --------------------------------------------------------------------
-    def records(self) -> list[OperationRecord]:
-        # requests never snapshotted within the configured epochs stay unnumbered
-        out = [req for req in self.source.issued if req.serial_index >= 0]
-        if any(req.kind == DELETE and req.returned is None for req in out):
-            raise SimulationFault("delete finished without an outcome")
-        return out
 
 
 def build_skeap(sim: Simulator, topo: CycleTopology) -> list[SkeapNode]:

@@ -22,11 +22,14 @@ enters the next epoch at its ``sd`` share, so the ``si`` of epoch e+1 can
 arrive before the ``sq`` of epoch e.  A count that no program waits for is
 a fault.
 
-The constructed serialization per epoch is: all inserts (in ascending
-element order), then all deletes ordered by the key of the element they
-return, bottoms last (positions follow the tree, not the ranks).  Only
-serializability is claimed; a node's own requests may serialize out of
-issue order.
+Each node keeps an epoch's insert and delete snapshots only until it has
+stored the inserts or assigned the deletes their positions; after a run
+only the records, stamped with their epoch by the snapshot, remain.  The
+constructed serialization (``finalize_records``) per epoch is: all
+inserts (in ascending element order), then all deletes ordered by the key
+of the element they return, bottoms last (positions follow the tree, not
+the ranks).  Only serializability is claimed; a node's own requests may
+serialize out of issue order.
 """
 from __future__ import annotations
 
@@ -97,12 +100,12 @@ class SkeapPlusNode(KSelectNode):
             self.finished = True
             return
         self.epoch = epoch
-        snap = self.source.snapshot(INSERT)
+        snap = self.source.snapshot(epoch, INSERT)
         self.ins_snapshot[epoch] = snap
         self.contribute_all("si", (epoch,), len(snap), 0)
 
     def _enter_delete(self, epoch: int) -> None:
-        snap = self.source.snapshot(DELETE)
+        snap = self.source.snapshot(epoch, DELETE)
         self.del_snapshot[epoch] = snap
         self.open_gets[epoch] = 0
         self.contribute_all("sd", (epoch,), len(snap), 0)
@@ -161,6 +164,7 @@ class SkeapPlusNode(KSelectNode):
         elif kind == "fskip":
             self.wave_end("sd", key, vid)  # an epoch without deletes sends no share
             if vid.kind == MIDDLE:
+                del self.del_snapshot[key[0]]  # empty: k = 0
                 self._enter_insert(key[0] + 1)
         elif kind == "fq":
             count = 0
@@ -174,7 +178,7 @@ class SkeapPlusNode(KSelectNode):
 
     # -- insert phase ----------------------------------------------------------------------
     def _store_inserts(self, epoch: int) -> None:
-        snap = self.ins_snapshot[epoch]
+        snap = self.ins_snapshot.pop(epoch)
         if not snap:
             self._enter_delete(epoch)
             return
@@ -221,7 +225,7 @@ class SkeapPlusNode(KSelectNode):
 
     def _assign_deletes(self, epoch: int, share) -> None:
         lo, hi, k_star, _ = share
-        snap = self.del_snapshot[epoch]
+        snap = self.del_snapshot.pop(epoch)
         if hi - lo + 1 != len(snap):
             raise SimulationFault("delete share does not match snapshot")
         for offset, req in enumerate(snap):
@@ -248,26 +252,23 @@ class SkeapPlusNode(KSelectNode):
             self._enter_insert(epoch + 1)
 
 
-def finalize_records(nodes: list[SkeapPlusNode]) -> list[OperationRecord]:
-    """Number the requests in place by the constructed serialization and
+def finalize_records(records: list[OperationRecord]) -> list[OperationRecord]:
+    """Number the records in place by the constructed serialization and
     return them in that order.
 
     Per epoch: inserts in ascending element order, then deletes ordered by
     the key of the element they return, then the bottoms by assigned
     position.
     """
-    epochs = max((n.total_epochs for n in nodes), default=0)
-    records: list[OperationRecord] = []
-    for epoch in range(epochs):
-        inserts = [r for n in nodes for r in n.ins_snapshot.get(epoch, [])]
-        deletes = [r for n in nodes for r in n.del_snapshot.get(epoch, [])]
-        if any(r.returned is None for r in deletes):
-            raise SimulationFault("delete finished without an outcome")
-        inserts.sort(key=lambda r: r.element.key)
-        deletes.sort(
-            key=lambda r: (1, r.assigned) if r.returned == BOTTOM else (0, r.returned.key)
-        )
-        records += inserts + deletes
+
+    def serial_key(r: OperationRecord) -> tuple:
+        if r.kind == INSERT:
+            return r.epoch, 0, r.element.key
+        if r.returned == BOTTOM:
+            return r.epoch, 2, r.assigned
+        return r.epoch, 1, r.returned.key
+
+    records = sorted(records, key=serial_key)
     for index, rec in enumerate(records, start=1):
         rec.serial_index = index
     return records

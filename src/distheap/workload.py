@@ -6,9 +6,10 @@ is exhausted, mixing inserts and delete-mins; inserted elements carry
 the issuing node and a per-node sequence number as tiebreaker.  A test
 may instead preload a script of requests.
 
-Every request is issued as an ``OperationRecord``.  The protocol fills in
-its ``assigned``, ``serial_index`` and ``returned`` fields, and the
-checkers of ``consistency`` read those same objects.
+Every request is issued as an ``OperationRecord``.  The snapshot that
+takes it into an epoch stamps its ``epoch``, the protocol fills in its
+``assigned``, ``serial_index`` and ``returned`` fields, and the checkers
+of ``consistency`` read those same objects, gathered by ``recorded``.
 """
 from __future__ import annotations
 
@@ -17,15 +18,16 @@ import random
 from .batches import DELETE, INSERT
 from .consistency import OperationRecord
 from .hashing import Tag, mix64
-from .sim import Element, SimConfig
+from .sim import Element, SimConfig, SimulationFault
 
 INSERT_RATIO = 0.6  # share of generated requests that are inserts
 
 
 class RequestSource:
     """Issues requests as ``OperationRecord``s, which the protocol fills in,
-    and buffers them until the protocol snapshots them.  ``issued`` keeps
-    them all in issue order.
+    and buffers them until the protocol snapshots them into an epoch.
+    ``issued`` keeps them all in issue order; ``recorded`` returns the
+    snapshotted ones, the node's share of a run's records.
 
     A node issues ``2 * lam * epochs`` random requests in all, with
     priorities drawn from ``[1, priority_universe]``.
@@ -67,14 +69,22 @@ class RequestSource:
         self.budget -= count
         return count
 
-    def snapshot(self, kind: str | None = None) -> list[OperationRecord]:
-        """Remove and return buffered requests (optionally one kind only)."""
-        if kind is None:
-            taken, self.buffer = self.buffer, []
-            return taken
-        taken = [r for r in self.buffer if r.kind == kind]
-        self.buffer = [r for r in self.buffer if r.kind != kind]
+    def snapshot(self, epoch: int, kind: str | None = None) -> list[OperationRecord]:
+        """Remove and return buffered requests (optionally one kind only),
+        stamping each with ``epoch``."""
+        taken = [r for r in self.buffer if kind in (None, r.kind)]
+        self.buffer = [r for r in self.buffer if kind not in (None, r.kind)]
+        for req in taken:
+            req.epoch = epoch
         return taken
+
+    def recorded(self) -> list[OperationRecord]:
+        """The snapshotted requests in issue order; requests never taken
+        within the configured epochs are not part of the run."""
+        out = [req for req in self.issued if req.epoch >= 0]
+        if any(req.kind == DELETE and req.returned is None for req in out):
+            raise SimulationFault("delete finished without an outcome")
+        return out
 
     @property
     def exhausted(self) -> bool:

@@ -22,6 +22,9 @@ def test_run_prints_the_direct_runs_totals(protocol, mode, capsys):
         direct = runner(8, seed=1, mode=sim_mode, schedule_seed=2)
         assert out["ok"] == direct.ok
         assert out["verdict"] == direct.verdict.to_json()
+        if protocol == "seap":
+            assert out["phase_optimal"] is direct.extra["phase_optimal"] is True
+            assert out["phase_violation"] is direct.extra["phase_violation"] is None
     assert out["config"]["protocol"] == protocol
     assert out["totals"]["rounds"] == direct.metrics["rounds"]
     assert out["totals"]["messages_sent"] == direct.metrics["messages_sent"]

@@ -12,6 +12,7 @@ from distheap.consistency import (
     brute_force_order,
     check_heap_consistency,
     check_local_consistency,
+    check_phase_optimality,
     check_serializable,
     make_verdict,
     read_records,
@@ -190,6 +191,67 @@ def test_heap_consistency_allows_equal_priority_any_order():
     ]
     assert check_heap_consistency(hist)[0]
     assert check_serializable(hist)[0]
+
+
+def phased_history(phases):
+    """Records of a phased heap: per epoch, the inserted priorities (all
+    distinct) and what each delete returns (an inserted priority or BOTTOM)."""
+    records, elements, seq = [], {}, 0
+    for epoch, (inserts, returns) in enumerate(phases):
+        for prio in inserts:
+            seq += 1
+            elements[prio] = Element(prio, 0, seq)
+            records.append(OperationRecord(0, seq, INSERT, element=elements[prio], epoch=epoch))
+        for ret in returns:
+            seq += 1
+            returned = BOTTOM if ret == BOTTOM else elements[ret]
+            records.append(OperationRecord(1, seq, DELETE, returned=returned, epoch=epoch))
+    return records
+
+
+def rows(*k_and_k_star):
+    return [{"epoch": e, "k": k, "k_star": ks} for e, (k, ks) in enumerate(k_and_k_star)]
+
+
+# epoch 0 stores 5, 3, 8 and deletes one; epoch 1 adds 1 and deletes four
+VALID_PHASES = [([5, 3, 8], [3]), ([1], [1, 5, 8, BOTTOM])]
+
+
+def test_phase_check_accepts_a_valid_two_epoch_history():
+    assert check_phase_optimality(phased_history(VALID_PHASES), rows((1, 1), (4, 3))) == (
+        True,
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        # k* - 1 elements and one extra bottom while 8 is still stored
+        [([5, 3, 8], [3]), ([1], [1, 5, BOTTOM, BOTTOM])],
+        # 3 returned in both epochs
+        [([5, 3, 8], [3]), ([1], [1, 3, 5, 8])],
+        # epoch 1 returns its own insert and ignores the 5 and 8 left over
+        [([5, 3, 8], [3]), ([9], [9])],
+    ],
+    ids=["k-star-minus-one", "returned-twice", "leftovers-ignored"],
+)
+def test_phase_check_rejects_a_wrong_delete_phase(phases):
+    reported = rows((1, 1), (len(phases[1][1]), min(len(phases[1][1]), 3)))
+    ok, why = check_phase_optimality(phased_history(phases), reported)
+    assert not ok
+    assert why == "epoch 1: returned set is not the k* smallest"
+
+
+@pytest.mark.parametrize(
+    "reported",
+    [rows((1, 1), (4, 2)), rows((1, 1), (3, 3)), rows((1, 1))],
+    ids=["k-star", "k", "missing-row"],
+)
+def test_phase_check_rejects_a_reported_row_the_replay_disagrees_with(reported):
+    ok, why = check_phase_optimality(phased_history(VALID_PHASES), reported)
+    assert not ok
+    assert why.startswith("epoch 1: reported (k, k*)")
 
 
 def test_brute_force_finds_order_for_shuffled_serializable_history():

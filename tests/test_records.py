@@ -2,20 +2,25 @@
 
 The protocols fill in the requests that ``RequestSource`` issues, and the
 run hands those same objects to the checkers, so a request can be neither
-dropped nor counted twice between issue and verdict.
+dropped nor counted twice between issue and verdict.  Each record carries
+the epoch whose snapshot took it.
 """
 from collections import Counter
 
 import pytest
 
 from distheap import experiments, run_skeap, run_skeap_plus
+from distheap.batches import DELETE, INSERT
+from distheap.consistency import brute_force_order
 from distheap.sim import ASYNC, SYNC
+
+RUNS = pytest.mark.parametrize("run", [run_skeap, run_skeap_plus], ids=["skeap", "seap"])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("n", [4, 16])
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
-@pytest.mark.parametrize("run", [run_skeap, run_skeap_plus], ids=["skeap", "seap"])
+@RUNS
 def test_each_issued_request_is_recorded_once(run, mode, n, seed, monkeypatch):
     built = []
     run_heap = experiments._run_heap
@@ -31,3 +36,37 @@ def test_each_issued_request_is_recorded_once(run, mode, n, seed, monkeypatch):
     recorded = Counter((r.node, r.seq) for r in res.records)
     assert issued and set(issued.values()) == {1}
     assert recorded == issued
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+@RUNS
+def test_records_carry_their_epoch_in_serial_order(run, mode):
+    epochs = 3
+    res = run(16, seed=1, lam=1, epochs=epochs, mode=mode, schedule_seed=1)
+    stamps = [r.epoch for r in sorted(res.records, key=lambda r: r.serial_index)]
+    assert all(0 <= epoch < epochs for epoch in stamps)
+    assert stamps == sorted(stamps)
+    assert len(set(stamps)) > 1
+
+
+SCRIPTS = {
+    run_skeap: {
+        0: [(INSERT, 2), (DELETE, None), (INSERT, 1)],
+        3: [(DELETE, None), (INSERT, 2), (DELETE, None), (DELETE, None)],
+    },
+    run_skeap_plus: {
+        1: [(INSERT, 9), (DELETE, None), (INSERT, 4)],
+        2: [(INSERT, 7), (DELETE, None), (DELETE, None)],
+    },
+}
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+@RUNS
+def test_brute_force_finds_an_order_for_scripted_runs(run, mode):
+    # the search ignores the protocol's serial indices
+    script = SCRIPTS[run]
+    res = run(4, seed=1, epochs=2, mode=mode, schedule_seed=3, script=script)
+    assert res.ok, res.verdict.violation
+    assert len(res.records) == sum(map(len, script.values())) <= 10
+    assert brute_force_order(res.records) is not None

@@ -7,7 +7,7 @@ empty; the scripted runs cover k* = 0.
 """
 import pytest
 
-from distheap import kselect
+from distheap import experiments, kselect
 from distheap.batches import DELETE, INSERT
 from distheap.consistency import BOTTOM
 from distheap.experiments import _run_heap, run_skeap_plus
@@ -139,6 +139,15 @@ def test_anchor_rejects_a_count_no_epoch_waits_for(kind, monkeypatch):
         sim.step_round()
     with pytest.raises(SimulationFault, match="unasked"):
         anchor.wave_root(kind, (0,), 0)
+
+
+def test_ok_requires_phase_optimality(monkeypatch):
+    monkeypatch.setattr(
+        experiments, "check_phase_optimality", lambda records, reported: (False, "forced")
+    )
+    res = run_skeap_plus(4, seed=1)
+    assert res.verdict.ok(require_local=False)
+    assert not res.ok
 
 
 def test_a_failed_selection_stops_the_run(monkeypatch):
