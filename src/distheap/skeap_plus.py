@@ -135,14 +135,14 @@ class SkeapPlusNode(KSelectNode):
             if sel.error:
                 raise KSelectError(sel.error)
             limit = sel.result
-        self.flood("fq", key, (limit, k_star))
-        self.wave_down("sd", key, self.topo.root, (1, k, k_star, epoch))
+        self.flood("fq", key, limit)
+        self.wave_down("sd", key, self.topo.root, (1, k, k_star))
         qualifying = yield "sq", key
         if qualifying != k_star:
             raise SimulationFault(
                 f"qualifying count {qualifying} != k*={k_star} in epoch {epoch}"
             )
-        self.wave_down("sq", key, self.topo.root, (1, k_star, epoch))
+        self.wave_down("sq", key, self.topo.root, (1, k_star))
 
     # -- sd and sq shares: intervals split by counts (the default wave_split) ---------------
     def wave_deliver(self, kind, key, vid, share) -> None:
@@ -169,9 +169,8 @@ class SkeapPlusNode(KSelectNode):
         elif kind == "fq":
             count = 0
             if vid.kind == MIDDLE:
-                limit, _ = payload
-                self.qual_limit[key[0]] = limit
-                count = len(self._qualifying(limit))
+                self.qual_limit[key[0]] = payload
+                count = len(self._qualifying(payload))
             self.wave_contribute("sq", key, vid, count)
         else:
             super().on_flood(kind, key, vid, payload)
@@ -214,7 +213,7 @@ class SkeapPlusNode(KSelectNode):
         return hash_unit(Tag.SPLUS_POSITION_KEY, (epoch, pos), self.sim.cfg.seed)
 
     def _move_qualifying(self, epoch: int, share) -> None:
-        lo, hi, _ = share
+        lo, hi = share
         qual = self._qualifying(self.qual_limit[epoch])
         if hi - lo + 1 != len(qual):
             raise SimulationFault("qualifying share does not match stored elements")
@@ -224,7 +223,7 @@ class SkeapPlusNode(KSelectNode):
             self.dht_put(_POS, (epoch, pos), self._pos_key(epoch, pos), element, None)
 
     def _assign_deletes(self, epoch: int, share) -> None:
-        lo, hi, k_star, _ = share
+        lo, hi, k_star = share
         snap = self.del_snapshot.pop(epoch)
         if hi - lo + 1 != len(snap):
             raise SimulationFault("delete share does not match snapshot")

@@ -102,6 +102,30 @@ def test_no_wave_session_outlives_a_run(mode, script):
     assert anchor._programs == {}  # every epoch program ran to its end
 
 
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_anchor_sends_only_what_nodes_read(mode, monkeypatch):
+    # the fq flood carries the bound alone; sd shares carry (lo, hi, k*) and
+    # sq shares (lo, hi): the epoch is already the wave key
+    sent = []
+    on_flood, wave_deliver = SkeapPlusNode.on_flood, SkeapPlusNode.wave_deliver
+
+    def flooded(self, kind, key, vid, payload):
+        sent.append((kind, payload))
+        on_flood(self, kind, key, vid, payload)
+
+    def delivered(self, kind, key, vid, share):
+        sent.append((kind, share))
+        wave_deliver(self, kind, key, vid, share)
+
+    monkeypatch.setattr(SkeapPlusNode, "on_flood", flooded)
+    monkeypatch.setattr(SkeapPlusNode, "wave_deliver", delivered)
+    run_script(mode, {1: [(INSERT, 5), (INSERT, 7), (DELETE, None)], 2: [(DELETE, None)] * 3})
+    limits = {payload for kind, payload in sent if kind == "fq"}
+    assert limits == {Element(7, 1, 2)}
+    assert {len(share) for kind, share in sent if kind == "sd"} == {3}
+    assert {len(share) for kind, share in sent if kind == "sq"} == {2}
+
+
 def _recorded_roots(monkeypatch):
     """The (kind, key) of every wave that reaches the anchor, in order."""
     roots = []

@@ -40,18 +40,18 @@ EXPECTED = {
     ('skeap', 'asynchronous', 8, 1): ('ef37d0eb4de46741', '44be1a8a7c2cedf7', 'da4cc8d0039a469a'),
     ('skeap', 'asynchronous', 32, 0): ('78b2423ace7fd6a4', '24621a035be4f904', '773ce97c534418e3'),
     ('skeap', 'asynchronous', 32, 1): ('fc0bbabda6927c23', 'f47010e4b7efe9d0', 'fc5ac2452a95405d'),
-    ('seap', 'synchronous', 2, 0): ('be2b809b06baa9f3', '3cc614f9072381d6', 'ad059a2f458a62ec'),
-    ('seap', 'synchronous', 2, 1): ('945d3a16ceb4a996', '7c756086b65236f6', 'cd759585625a7ebd'),
-    ('seap', 'synchronous', 8, 0): ('f91a015dd549f106', 'd06939338a165fc2', 'c34774c28ec71f55'),
-    ('seap', 'synchronous', 8, 1): ('3e845ddb4cfd2cbb', 'ca4b983baa9d08a2', '4a2ca08e1fe72821'),
-    ('seap', 'synchronous', 32, 0): ('2ee19223eb4f7542', '9a42dec75bd1d68e', '2005353a0e5adbb1'),
-    ('seap', 'synchronous', 32, 1): ('38f094d60a51e781', 'ace6191fa1c7f811', '6cb7612e457bc46d'),
-    ('seap', 'asynchronous', 2, 0): ('4135e18e0779c99c', '3cc614f9072381d6', '8c0a60548891e2ae'),
-    ('seap', 'asynchronous', 2, 1): ('d954c97e9b1ff91e', '7c756086b65236f6', 'a73c4159534bd396'),
-    ('seap', 'asynchronous', 8, 0): ('c1acb0323dc5a62e', 'd06939338a165fc2', '88eabe9580840caa'),
-    ('seap', 'asynchronous', 8, 1): ('c9c0f211be97e3d8', 'ca4b983baa9d08a2', '5c63dd8bf6d24d09'),
-    ('seap', 'asynchronous', 32, 0): ('940a88b21111edfb', '9a42dec75bd1d68e', '33682d15557defc1'),
-    ('seap', 'asynchronous', 32, 1): ('65f13857c02b079d', 'ace6191fa1c7f811', 'd16e2bc977a22bf1'),
+    ('seap', 'synchronous', 2, 0): ('7bd62ebb147f230f', '3cc614f9072381d6', 'eb96112b2d3cf610'),
+    ('seap', 'synchronous', 2, 1): ('84b1a267ca011732', '7c756086b65236f6', '3a7f3dddab6b7e32'),
+    ('seap', 'synchronous', 8, 0): ('eec789937e917958', 'd06939338a165fc2', '7b5fa325c52e51f1'),
+    ('seap', 'synchronous', 8, 1): ('2321e02228cb03d5', 'ca4b983baa9d08a2', 'a00a689f565b0031'),
+    ('seap', 'synchronous', 32, 0): ('63d8d3c14e8f333b', '9a42dec75bd1d68e', '5120b467363ff53d'),
+    ('seap', 'synchronous', 32, 1): ('58335618fffb865b', 'ace6191fa1c7f811', '3744d2039dc13e8e'),
+    ('seap', 'asynchronous', 2, 0): ('b5d97ba7efde0cbf', '3cc614f9072381d6', '8c0a60548891e2ae'),
+    ('seap', 'asynchronous', 2, 1): ('637634a47c694bb3', '7c756086b65236f6', 'a73c4159534bd396'),
+    ('seap', 'asynchronous', 8, 0): ('14a9050082befbf4', 'd06939338a165fc2', '88eabe9580840caa'),
+    ('seap', 'asynchronous', 8, 1): ('fdabdf49405828d9', 'ca4b983baa9d08a2', '5c63dd8bf6d24d09'),
+    ('seap', 'asynchronous', 32, 0): ('e6f664f0952d477d', '9a42dec75bd1d68e', '33682d15557defc1'),
+    ('seap', 'asynchronous', 32, 1): ('8b0349cc9724c07a', 'ace6191fa1c7f811', 'd16e2bc977a22bf1'),
     ('kselect', 'synchronous', 2, 0): ('bc43eab5a99d95bb', '1563b2bc06c2066a', 'dc4c7279fa3c8e03'),
     ('kselect', 'synchronous', 2, 1): ('7f10e2c2d49405fe', 'e246066e2ac6e35c', 'a71f86db664d6eeb'),
     ('kselect', 'synchronous', 8, 0): ('a2b9dfd25ee0e3a0', '32bb65e896aa9c5e', '024bd4944715812a'),
