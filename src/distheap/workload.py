@@ -72,8 +72,11 @@ class RequestSource:
     def snapshot(self, epoch: int, kind: str | None = None) -> list[OperationRecord]:
         """Remove and return buffered requests (optionally one kind only),
         stamping each with ``epoch``."""
-        taken = [r for r in self.buffer if kind in (None, r.kind)]
-        self.buffer = [r for r in self.buffer if kind not in (None, r.kind)]
+        if kind is None:
+            taken, self.buffer = self.buffer, []
+        else:
+            taken = [r for r in self.buffer if r.kind == kind]
+            self.buffer = [r for r in self.buffer if r.kind != kind]
         for req in taken:
             req.epoch = epoch
         return taken
