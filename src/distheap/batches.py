@@ -40,12 +40,6 @@ class Batch:
     priorities: int
     entries: tuple[tuple[tuple[int, ...], int], ...] = ()
 
-    def is_empty(self) -> bool:
-        return all(sum(vec) == 0 and d == 0 for vec, d in self.entries)
-
-    def total_inserts(self) -> int:
-        return sum(sum(vec) for vec, _ in self.entries)
-
     def bits(self) -> int:
         total = nat_bits(len(self.entries))
         for vec, d in self.entries:

@@ -1,7 +1,7 @@
 """Distributed k-selection over elements scattered across the overlay.
 
-The anchor runs each selection as one sequential program (``select``): a
-count of all elements, then three phases, each step a flood/wave barrier.
+The anchor runs each selection as one sequential program (``select``):
+three phases, each step a flood/wave barrier.
 
 Anchor programs are generators on one driver (``run_program``) that
 Seap's epochs share.  A program sends its own messages and yields the
@@ -11,11 +11,14 @@ waits for, and two programs waiting for one barrier, are faults.
 
 * Phase 1 (at most ``ceil(log2 q) + 1`` iterations, ``m <= n^q``): every node
   reports the priorities of its ``floor(k/n)``-th and ``ceil(k/n)``-th
-  smallest candidates; the global min/max of those bound the target's
-  priority, everything outside is pruned and the counts below/above
-  update k and N exactly.  Nodes holding too few candidates contribute
-  sentinels that keep the bound sound (an unbounded side prunes
-  nothing).
+  smallest candidates and its candidate count (the first ``k1`` flood
+  takes the node's elements as its candidates, so the first count is N;
+  the anchor checks every later one against its own N).  The global
+  min/max of those bound the target's priority, everything outside is
+  pruned and the counts below/above update k and N exactly.  Nodes
+  holding too few candidates contribute sentinels that keep the bound
+  sound (an unbounded side prunes nothing).  An iteration that prunes
+  nothing is the last: the next would cut at the same bounds.
 * Phase 2 (until ``N <= sqrt(n)``, at most ``PHASE2_CAP`` iterations):
   every candidate is sampled with probability ``sqrt(n)/N`` (floored so
   tiny systems still sample a handful); the sample is sorted by an
@@ -24,22 +27,28 @@ waits for, and two programs waiting for one barrier, are faults.
   exactly and the candidate window between them is kept.  If the target
   escapes the window, its exact ranks still allow a safe one-sided cut,
   so every iteration makes progress; an empty sample is re-drawn with a
-  fresh salt and counted as a retry.  After ``PHASE2_CAP`` iterations,
-  phase 3 runs if ``N <= n``; otherwise the selection ends with a
-  "phase 2 stalled" error.
+  fresh salt and counted as a retry.  The cut's bounds ride the next
+  ``k2`` flood (the next sample's, or phase 3's): a node prunes by them,
+  then samples, and answers with the pair (sampled, survivors) on the
+  ``k2n`` wave.  The anchor checks the survivors against the exact ranks,
+  and the sample's positions split by the first component.  A re-drawn
+  sample carries the same bounds; pruning twice cuts nothing more.  After
+  ``PHASE2_CAP`` iterations, phase 3 runs if ``N <= n``; otherwise the
+  selection ends with a "phase 2 stalled" error.
 * Phase 3 (``N <= sqrt(n)``, a full sample, or up to n survivors after the
   cap): one sorting pass over all survivors with sampling probability
   one; the order equals the exact rank and the candidate of order k is
-  reported to the anchor.
+  reported to the anchor.  Its ``k2`` flood is the selection's last to
+  read the candidates, so each node releases them there.
 
 Rounds: every step is an anchor barrier, a flood down the aggregation
 tree and a wave back up (``_REPLY`` pairs each flood with its wave), which
 in sync mode costs 2 x tree height rounds; each sorting pass adds its
-routing and vote aggregation.  The anchor floods once to start (``ki``),
-twice per phase-1 iteration (``k1``, ``k1p``), three times per phase-2
-iteration (``k2``, ``k2r``, ``k2p``), once per re-drawn sample and once
-for phase 3, so at most
-``2 + 2 (ceil(log2 q) + 1) + 3 PHASE2_CAP + retries`` barriers run.
+routing and vote aggregation.  The anchor floods twice per phase-1
+iteration (``k1``, ``k1p``), twice per phase-2 iteration (``k2``,
+``k2r``), once per re-drawn sample and once for phase 3, so
+``2 P1 + 2 P2 + retries + 1`` barriers run for P1 phase-1 and P2 phase-2
+iterations, at most ``2 (ceil(log2 q) + 1) + 2 PHASE2_CAP + retries + 1``.
 
 The sorting sub-protocol assigns sampled candidates unique positions via
 interval decomposition, routes each candidate to the node owning the
@@ -57,7 +66,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator
 
 from .hashing import Tag, hash_unit
-from .node import Message, Nat, OverlayNode
+from .node import Message, Nat, OverlayNode, split_interval
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
 
@@ -150,9 +159,11 @@ def combine_minmax(parts):
 
 # The anchor's flood kinds, each mapped to the wave that answers it.  A node
 # answers at its middle virtual node; the other two contribute the reply
-# wave's neutral value.
+# wave's neutral value.  ``ki`` and ``k2p`` are no longer flooded (the count
+# rides the first ``k1`` wave, the prune the next ``k2`` flood); the
+# benchmark's tracer names this same map, and both drop them together.
 _REPLY = {"ki": "ki", "k1": "k1", "k1p": "k1c", "k2": "k2n", "k2r": "k2r", "k2p": "k2s"}
-_NEUTRAL = {"ki": 0, "k1": (POS_INF, NEG_INF), "k1c": (0, 0), "k2n": 0, "k2r": (0, 0), "k2s": 0}
+_NEUTRAL = {"k1": (POS_INF, NEG_INF, 0), "k1c": (0, 0), "k2n": (0, 0), "k2r": (0, 0)}
 
 
 # -- sort sub-protocol messages ------------------------------------------------
@@ -268,7 +279,7 @@ class KSelectNode(OverlayNode):
     """Overlay node that stores elements and participates in selections."""
 
     # the reply waves that no share splits: all but a sorting pass's ``k2n``
-    one_way_waves = frozenset({"ki", "k1", "k1c", "k2r", "k2s"})
+    one_way_waves = frozenset({"k1", "k1c", "k2r"})
 
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id, topo)
@@ -342,19 +353,23 @@ class KSelectNode(OverlayNode):
         return sel
 
     def _select(self, sel: _Selection) -> Generator[tuple, Any, tuple]:
-        """Count, then phases 1 to 3; returns ``(result, error)``."""
+        """Phases 1 to 3; returns ``(result, error)``."""
         n = self.sim.cfg.n
         inv = sel.inv
         k = sel.k
         threshold = math.isqrt(n)
-        N = yield self._ask("ki", (inv,), None)
+
+        # phase 1: cut at the extreme per-node order statistics; the first
+        # k1 wave also counts the elements, every later one the survivors
+        lo, hi, N = yield self._ask("k1", (inv, 1), (k, n))
         if not 1 <= k <= N:
             return None, f"k={k} outside [1, {N}]"
-
-        # phase 1: cut at the extreme per-node order statistics
         for it in range(1, phase1_iterations(exponent_for(n, N)) + 1):
             key = (inv, it)
-            lo, hi = yield self._ask("k1", key, (k, n))
+            if it > 1:
+                lo, hi, count = yield self._ask("k1", key, (k, n))
+                if count != N:
+                    raise SimulationFault(f"candidate count {count} does not match N={N}")
             below, above = yield self._ask("k1p", key, (lo, hi))
             k -= below
             N -= below + above
@@ -374,11 +389,14 @@ class KSelectNode(OverlayNode):
             )
             if not 1 <= k <= N:
                 raise SimulationFault("phase-1 pruning lost the target")
-            if N <= threshold:
+            if N <= threshold or not below + above:
+                # a cut that prunes nothing would repeat over the same candidates
                 break
 
-        # phase 2: sort a sample, rank-check two probes, keep what holds k
+        # phase 2: sort a sample, rank-check two probes, keep what holds k;
+        # the window's bounds ride the next k2 flood, which prunes first
         salt = 0
+        bounds = (None, None)
         while N > threshold:
             if sel.p2_iter == PHASE2_CAP:
                 if N > n:
@@ -391,7 +409,7 @@ class KSelectNode(OverlayNode):
             sel.p2_iter += 1
             while True:
                 key = (inv, sel.p2_iter, salt)
-                n_prime = yield self._ask("k2", key, (p, "sample"))
+                n_prime = yield from self._sample(key, (p, "sample", bounds), N)
                 if n_prime:
                     break
                 sel.retries += 1
@@ -418,11 +436,6 @@ class KSelectNode(OverlayNode):
                 case, bounds = "right", (hi_elem, None)
                 new_n, new_k = N - rank_hi + 1, k - (rank_hi - 1)
                 pruned_below, pruned_above = rank_hi - 1, 0
-            survivors = yield self._ask("k2p", key, bounds)
-            if survivors != new_n:
-                raise SimulationFault(
-                    f"survivor count {survivors} does not match exact ranks {new_n}"
-                )
             sel.diag.append(
                 {
                     "phase": "p2",
@@ -446,7 +459,7 @@ class KSelectNode(OverlayNode):
         # phase 3: sort every survivor; the order is the exact rank
         sel.p2_iter += 1
         key = (inv, sel.p2_iter, salt)
-        n_prime = yield self._ask("k2", key, (1.0, "all"))
+        n_prime = yield from self._sample(key, (1.0, "all", bounds), N)
         if n_prime != N:
             raise SimulationFault("phase-3 sample must cover all candidates")
         probes = yield from self._sort(key, (1, N, N, 0, 0, k))
@@ -464,15 +477,30 @@ class KSelectNode(OverlayNode):
         )
         return probes["target"], None
 
+    def _sample(self, key: tuple, payload: tuple, N: int) -> Generator[tuple, Any, int]:
+        """Flood ``k2``: nodes prune by the carried bounds, then sample.
+        Checks the survivors against the exact count ``N`` and returns the
+        sample size."""
+        n_prime, survivors = yield self._ask("k2", key, payload)
+        if survivors != N:
+            raise SimulationFault(
+                f"survivor count {survivors} does not match exact ranks {N}"
+            )
+        return n_prime
+
     # -- waves ----------------------------------------------------------------------
     def wave_combine(self, kind: str, parts: list[Any]) -> Any:
-        if kind in ("ki", "k2n", "k2s"):
-            return sum(parts)
-        if kind in ("k1c", "k2r"):
+        if kind in ("k1c", "k2n", "k2r"):
             return tuple(map(sum, zip(*parts)))
         if kind == "k1":
-            return combine_minmax(parts)
+            lo, hi = combine_minmax(part[:2] for part in parts)
+            return lo, hi, sum(part[2] for part in parts)
         return super().wave_combine(kind, parts)
+
+    def wave_split(self, kind: str, share: Any, parts: list[Any]) -> list[Any]:
+        if kind == "k2n":  # parts are (sampled, survivors); the share covers the sample
+            return split_interval(share, [sampled for sampled, _ in parts])
+        return super().wave_split(kind, share, parts)
 
     def wave_root(self, kind: str, key: tuple, combined: Any) -> None:
         program = self._programs.pop((kind, key), None)
@@ -646,24 +674,25 @@ class KSelectNode(OverlayNode):
     def _answer(self, kind: str, key: tuple, payload: Any) -> Any:
         """This node's contribution to the wave that answers flood ``kind``."""
         inv = key[0]
-        if kind == "ki":
-            self.candidates[inv] = self.selection_universe()
-            return len(self.candidates[inv])
-        cands = self.candidates[inv]
         if kind == "k1":
+            if key[1] == 1:  # the selection's first flood
+                self.candidates[inv] = self.selection_universe()
+            cands = self.candidates[inv]
             k, n = payload
-            return order_statistics(cands, k, n)
+            return *order_statistics(cands, k, n), len(cands)
         if kind == "k1p":
             return self._prune_by_priority(inv, payload)
         if kind == "k2":
-            p, mode = payload
+            p, mode, bounds = payload
+            cands = self._prune_window(inv, bounds)
             chosen = self._choose(key, cands, p, mode)
             if chosen:  # an empty sample gets no share
                 self.chosen[key] = chosen
-            return len(chosen)
-        if kind == "k2r":
-            return tuple(bisect_left(cands, e.key, key=lambda c: c.key) for e in payload)
-        return self._prune_window(inv, payload)  # k2p
+            if mode == "all":  # the final pass: no flood reads the candidates again
+                del self.candidates[inv]
+            return len(chosen), len(cands)
+        cands = self.candidates[inv]  # k2r
+        return tuple(bisect_left(cands, e.key, key=lambda c: c.key) for e in payload)
 
     def _prune_by_priority(self, inv: int, bounds) -> tuple[int, int]:
         lo, hi = bounds
@@ -679,7 +708,7 @@ class KSelectNode(OverlayNode):
         self.candidates[inv] = cands[start:stop]
         return (below, above)
 
-    def _prune_window(self, inv: int, bounds) -> int:
+    def _prune_window(self, inv: int, bounds) -> list[Element]:
         lo_elem, hi_elem = bounds
         cands = self.candidates[inv]
         start = 0
@@ -688,8 +717,8 @@ class KSelectNode(OverlayNode):
             start = bisect_left(cands, lo_elem.key, key=lambda e: e.key)
         if hi_elem is not None:
             stop = bisect_right(cands, hi_elem.key, key=lambda e: e.key)
-        self.candidates[inv] = cands[start:stop]
-        return len(self.candidates[inv])
+        cands = self.candidates[inv] = cands[start:stop]
+        return cands
 
     def _choose(self, key: tuple, cands: list[Element], p: float, mode: str) -> list[Element]:
         if mode == "all" or p >= 1.0:

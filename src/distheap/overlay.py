@@ -195,22 +195,3 @@ class CycleTopology:
             raise RuntimeError("tree does not span all virtual nodes")
         return best
 
-    def dump(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "virtual_nodes": [
-                {"owner": v.owner, "kind": v.kind, "label": self.labels[v]}
-                for v in self.order
-            ],
-            "root": {"owner": self.root.owner, "kind": self.root.kind},
-            "tree_edges": [
-                {
-                    "parent": {"owner": p.owner, "kind": p.kind},
-                    "child": {"owner": c.owner, "kind": c.kind},
-                }
-                for p in self.order
-                for c in self.children[p]
-            ],
-        }
-

@@ -207,7 +207,6 @@ class Simulator:
         self.round_metrics: list[RoundMetrics] = []
         self._trace = trace
         self._sched_rng: random.Random | None = None
-        self._delays: list[int] = []  # ticks from enqueue to delivery, async mode
         self.size_memo: dict[tuple, int] = {}  # tuple value -> bits, see node._tuple_bits
         self.label_bits = 2 * max(1, math.ceil(math.log2(max(3 * config.n, 2))))
 
@@ -362,7 +361,6 @@ class Simulator:
             while self._events and self._events[0][0] <= self.time:
                 _, _, kind, item = heapq.heappop(self._events)
                 if kind == _MSG:
-                    self._delays.append(self.time - item.enqueue_time)
                     self._deliver(item)
                 else:
                     node = self.nodes[item]
@@ -375,6 +373,3 @@ class Simulator:
                         )
         self._sched_rng = None
         return picks
-
-    def delivery_delays(self) -> list[int]:
-        return list(self._delays)

@@ -23,8 +23,11 @@ arrive before the ``sq`` of epoch e.  A count that no program waits for is
 a fault.
 
 Each node keeps an epoch's insert and delete snapshots only until it has
-stored the inserts or assigned the deletes their positions; after a run
-only the records, stamped with their epoch by the snapshot, remain.  The
+stored the inserts or assigned the deletes their positions, its count of
+open gets until the last get returns (or ``fskip`` arrives), and the
+selected bound until its ``sq`` share moves the qualifying elements;
+after a run only the records, stamped with their epoch by the snapshot,
+remain.  The
 constructed serialization (``finalize_records``) per epoch is: all
 inserts (in ascending element order), then all deletes ordered by the key
 of the element they return, bottoms last (positions follow the tree, not
@@ -165,6 +168,7 @@ class SkeapPlusNode(KSelectNode):
             self.wave_end("sd", key, vid)  # an epoch without deletes sends no share
             if vid.kind == MIDDLE:
                 del self.del_snapshot[key[0]]  # empty: k = 0
+                del self.open_gets[key[0]]
                 self._enter_insert(key[0] + 1)
         elif kind == "fq":
             count = 0
@@ -214,7 +218,7 @@ class SkeapPlusNode(KSelectNode):
 
     def _move_qualifying(self, epoch: int, share) -> None:
         lo, hi = share
-        qual = self._qualifying(self.qual_limit[epoch])
+        qual = self._qualifying(self.qual_limit.pop(epoch))
         if hi - lo + 1 != len(qual):
             raise SimulationFault("qualifying share does not match stored elements")
         for offset, element in enumerate(qual):
@@ -237,8 +241,7 @@ class SkeapPlusNode(KSelectNode):
                 self.dht_get(_POS, (epoch, pos), self._pos_key(epoch, pos), token)
             else:
                 req.returned = BOTTOM
-        if self.open_gets[epoch] == 0:
-            self._enter_insert(epoch + 1)
+        self._close_gets(epoch)
 
     def on_get_reply(self, ns: str, token: Any, element: Element) -> None:
         if ns != _POS:
@@ -247,7 +250,13 @@ class SkeapPlusNode(KSelectNode):
         req.returned = element
         epoch = token[0]
         self.open_gets[epoch] -= 1
+        self._close_gets(epoch)
+
+    def _close_gets(self, epoch: int) -> None:
+        """Once every get of ``epoch`` has returned, release its counter and
+        enter the next epoch."""
         if self.open_gets[epoch] == 0:
+            del self.open_gets[epoch]
             self._enter_insert(epoch + 1)
 
 

@@ -19,8 +19,8 @@ import workloads  # noqa: E402
 
 EXPECTED = {
     "skeap-sync-n512": "d8e6fb222fb8037c",
-    "kselect-sync-n128": "415bc3a45f41129c",
-    "seap-async-n128": "2b6c8edb394bad28",
+    "kselect-sync-n128": "08e0dfea53182be6",
+    "seap-async-n128": "74edc2f5c286b59b",
 }
 
 

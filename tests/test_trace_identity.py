@@ -40,30 +40,30 @@ EXPECTED = {
     ('skeap', 'asynchronous', 8, 1): ('ef37d0eb4de46741', '44be1a8a7c2cedf7', 'da4cc8d0039a469a'),
     ('skeap', 'asynchronous', 32, 0): ('78b2423ace7fd6a4', '24621a035be4f904', '773ce97c534418e3'),
     ('skeap', 'asynchronous', 32, 1): ('fc0bbabda6927c23', 'f47010e4b7efe9d0', 'fc5ac2452a95405d'),
-    ('seap', 'synchronous', 2, 0): ('7bd62ebb147f230f', '3cc614f9072381d6', 'eb96112b2d3cf610'),
-    ('seap', 'synchronous', 2, 1): ('84b1a267ca011732', '7c756086b65236f6', '3a7f3dddab6b7e32'),
-    ('seap', 'synchronous', 8, 0): ('eec789937e917958', 'd06939338a165fc2', '7b5fa325c52e51f1'),
-    ('seap', 'synchronous', 8, 1): ('2321e02228cb03d5', 'ca4b983baa9d08a2', 'a00a689f565b0031'),
-    ('seap', 'synchronous', 32, 0): ('63d8d3c14e8f333b', '9a42dec75bd1d68e', '5120b467363ff53d'),
-    ('seap', 'synchronous', 32, 1): ('58335618fffb865b', 'ace6191fa1c7f811', '3744d2039dc13e8e'),
-    ('seap', 'asynchronous', 2, 0): ('b5d97ba7efde0cbf', '3cc614f9072381d6', '8c0a60548891e2ae'),
-    ('seap', 'asynchronous', 2, 1): ('637634a47c694bb3', '7c756086b65236f6', 'a73c4159534bd396'),
-    ('seap', 'asynchronous', 8, 0): ('14a9050082befbf4', 'd06939338a165fc2', '88eabe9580840caa'),
-    ('seap', 'asynchronous', 8, 1): ('fdabdf49405828d9', 'ca4b983baa9d08a2', '5c63dd8bf6d24d09'),
-    ('seap', 'asynchronous', 32, 0): ('e6f664f0952d477d', '9a42dec75bd1d68e', '33682d15557defc1'),
-    ('seap', 'asynchronous', 32, 1): ('8b0349cc9724c07a', 'ace6191fa1c7f811', 'd16e2bc977a22bf1'),
-    ('kselect', 'synchronous', 2, 0): ('bc43eab5a99d95bb', '1563b2bc06c2066a', 'dc4c7279fa3c8e03'),
-    ('kselect', 'synchronous', 2, 1): ('7f10e2c2d49405fe', 'e246066e2ac6e35c', 'a71f86db664d6eeb'),
-    ('kselect', 'synchronous', 8, 0): ('a2b9dfd25ee0e3a0', '32bb65e896aa9c5e', '024bd4944715812a'),
-    ('kselect', 'synchronous', 8, 1): ('c964b57296d09cb8', 'd786f306a78458c4', '19ff89a1cae518f8'),
-    ('kselect', 'synchronous', 32, 0): ('6aba2932badf5403', 'be398730afb5f2f9', '5bfec958e97e27ed'),
-    ('kselect', 'synchronous', 32, 1): ('8ef072d0f476a013', '71971ff8771a698e', 'e18975fbc5893439'),
-    ('kselect', 'asynchronous', 2, 0): ('390873aaf4e3ed3b', 'f475dec9c1ad0fe2', '43661e1b6a5b1a2f'),
-    ('kselect', 'asynchronous', 2, 1): ('c5735ed469e436e4', '22cb40e67d72f64d', '43661e1b6a5b1a2f'),
-    ('kselect', 'asynchronous', 8, 0): ('b78d160e12eeadc2', '1cca31c1f230af3f', '49bd15135b5f46a0'),
-    ('kselect', 'asynchronous', 8, 1): ('0da207f1d8587a98', '509bd5be9e063467', '43ffa817e388b9ca'),
-    ('kselect', 'asynchronous', 32, 0): ('d42f68ddd2f5fc99', '3873f6288087ab50', '32c03585aceab779'),
-    ('kselect', 'asynchronous', 32, 1): ('812a151dca311120', 'cbadfe17e34b2f84', 'b17516069927b71e'),
+    ('seap', 'synchronous', 2, 0): ('5f471d58bc491266', '3cc614f9072381d6', '1e426abe9bf59bcc'),
+    ('seap', 'synchronous', 2, 1): ('7a819af7f6d6fd75', '7c756086b65236f6', '8ca4d97f3ed56e28'),
+    ('seap', 'synchronous', 8, 0): ('e77aaa58e2e18453', 'd06939338a165fc2', '3bce7b6f831c00ee'),
+    ('seap', 'synchronous', 8, 1): ('57b3070673f6d63c', 'ca4b983baa9d08a2', 'f74038d4b9aa28f6'),
+    ('seap', 'synchronous', 32, 0): ('990067c47b5a7578', '9a42dec75bd1d68e', '8d0a226c684ac4f9'),
+    ('seap', 'synchronous', 32, 1): ('44764eeae8080085', 'ace6191fa1c7f811', '74cffc43a133328f'),
+    ('seap', 'asynchronous', 2, 0): ('d02ff947cfa30a44', '3cc614f9072381d6', 'b73975aa33d5ed18'),
+    ('seap', 'asynchronous', 2, 1): ('c24e0f8de7458cfd', '7c756086b65236f6', 'e30af3c2c17562ad'),
+    ('seap', 'asynchronous', 8, 0): ('85aa5bf399ad94d0', 'd06939338a165fc2', 'f42be0ffa71b3e0b'),
+    ('seap', 'asynchronous', 8, 1): ('67f6562846d1a8c9', 'ca4b983baa9d08a2', '2ae22375b0969d11'),
+    ('seap', 'asynchronous', 32, 0): ('9280549b00b28c5c', '9a42dec75bd1d68e', '7bcb4c6abb2fcacb'),
+    ('seap', 'asynchronous', 32, 1): ('d166f5f4f49d0538', 'ace6191fa1c7f811', '97276a81a6c00290'),
+    ('kselect', 'synchronous', 2, 0): ('a55f0df1dc200296', '59a02f3ac39a5d06', '8bac549f7323130f'),
+    ('kselect', 'synchronous', 2, 1): ('2707cbd46baf38f9', 'b463de13591b052a', '88f72ca1a2bcd3b5'),
+    ('kselect', 'synchronous', 8, 0): ('0acfb527fdeb8370', '70b0cea0c172bcbc', '1bdd944cca61d7af'),
+    ('kselect', 'synchronous', 8, 1): ('648ac3d728a11389', '03850e5d0118b793', '4db51379957e01be'),
+    ('kselect', 'synchronous', 32, 0): ('140c69571906a41e', '8c1076b9b27f09da', 'e805921ff87a3f79'),
+    ('kselect', 'synchronous', 32, 1): ('5f78b3df7c08e434', '35f239eaee7bd413', '0f1b651a2f725c96'),
+    ('kselect', 'asynchronous', 2, 0): ('a0092f85930f5d16', '748df3f957a7c140', '9289e0b8db4d5d68'),
+    ('kselect', 'asynchronous', 2, 1): ('36d4e420174b8340', 'f5f2b4885849778b', '9289e0b8db4d5d68'),
+    ('kselect', 'asynchronous', 8, 0): ('28917d5692f1a316', '7ec12db548973bdf', '7ca3ed86c1bf3138'),
+    ('kselect', 'asynchronous', 8, 1): ('ea796f3fb99d71df', '0a061e83afba5214', 'c434b2630bc2b8b1'),
+    ('kselect', 'asynchronous', 32, 0): ('9a5b3c938b38ef38', 'c17aee55a03d49e0', '3c69c1c9e32018f8'),
+    ('kselect', 'asynchronous', 32, 1): ('7102f12ea2ef4b61', '1da61bf25e6290c9', 'a9592497770e89ae'),
 }
 
 
