@@ -64,6 +64,8 @@ class SkeapNode(OverlayNode):
             self.finished = True
             return
         self.epoch = epoch
+        if epoch == self.total_epochs - 1:
+            self.source.inject(self.source.budget)  # the last snapshot takes every request
         snapshot = self.source.snapshot(epoch)
         kinds = [(r.kind, r.element.priority if r.element else None) for r in snapshot]
         batch, runs = batches.snapshot_batch(kinds, self.priorities)

@@ -103,6 +103,8 @@ class SkeapPlusNode(KSelectNode):
             self.finished = True
             return
         self.epoch = epoch
+        if epoch == self.total_epochs - 1:
+            self.source.inject(self.source.budget)  # the last snapshots take every request
         snap = self.source.snapshot(epoch, INSERT)
         self.ins_snapshot[epoch] = snap
         self.contribute_all("si", (epoch,), len(snap), 0)

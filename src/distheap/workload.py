@@ -3,8 +3,10 @@
 Each node owns a deterministic RNG derived from (run seed, node id).  On
 every activation a node injects up to ``lam`` requests until its budget
 is exhausted, mixing inserts and delete-mins; inserted elements carry
-the issuing node and a per-node sequence number as tiebreaker.  A test
-may instead preload a script of requests.
+the issuing node and a per-node sequence number as tiebreaker.  Just
+before a node snapshots its last epoch it issues whatever budget is
+left, so every issued request falls in an epoch.  A test may instead
+preload a script of requests.
 
 Every request is issued as an ``OperationRecord``.  The snapshot that
 takes it into an epoch stamps its ``epoch``, the protocol fills in its
@@ -58,9 +60,10 @@ class RequestSource:
         self.issued.append(req)
         return req
 
-    def inject(self) -> int:
-        """Generate up to ``lam`` random requests; returns how many."""
-        count = min(self.lam, self.budget)
+    def inject(self, count: int | None = None) -> int:
+        """Generate ``count`` (by default ``lam``) random requests, at most
+        the remaining budget; returns how many."""
+        count = min(self.lam if count is None else count, self.budget)
         for _ in range(count):
             if self.rng.random() < INSERT_RATIO:
                 self._issue(INSERT, self.rng.randint(1, self.priority_universe))
@@ -82,9 +85,11 @@ class RequestSource:
         return taken
 
     def recorded(self) -> list[OperationRecord]:
-        """The snapshotted requests in issue order; requests never taken
-        within the configured epochs are not part of the run."""
-        out = [req for req in self.issued if req.epoch >= 0]
+        """Every issued request, in issue order; each must have been
+        snapshotted into an epoch."""
+        out = self.issued
+        if any(req.epoch < 0 for req in out):
+            raise SimulationFault("request issued but never taken into an epoch")
         if any(req.kind == DELETE and req.returned is None for req in out):
             raise SimulationFault("delete finished without an outcome")
         return out

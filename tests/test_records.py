@@ -12,7 +12,8 @@ import pytest
 from distheap import experiments, run_skeap, run_skeap_plus
 from distheap.batches import DELETE, INSERT
 from distheap.consistency import brute_force_order
-from distheap.sim import ASYNC, SYNC
+from distheap.sim import ASYNC, SYNC, SimConfig, SimulationFault
+from distheap.workload import RequestSource
 
 RUNS = pytest.mark.parametrize("run", [run_skeap, run_skeap_plus], ids=["skeap", "seap"])
 
@@ -70,3 +71,23 @@ def test_brute_force_finds_an_order_for_scripted_runs(run, mode):
     assert res.ok, res.verdict.violation
     assert len(res.records) == sum(map(len, script.values())) <= 10
     assert brute_force_order(res.records) is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@RUNS
+def test_requests_issued_after_the_last_epoch_began_are_recorded(run, seed):
+    # at n=2 an async node reaches its last epoch before its budget is spent;
+    # it issues the rest just before that epoch's snapshot
+    n, lam, epochs = 2, 2, 2
+    res = run(n, seed=seed, lam=lam, epochs=epochs, mode=ASYNC, schedule_seed=seed)
+    assert res.ok
+    assert len(res.records) == n * 2 * lam * epochs
+
+
+def test_a_request_outside_every_epoch_is_a_fault():
+    source = RequestSource(0, SimConfig(n=2, seed=1), priority_universe=2)
+    source.inject()
+    source.snapshot(0)
+    source.inject()
+    with pytest.raises(SimulationFault, match="never taken into an epoch"):
+        source.recorded()

@@ -34,8 +34,8 @@ EXPECTED = {
     ('skeap', 'synchronous', 8, 1): ('b9ab1af9770ca179', '44be1a8a7c2cedf7', 'd2c27d8f970fafe5'),
     ('skeap', 'synchronous', 32, 0): ('3b73e13045afd982', '24621a035be4f904', '70fa88fbc1e9f158'),
     ('skeap', 'synchronous', 32, 1): ('918c25bc0b37bddb', 'f47010e4b7efe9d0', 'ea22edba7a19b66b'),
-    ('skeap', 'asynchronous', 2, 0): ('2862e02b2ab2fdcb', 'b5aa0fc289755ada', '20c1e8954974710c'),
-    ('skeap', 'asynchronous', 2, 1): ('3fbb7b5b606dcfff', '3fc0f323e6ffd0d5', '78b3320e249ac19b'),
+    ('skeap', 'asynchronous', 2, 0): ('08561244338f423e', '388368d3c75fc922', '9aaa8c13cf0df652'),
+    ('skeap', 'asynchronous', 2, 1): ('b68b8e7a72e5db72', 'b28d0136ddafb062', '09b1d13716fed214'),
     ('skeap', 'asynchronous', 8, 0): ('279244107676fa3a', 'c9e5fc435d38d1f1', 'e3b28bd930f65a92'),
     ('skeap', 'asynchronous', 8, 1): ('ef37d0eb4de46741', '44be1a8a7c2cedf7', 'da4cc8d0039a469a'),
     ('skeap', 'asynchronous', 32, 0): ('78b2423ace7fd6a4', '24621a035be4f904', '773ce97c534418e3'),
