@@ -27,7 +27,8 @@ waits for, and two programs waiting for one barrier, are faults.
   exactly and the candidate window between them is kept.  If the target
   escapes the window, its exact ranks still allow a safe one-sided cut,
   so every iteration makes progress; an empty sample is re-drawn with a
-  fresh salt and counted as a retry.  The cut's bounds ride the next
+  fresh salt and counted as a retry, and the re-drawn ``k2`` flood ends
+  the empty pass's ``k2n`` sessions, which no share comes down to end.  The cut's bounds ride the next
   ``k2`` flood (the next sample's, or phase 3's): a node prunes by them,
   then samples, and answers with the pair (sampled, survivors) on the
   ``k2n`` wave.  The anchor checks the survivors against the exact ranks,
@@ -43,8 +44,9 @@ waits for, and two programs waiting for one barrier, are faults.
 
 Rounds: every step is an anchor barrier, a flood down the aggregation
 tree and a wave back up (``_REPLY`` pairs each flood with its wave), which
-in sync mode costs 2 x tree height rounds; each sorting pass adds its
-routing and vote aggregation.  The anchor floods twice per phase-1
+in sync mode costs two rounds per edge between real nodes on the tree's
+longest root path (a node's own virtual nodes hand off locally); each
+sorting pass adds its routing and vote aggregation.  The anchor floods twice per phase-1
 iteration (``k1``, ``k1p``), twice per phase-2 iteration (``k2``,
 ``k2r``), once per re-drawn sample and once for phase 3, so
 ``2 P1 + 2 P2 + retries + 1`` barriers run for P1 phase-1 and P2 phase-2
@@ -586,8 +588,8 @@ class KSelectNode(OverlayNode):
                 continue
             slot.children += 1
             child_vid = self.topo.responsible(half)
-            self.send_vid(
-                child_vid,
+            self.post(
+                child_vid.owner,
                 CopySplit(
                     key,
                     i,
@@ -625,7 +627,7 @@ class KSelectNode(OverlayNode):
         else:
             votes = ((0, 1), (1, 0))
         for target, vector in zip((first, second), votes):
-            self.sim.send(self.id, target.holder, VoteMsg(op.key, target.slot, vector))
+            self.post(target.holder, VoteMsg(op.key, target.slot, vector))
 
     def _slot_try(self, key: tuple, slot_key: tuple) -> None:
         slot = self.copy_slots[slot_key]
@@ -636,9 +638,7 @@ class KSelectNode(OverlayNode):
         for vec in slot.child_sums:
             total = (total[0] + vec[0], total[1] + vec[1])
         if slot.parent_slot is not None:
-            self.sim.send(
-                self.id, slot.parent_node, CopyAggMsg(key, slot.parent_slot, total)
-            )
+            self.post(slot.parent_node, CopyAggMsg(key, slot.parent_slot, total))
             return
         # root of the copy tree: total is this candidate's comparison record
         n_prime, probe_lo, probe_hi, target = slot.meta
@@ -648,14 +648,12 @@ class KSelectNode(OverlayNode):
         anchor = self.topo.root.owner
         if target:
             if order == target:
-                self.sim.send(
-                    self.id, anchor, ProbeReport(key, "target", order, slot.element)
-                )
+                self.post(anchor, ProbeReport(key, "target", order, slot.element))
         else:
             if order == probe_lo:
-                self.sim.send(self.id, anchor, ProbeReport(key, "lo", order, slot.element))
+                self.post(anchor, ProbeReport(key, "lo", order, slot.element))
             if order == probe_hi:
-                self.sim.send(self.id, anchor, ProbeReport(key, "hi", order, slot.element))
+                self.post(anchor, ProbeReport(key, "hi", order, slot.element))
 
     def _probe_report(self, report: ProbeReport) -> None:
         program = self._programs.pop(("probes", report.key), None)
@@ -668,6 +666,11 @@ class KSelectNode(OverlayNode):
         reply = _REPLY.get(kind)
         if reply is None:
             return super().on_flood(kind, key, vid, payload)
+        if kind == "k2":
+            # a re-drawn sample: the empty pass before it got no share to end it
+            redrawn = ("k2n", (*key[:2], key[2] - 1), vid)
+            if redrawn in self._waves:
+                self.wave_end(*redrawn)
         value = self._answer(kind, key, payload) if vid.kind == MIDDLE else _NEUTRAL[reply]
         self.wave_contribute(reply, key, vid, value)
 

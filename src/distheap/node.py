@@ -22,6 +22,15 @@ Sessions are keyed by (kind, key, virtual node), so pipelined epochs and
 overlapping protocol steps never interfere even under adversarial
 asynchronous delivery.
 
+A real node emulates all three of its virtual nodes, so a step between
+two of them is local state, not a link: ``post`` turns a payload a node
+addresses to itself into a local hand-off (``Simulator.hand_off``), which
+is not a message and costs no round.  This covers 2n of the tree's 3n - 1
+edges (a node's M hangs below its own L, its R below its M), so a flood
+sends exactly n - 1 messages and a barrier costs rounds only for the
+edges between real nodes; route hops and DHT replies that stay on one
+node are hand-offs too.
+
 Every message class derives its size from one rule (``Message``): the sum
 of its fields' sizes, where a field annotated ``Nat`` costs ``nat_bits``
 and any other field costs ``value_bits`` (an ``int`` there keeps a sign
@@ -307,8 +316,13 @@ class OverlayNode(ProtocolNode):
     def on_protocol_message(self, src: int, payload: Any) -> None:
         raise SimulationFault(f"unhandled message {type(payload).__name__}")
 
-    def send_vid(self, vid: VirtualId, payload: Any) -> None:
-        self.sim.send(self.id, vid.owner, payload)
+    def post(self, dst: int, payload: Any) -> None:
+        """Send ``payload`` to real node ``dst``; to this node itself it is a
+        local hand-off (``Simulator.hand_off``), not a message."""
+        if dst == self.id:
+            self.sim.hand_off(dst, payload)
+        else:
+            self.sim.send(self.id, dst, payload)
 
     # -- waves -----------------------------------------------------------------
     def _session(self, kind: str, key: tuple, vid: VirtualId) -> _WaveSession:
@@ -356,7 +370,7 @@ class OverlayNode(ProtocolNode):
             self.wave_root(kind, key, combined)
         else:
             parent = self.topo.parent[vid]
-            self.send_vid(parent, WaveUpMsg(kind, key, parent, vid, combined))
+            self.post(parent.owner, WaveUpMsg(kind, key, parent, vid, combined))
 
     def wave_end(self, kind: str, key: tuple, vid: VirtualId) -> _WaveSession:
         """End the session of a combined wave at ``vid`` and return it.
@@ -377,7 +391,7 @@ class OverlayNode(ProtocolNode):
         parts = [sess.own] + [sess.child_values[c] for c in kids]
         own_share, *child_shares = self.wave_split(kind, share, parts)
         for child, child_share in zip(kids, child_shares):
-            self.send_vid(child, WaveDownMsg(kind, key, child, child_share))
+            self.post(child.owner, WaveDownMsg(kind, key, child, child_share))
         self.wave_deliver(kind, key, vid, own_share)
 
     def _wave_down(self, msg: WaveDownMsg) -> None:
@@ -406,7 +420,7 @@ class OverlayNode(ProtocolNode):
 
     def _flood_receive(self, msg: FloodMsg) -> None:
         for child in self.topo.children[msg.vid]:
-            self.send_vid(child, FloodMsg(msg.kind, msg.key, child, msg.payload))
+            self.post(child.owner, FloodMsg(msg.kind, msg.key, child, msg.payload))
         self.on_flood(msg.kind, msg.key, msg.vid, msg.payload)
 
     def on_flood(self, kind: str, key: tuple, vid: VirtualId, payload: Any) -> None:
@@ -432,7 +446,7 @@ class OverlayNode(ProtocolNode):
         if nxt is None:
             self._route_arrived(vid, key, inner)
         else:
-            self.send_vid(nxt, RouteMsg(key, start_label, hop + 1, nxt, inner, inner_bits))
+            self.post(nxt.owner, RouteMsg(key, start_label, hop + 1, nxt, inner, inner_bits))
 
     def _route_arrived(self, vid: VirtualId, key: float, inner: Any) -> None:
         if isinstance(inner, PutOp):
@@ -440,19 +454,17 @@ class OverlayNode(ProtocolNode):
             waiter = self.waiting_gets.pop(slot, None)
             if waiter is not None:
                 requester, token = waiter
-                self.sim.send(self.id, requester, GetReplyMsg(inner.ns, token, inner.element))
+                self.post(requester, GetReplyMsg(inner.ns, token, inner.element))
             else:
                 if slot in self.storage:
                     raise SimulationFault(f"duplicate put under {slot}")
                 self.storage[slot] = inner.element
-            self.sim.send(self.id, inner.reply_to, PutAckMsg(inner.ns, inner.token))
+            self.post(inner.reply_to, PutAckMsg(inner.ns, inner.token))
         elif isinstance(inner, GetOp):
             slot = (inner.ns, inner.key_id)
             if slot in self.storage:
                 element = self.storage.pop(slot)
-                self.sim.send(
-                    self.id, inner.requester, GetReplyMsg(inner.ns, inner.token, element)
-                )
+                self.post(inner.requester, GetReplyMsg(inner.ns, inner.token, element))
             else:
                 if slot in self.waiting_gets:
                     raise SimulationFault(f"two gets parked under {slot}")

@@ -17,13 +17,22 @@ Two execution modes share one node model:
   dropped, so the picks follow traffic.  Delivery is non-FIFO, never
   drops or duplicates, and is always within the deadline, which makes
   runs terminating and replayable.
+* local hand-offs (``hand_off``): a real node that addresses itself, as
+  when one of its virtual nodes talks to another, hands the payload to
+  its own ``on_message``.  A hand-off is not a message: it is not sized,
+  counted or traced, draws nothing from the scheduler and costs no round
+  or tick.  Queued hand-offs run in FIFO order after the current handler
+  (delivery or activation) returns, before the next event; those queued
+  outside any handler run before the next round or the first pick.
+  ``send`` stays a message whatever its endpoints, also from a node to
+  itself.
 
 A ``trace=`` callback sees every send, delivery and activation; an
 ``activate`` event means the node's ``on_activate`` ran.  A traced run
 takes the same path as an untraced one.  In both modes a run that has no
-message in flight and a node that is not ``done`` but needs no
-activation can never progress; it raises a stall ``SimulationFault`` at
-once.
+message in flight, no hand-off queued and a node that is not ``done`` but
+needs no activation can never progress; it raises a stall
+``SimulationFault`` at once.
 
 The simulator keeps two message counters, ``sent`` and ``delivered``.
 An envelope's ``seq``, its place in send order, is the value of ``sent``
@@ -50,6 +59,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable
@@ -199,6 +209,7 @@ class Simulator:
         self.cfg = config
         self.nodes: list[ProtocolNode] = []
         self._outbox: list[Envelope] = []  # sent, not yet delivered (sync mode)
+        self._handoffs: deque[tuple[int, Any]] = deque()  # (dst, payload), not yet run
         self._awake: list[int] = []  # ids still activated in sync mode
         self.time = 0
         self.sent = 0
@@ -238,6 +249,21 @@ class Simulator:
                 {"kind": "send", "time": self.time, "src": src, "dst": dst, "bits": bits}
             )
 
+    def hand_off(self, dst: int, payload: Any) -> None:
+        """Queue ``payload`` for real node ``dst``'s ``on_message``, from
+        ``dst`` itself: a local hand-off, not a message.  It runs after the
+        current handler returns (see the module docstring)."""
+        if not 0 <= dst < len(self.nodes):
+            raise SimulationFault(f"hand-off to unknown node {dst}")
+        self._handoffs.append((dst, payload))
+
+    def _run_handoffs(self) -> None:
+        """Run queued hand-offs in FIFO order, with those they queue."""
+        queue, nodes = self._handoffs, self.nodes
+        while queue:
+            dst, payload = queue.popleft()
+            nodes[dst].on_message(dst, payload)
+
     def pending_messages(self) -> int:
         return self.sent - self.delivered
 
@@ -255,6 +281,8 @@ class Simulator:
                 }
             )
         self.nodes[env.dst].on_message(env.src, env.payload)
+        if self._handoffs:
+            self._run_handoffs()
 
     def _activate(self, node_id: int) -> None:
         if self._trace:
@@ -262,11 +290,15 @@ class Simulator:
                 {"kind": "activate", "time": self.time, "src": node_id, "dst": node_id, "bits": 0}
             )
         self.nodes[node_id].on_activate()
+        if self._handoffs:
+            self._run_handoffs()
 
     # -- synchronous mode ----------------------------------------------------
     def step_round(self) -> RoundMetrics:
         """Deliver everything sent before this round, then activate each node
-        whose ``needs_activation`` holds."""
+        whose ``needs_activation`` holds.  Hand-offs queued outside any
+        handler run first."""
+        self._run_handoffs()
         self.time += 1
         due, self._outbox = self._outbox, []
         due.sort(key=_BY_DST)  # stable: each destination's envelopes stay in send order
@@ -293,12 +325,14 @@ class Simulator:
         return metrics
 
     def _quiescent(self, engine: str) -> bool:
-        """True if no message is in flight and every node is ``done``.
+        """True if no message is in flight, no hand-off is queued and every
+        node is ``done``.
 
-        Raises a stall fault if no message is in flight and no node that is
-        not ``done`` needs activation: nothing can ever happen again.
+        Raises a stall fault if neither a message nor a hand-off is pending
+        and no node that is not ``done`` needs activation: nothing can ever
+        happen again.
         """
-        if self.sent != self.delivered:
+        if self.sent != self.delivered or self._handoffs:
             return False
         nodes = self.nodes
         if all(nd.done for nd in nodes):
@@ -314,6 +348,7 @@ class Simulator:
     def run_sync(self, max_rounds: int = 1_000_000) -> int:
         """Step rounds until quiescence.  Returns rounds run."""
         start = self.time
+        self._run_handoffs()  # those queued outside any handler
         while self.time - start < max_rounds:
             if self._quiescent("run_sync"):
                 return self.time - start
@@ -346,6 +381,7 @@ class Simulator:
         for env in pending:
             env.deadline = self.time + 1 + rng.randrange(self.cfg.async_delay_max)
             heapq.heappush(self._events, (env.deadline, env.seq, _MSG, env))
+        self._run_handoffs()  # those queued outside any handler
         picks = 0
         while True:
             if picks >= max_picks:

@@ -18,9 +18,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 EXPECTED = {
-    "skeap-sync-n512": "d8e6fb222fb8037c",
-    "kselect-sync-n128": "08e0dfea53182be6",
-    "seap-async-n128": "74edc2f5c286b59b",
+    "skeap-sync-n512": "6f560b53f7e3747a",
+    "kselect-sync-n128": "bf62d4e203010c00",
+    "seap-async-n128": "040c1ba08cd91c44",
 }
 
 

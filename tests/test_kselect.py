@@ -172,9 +172,9 @@ def test_out_of_range_k_is_protocol_error(case, monkeypatch):
     assert res.retries == retries
 
 
-def _started(n, m, seed):
+def _started(n, m, seed, k=None):
     """A sync KSelect system placed as ``run_kselect`` places it, selection
-    of k=n started; returns (simulator, nodes, anchor)."""
+    of ``k`` (by default n) started; returns (simulator, nodes, anchor)."""
     sim = Simulator(SimConfig(n=n, seed=seed))
     topo = CycleTopology.build(n, seed)
     nodes = [KSelectNode(sim, v, topo) for v in range(n)]
@@ -182,7 +182,7 @@ def _started(n, m, seed):
         sim.add_node(node)
         node.seed_elements(elems)
     anchor = nodes[topo.root.owner]
-    anchor.run_program(anchor.select(n))
+    anchor.run_program(anchor.select(n if k is None else k))
     return sim, nodes, anchor
 
 
@@ -239,6 +239,11 @@ def test_no_wave_session_outlives_a_selection():
     sim, nodes, anchor = _started(64, 64 * 64, 1)
     sim.run_sync()
     assert anchor.selection.result is not None
+    assert sum(len(node._waves) for node in nodes) == 0
+    # an empty sample's k2n pass gets no share; the re-drawn k2 flood ends it
+    sim, nodes, anchor = _started(16, 256, 25, k=128)
+    sim.run_sync()
+    assert anchor.selection.result is not None and anchor.selection.retries == 1
     assert sum(len(node._waves) for node in nodes) == 0
     with pytest.raises(SimulationFault, match="before the wave combined"):
         anchor.wave_down("ki", (0,), anchor.topo.root, (1, 1))

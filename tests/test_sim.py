@@ -211,10 +211,10 @@ def _trace_stream(run):
     "run",
     [
         lambda trace: run_kselect(16, m=256, k=16, seed=1, trace=trace),
-        lambda trace: run_skeap(8, seed=1, trace=trace),
+        lambda trace: run_skeap(16, seed=1, trace=trace),
         lambda trace: run_skeap_plus(8, seed=1, mode=ASYNC, trace=trace),
     ],
-    ids=["kselect-sync-n16", "skeap-sync-n8", "seap-async-n8"],
+    ids=["kselect-sync-n16", "skeap-sync-n16", "seap-async-n8"],
 )
 def test_tuple_memo_keeps_whole_run_trace(run, monkeypatch):
     with_memo = _trace_stream(run)

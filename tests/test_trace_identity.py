@@ -28,42 +28,42 @@ SEEDS = (0, 1)
 
 # (protocol, mode, n, seed) -> (trace, records, metrics)
 EXPECTED = {
-    ('skeap', 'synchronous', 2, 0): ('a3e148ef159bfbc5', '388368d3c75fc922', '747a94622ced5566'),
-    ('skeap', 'synchronous', 2, 1): ('123f500079b374b2', 'b28d0136ddafb062', '4be5255f656c1e07'),
-    ('skeap', 'synchronous', 8, 0): ('c83e2101b8141120', 'c9e5fc435d38d1f1', '411bb3ac3731d5b3'),
-    ('skeap', 'synchronous', 8, 1): ('b9ab1af9770ca179', '44be1a8a7c2cedf7', 'd2c27d8f970fafe5'),
-    ('skeap', 'synchronous', 32, 0): ('3b73e13045afd982', '24621a035be4f904', '70fa88fbc1e9f158'),
-    ('skeap', 'synchronous', 32, 1): ('918c25bc0b37bddb', 'f47010e4b7efe9d0', 'ea22edba7a19b66b'),
-    ('skeap', 'asynchronous', 2, 0): ('08561244338f423e', '388368d3c75fc922', '9aaa8c13cf0df652'),
-    ('skeap', 'asynchronous', 2, 1): ('b68b8e7a72e5db72', 'b28d0136ddafb062', '09b1d13716fed214'),
-    ('skeap', 'asynchronous', 8, 0): ('279244107676fa3a', 'c9e5fc435d38d1f1', 'e3b28bd930f65a92'),
-    ('skeap', 'asynchronous', 8, 1): ('ef37d0eb4de46741', '44be1a8a7c2cedf7', 'da4cc8d0039a469a'),
-    ('skeap', 'asynchronous', 32, 0): ('78b2423ace7fd6a4', '24621a035be4f904', '773ce97c534418e3'),
-    ('skeap', 'asynchronous', 32, 1): ('fc0bbabda6927c23', 'f47010e4b7efe9d0', 'fc5ac2452a95405d'),
-    ('seap', 'synchronous', 2, 0): ('5f471d58bc491266', '3cc614f9072381d6', '1e426abe9bf59bcc'),
-    ('seap', 'synchronous', 2, 1): ('7a819af7f6d6fd75', '7c756086b65236f6', '8ca4d97f3ed56e28'),
-    ('seap', 'synchronous', 8, 0): ('e77aaa58e2e18453', 'd06939338a165fc2', '3bce7b6f831c00ee'),
-    ('seap', 'synchronous', 8, 1): ('57b3070673f6d63c', 'ca4b983baa9d08a2', 'f74038d4b9aa28f6'),
-    ('seap', 'synchronous', 32, 0): ('990067c47b5a7578', '9a42dec75bd1d68e', '8d0a226c684ac4f9'),
-    ('seap', 'synchronous', 32, 1): ('44764eeae8080085', 'ace6191fa1c7f811', '74cffc43a133328f'),
-    ('seap', 'asynchronous', 2, 0): ('d02ff947cfa30a44', '3cc614f9072381d6', 'b73975aa33d5ed18'),
-    ('seap', 'asynchronous', 2, 1): ('c24e0f8de7458cfd', '7c756086b65236f6', 'e30af3c2c17562ad'),
-    ('seap', 'asynchronous', 8, 0): ('85aa5bf399ad94d0', 'd06939338a165fc2', 'f42be0ffa71b3e0b'),
-    ('seap', 'asynchronous', 8, 1): ('67f6562846d1a8c9', 'ca4b983baa9d08a2', '2ae22375b0969d11'),
-    ('seap', 'asynchronous', 32, 0): ('9280549b00b28c5c', '9a42dec75bd1d68e', '7bcb4c6abb2fcacb'),
-    ('seap', 'asynchronous', 32, 1): ('d166f5f4f49d0538', 'ace6191fa1c7f811', '97276a81a6c00290'),
-    ('kselect', 'synchronous', 2, 0): ('a55f0df1dc200296', '59a02f3ac39a5d06', '8bac549f7323130f'),
-    ('kselect', 'synchronous', 2, 1): ('2707cbd46baf38f9', 'b463de13591b052a', '88f72ca1a2bcd3b5'),
-    ('kselect', 'synchronous', 8, 0): ('0acfb527fdeb8370', '70b0cea0c172bcbc', '1bdd944cca61d7af'),
-    ('kselect', 'synchronous', 8, 1): ('648ac3d728a11389', '03850e5d0118b793', '4db51379957e01be'),
-    ('kselect', 'synchronous', 32, 0): ('140c69571906a41e', '8c1076b9b27f09da', 'e805921ff87a3f79'),
-    ('kselect', 'synchronous', 32, 1): ('5f78b3df7c08e434', '35f239eaee7bd413', '0f1b651a2f725c96'),
-    ('kselect', 'asynchronous', 2, 0): ('a0092f85930f5d16', '748df3f957a7c140', '9289e0b8db4d5d68'),
-    ('kselect', 'asynchronous', 2, 1): ('36d4e420174b8340', 'f5f2b4885849778b', '9289e0b8db4d5d68'),
-    ('kselect', 'asynchronous', 8, 0): ('28917d5692f1a316', '7ec12db548973bdf', '7ca3ed86c1bf3138'),
-    ('kselect', 'asynchronous', 8, 1): ('ea796f3fb99d71df', '0a061e83afba5214', 'c434b2630bc2b8b1'),
-    ('kselect', 'asynchronous', 32, 0): ('9a5b3c938b38ef38', 'c17aee55a03d49e0', '3c69c1c9e32018f8'),
-    ('kselect', 'asynchronous', 32, 1): ('7102f12ea2ef4b61', '1da61bf25e6290c9', 'a9592497770e89ae'),
+    ('skeap', 'synchronous', 2, 0): ('2da184d75f819a44', '388368d3c75fc922', '519ebf2918a7c79c'),
+    ('skeap', 'synchronous', 2, 1): ('4bd3042f69453e49', 'b28d0136ddafb062', 'dee93ba62e3e820b'),
+    ('skeap', 'synchronous', 8, 0): ('ceec964248c76185', 'c9e5fc435d38d1f1', '7f4d72610b8bf139'),
+    ('skeap', 'synchronous', 8, 1): ('9d5fad048ca9f787', '44be1a8a7c2cedf7', 'f725eb4ee7e0a6c0'),
+    ('skeap', 'synchronous', 32, 0): ('2a9cb49ac3a38cfd', '24621a035be4f904', '4c9c5340a275ecd7'),
+    ('skeap', 'synchronous', 32, 1): ('09108349d7caca4f', 'f47010e4b7efe9d0', '633bcdd33127b2bc'),
+    ('skeap', 'asynchronous', 2, 0): ('93927833f56b6c9b', '388368d3c75fc922', '68d449a672ebc1d0'),
+    ('skeap', 'asynchronous', 2, 1): ('5c97dbdfecd3469d', 'b28d0136ddafb062', '86abb4141b08805e'),
+    ('skeap', 'asynchronous', 8, 0): ('08441d6a517938b4', 'c9e5fc435d38d1f1', '3662d68904e98696'),
+    ('skeap', 'asynchronous', 8, 1): ('2bc1525d56eae53d', '44be1a8a7c2cedf7', '248430d332d18dc9'),
+    ('skeap', 'asynchronous', 32, 0): ('6444c7b443b18a78', '24621a035be4f904', '3d0ea917ed582838'),
+    ('skeap', 'asynchronous', 32, 1): ('3b1089440a2e15f1', 'f47010e4b7efe9d0', '6d2eeb0710b3240f'),
+    ('seap', 'synchronous', 2, 0): ('13efe617cf922b0f', '20b74a1a27c9e5bd', 'a581df0e1c480822'),
+    ('seap', 'synchronous', 2, 1): ('5cafa4f445caa697', 'e1b12c6bea5a474d', '87d29f0dd1d1bf5b'),
+    ('seap', 'synchronous', 8, 0): ('c1f2063367f92262', 'd06939338a165fc2', 'f3741f7ef2ac3f9f'),
+    ('seap', 'synchronous', 8, 1): ('f52f54b0b36f0166', 'ca4b983baa9d08a2', 'd621d0ce761b26d8'),
+    ('seap', 'synchronous', 32, 0): ('0b416374f66d79d6', '9a42dec75bd1d68e', '947de26d779f58f4'),
+    ('seap', 'synchronous', 32, 1): ('9e705fe681603d8a', 'ace6191fa1c7f811', '9a43c9437fbd885c'),
+    ('seap', 'asynchronous', 2, 0): ('9a27845b9be68ce1', '3cc614f9072381d6', 'ac9b3ee33a7ff752'),
+    ('seap', 'asynchronous', 2, 1): ('3a3af2a817092efa', 'ddf0f70ad3f82eef', '61625d92eb818fac'),
+    ('seap', 'asynchronous', 8, 0): ('c873f08308fc9718', 'd06939338a165fc2', '2a395a315c19d98b'),
+    ('seap', 'asynchronous', 8, 1): ('1153298d4f249136', 'ca4b983baa9d08a2', '2da94382e3ae2cee'),
+    ('seap', 'asynchronous', 32, 0): ('350e2d1b7eb20227', '9a42dec75bd1d68e', '15015b33e5d993b8'),
+    ('seap', 'asynchronous', 32, 1): ('0f2196274f5efb97', 'ace6191fa1c7f811', 'd0128d985262b429'),
+    ('kselect', 'synchronous', 2, 0): ('2ec2b6632ff7e8a8', '02110ae6881c39ad', '9d942ce15c7f33ca'),
+    ('kselect', 'synchronous', 2, 1): ('996e02f51e675c46', '7738fad936616975', '827e23e1ef854ac6'),
+    ('kselect', 'synchronous', 8, 0): ('8360e2cb90efbbec', '532c3d6ee5d49b7b', '1c27855b815209ff'),
+    ('kselect', 'synchronous', 8, 1): ('0f3a642c1bd842e3', '8d24248dbef6fe6d', 'f754baa286bfbea3'),
+    ('kselect', 'synchronous', 32, 0): ('0a679055fce76eec', '447eb6ce8f84c61a', '2f4e37c35e2ed8d4'),
+    ('kselect', 'synchronous', 32, 1): ('aa0835c70f6ab46b', '3ba3c01ab8c48bb7', '991cae139d367f7c'),
+    ('kselect', 'asynchronous', 2, 0): ('63a3e6b41e69e8b7', '87c945b83f9ac2ab', 'd621577b85380664'),
+    ('kselect', 'asynchronous', 2, 1): ('5d7777dba661a05f', '3b211b81226c168c', '64e98b48d4e1b31a'),
+    ('kselect', 'asynchronous', 8, 0): ('7a4dd75a3cdcb2bc', '2cc15b022bdc8d7f', 'ba4f0c13358cce9e'),
+    ('kselect', 'asynchronous', 8, 1): ('0571dea64344bd7b', '1eaa4a956dd43ba6', 'dabcdddee2b20b99'),
+    ('kselect', 'asynchronous', 32, 0): ('321a8a47bca77d65', '9a3e69843496aee4', '421f536bc65f4b41'),
+    ('kselect', 'asynchronous', 32, 1): ('67054719b58f6ba6', '7c6800170a914d14', 'c8345e671de7b102'),
 }
 
 
