@@ -28,10 +28,10 @@ waits for, and two programs waiting for one barrier, are faults.
   escapes the window, its exact ranks still allow a safe one-sided cut,
   so every iteration makes progress; an empty sample is re-drawn with a
   fresh salt and counted as a retry, and the re-drawn ``k2`` flood ends
-  the empty pass's ``k2n`` sessions, which no share comes down to end.  The cut's bounds ride the next
-  ``k2`` flood (the next sample's, or phase 3's): a node prunes by them,
-  then samples, and answers with the pair (sampled, survivors) on the
-  ``k2n`` wave.  The anchor checks the survivors against the exact ranks,
+  the empty pass's ``k2n`` sessions, which no share comes down to end.
+  The cut's bounds ride the next ``k2`` flood (the next sample's, or
+  phase 3's): a node prunes by them, then samples, and answers with the
+  pair (sampled, survivors) on the ``k2n`` wave.  The anchor checks the survivors against the exact ranks,
   and the sample's positions split by the first component.  A re-drawn
   sample carries the same bounds; pruning twice cuts nothing more.  After
   ``PHASE2_CAP`` iterations, phase 3 runs if ``N <= n``; otherwise the
@@ -46,11 +46,11 @@ Rounds: every step is an anchor barrier, a flood down the aggregation
 tree and a wave back up (``_REPLY`` pairs each flood with its wave), which
 in sync mode costs two rounds per edge between real nodes on the tree's
 longest root path (a node's own virtual nodes hand off locally); each
-sorting pass adds its routing and vote aggregation.  The anchor floods twice per phase-1
-iteration (``k1``, ``k1p``), twice per phase-2 iteration (``k2``,
-``k2r``), once per re-drawn sample and once for phase 3, so
-``2 P1 + 2 P2 + retries + 1`` barriers run for P1 phase-1 and P2 phase-2
-iterations, at most ``2 (ceil(log2 q) + 1) + 2 PHASE2_CAP + retries + 1``.
+sorting pass adds its routing and vote aggregation.  The anchor floods
+twice per phase-1 iteration (``k1``, ``k1p``), twice per phase-2
+iteration (``k2``, ``k2r``), once per re-drawn sample and once for phase
+3, so ``2 P1 + 2 P2 + retries + 1`` barriers run for P1 phase-1 and P2
+phase-2 iterations, at most ``2 (ceil(log2 q) + 1) + 2 PHASE2_CAP + retries + 1``.
 
 The sorting sub-protocol assigns sampled candidates unique positions via
 interval decomposition, routes each candidate to the node owning the

@@ -28,8 +28,9 @@ INSERT_RATIO = 0.6  # share of generated requests that are inserts
 class RequestSource:
     """Issues requests as ``OperationRecord``s, which the protocol fills in,
     and buffers them until the protocol snapshots them into an epoch.
-    ``issued`` keeps them all in issue order; ``recorded`` returns the
-    snapshotted ones, the node's share of a run's records.
+    ``issued`` keeps them all in issue order; ``recorded`` returns them
+    after checking that every one was snapshotted, the node's share of a
+    run's records.
 
     A node issues ``2 * lam * epochs`` random requests in all, with
     priorities drawn from ``[1, priority_universe]``.
