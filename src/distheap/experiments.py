@@ -14,10 +14,12 @@ from .consistency import OperationRecord, Verdict, check_phase_optimality, make_
 from .hashing import Tag, mix64
 from .kselect import KSelectNode, exponent_for
 from .metrics import run_metrics
+from .node import build
 from .overlay import CycleTopology
 from .sim import SYNC, Element, SimConfig, Simulator
 from .skeap import build_skeap
 from .skeap_plus import build_skeap_plus, finalize_records
+from .workload import Script, check_script
 
 
 @dataclass
@@ -67,9 +69,7 @@ def run_kselect(
     cfg = SimConfig(n=n, seed=seed, mode=mode)
     sim = Simulator(cfg, trace=trace)
     topo = CycleTopology.build(n, seed)
-    nodes = [KSelectNode(sim, v, topo) for v in range(n)]
-    for node in nodes:
-        sim.add_node(node)
+    nodes = build(KSelectNode, sim, topo)
     placement = make_elements(n, m, seed, universe)
     everything: list[Element] = []
     for node, elems in zip(nodes, placement):
@@ -119,25 +119,23 @@ class HeapRunResult:
 
 
 def _run_heap(
-    build: Callable[[Simulator, CycleTopology], list],
+    build_heap: Callable[[Simulator, CycleTopology, Script | None], list],
     schedule_seed: int,
     trace: Callable[[dict], None] | None,
-    script: dict[int, list[tuple[str, int | None]]] | None,
+    script: Script | None,
     **config: Any,
 ) -> tuple[Simulator, list, Any]:
-    """Build a heap protocol from ``config``, preload ``script`` and run it.
+    """Build a heap protocol from ``config`` and run it.  With a ``script``
+    the nodes issue its requests and nothing else.
 
     Returns the simulator, the nodes and the anchor node.
     """
     cfg = SimConfig(**config)
+    if script is not None:
+        check_script(script, cfg)
     sim = Simulator(cfg, trace=trace)
     topo = CycleTopology.build(cfg.n, cfg.seed)
-    nodes = build(sim, topo)
-    if script:
-        for node_id, reqs in script.items():
-            nodes[node_id].source.preload(reqs)
-        for node in nodes:
-            node.source.budget = 0
+    nodes = build_heap(sim, topo, script)
     if cfg.mode == SYNC:
         sim.run_sync()
     else:
@@ -154,7 +152,7 @@ def run_skeap(
     mode: str = SYNC,
     schedule_seed: int = 0,
     trace: Callable[[dict], None] | None = None,
-    script: dict[int, list[tuple[str, int | None]]] | None = None,
+    script: Script | None = None,
 ) -> HeapRunResult:
     sim, nodes, anchor = _run_heap(
         build_skeap, schedule_seed, trace, script,
@@ -180,7 +178,7 @@ def run_skeap_plus(
     mode: str = SYNC,
     schedule_seed: int = 0,
     trace: Callable[[dict], None] | None = None,
-    script: dict[int, list[tuple[str, int | None]]] | None = None,
+    script: Script | None = None,
 ) -> HeapRunResult:
     """Run Seap with priorities drawn from ``[1, n^2]``."""
     sim, nodes, anchor = _run_heap(

@@ -498,3 +498,12 @@ _HANDLERS: dict[type, Callable[[OverlayNode, Any], None]] = {
     PutAckMsg: lambda node, msg: node.on_put_ack(msg.ns, msg.token),
     GetReplyMsg: lambda node, msg: node.on_get_reply(msg.ns, msg.token, msg.element),
 }
+
+
+def build(cls: type, sim: Simulator, topo: CycleTopology, *args: Any) -> list:
+    """One ``cls`` node per real node, each added to ``sim``; ``args`` go to
+    every node's constructor after ``(sim, node_id, topo)``."""
+    nodes = [cls(sim, v, topo, *args) for v in range(sim.cfg.n)]
+    for node in nodes:
+        sim.add_node(node)
+    return nodes

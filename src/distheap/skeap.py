@@ -2,9 +2,12 @@
 
 Each epoch runs four phases, pipelined per node:
 
-1. every node snapshots its buffered requests as a batch and the batches
-   aggregate up the tree (each virtual node combines own batch first,
-   then children ascending by label, remembering the parts);
+1. every node enters the epoch through the lifecycle both heaps share
+   (``workload.HeapNode``), which issues the epoch's requests
+   (``RequestSource.issue_for``); it snapshots its buffered requests as a
+   batch (``_open_epoch``) and the batches aggregate up the tree (each
+   virtual node combines own batch first, then children ascending by
+   label, remembering the parts);
 2. the anchor assigns position intervals to every entry of the combined
    batch and serialization bases per entry;
 3. the intervals decompose back down the tree in the combine order, so
@@ -12,8 +15,9 @@ Each epoch runs four phases, pipelined per node:
    mark, plus its global serialization index;
 4. inserts put their element under the hash of (priority, position),
    matched deletes get the same key (rendezvous in the DHT), bottom
-   deletes return empty immediately.  A node re-enters phase 1 for the
-   next epoch as soon as its DHT requests are issued.
+   deletes return empty immediately.  A node enters the next epoch, and
+   its phase 1, as soon as its DHT requests are issued; entering past the
+   last epoch finishes it.
 
 Positions per priority grow monotonically, so a put/get pair for the
 same (priority, position) can never collide with any other pair, even
@@ -27,55 +31,36 @@ from . import batches
 from .batches import AnchorState, Batch, anchor_assign, decompose
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
-from .node import OverlayNode
+from .node import OverlayNode, build
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
-from .workload import RequestSource
+from .workload import HeapNode, Script
 
 _NS = "skeap"
 _WAVE = "sb"
 
 
-class SkeapNode(OverlayNode):
-    def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
-        super().__init__(sim, node_id, topo)
-        cfg = sim.cfg
-        self.priorities = cfg.priority_count
-        self.source = RequestSource(node_id, cfg, cfg.priority_count)
-        self.epoch = -1  # last epoch entered
-        self.total_epochs = cfg.epochs
+class SkeapNode(HeapNode, OverlayNode):
+    def __init__(
+        self, sim: Simulator, node_id: int, topo: CycleTopology, script: Script | None = None
+    ):
+        super().__init__(sim, node_id, topo, script)
+        self.priorities = sim.cfg.priority_count
         # epoch -> (snapshot requests, their runs in the batch)
         self.inflight: dict[int, tuple[list[OperationRecord], list]] = {}
         self.outstanding: dict[Any, OperationRecord] = {}
-        self.finished = False
         if self.is_anchor:
             self.anchor_state = AnchorState(self.priorities)
             self.serial_counter = 1
             self.batches_processed = 0
 
-    # -- lifecycle -------------------------------------------------------------
-    def on_activate(self) -> None:
-        self.source.inject()
-        if self.epoch < 0:
-            self._enter_epoch(0)
-
-    def _enter_epoch(self, epoch: int) -> None:
-        if epoch >= self.total_epochs:
-            self.finished = True
-            return
-        self.epoch = epoch
-        if epoch == self.total_epochs - 1:
-            self.source.inject(self.source.budget)  # the last snapshot takes every request
+    # -- phase 1 ---------------------------------------------------------------
+    def _open_epoch(self, epoch: int) -> None:
         snapshot = self.source.snapshot(epoch)
         kinds = [(r.kind, r.element.priority if r.element else None) for r in snapshot]
         batch, runs = batches.snapshot_batch(kinds, self.priorities)
         self.inflight[epoch] = (snapshot, runs)
         self.contribute_all(_WAVE, (epoch,), batch, Batch(self.priorities))
-
-    @property
-    def needs_activation(self) -> bool:
-        # activations inject requests and enter epoch 0; epoch and budget are monotone
-        return self.epoch < 0 or not self.source.exhausted
 
     @property
     def done(self) -> bool:
@@ -129,7 +114,7 @@ class SkeapNode(OverlayNode):
                 else:
                     req.assigned = BOTTOM
                     req.returned = BOTTOM
-        self._enter_epoch(epoch + 1)
+        self._enter(epoch + 1)
 
     def _key(self, p: int, pos: int) -> float:
         return hash_unit(Tag.SKEAP_KEY, (p, pos), self.sim.cfg.seed)
@@ -149,8 +134,5 @@ class SkeapNode(OverlayNode):
         req.returned = element
 
 
-def build_skeap(sim: Simulator, topo: CycleTopology) -> list[SkeapNode]:
-    nodes = [SkeapNode(sim, v, topo) for v in range(sim.cfg.n)]
-    for node in nodes:
-        sim.add_node(node)
-    return nodes
+def build_skeap(sim: Simulator, topo: CycleTopology, script: Script | None = None) -> list:
+    return build(SkeapNode, sim, topo, script)

@@ -1,5 +1,13 @@
 """Arbitrary-priority distributed heap: alternating insert/delete phases.
 
+A node enters each epoch through the lifecycle both heaps share
+(``workload.HeapNode``): it issues the epoch's requests
+(``RequestSource.issue_for``), snapshots its inserts and contributes
+their count to ``si`` (``_open_epoch``).  It snapshots its deletes when
+its puts are stored (``_enter_delete``), and enters the next epoch when
+its last get returns, or at ``fskip``; entering past the last epoch
+finishes it.
+
 The anchor runs each epoch as one program (``_epoch``) on KSelect's
 driver, all started with the anchor.  It waits for three counts in turn:
 
@@ -42,24 +50,22 @@ from .batches import DELETE, INSERT
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .kselect import KSelectError, KSelectNode
+from .node import build
 from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
-from .workload import RequestSource
+from .workload import HeapNode, Script
 
 _ELEM = "elem"
 _POS = "pos"
 
 
-class SkeapPlusNode(KSelectNode):
+class SkeapPlusNode(HeapNode, KSelectNode):
     one_way_waves = KSelectNode.one_way_waves | {"si"}  # ``si`` is answered by a flood
 
-    def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
-        super().__init__(sim, node_id, topo)
-        cfg = sim.cfg
-        self.source = RequestSource(node_id, cfg, cfg.priority_universe)
-        self.total_epochs = cfg.epochs
-        self.epoch = -1
-        self.finished = False
+    def __init__(
+        self, sim: Simulator, node_id: int, topo: CycleTopology, script: Script | None = None
+    ):
+        super().__init__(sim, node_id, topo, script)
         self.ins_snapshot: dict[int, list[OperationRecord]] = {}
         self.del_snapshot: dict[int, list[OperationRecord]] = {}
         self.pending_put_acks: dict[int, int] = {}
@@ -69,7 +75,7 @@ class SkeapPlusNode(KSelectNode):
         if self.is_anchor:
             self.m = 0
             self.epoch_log: list[dict] = []
-            for epoch in range(self.total_epochs):
+            for epoch in range(sim.cfg.epochs):
                 self.run_program(self._epoch(epoch))
 
     # -- element source for selections ------------------------------------------
@@ -77,11 +83,6 @@ class SkeapPlusNode(KSelectNode):
         stored = [e for (ns, _), e in self.storage.items() if ns == _ELEM]
         stored.sort(key=lambda e: e.key)
         return stored
-
-    @property
-    def needs_activation(self) -> bool:
-        # activations inject requests and enter epoch 0; epoch and budget are monotone
-        return self.epoch < 0 or not self.source.exhausted
 
     @property
     def done(self) -> bool:
@@ -92,19 +93,8 @@ class SkeapPlusNode(KSelectNode):
             and not self.waiting_gets
         )
 
-    # -- lifecycle -----------------------------------------------------------------
-    def on_activate(self) -> None:
-        self.source.inject()
-        if self.epoch < 0:
-            self._enter_insert(0)
-
-    def _enter_insert(self, epoch: int) -> None:
-        if epoch >= self.total_epochs:
-            self.finished = True
-            return
-        self.epoch = epoch
-        if epoch == self.total_epochs - 1:
-            self.source.inject(self.source.budget)  # the last snapshots take every request
+    # -- the two snapshots of an epoch ------------------------------------------------
+    def _open_epoch(self, epoch: int) -> None:
         snap = self.source.snapshot(epoch, INSERT)
         self.ins_snapshot[epoch] = snap
         self.contribute_all("si", (epoch,), len(snap), 0)
@@ -171,7 +161,7 @@ class SkeapPlusNode(KSelectNode):
             if vid.kind == MIDDLE:
                 del self.del_snapshot[key[0]]  # empty: k = 0
                 del self.open_gets[key[0]]
-                self._enter_insert(key[0] + 1)
+                self._enter(key[0] + 1)
         elif kind == "fq":
             count = 0
             if vid.kind == MIDDLE:
@@ -259,7 +249,7 @@ class SkeapPlusNode(KSelectNode):
         enter the next epoch."""
         if self.open_gets[epoch] == 0:
             del self.open_gets[epoch]
-            self._enter_insert(epoch + 1)
+            self._enter(epoch + 1)
 
 
 def finalize_records(records: list[OperationRecord]) -> list[OperationRecord]:
@@ -284,8 +274,5 @@ def finalize_records(records: list[OperationRecord]) -> list[OperationRecord]:
     return records
 
 
-def build_skeap_plus(sim: Simulator, topo: CycleTopology) -> list[SkeapPlusNode]:
-    nodes = [SkeapPlusNode(sim, v, topo) for v in range(sim.cfg.n)]
-    for node in nodes:
-        sim.add_node(node)
-    return nodes
+def build_skeap_plus(sim: Simulator, topo: CycleTopology, script: Script | None = None) -> list:
+    return build(SkeapPlusNode, sim, topo, script)

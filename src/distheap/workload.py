@@ -1,12 +1,15 @@
-"""Request generation for the heap protocols.
+"""Request generation for the heap protocols, and the epoch lifecycle both
+heaps share.
 
-Each node owns a deterministic RNG derived from (run seed, node id).  On
-every activation a node injects up to ``lam`` requests until its budget
-is exhausted, mixing inserts and delete-mins; inserted elements carry
-the issuing node and a per-node sequence number as tiebreaker.  Just
-before a node snapshots its last epoch it issues whatever budget is
-left, so every issued request falls in an epoch.  A test may instead
-preload a script of requests.
+Requests enter a node's buffer in two ways.  On every activation a
+generated source injects up to ``lam`` random requests until its budget
+is spent, mixing inserts and delete-mins; inserted elements carry the
+issuing node and a per-node sequence number as tiebreaker.  And just
+before a node snapshots an epoch it calls ``issue_for(epoch)``: a script
+issues that epoch's requests there, and a generated source issues its
+leftover budget at the last epoch, so every issued request falls in an
+epoch.  A script is ``{node: {epoch: [(kind, priority), ...]}}``, with
+``None`` as a delete's priority; a scripted run issues nothing else.
 
 Every request is issued as an ``OperationRecord``.  The snapshot that
 takes it into an epoch stamps its ``epoch``, the protocol fills in its
@@ -20,9 +23,39 @@ import random
 from .batches import DELETE, INSERT
 from .consistency import OperationRecord
 from .hashing import Tag, mix64
-from .sim import Element, SimConfig, SimulationFault
+from .overlay import CycleTopology
+from .sim import Element, SimConfig, SimulationFault, Simulator
 
 INSERT_RATIO = 0.6  # share of generated requests that are inserts
+
+Script = dict[int, dict[int, list[tuple[str, int | None]]]]
+
+
+def check_script(script: Script, cfg: SimConfig) -> None:
+    """Raise ``ValueError`` unless every scripted request can be issued:
+    its node lies in ``[0, n)``, its epoch in ``[0, epochs)``, and it is an
+    insert with a priority in ``[1, priority_universe]`` or a delete
+    without one."""
+    for node_id, by_epoch in script.items():
+        if not 0 <= node_id < cfg.n:
+            raise ValueError(f"script names node {node_id}, outside [0, {cfg.n})")
+        for epoch, requests in by_epoch.items():
+            if not 0 <= epoch < cfg.epochs:
+                raise ValueError(
+                    f"node {node_id}: script epoch {epoch} outside [0, {cfg.epochs})"
+                )
+            for kind, prio in requests:
+                if kind == INSERT:
+                    if not (isinstance(prio, int) and 1 <= prio <= cfg.priority_universe):
+                        raise ValueError(
+                            f"node {node_id}: insert priority {prio!r} outside "
+                            f"[1, {cfg.priority_universe}]"
+                        )
+                elif kind == DELETE:
+                    if prio is not None:
+                        raise ValueError(f"node {node_id}: a delete has priority {prio!r}")
+                else:
+                    raise ValueError(f"node {node_id}: unknown request kind {kind!r}")
 
 
 class RequestSource:
@@ -32,24 +65,24 @@ class RequestSource:
     after checking that every one was snapshotted, the node's share of a
     run's records.
 
-    A node issues ``2 * lam * epochs`` random requests in all, with
-    priorities drawn from ``[1, priority_universe]``.
+    Without a script a node issues ``2 * lam * epochs`` random requests
+    in all, with priorities drawn from ``[1, priority_universe]``.  With a
+    script it issues the script's requests for this node, epoch by epoch.
     """
 
-    def __init__(self, node_id: int, cfg: SimConfig, priority_universe: int):
+    def __init__(
+        self, node_id: int, cfg: SimConfig, priority_universe: int, script: Script | None = None
+    ):
         self.node_id = node_id
         self.lam = cfg.lam
-        self.budget = cfg.lam * cfg.epochs * 2
+        self.last_epoch = cfg.epochs - 1
+        self.script = None if script is None else script.get(node_id, {})
+        self.budget = 0 if script is not None else cfg.lam * cfg.epochs * 2
         self.priority_universe = priority_universe
         self.rng = random.Random(mix64(cfg.seed, Tag.WORKLOAD, node_id))
         self.seq = 0
         self.buffer: list[OperationRecord] = []
         self.issued: list[OperationRecord] = []
-
-    def preload(self, script: list[tuple[str, int | None]]) -> None:
-        for kind, prio in script:
-            self._issue(kind, prio)
-        self.budget = 0
 
     def _issue(self, kind: str, prio: int | None) -> OperationRecord:
         self.seq += 1
@@ -72,6 +105,16 @@ class RequestSource:
                 self._issue(DELETE, None)
         self.budget -= count
         return count
+
+    def issue_for(self, epoch: int) -> None:
+        """Issue the requests that enter ``epoch``, just before its snapshot:
+        the script's for this epoch, or at the last epoch every request
+        left in the budget."""
+        if self.script is not None:
+            for kind, prio in self.script.get(epoch, ()):
+                self._issue(kind, prio)
+        elif epoch == self.last_epoch:
+            self.inject(self.budget)
 
     def snapshot(self, epoch: int, kind: str | None = None) -> list[OperationRecord]:
         """Remove and return buffered requests (optionally one kind only),
@@ -98,3 +141,42 @@ class RequestSource:
     @property
     def exhausted(self) -> bool:
         return self.budget <= 0
+
+
+class HeapNode:
+    """The epoch lifecycle of Skeap and Seap, mixed in before the overlay
+    base class.
+
+    A node enters epoch 0 at its first activation, and each later epoch
+    when its protocol calls ``_enter``.  Entering an epoch issues its
+    requests (``RequestSource.issue_for``) and opens it with the
+    protocol's first snapshot, which the protocol defines as
+    ``_open_epoch(epoch)``; entering past the last epoch finishes the
+    node.  Activations inject generated requests until the budget is
+    spent.  Priorities lie in ``[1, priority_universe]``, which
+    ``SimConfig`` sets to ``priority_count`` unless it is given.
+    """
+
+    def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology, script: Script | None):
+        super().__init__(sim, node_id, topo)
+        self.source = RequestSource(node_id, sim.cfg, sim.cfg.priority_universe, script)
+        self.epoch = -1  # last epoch entered
+        self.finished = False
+
+    def on_activate(self) -> None:
+        self.source.inject()
+        if self.epoch < 0:
+            self._enter(0)
+
+    @property
+    def needs_activation(self) -> bool:
+        # activations inject requests and enter epoch 0; epoch and budget are monotone
+        return self.epoch < 0 or not self.source.exhausted
+
+    def _enter(self, epoch: int) -> None:
+        if epoch > self.source.last_epoch:
+            self.finished = True
+            return
+        self.epoch = epoch
+        self.source.issue_for(epoch)
+        self._open_epoch(epoch)

@@ -52,12 +52,12 @@ def test_records_carry_their_epoch_in_serial_order(run, mode):
 
 SCRIPTS = {
     run_skeap: {
-        0: [(INSERT, 2), (DELETE, None), (INSERT, 1)],
-        3: [(DELETE, None), (INSERT, 2), (DELETE, None), (DELETE, None)],
+        0: {0: [(INSERT, 2), (DELETE, None), (INSERT, 1)]},
+        3: {0: [(DELETE, None), (INSERT, 2), (DELETE, None), (DELETE, None)]},
     },
     run_skeap_plus: {
-        1: [(INSERT, 9), (DELETE, None), (INSERT, 4)],
-        2: [(INSERT, 7), (DELETE, None), (DELETE, None)],
+        1: {0: [(INSERT, 9), (DELETE, None), (INSERT, 4)]},
+        2: {0: [(INSERT, 7), (DELETE, None), (DELETE, None)]},
     },
 }
 
@@ -69,7 +69,8 @@ def test_brute_force_finds_an_order_for_scripted_runs(run, mode):
     script = SCRIPTS[run]
     res = run(4, seed=1, epochs=2, mode=mode, schedule_seed=3, script=script)
     assert res.ok, res.verdict.violation
-    assert len(res.records) == sum(map(len, script.values())) <= 10
+    issued = [req for by_epoch in script.values() for reqs in by_epoch.values() for req in reqs]
+    assert len(res.records) == len(issued) <= 10
     assert brute_force_order(res.records) is not None
 
 

@@ -9,7 +9,7 @@ from distheap.consistency import (
 )
 from distheap.experiments import run_skeap
 from distheap.overlay import CycleTopology
-from distheap.sim import ASYNC, SYNC
+from distheap.sim import ASYNC, SYNC, Element
 
 
 def test_single_issuer_insert_then_delete():
@@ -18,7 +18,7 @@ def test_single_issuer_insert_then_delete():
         seed=1,
         priorities=2,
         epochs=2,
-        script={0: [(INSERT, 1), (DELETE, None)]},
+        script={0: {0: [(INSERT, 1), (DELETE, None)]}},
     )
     recs = {(r.node, r.seq): r for r in res.records}
     ins = recs[(0, 1)]
@@ -29,19 +29,35 @@ def test_single_issuer_insert_then_delete():
 
 
 def test_delete_on_empty_heap_returns_bottom():
-    res = run_skeap(n=2, seed=2, priorities=2, epochs=1, script={1: [(DELETE, None)]})
+    res = run_skeap(n=2, seed=2, priorities=2, epochs=1, script={1: {0: [(DELETE, None)]}})
     (rec,) = res.records
     assert rec.returned == BOTTOM
     assert rec.assigned == BOTTOM
     assert res.ok
 
 
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_requests_issued_in_later_epochs(mode):
+    # node 1 inserts in epoch 0, node 2 takes the element in epoch 1, and
+    # node 1's delete in epoch 2 finds the heap empty
+    script = {1: {0: [(INSERT, 2)], 2: [(DELETE, None)]}, 2: {1: [(DELETE, None)]}}
+    res = run_skeap(n=3, seed=1, priorities=2, epochs=3, mode=mode, schedule_seed=4, script=script)
+    recs = {(r.node, r.seq): r for r in res.records}
+    assert len(recs) == 3
+    ins, late, empty = recs[(1, 1)], recs[(2, 1)], recs[(1, 2)]
+    assert [ins.epoch, late.epoch, empty.epoch] == [0, 1, 2]
+    assert ins.element == Element(2, 1, 1)
+    assert late.returned == ins.element
+    assert empty.returned == BOTTOM
+    assert res.ok, res.verdict.violation  # includes local consistency
+
+
 def test_three_node_mixed_scenario():
     # per-node buffers chosen so the combined batch is ((4,1),3)
     script = {
-        0: [(INSERT, 1), (DELETE, None), (DELETE, None)],
-        1: [(INSERT, 1)],
-        2: [(INSERT, 1), (INSERT, 1), (INSERT, 2), (DELETE, None)],
+        0: {0: [(INSERT, 1), (DELETE, None), (DELETE, None)]},
+        1: {0: [(INSERT, 1)]},
+        2: {0: [(INSERT, 1), (INSERT, 1), (INSERT, 2), (DELETE, None)]},
     }
     res = run_skeap(n=3, seed=3, priorities=2, epochs=2, script=script)
     assert len(res.records) == 8

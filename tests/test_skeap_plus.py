@@ -31,7 +31,7 @@ def run_script(mode, script, n=4, seed=1, epochs=1):
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_deletes_on_an_empty_heap_take_the_k_star_zero_path(mode):
-    res = run_script(mode, {0: [(DELETE, None)], 2: [(DELETE, None), (DELETE, None)]})
+    res = run_script(mode, {0: {0: [(DELETE, None)]}, 2: {0: [(DELETE, None), (DELETE, None)]}})
     assert res.extra["epochs"] == [{"epoch": 0, "k": 3, "k_star": 0, "m": 0}]
     assert len(res.records) == 3
     assert all(r.kind == DELETE and r.returned == BOTTOM for r in res.records)
@@ -39,30 +39,22 @@ def test_deletes_on_an_empty_heap_take_the_k_star_zero_path(mode):
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_insert_then_two_deletes_gives_the_element_and_one_bottom(mode):
-    res = run_script(mode, {1: [(INSERT, 5), (DELETE, None), (DELETE, None)]})
+    res = run_script(mode, {1: {0: [(INSERT, 5), (DELETE, None), (DELETE, None)]}})
     assert res.extra["epochs"] == [{"epoch": 0, "k": 2, "k_star": 1, "m": 1}]
     returned = [r.returned for r in res.records if r.kind == DELETE]
     assert returned == [Element(5, 1, 1), BOTTOM]
 
 
-def issue_on_entering_epoch_1(monkeypatch, node_id, requests):
-    """Make ``node_id`` issue ``requests`` as it enters epoch 1."""
-    enter_insert = SkeapPlusNode._enter_insert
-
-    def issuing(self, epoch):
-        if self.id == node_id and epoch == 1:
-            self.source.preload(requests)
-        enter_insert(self, epoch)
-
-    monkeypatch.setattr(SkeapPlusNode, "_enter_insert", issuing)
-
-
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
-def test_elements_left_in_the_heap_count_in_the_next_epoch(mode, monkeypatch):
+def test_elements_left_in_the_heap_count_in_the_next_epoch(mode):
     # epoch 0 stores three elements and deletes one; node 1 issues one more
     # insert and two deletes as it enters epoch 1, which must see m = 2 + 1
-    issue_on_entering_epoch_1(monkeypatch, 1, [(INSERT, 9), (DELETE, None), (DELETE, None)])
-    script = {1: [(INSERT, 5), (INSERT, 7), (INSERT, 3), (DELETE, None)]}
+    script = {
+        1: {
+            0: [(INSERT, 5), (INSERT, 7), (INSERT, 3), (DELETE, None)],
+            1: [(INSERT, 9), (DELETE, None), (DELETE, None)],
+        }
+    }
     res = run_script(mode, script, epochs=2)
     assert res.extra["epochs"] == [
         {"epoch": 0, "k": 1, "k_star": 1, "m": 3},
@@ -73,11 +65,11 @@ def test_elements_left_in_the_heap_count_in_the_next_epoch(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
-def test_deletes_past_the_stored_elements_return_bottom_in_a_later_epoch(mode, monkeypatch):
+def test_deletes_past_the_stored_elements_return_bottom_in_a_later_epoch(mode):
     # epoch 0 keeps one of its two elements; node 2 issues three deletes as
     # it enters epoch 1, where k = 3 > m = 1
-    issue_on_entering_epoch_1(monkeypatch, 2, [(DELETE, None)] * 3)
-    res = run_script(mode, {1: [(INSERT, 5), (INSERT, 7), (DELETE, None)]}, epochs=2)
+    script = {1: {0: [(INSERT, 5), (INSERT, 7), (DELETE, None)]}, 2: {1: [(DELETE, None)] * 3}}
+    res = run_script(mode, script, epochs=2)
     assert res.extra["epochs"] == [
         {"epoch": 0, "k": 1, "k_star": 1, "m": 2},
         {"epoch": 1, "k": 3, "k_star": 1, "m": 1},
@@ -88,7 +80,7 @@ def test_deletes_past_the_stored_elements_return_bottom_in_a_later_epoch(mode, m
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 @pytest.mark.parametrize(
-    "script", [None, {0: [(DELETE, None)]}], ids=["generated", "scripted"]
+    "script", [None, {0: {0: [(DELETE, None)]}}], ids=["generated", "scripted"]
 )
 def test_no_wave_session_outlives_a_run(mode, script):
     # si and KSelect's reply waves end with their combine; the sd wave of an
@@ -119,7 +111,9 @@ def test_anchor_sends_only_what_nodes_read(mode, monkeypatch):
 
     monkeypatch.setattr(SkeapPlusNode, "on_flood", flooded)
     monkeypatch.setattr(SkeapPlusNode, "wave_deliver", delivered)
-    run_script(mode, {1: [(INSERT, 5), (INSERT, 7), (DELETE, None)], 2: [(DELETE, None)] * 3})
+    run_script(
+        mode, {1: {0: [(INSERT, 5), (INSERT, 7), (DELETE, None)]}, 2: {0: [(DELETE, None)] * 3}}
+    )
     limits = {payload for kind, payload in sent if kind == "fq"}
     assert limits == {Element(7, 1, 2)}
     assert {len(share) for kind, share in sent if kind == "sd"} == {3}
@@ -150,7 +144,7 @@ def test_epoch_programs_overlap_at_the_anchor(mode, monkeypatch):
         res = checked(
             run_skeap_plus(
                 16, seed=1, epochs=3, mode=mode, schedule_seed=schedule_seed,
-                script={0: [(DELETE, None)]},
+                script={0: {0: [(DELETE, None)]}},
             )
         )
         assert [row["k_star"] for row in res.extra["epochs"]] == [0, 0, 0]
