@@ -53,7 +53,7 @@ class OperationRecord:
     assigned: Any = None  # (p, pos), pos, or BOTTOM
     serial_index: int = -1
     returned: Element | str | None = None  # element, BOTTOM, or None for inserts
-    epoch: int = -1  # the epoch whose snapshot took the request; not in to_json
+    epoch: int = -1  # the epoch whose snapshot took the request; beside to_json in JSONL
 
     def to_json(self) -> dict:
         def elem(e: Element | None) -> Any:
@@ -97,13 +97,15 @@ def record_from_json(row: dict) -> OperationRecord:
         assigned=assigned,
         serial_index=row["serial_index"],
         returned=returned,
+        epoch=row.get("epoch", -1),
     )
 
 
 def write_records(path, records: Iterable[OperationRecord]) -> None:
+    """One JSON object per line: ``to_json`` plus the record's ``epoch``."""
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+            fh.write(json.dumps({**rec.to_json(), "epoch": rec.epoch}, sort_keys=True) + "\n")
 
 
 def read_records(path) -> list[OperationRecord]:

@@ -131,32 +131,20 @@ def order_statistics(candidates: list[Element], k: int, n: int):
     return lo, hi
 
 
-def _lo_min(a, b):
-    if NEG_INF in (a, b):
-        return NEG_INF
-    if a == POS_INF:
-        return b
-    if b == POS_INF:
-        return a
-    return min(a, b)
-
-
-def _hi_max(a, b):
-    if POS_INF in (a, b):
-        return POS_INF
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    return max(a, b)
+def _line(bound) -> float:
+    """A bound's place on the line extended by the sentinels."""
+    return -math.inf if bound == NEG_INF else math.inf if bound == POS_INF else bound
 
 
 def combine_minmax(parts):
-    lo, hi = POS_INF, NEG_INF
-    for plo, phi in parts:
-        lo = _lo_min(lo, plo)
-        hi = _hi_max(hi, phi)
-    return lo, hi
+    """The min of the lower and the max of the upper bounds on that line:
+    ``NEG_INF`` absorbs the min and ``POS_INF`` the max, and each is neutral
+    for the other.  The bounds come back as given, sentinels included."""
+    parts = list(parts)
+    return (
+        min((lo for lo, _ in parts), key=_line, default=POS_INF),
+        max((hi for _, hi in parts), key=_line, default=NEG_INF),
+    )
 
 
 # The anchor's flood kinds, each mapped to the wave that answers it.  A node
@@ -683,11 +671,17 @@ class KSelectNode(OverlayNode):
             cands = self.candidates[inv]
             k, n = payload
             return *order_statistics(cands, k, n), len(cands)
-        if kind == "k1p":
-            return self._prune_by_priority(inv, payload)
-        if kind == "k2":
-            p, mode, bounds = payload
-            cands = self._prune_window(inv, bounds)
+        if kind == "k1p":  # priority bounds; a sentinel leaves its side open
+            lo, hi = payload
+            return self._prune(
+                inv,
+                None if lo in (NEG_INF, POS_INF) else (lo,),
+                None if hi in (NEG_INF, POS_INF) else (hi + 1,),
+            )
+        if kind == "k2":  # element bounds; ``None`` leaves its side open
+            p, mode, (lo, hi) = payload
+            self._prune(inv, lo and lo.key, hi and hi.key)
+            cands = self.candidates[inv]
             chosen = self._choose(key, cands, p, mode)
             if chosen:  # an empty sample gets no share
                 self.chosen[key] = chosen
@@ -697,31 +691,17 @@ class KSelectNode(OverlayNode):
         cands = self.candidates[inv]  # k2r
         return tuple(bisect_left(cands, e.key, key=lambda c: c.key) for e in payload)
 
-    def _prune_by_priority(self, inv: int, bounds) -> tuple[int, int]:
-        lo, hi = bounds
+    def _prune(self, inv: int, lo_key, hi_key) -> tuple[int, int]:
+        """Keep the candidates whose keys lie in ``[lo_key, hi_key]`` (``None``
+        leaves a side open) and return how many fell below and above."""
         cands = self.candidates[inv]
-        start = 0
-        stop = len(cands)
-        if lo not in (NEG_INF, POS_INF):
-            start = bisect_left(cands, (lo, -1, -1), key=lambda e: e.key)
-        if hi not in (NEG_INF, POS_INF):
-            stop = bisect_left(cands, (hi + 1, -1, -1), key=lambda e: e.key)
-        below = start
-        above = len(cands) - stop
+        start, stop = 0, len(cands)
+        if lo_key is not None:
+            start = bisect_left(cands, lo_key, key=lambda e: e.key)
+        if hi_key is not None:
+            stop = bisect_right(cands, hi_key, key=lambda e: e.key)
         self.candidates[inv] = cands[start:stop]
-        return (below, above)
-
-    def _prune_window(self, inv: int, bounds) -> list[Element]:
-        lo_elem, hi_elem = bounds
-        cands = self.candidates[inv]
-        start = 0
-        stop = len(cands)
-        if lo_elem is not None:
-            start = bisect_left(cands, lo_elem.key, key=lambda e: e.key)
-        if hi_elem is not None:
-            stop = bisect_right(cands, hi_elem.key, key=lambda e: e.key)
-        cands = self.candidates[inv] = cands[start:stop]
-        return cands
+        return start, len(cands) - stop
 
     def _choose(self, key: tuple, cands: list[Element], p: float, mode: str) -> list[Element]:
         if mode == "all" or p >= 1.0:

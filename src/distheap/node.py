@@ -34,18 +34,19 @@ node are hand-offs too.
 Every message class derives its size from one rule (``Message``): the sum
 of its fields' sizes, where a field annotated ``Nat`` costs ``nat_bits``
 and any other field costs ``value_bits`` (an ``int`` there keeps a sign
-bit); the simulator adds the 8-bit tag.  ``RouteMsg`` alone sizes itself,
-adding the routed operation's size cached when the route starts.
+bit); the simulator adds the 8-bit tag.  Two annotations let a message
+carry a size computed once: a ``SizeBits`` field costs its value, and the
+``Presized`` field whose size it holds costs nothing.  ``RouteMsg`` sizes
+its routed operation that way, once when the route starts.
 
 The rule does not change with how it is evaluated:
 
 * each class sizes a message with one function built once from its
   dataclass fields (``_sizer``).  A ``Nat`` field is sized inline as
   ``max(v, 2).bit_length()`` (a negative value still faults); a field
-  annotated ``str``, ``tuple``, ``VirtualId`` or ``Element`` whose value
-  has exactly that type takes the matching ``value_bits`` rule inline; any
-  other value goes through ``value_bits``.  ``RouteMsg`` inlines its
-  ``hop`` and ``vid`` terms the same way.
+  annotated ``float``, ``str``, ``tuple``, ``VirtualId`` or ``Element``
+  whose value has exactly that type takes the matching ``value_bits`` rule
+  inline; any other value goes through ``value_bits``.
 * a tuple whose elements are all value-sized (``int``, ``str``, ``None``,
   ``Element``, ``VirtualId``) is sized once per run and then looked up by
   value in ``Simulator.size_memo``.  Tuples holding a ``bool`` or
@@ -117,12 +118,17 @@ def value_bits(sim: Simulator, obj: Any) -> int:
 
 
 Nat = Annotated[int, "natural"]  # a message field sized by ``nat_bits``, unsigned
+# A field holding the size in bits of another field costs that value; the
+# field whose size it holds costs nothing on its own.
+SizeBits = Annotated[int, "size in bits"]
+Presized = Annotated[Any, "sized by a SizeBits field"]
 
 # Field annotation -> (guard, size): a value that passes the guard is sized by
 # the inlined rule, anything else by ``value_bits``.  The guards test exact
 # types, so a subclass, a ``bool`` or a negative owner takes the full rule.
 # ``(2 if 2 > x else x)`` is ``max(x, 2)`` without the builtin call.
 _FAST_PATHS = {
+    "float": ("type(v) is float", "sim.label_bits"),
     "str": ("type(v) is str", "8"),
     "tuple": ("type(v) is tuple", "_tuple_bits(sim, v)"),
     "VirtualId": (
@@ -138,6 +144,10 @@ def _field_size(annotation: Any) -> str:
     if annotation in (Nat, "Nat"):
         # ``nat_bits`` inlined; it still raises the negative-natural fault
         return "(2 if 2 > v else v).bit_length() if v >= 0 else nat_bits(v)"
+    if annotation in (SizeBits, "SizeBits"):
+        return "v"
+    if annotation in (Presized, "Presized"):
+        return "0"
     name = annotation if isinstance(annotation, str) else getattr(annotation, "__name__", "")
     fast = _FAST_PATHS.get(name.split("[")[0].split("|")[0].strip())
     if fast is None:
@@ -166,8 +176,9 @@ def _sizer(cls: type) -> Callable[[Any, Simulator], int]:
 class Message:
     """A modeled message: its size is the sum of its fields' sizes.
 
-    A field annotated ``Nat`` costs ``nat_bits`` (no sign bit); every other
-    field costs ``value_bits``.  The simulator adds the 8-bit tag.  Each
+    A field annotated ``Nat`` costs ``nat_bits`` (no sign bit), a ``SizeBits``
+    field its value and a ``Presized`` field nothing; every other field
+    costs ``value_bits``.  The simulator adds the 8-bit tag.  Each
     class evaluates this rule with one function built from its fields
     (``_sizer``).
     """
@@ -204,28 +215,13 @@ class WaveDownMsg(Message):
 
 
 @dataclass(slots=True)
-class RouteMsg:
+class RouteMsg(Message):
     key: float
     start_label: float
     hop: Nat
     vid: VirtualId
-    inner: Any
-    inner_bits: int  # ``inner.size_bits``, computed once when the route starts
-
-    def size_bits(self, sim: Simulator) -> int:
-        # ``Message``'s rule with the routed operation's size cached, the
-        # ``hop`` and ``vid`` terms inlined as in ``_sizer``
-        hop, vid = self.hop, self.vid
-        return (
-            2 * sim.label_bits
-            + ((2 if 2 > hop else hop).bit_length() if hop >= 0 else nat_bits(hop))
-            + (
-                (2 if 2 > vid.owner else vid.owner).bit_length() + 2
-                if type(vid) is VirtualId and vid.owner >= 0
-                else value_bits(sim, vid)
-            )
-            + self.inner_bits
-        )
+    inner: Presized
+    inner_bits: SizeBits  # ``inner.size_bits``, computed once when the route starts
 
 
 @dataclass(slots=True)

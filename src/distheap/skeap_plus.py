@@ -31,11 +31,14 @@ arrive before the ``sq`` of epoch e.  A count that no program waits for is
 a fault.
 
 Each node keeps an epoch's insert and delete snapshots only until it has
-stored the inserts or assigned the deletes their positions, its count of
-open gets until the last get returns (or ``fskip`` arrives), and the
-selected bound until its ``sq`` share moves the qualifying elements;
-after a run only the records, stamped with their epoch by the snapshot,
-remain.  The
+stored the inserts or assigned the deletes their positions, its
+outstanding gets until each has returned, and the selected bound until
+its ``sq`` share moves the qualifying elements; after a run only the
+records, stamped with their epoch by the snapshot, remain.  Since a node
+enters epoch e+1 only after e's puts are acknowledged and its gets have
+returned, its open puts and outstanding gets always belong to one epoch:
+one put count and one table of gets, which must be empty when the next
+epoch stores its inserts or assigns its deletes.  The
 constructed serialization (``finalize_records``) per epoch is: all
 inserts (in ascending element order), then all deletes ordered by the key
 of the element they return, bottoms last (positions follow the tree, not
@@ -44,6 +47,7 @@ serialize out of issue order.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Generator
 
 from .batches import DELETE, INSERT
@@ -68,9 +72,8 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         super().__init__(sim, node_id, topo, script)
         self.ins_snapshot: dict[int, list[OperationRecord]] = {}
         self.del_snapshot: dict[int, list[OperationRecord]] = {}
-        self.pending_put_acks: dict[int, int] = {}
+        self.pending_put_acks = 0  # one epoch's puts and gets at a time
         self.outstanding_gets: dict[Any, OperationRecord] = {}
-        self.open_gets: dict[int, int] = {}
         self.qual_limit: dict[int, Element | None] = {}
         if self.is_anchor:
             self.m = 0
@@ -80,9 +83,8 @@ class SkeapPlusNode(HeapNode, KSelectNode):
 
     # -- element source for selections ------------------------------------------
     def selection_universe(self) -> list[Element]:
-        stored = [e for (ns, _), e in self.storage.items() if ns == _ELEM]
-        stored.sort(key=lambda e: e.key)
-        return stored
+        stored = (e for (ns, _), e in self.storage.items() if ns == _ELEM)
+        return sorted(stored, key=lambda e: e.key)
 
     @property
     def done(self) -> bool:
@@ -102,7 +104,6 @@ class SkeapPlusNode(HeapNode, KSelectNode):
     def _enter_delete(self, epoch: int) -> None:
         snap = self.source.snapshot(epoch, DELETE)
         self.del_snapshot[epoch] = snap
-        self.open_gets[epoch] = 0
         self.contribute_all("sd", (epoch,), len(snap), 0)
 
     # -- waves ---------------------------------------------------------------------
@@ -160,7 +161,6 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             self.wave_end("sd", key, vid)  # an epoch without deletes sends no share
             if vid.kind == MIDDLE:
                 del self.del_snapshot[key[0]]  # empty: k = 0
-                del self.open_gets[key[0]]
                 self._enter(key[0] + 1)
         elif kind == "fq":
             count = 0
@@ -173,11 +173,13 @@ class SkeapPlusNode(HeapNode, KSelectNode):
 
     # -- insert phase ----------------------------------------------------------------------
     def _store_inserts(self, epoch: int) -> None:
+        if self.pending_put_acks:
+            raise SimulationFault(f"epoch {epoch} stores its inserts with puts still open")
         snap = self.ins_snapshot.pop(epoch)
         if not snap:
             self._enter_delete(epoch)
             return
-        self.pending_put_acks[epoch] = len(snap)
+        self.pending_put_acks = len(snap)
         seed = self.sim.cfg.seed
         for req in snap:
             e = req.element
@@ -186,24 +188,17 @@ class SkeapPlusNode(HeapNode, KSelectNode):
 
     def on_put_ack(self, ns: str, token: Any) -> None:
         if ns == _ELEM:
-            epoch = token[0]
-            self.pending_put_acks[epoch] -= 1
-            if self.pending_put_acks[epoch] == 0:
-                del self.pending_put_acks[epoch]
-                self._enter_delete(epoch)
+            self.pending_put_acks -= 1
+            if not self.pending_put_acks:
+                self._enter_delete(token[0])
         # position puts need no bookkeeping: their get rendezvous completes them
 
     # -- delete phase -------------------------------------------------------------------------
     def _qualifying(self, limit: Element | None) -> list[Element]:
         if limit is None:
             return []
-        qual = [
-            e
-            for (ns, _), e in self.storage.items()
-            if ns == _ELEM and e.key <= limit.key
-        ]
-        qual.sort(key=lambda e: e.key)
-        return qual
+        stored = self.selection_universe()
+        return stored[: bisect_right(stored, limit.key, key=lambda e: e.key)]
 
     def _pos_key(self, epoch: int, pos: int) -> float:
         return hash_unit(Tag.SPLUS_POSITION_KEY, (epoch, pos), self.sim.cfg.seed)
@@ -219,6 +214,8 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             self.dht_put(_POS, (epoch, pos), self._pos_key(epoch, pos), element, None)
 
     def _assign_deletes(self, epoch: int, share) -> None:
+        if self.outstanding_gets:
+            raise SimulationFault(f"epoch {epoch} assigns its deletes with gets still out")
         lo, hi, k_star = share
         snap = self.del_snapshot.pop(epoch)
         if hi - lo + 1 != len(snap):
@@ -229,7 +226,6 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             if pos <= k_star:
                 token = (epoch, req.seq)
                 self.outstanding_gets[token] = req
-                self.open_gets[epoch] += 1
                 self.dht_get(_POS, (epoch, pos), self._pos_key(epoch, pos), token)
             else:
                 req.returned = BOTTOM
@@ -240,15 +236,11 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             raise SimulationFault(f"unexpected get reply in namespace {ns}")
         req = self.outstanding_gets.pop(token)
         req.returned = element
-        epoch = token[0]
-        self.open_gets[epoch] -= 1
-        self._close_gets(epoch)
+        self._close_gets(token[0])
 
     def _close_gets(self, epoch: int) -> None:
-        """Once every get of ``epoch`` has returned, release its counter and
-        enter the next epoch."""
-        if self.open_gets[epoch] == 0:
-            del self.open_gets[epoch]
+        """Once every get of ``epoch`` has returned, enter the next epoch."""
+        if not self.outstanding_gets:
             self._enter(epoch + 1)
 
 

@@ -20,6 +20,7 @@ from distheap.consistency import (
     sequential_oracle,
     write_records,
 )
+from distheap.experiments import run_skeap_plus
 from distheap.sim import Element
 
 
@@ -300,6 +301,16 @@ def test_verdict_roundtrip_json(tmp_path):
     assert [r.to_json() for r in loaded] == [r.to_json() for r in hist]
     verdict = make_verdict(loaded)
     assert verdict.serializable and verdict.heap_consistent and verdict.locally_consistent
+
+
+def test_seap_history_read_back_keeps_its_epochs(tmp_path):
+    res = run_skeap_plus(8, 1, lam=2, epochs=3)
+    path = tmp_path / "records.jsonl"
+    write_records(path, res.records)
+    loaded = read_records(path)
+    assert [r.epoch for r in loaded] == [r.epoch for r in res.records]
+    assert {r.epoch for r in loaded} != {-1}
+    assert check_phase_optimality(loaded, res.extra["epochs"]) == (True, None)
 
 
 @st.composite

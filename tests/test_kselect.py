@@ -1,7 +1,10 @@
 import math
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distheap import kselect
 from distheap.experiments import make_elements, run_kselect
@@ -78,6 +81,86 @@ def test_combine_minmax_sentinels():
     parts = [(POS_INF, NEG_INF), (3, 7), (5, POS_INF)]
     assert combine_minmax(parts) == (3, POS_INF)
     assert combine_minmax([(NEG_INF, 2), (1, 4)]) == (NEG_INF, 4)
+
+
+def _lo_min(a, b):
+    # the lower fold: NEG_INF absorbs, POS_INF is neutral
+    if NEG_INF in (a, b):
+        return NEG_INF
+    if a == POS_INF:
+        return b
+    if b == POS_INF:
+        return a
+    return min(a, b)
+
+
+def _hi_max(a, b):
+    # the upper fold: POS_INF absorbs, NEG_INF is neutral
+    if POS_INF in (a, b):
+        return POS_INF
+    if a == NEG_INF:
+        return b
+    if b == NEG_INF:
+        return a
+    return max(a, b)
+
+
+_bounds = st.one_of(st.sampled_from([NEG_INF, POS_INF]), st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_bounds, _bounds), max_size=5))
+def test_combine_minmax_matches_pairwise_folds(parts):
+    want = reduce(
+        lambda acc, part: (_lo_min(acc[0], part[0]), _hi_max(acc[1], part[1])),
+        parts,
+        (POS_INF, NEG_INF),
+    )
+    got = combine_minmax(iter(parts))
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))  # a sentinel stays a sentinel
+
+
+_keys = st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 3))
+# sorted candidates over few priorities, so that the bounds meet ties
+_candidate_lists = st.sets(_keys, max_size=12).map(lambda keys: [Element(*k) for k in sorted(keys)])
+# a phase-2 window end: open, or an element that may or may not be a candidate
+_window_ends = st.one_of(st.none(), _keys.map(lambda k: Element(*k)))
+
+
+def _holding(cands):
+    """Node 0 of a two-node system, holding ``cands`` for selection 7."""
+    node = KSelectNode(Simulator(SimConfig(n=2, seed=0)), 0, CycleTopology.build(2, 0))
+    node.candidates[7] = list(cands)
+    return node
+
+
+def _open(bound):
+    return bound in (NEG_INF, POS_INF)  # either sentinel leaves its side open
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_candidate_lists, _bounds, _bounds)
+def test_phase1_prune_keeps_the_priorities_within_the_bounds(cands, lo, hi):
+    node = _holding(cands)
+    below, above = node._answer("k1p", (7, 1), (lo, hi))
+    assert node.candidates[7] == [
+        e for e in cands if (_open(lo) or lo <= e.priority) and (_open(hi) or e.priority <= hi)
+    ]
+    assert below == sum(1 for e in cands if not _open(lo) and e.priority < lo)
+    assert above == sum(1 for e in cands if not _open(hi) and e.priority > hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_candidate_lists, _window_ends, _window_ends)
+def test_phase2_prune_keeps_the_element_window(cands, lo, hi):
+    node = _holding(cands)
+    below, above = node._prune(7, lo and lo.key, hi and hi.key)
+    assert node.candidates[7] == [
+        e for e in cands if (lo is None or lo.key <= e.key) and (hi is None or e.key <= hi.key)
+    ]
+    assert below == sum(1 for e in cands if lo is not None and e.key < lo.key)
+    assert above == sum(1 for e in cands if hi is not None and e.key > hi.key)
 
 
 def test_phase1_worked_example():
@@ -431,15 +514,15 @@ def test_phase1_stops_after_a_cut_that_prunes_nothing(n):
 
 
 def test_anchor_checks_every_later_k1_count(monkeypatch):
-    prune = KSelectNode._prune_by_priority
+    prune = KSelectNode._prune
 
-    def reporting_only(self, inv, bounds):
+    def reporting_only(self, inv, lo_key, hi_key):
         cands = self.candidates[inv]
-        counts = prune(self, inv, bounds)
+        counts = prune(self, inv, lo_key, hi_key)
         self.candidates[inv] = cands  # report the cut, keep every candidate
         return counts
 
-    monkeypatch.setattr(KSelectNode, "_prune_by_priority", reporting_only)
+    monkeypatch.setattr(KSelectNode, "_prune", reporting_only)
     with pytest.raises(SimulationFault, match="candidate count"):
         run_kselect(n=8, m=64, k=8, seed=1)
 

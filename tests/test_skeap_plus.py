@@ -214,7 +214,7 @@ def test_equal_seeds_give_identical_records(mode):
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_no_per_epoch_state_outlives_a_run(mode):
-    # the epochs' get counters and selection bounds, and each selection's
+    # the epochs' gets, put counts and selection bounds, and each selection's
     # candidate lists, are released when the epoch or selection ends
     n = 16
     _, nodes, _ = _run_heap(
@@ -222,4 +222,32 @@ def test_no_per_epoch_state_outlives_a_run(mode):
         n=n, seed=1, priority_universe=n * n, lam=2, mode=mode, epochs=3,
     )
     for node in nodes:
-        assert node.open_gets == {} and node.qual_limit == {} and node.candidates == {}
+        assert node.outstanding_gets == {} and node.pending_put_acks == 0
+        assert node.qual_limit == {} and node.candidates == {}
+
+
+def _stepped_until(ready):
+    """A sync two-epoch run in which node 0 inserts two elements and deletes
+    them in epoch 0, stepped until ``ready(node 0)``; returns node 0."""
+    n = 16  # at n = 4 and 8 node 0's puts are acknowledged within their round
+    sim = Simulator(SimConfig(n=n, seed=1, priority_universe=n * n, lam=1, epochs=2))
+    script = {0: {0: [(INSERT, 1), (INSERT, 2), (DELETE, None), (DELETE, None)]}}
+    node = build_skeap_plus(sim, CycleTopology.build(n, 1), script)[0]
+    while not ready(node):
+        assert sim.time < 1000, "node 0 never reached the state"
+        sim.step_round()
+    return node
+
+
+def test_next_epoch_may_not_store_inserts_with_puts_still_open():
+    node = _stepped_until(lambda node: node.pending_put_acks)
+    node.ins_snapshot[1] = []
+    with pytest.raises(SimulationFault, match="puts still open"):
+        node._store_inserts(1)
+
+
+def test_next_epoch_may_not_assign_deletes_with_gets_still_out():
+    node = _stepped_until(lambda node: node.outstanding_gets)
+    node.del_snapshot[1] = []
+    with pytest.raises(SimulationFault, match="gets still out"):
+        node._assign_deletes(1, (1, 0, 0))
