@@ -1,13 +1,9 @@
 """Distributed k-selection over elements scattered across the overlay.
 
-The anchor runs each selection as one sequential program (``select``):
-three phases, each step a flood/wave barrier.
-
-Anchor programs are generators on one driver (``run_program``) that
-Seap's epochs share.  A program sends its own messages and yields the
-barrier it waits for, ``(wave kind, key)`` or ``("probes", key)``; the
-wave root or probe report resumes it.  A root or report that no program
-waits for, and two programs waiting for one barrier, are faults.
+The anchor runs each selection as one sequential program (``select``) on
+the anchor-program driver of ``node.OverlayNode``: three phases, each step
+a flood/wave barrier.  A sorting pass also waits for ``("probes", key)``,
+which each ``ProbeReport`` resumes (``OverlayNode.resume``).
 
 * Phase 1 (at most ``ceil(log2 q) + 1`` iterations, ``m <= n^q``): every node
   reports the priorities of its ``floor(k/n)``-th and ``ceil(k/n)``-th
@@ -278,10 +274,7 @@ class KSelectNode(OverlayNode):
         self.chosen: dict[tuple, list[Element]] = {}
         self.copy_slots: dict[tuple, _CopySlot] = {}
         self.rendezvous: dict[tuple, CompareOp] = {}
-        # anchor only: the selection opened last, and each running anchor
-        # program by the barrier it waits for
-        self.selection: _Selection | None = None
-        self._programs: dict[tuple, Generator] = {}
+        self.selection: _Selection | None = None  # anchor only: the one opened last
 
     # -- element source -------------------------------------------------------
     def selection_universe(self) -> list[Element]:
@@ -296,22 +289,7 @@ class KSelectNode(OverlayNode):
         # activation overrides this
         return False
 
-    @property
-    def done(self) -> bool:
-        return not self._programs
-
     # -- anchor programs -----------------------------------------------------------
-    def run_program(self, program: Generator, answer: Any = None) -> None:
-        """Send ``answer`` to an anchor program (``None`` starts it) and file
-        it under the barrier it waits for next, until it returns."""
-        try:
-            barrier = program.send(answer)
-        except StopIteration:
-            return
-        if barrier in self._programs:
-            raise SimulationFault(f"two anchor programs wait for {barrier}")
-        self._programs[barrier] = program
-
     def _ask(self, kind: str, key: tuple, payload: Any) -> tuple:
         """Flood ``kind`` and return the barrier of the wave that answers it."""
         self.flood(kind, key, payload)
@@ -492,12 +470,6 @@ class KSelectNode(OverlayNode):
             return split_interval(share, [sampled for sampled, _ in parts])
         return super().wave_split(kind, share, parts)
 
-    def wave_root(self, kind: str, key: tuple, combined: Any) -> None:
-        program = self._programs.pop((kind, key), None)
-        if program is None:
-            raise SimulationFault(f"wave {kind}{key} reached the anchor unasked")
-        self.run_program(program, combined)
-
     # -- sort plumbing: positions, copies, rendezvous, votes ---------------------------
     def wave_deliver(self, kind, key, vid, share) -> None:
         if kind != "k2n":
@@ -554,7 +526,7 @@ class KSelectNode(OverlayNode):
                 slot.own_vote = payload.vector
             self._slot_try(payload.key, payload.slot)
         elif isinstance(payload, ProbeReport):
-            self._probe_report(payload)
+            self.resume(("probes", payload.key), payload)
         else:
             super().on_protocol_message(src, payload)
 
@@ -642,12 +614,6 @@ class KSelectNode(OverlayNode):
                 self.post(anchor, ProbeReport(key, "lo", order, slot.element))
             if order == probe_hi:
                 self.post(anchor, ProbeReport(key, "hi", order, slot.element))
-
-    def _probe_report(self, report: ProbeReport) -> None:
-        program = self._programs.pop(("probes", report.key), None)
-        if program is None:
-            raise SimulationFault(f"probe report for a stale sorting pass {report.key}")
-        self.run_program(program, report)
 
     # -- per-node flood handling -------------------------------------------------------------------
     def on_flood(self, kind: str, key: tuple, vid: VirtualId, payload: Any) -> None:

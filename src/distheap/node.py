@@ -22,6 +22,15 @@ Sessions are keyed by (kind, key, virtual node), so pipelined epochs and
 overlapping protocol steps never interfere even under adversarial
 asynchronous delivery.
 
+The anchor answers every barrier with a program: a generator on one
+driver (``run_program``) that all three protocols share.  A program sends
+its own messages and yields the barrier it waits for, ``(wave kind, key)``
+or a protocol's own, such as KSelect's ``("probes", key)``; ``resume``
+hands the wave's combined value at the root, or the protocol's report, to
+the program waiting for it.  A barrier that no program waits for, and two
+programs waiting for one barrier, are faults; a node is not ``done`` while
+one of its programs still waits.
+
 A real node emulates all three of its virtual nodes, so a step between
 two of them is local state, not a link: ``post`` turns a payload a node
 addresses to itself into a local hand-off (``Simulator.hand_off``), which
@@ -60,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Annotated, Any, Callable
+from typing import Annotated, Any, Callable, Generator
 
 from .batches import Batch, EntryShare
 from .overlay import MIDDLE, CycleTopology, VirtualId
@@ -300,6 +309,31 @@ class OverlayNode(ProtocolNode):
         self._waves: dict[tuple, _WaveSession] = {}
         self.storage: dict[tuple, Element] = {}
         self.waiting_gets: dict[tuple, tuple[int, Any]] = {}
+        # anchor only: each running anchor program by the barrier it waits for
+        self._programs: dict[tuple, Generator] = {}
+
+    @property
+    def done(self) -> bool:
+        return not self._programs and not self.waiting_gets
+
+    # -- anchor programs -----------------------------------------------------------
+    def run_program(self, program: Generator, answer: Any = None) -> None:
+        """Send ``answer`` to an anchor program (``None`` starts it) and file
+        it under the barrier it waits for next, until it returns."""
+        try:
+            barrier = program.send(answer)
+        except StopIteration:
+            return
+        if barrier in self._programs:
+            raise SimulationFault(f"two anchor programs wait for {barrier}")
+        self._programs[barrier] = program
+
+    def resume(self, barrier: tuple, answer: Any) -> None:
+        """Resume the anchor program waiting for ``barrier`` with ``answer``."""
+        program = self._programs.pop(barrier, None)
+        if program is None:
+            raise SimulationFault(f"barrier {barrier} reached the anchor unasked")
+        self.run_program(program, answer)
 
     # -- dispatch ------------------------------------------------------------
     def on_message(self, src: int, payload: Any) -> None:
@@ -363,7 +397,7 @@ class OverlayNode(ProtocolNode):
         if kind in self.one_way_waves:
             del self._waves[(kind, key, vid)]  # no share will come down
         if vid == self.topo.root:
-            self.wave_root(kind, key, combined)
+            self.resume((kind, key), combined)
         else:
             parent = self.topo.parent[vid]
             self.post(parent.owner, WaveUpMsg(kind, key, parent, vid, combined))
@@ -396,9 +430,6 @@ class OverlayNode(ProtocolNode):
     # protocol hooks
     def wave_combine(self, kind: str, parts: list[Any]) -> Any:
         raise SimulationFault(f"no combiner for wave {kind!r}")
-
-    def wave_root(self, kind: str, key: tuple, combined: Any) -> None:
-        raise SimulationFault(f"unexpected wave {kind!r} at the anchor")
 
     def wave_split(self, kind: str, share: Any, parts: list[Any]) -> list[Any]:
         """One share per combined part, own first: by default the parts are

@@ -9,7 +9,10 @@ Each epoch runs four phases, pipelined per node:
    virtual node combines own batch first, then children ascending by
    label, remembering the parts);
 2. the anchor assigns position intervals to every entry of the combined
-   batch and serialization bases per entry;
+   batch and serialization bases per entry: each epoch is one anchor
+   program (``_epoch``) on the driver all three protocols share
+   (``node.OverlayNode``), which waits for the epoch's ``sb`` wave and
+   assigns in the same event as the wave reaches the root;
 3. the intervals decompose back down the tree in the combine order, so
    every request obtains a unique (priority, position) pair or a bottom
    mark, plus its global serialization index;
@@ -25,7 +28,7 @@ across epochs.
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Generator
 
 from . import batches
 from .batches import AnchorState, Batch, anchor_assign, decompose
@@ -64,18 +67,21 @@ class SkeapNode(HeapNode, OverlayNode):
 
     @property
     def done(self) -> bool:
-        return self.finished and not self.outstanding and not self.waiting_gets
+        return self.finished and not self.outstanding and super().done
 
-    # -- wave plumbing ------------------------------------------------------------
-    def wave_combine(self, kind: str, parts: list[Any]) -> Any:
-        return batches.combine_all(parts, self.priorities)
-
-    def wave_root(self, kind: str, key: tuple, combined: Batch) -> None:
+    # -- phase 2: the anchor program of one epoch ------------------------------------
+    def _epoch(self, epoch: int) -> Generator[tuple, Any, None]:
+        key = (epoch,)
+        combined = yield _WAVE, key
         share, self.serial_counter = anchor_assign(
             self.anchor_state, combined, self.serial_counter
         )
         self.batches_processed += 1
-        self.wave_down(kind, key, self.topo.root, share)
+        self.wave_down(_WAVE, key, self.topo.root, share)
+
+    # -- wave plumbing ------------------------------------------------------------
+    def wave_combine(self, kind: str, parts: list[Any]) -> Any:
+        return batches.combine_all(parts, self.priorities)
 
     def wave_split(self, kind: str, share: Any, parts: list[Batch]) -> list[Any]:
         return decompose(share, parts)

@@ -8,8 +8,10 @@ its puts are stored (``_enter_delete``), and enters the next epoch when
 its last get returns, or at ``fskip``; entering past the last epoch
 finishes it.
 
-The anchor runs each epoch as one program (``_epoch``) on KSelect's
-driver, all started with the anchor.  It waits for three counts in turn:
+The anchor runs each epoch as one program (``_epoch``) on the
+anchor-program driver all three protocols share (``node.OverlayNode``),
+all started with the anchor (``workload.HeapNode``); the KSelect program
+runs inside it.  It waits for three counts in turn:
 
 * ``si``, the inserts the nodes snapshot: the anchor adds them to its
   element total m and floods ``fi``; nodes store each element in the DHT
@@ -78,8 +80,6 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         if self.is_anchor:
             self.m = 0
             self.epoch_log: list[dict] = []
-            for epoch in range(sim.cfg.epochs):
-                self.run_program(self._epoch(epoch))
 
     # -- element source for selections ------------------------------------------
     def selection_universe(self) -> list[Element]:
@@ -92,7 +92,7 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             self.finished
             and not self.outstanding_gets
             and not self.pending_put_acks
-            and not self.waiting_gets
+            and super().done
         )
 
     # -- the two snapshots of an epoch ------------------------------------------------

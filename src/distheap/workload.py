@@ -155,6 +155,12 @@ class HeapNode:
     node.  Activations inject generated requests until the budget is
     spent.  Priorities lie in ``[1, priority_universe]``, which
     ``SimConfig`` sets to ``priority_count`` unless it is given.
+
+    The anchor answers each epoch with one program, which the protocol
+    defines as ``_epoch(epoch)``; all of them start here, on the driver of
+    ``node.OverlayNode``, and each runs to the first barrier it waits for.
+    That is before the protocol's own constructor body, so a program reads
+    no protocol state before its first ``yield``.
     """
 
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology, script: Script | None):
@@ -162,6 +168,9 @@ class HeapNode:
         self.source = RequestSource(node_id, sim.cfg, sim.cfg.priority_universe, script)
         self.epoch = -1  # last epoch entered
         self.finished = False
+        if self.is_anchor:
+            for epoch in range(sim.cfg.epochs):
+                self.run_program(self._epoch(epoch))
 
     def on_activate(self) -> None:
         self.source.inject()

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -277,7 +278,7 @@ def _started(n, m, seed, k=None):
 def test_anchor_rejects_a_wave_it_does_not_wait_for(kind, key):
     _, _, anchor = _started(8, 64, 1)  # the selection waits for the first k1 wave
     with pytest.raises(SimulationFault, match="unasked"):
-        anchor.wave_root(kind, key, (1, 2))
+        anchor.resume((kind, key), (1, 2))
 
 
 def test_two_programs_may_not_wait_for_one_barrier():
@@ -304,7 +305,8 @@ def test_anchor_rejects_a_stale_probe_report(monkeypatch):
     while len(passes) < 2:  # run into the second sorting pass
         sim.step_round()
     report = ProbeReport(passes[0], "lo", 1, Element(1, 0, 1))
-    with pytest.raises(SimulationFault, match="stale sorting pass"):
+    refused = ("probes", passes[0])  # the first pass, which no program waits for
+    with pytest.raises(SimulationFault, match=re.escape(f"barrier {refused} reached the anchor")):
         anchor.on_message(0, report)
 
 

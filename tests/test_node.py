@@ -25,17 +25,21 @@ def test_split_interval_count_mismatch_is_a_fault(counts):
 
 
 class Counter(OverlayNode):
-    """Sums counts up the tree; the anchor hands the interval [1, total] down."""
+    """Sums counts up the tree; the anchor's program hands the interval
+    [1, total] down."""
 
     def __init__(self, sim, node_id, topo):
         super().__init__(sim, node_id, topo)
         self.shares = {}
+        if self.is_anchor:
+            self.run_program(self.count())
+
+    def count(self):
+        combined = yield "c", (0,)
+        self.wave_down("c", (0,), self.topo.root, (1, combined, "tag"))
 
     def wave_combine(self, kind, parts):
         return sum(parts)
-
-    def wave_root(self, kind, key, combined):
-        self.wave_down(kind, key, self.topo.root, (1, combined, "tag"))
 
     def wave_deliver(self, kind, key, vid, share):
         self.shares[vid] = share
@@ -90,12 +94,13 @@ def test_wave_value_from_a_stray_child_is_a_fault():
 
 
 class OneWayCounter(Counter):
-    """Sums counts up the tree; the anchor keeps the total and sends nothing down."""
+    """Sums counts up the tree; the anchor's program keeps the total and
+    sends nothing down."""
 
     one_way_waves = frozenset({"c"})
 
-    def wave_root(self, kind, key, combined):
-        self.total = combined
+    def count(self):
+        self.total = yield "c", (0,)
 
 
 def test_one_way_wave_sessions_end_with_their_combine():

@@ -1,15 +1,19 @@
 import pytest
 
-from distheap.batches import DELETE, INSERT
+import re
+
+from distheap.batches import DELETE, INSERT, Batch
 from distheap.consistency import (
     BOTTOM,
     check_heap_consistency,
     check_local_consistency,
     check_serializable,
 )
-from distheap.experiments import run_skeap
+from distheap.experiments import _run_heap, run_skeap
+from distheap.node import WaveUpMsg
 from distheap.overlay import CycleTopology
-from distheap.sim import ASYNC, SYNC, Element
+from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
+from distheap.skeap import build_skeap
 
 
 def test_single_issuer_insert_then_delete():
@@ -50,6 +54,54 @@ def test_requests_issued_in_later_epochs(mode):
     assert late.returned == ins.element
     assert empty.returned == BOTTOM
     assert res.ok, res.verdict.violation  # includes local consistency
+
+
+def _run(mode, epochs):
+    """A small generated Skeap run; returns (nodes, anchor)."""
+    _, nodes, anchor = _run_heap(
+        build_skeap, 3, None, None,
+        n=8, seed=1, priority_count=2, lam=2, mode=mode, epochs=epochs,
+    )
+    return nodes, anchor
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_no_wave_session_or_anchor_program_outlives_a_run(mode):
+    epochs = 3
+    nodes, anchor = _run(mode, epochs)
+    assert sum(len(node._waves) for node in nodes) == 0
+    assert anchor._programs == {}  # every epoch program ran to its end
+    assert anchor.batches_processed == epochs
+
+
+@pytest.mark.parametrize("epoch", [0, 2], ids=["already-assigned", "past-the-last-epoch"])
+def test_anchor_rejects_an_sb_root_no_epoch_program_waits_for(epoch):
+    # the epoch's sb wave combines at the root once more: the anchor's own
+    # value and one from each child of the root
+    epochs = 2
+    _, anchor = _run(SYNC, epochs)
+    root, key, empty = anchor.topo.root, (epoch,), Batch(anchor.priorities)
+    for child in anchor.topo.children[root]:
+        anchor.on_message(child.owner, WaveUpMsg("sb", key, root, child, empty))
+    refused = re.escape(f"barrier {('sb', key)} reached the anchor unasked")
+    with pytest.raises(SimulationFault, match=refused):
+        anchor.wave_contribute("sb", key, root, empty)
+    assert anchor.batches_processed == epochs  # nothing was assigned again
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_a_run_whose_anchor_program_still_waits_is_a_stall(mode):
+    epochs = 2
+    sim = Simulator(SimConfig(n=4, seed=1, priority_count=2, lam=1, mode=mode, epochs=epochs))
+    topo = CycleTopology.build(4, 1)
+    anchor = build_skeap(sim, topo)[topo.root.owner]
+
+    def waits_past_the_last_epoch():
+        yield "sb", (epochs,)
+
+    anchor.run_program(waits_past_the_last_epoch())
+    with pytest.raises(SimulationFault, match=re.escape(f"nodes {[anchor.id]} are not done")):
+        sim.run_sync() if mode == SYNC else sim.run_async(0)
 
 
 def test_three_node_mixed_scenario():

@@ -121,15 +121,16 @@ def test_anchor_sends_only_what_nodes_read(mode, monkeypatch):
 
 
 def _recorded_roots(monkeypatch):
-    """The (kind, key) of every wave that reaches the anchor, in order."""
+    """Every barrier that reaches the anchor, in order: the (kind, key) of
+    each wave, and KSelect's ("probes", key)."""
     roots = []
-    wave_root = SkeapPlusNode.wave_root
+    resume = SkeapPlusNode.resume
 
-    def recording(self, kind, key, combined):
-        roots.append((kind, key))
-        wave_root(self, kind, key, combined)
+    def recording(self, barrier, answer):
+        roots.append(barrier)
+        resume(self, barrier, answer)
 
-    monkeypatch.setattr(SkeapPlusNode, "wave_root", recording)
+    monkeypatch.setattr(SkeapPlusNode, "resume", recording)
     return roots
 
 
@@ -173,7 +174,7 @@ def test_anchor_rejects_a_count_no_epoch_waits_for(kind, monkeypatch):
         assert sim.time < 100, "the insert count never reached the anchor"
         sim.step_round()
     with pytest.raises(SimulationFault, match="unasked"):
-        anchor.wave_root(kind, (0,), 0)
+        anchor.resume((kind, (0,)), 0)
 
 
 def test_ok_requires_phase_optimality(monkeypatch):
