@@ -150,12 +150,6 @@ class EntryShare:
     ins_offset: int  # inserts of this entry serialized before this subtree
     del_offset: int
 
-    def ins_count(self) -> int:
-        return sum(iv[1] - iv[0] + 1 for iv in self.ins if iv is not None)
-
-    def del_count(self) -> int:
-        return sum(hi - lo + 1 for _, lo, hi in self.dels) + self.bottoms
-
     def bits(self) -> int:
         total = nat_bits(self.bottoms) + nat_bits(self.ins_base) + nat_bits(self.del_base)
         total += nat_bits(self.ins_offset) + nat_bits(self.del_offset)

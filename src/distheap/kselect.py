@@ -65,7 +65,7 @@ from typing import Any, Generator
 
 from .hashing import Tag, hash_unit
 from .node import Message, Nat, OverlayNode, split_interval
-from .overlay import MIDDLE, CycleTopology, VirtualId
+from .overlay import CycleTopology, VirtualId
 from .sim import Element, SimulationFault, Simulator
 
 NEG_INF = "-inf"
@@ -143,13 +143,12 @@ def combine_minmax(parts):
     )
 
 
-# The anchor's flood kinds, each mapped to the wave that answers it.  A node
-# answers at its middle virtual node; the other two contribute the reply
-# wave's neutral value.  ``ki`` and ``k2p`` are no longer flooded (the count
-# rides the first ``k1`` wave, the prune the next ``k2`` flood); the
-# benchmark's tracer names this same map, and both drop them together.
+# The anchor's flood kinds, each mapped to the wave that answers it; a node
+# answers once, with its part at its middle virtual node.  ``ki`` and
+# ``k2p`` are no longer flooded (the count rides the first ``k1`` wave, the
+# prune the next ``k2`` flood); the benchmark's tracer names this same map,
+# and both drop them together.
 _REPLY = {"ki": "ki", "k1": "k1", "k1p": "k1c", "k2": "k2n", "k2r": "k2r", "k2p": "k2s"}
-_NEUTRAL = {"k1": (POS_INF, NEG_INF, 0), "k1c": (0, 0), "k2n": (0, 0), "k2r": (0, 0)}
 
 
 # -- sort sub-protocol messages ------------------------------------------------
@@ -278,7 +277,9 @@ class KSelectNode(OverlayNode):
 
     # -- element source -------------------------------------------------------
     def selection_universe(self) -> list[Element]:
-        return sorted(self.elements, key=lambda e: e.key)
+        """This node's elements, sorted by ``seed_elements``; a selection
+        prunes by slicing, so it never changes the list in place."""
+        return self.elements
 
     def seed_elements(self, elements: list[Element]) -> None:
         self.elements = sorted(elements, key=lambda e: e.key)
@@ -471,11 +472,9 @@ class KSelectNode(OverlayNode):
         return super().wave_split(kind, share, parts)
 
     # -- sort plumbing: positions, copies, rendezvous, votes ---------------------------
-    def wave_deliver(self, kind, key, vid, share) -> None:
+    def wave_deliver(self, kind, key, share) -> None:
         if kind != "k2n":
-            return super().wave_deliver(kind, key, vid, share)
-        if vid.kind != MIDDLE:
-            return
+            return super().wave_deliver(kind, key, share)
         lo, hi, n_prime, plo, phi, target = share
         chosen = self.chosen.pop(key, [])
         if hi - lo + 1 != len(chosen):
@@ -616,17 +615,16 @@ class KSelectNode(OverlayNode):
                 self.post(anchor, ProbeReport(key, "hi", order, slot.element))
 
     # -- per-node flood handling -------------------------------------------------------------------
-    def on_flood(self, kind: str, key: tuple, vid: VirtualId, payload: Any) -> None:
+    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
         reply = _REPLY.get(kind)
         if reply is None:
-            return super().on_flood(kind, key, vid, payload)
+            return super().on_flood(kind, key, payload)
         if kind == "k2":
             # a re-drawn sample: the empty pass before it got no share to end it
-            redrawn = ("k2n", (*key[:2], key[2] - 1), vid)
-            if redrawn in self._waves:
-                self.wave_end(*redrawn)
-        value = self._answer(kind, key, payload) if vid.kind == MIDDLE else _NEUTRAL[reply]
-        self.wave_contribute(reply, key, vid, value)
+            empty = (*key[:2], key[2] - 1)
+            if self.in_wave("k2n", empty):
+                self.wave_end("k2n", empty)
+        self.contribute_all(reply, key, self._answer(kind, key, payload))
 
     def _answer(self, kind: str, key: tuple, payload: Any) -> Any:
         """This node's contribution to the wave that answers flood ``kind``."""

@@ -3,20 +3,28 @@
 Every protocol in this package is built from three primitives running on
 the virtual-node overlay:
 
-* floods: the anchor pushes an announcement down the tree; every virtual
-  node sees it exactly once.
+* floods: the anchor pushes an announcement down the tree; every real
+  node sees it exactly once, at its middle virtual node (``on_flood``).
 * waves: values flow leaf-to-root, combined at each virtual node in a
-  fixed order (own contribution first, then children ascending by
-  label); each session remembers the parts it combined so a matching
-  share can later be split root-to-leaf over the same parts, in the same
-  order; the split ends the session.  A wave kind that a protocol lists
-  in ``one_way_waves`` has no down half, and its session ends when its
+  fixed order (own part first, then children ascending by label); each
+  session remembers the parts it combined so a matching share can later
+  be split root-to-leaf over the same parts, in the same order, and the
+  middle virtual node's own share is delivered (``wave_deliver``); the
+  split ends the session.  A wave kind that a protocol lists in
+  ``one_way_waves`` has no down half, and its session ends when its
   combine is sent.  By default a share is an interval ``(lo, hi, *rest)``
   split by the parts' counts (``split_interval``); Skeap splits a batch
   share.
 * routed operations: a message hops along the de Bruijn emulation to the
   virtual node responsible for a key.  Put/Get pairs rendezvous there; a
   Get that arrives before its Put parks until the Put shows up.
+
+A node's requests and elements live at its middle virtual node (M), so
+floods and waves run on the tree without its right (R) leaves
+(``CycleTopology.inner_children``): M holds the node's one part
+(``contribute_all``), a left virtual node (L) only relays, combining and
+splitting its children's parts, and R takes no part.  A contribution at
+L or R is a fault.
 
 Sessions are keyed by (kind, key, virtual node), so pipelined epochs and
 overlapping protocol steps never interfere even under adversarial
@@ -31,14 +39,14 @@ the program waiting for it.  A barrier that no program waits for, and two
 programs waiting for one barrier, are faults; a node is not ``done`` while
 one of its programs still waits.
 
-A real node emulates all three of its virtual nodes, so a step between
-two of them is local state, not a link: ``post`` turns a payload a node
-addresses to itself into a local hand-off (``Simulator.hand_off``), which
-is not a message and costs no round.  This covers 2n of the tree's 3n - 1
-edges (a node's M hangs below its own L, its R below its M), so a flood
-sends exactly n - 1 messages and a barrier costs rounds only for the
-edges between real nodes; route hops and DHT replies that stay on one
-node are hand-offs too.
+A real node emulates its virtual nodes, so a step between two of them is
+local state, not a link: ``post`` turns a payload a node addresses to
+itself into a local hand-off (``Simulator.hand_off``), which is not a
+message and costs no round.  Floods and waves use n of the 2n - 1 edges
+of the tree without R, one from each M up to its own L, as hand-offs, so
+a flood sends exactly n - 1 messages and a barrier costs rounds only for
+the edges between real nodes; route hops and DHT replies that stay on
+one node are hand-offs too.
 
 Every message class derives its size from one rule (``Message``): the sum
 of its fields' sizes, where a field annotated ``Nat`` costs ``nat_bits``
@@ -72,7 +80,7 @@ from functools import cache
 from typing import Annotated, Any, Callable, Generator
 
 from .batches import Batch, EntryShare
-from .overlay import MIDDLE, CycleTopology, VirtualId
+from .overlay import LEFT, MIDDLE, CycleTopology, VirtualId
 from .sim import Element, ProtocolNode, SimulationFault, Simulator, nat_bits
 
 
@@ -281,14 +289,23 @@ def split_interval(share: tuple, counts: list[int]) -> list[tuple]:
     return pieces
 
 
-class _WaveSession:
-    __slots__ = ("own", "have_own", "child_values", "sent")
+_MISSING = object()  # a wave part that has not arrived
 
-    def __init__(self) -> None:
-        self.own: Any = None
-        self.have_own = False
-        self.child_values: dict[VirtualId, Any] = {}
-        self.sent = False
+
+def _first_child(vid: VirtualId) -> int:
+    """The index of ``vid``'s first child's part: M's own part comes first."""
+    return 1 if vid.kind == MIDDLE else 0
+
+
+class _WaveSession:
+    """A virtual node's parts of one wave in combine order: M's own part
+    first, then its children's ascending by label."""
+
+    __slots__ = ("parts", "missing")
+
+    def __init__(self, size: int) -> None:
+        self.parts: list[Any] = [_MISSING] * size
+        self.missing = size  # the session has combined once it reaches 0
 
 
 class OverlayNode(ProtocolNode):
@@ -303,7 +320,7 @@ class OverlayNode(ProtocolNode):
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id)
         self.topo = topo
-        self.vids = tuple(VirtualId(node_id, kind) for kind in "LMR")
+        self.left = VirtualId(node_id, LEFT)
         self.middle = VirtualId(node_id, MIDDLE)
         self.is_anchor = topo.root.owner == node_id
         self._waves: dict[tuple, _WaveSession] = {}
@@ -355,74 +372,71 @@ class OverlayNode(ProtocolNode):
             self.sim.send(self.id, dst, payload)
 
     # -- waves -----------------------------------------------------------------
-    def _session(self, kind: str, key: tuple, vid: VirtualId) -> _WaveSession:
+    def _wave_add(self, kind: str, key: tuple, vid: VirtualId, i: int, value: Any) -> None:
+        """File ``value`` as part ``i`` of ``vid``'s session; once every part
+        is here, combine them and send the result up."""
         sk = (kind, key, vid)
         sess = self._waves.get(sk)
         if sess is None:
-            sess = self._waves[sk] = _WaveSession()
-        return sess
-
-    def wave_contribute(self, kind: str, key: tuple, vid: VirtualId, value: Any) -> None:
-        sess = self._session(kind, key, vid)
-        if sess.have_own:
-            raise SimulationFault(f"duplicate contribution to {kind}{key} at {vid}")
-        sess.own = value
-        sess.have_own = True
-        self._wave_try(sess, kind, key, vid)
-
-    def contribute_all(self, kind: str, key: tuple, real_value: Any, neutral: Any) -> None:
-        """Contribute a node-level value at the middle vnode, neutrals elsewhere."""
-        for vid in self.vids:
-            self.wave_contribute(
-                kind, key, vid, real_value if vid.kind == MIDDLE else neutral
-            )
-
-    def _wave_receive(self, msg: WaveUpMsg) -> None:
-        kind, key, parent, child = msg.kind, msg.key, msg.parent, msg.child
-        if child not in self.topo.children[parent]:
-            raise SimulationFault(f"{child} is no child of {parent} in wave {kind}{key}")
-        sess = self._session(kind, key, parent)
-        if child in sess.child_values:
-            raise SimulationFault("duplicate child value in wave")
-        sess.child_values[child] = msg.value
-        self._wave_try(sess, kind, key, parent)
-
-    def _wave_try(self, sess: _WaveSession, kind: str, key: tuple, vid: VirtualId) -> None:
-        kids = self.topo.children[vid]
-        if not sess.have_own or len(sess.child_values) != len(kids):
+            size = _first_child(vid) + len(self.topo.inner_children[vid])
+            sess = self._waves[sk] = _WaveSession(size)
+        if sess.parts[i] is not _MISSING:
+            raise SimulationFault(f"duplicate part {i} of {kind}{key} at {vid}")
+        sess.parts[i] = value
+        sess.missing -= 1
+        if sess.missing:
             return
-        parts = [sess.own] + [sess.child_values[c] for c in kids]
-        combined = self.wave_combine(kind, parts)
-        sess.sent = True
+        combined = self.wave_combine(kind, sess.parts)
         if kind in self.one_way_waves:
-            del self._waves[(kind, key, vid)]  # no share will come down
+            del self._waves[sk]  # no share will come down
         if vid == self.topo.root:
             self.resume((kind, key), combined)
         else:
             parent = self.topo.parent[vid]
             self.post(parent.owner, WaveUpMsg(kind, key, parent, vid, combined))
 
-    def wave_end(self, kind: str, key: tuple, vid: VirtualId) -> _WaveSession:
-        """End the session of a combined wave at ``vid`` and return it.
+    def wave_contribute(self, kind: str, key: tuple, vid: VirtualId, value: Any) -> None:
+        """Contribute ``value`` at ``vid``, which must be a middle virtual node."""
+        if vid.kind != MIDDLE:
+            raise SimulationFault(f"{vid} holds no part of wave {kind}{key}")
+        self._wave_add(kind, key, vid, 0, value)
 
-        ``wave_down`` calls it; a protocol calls it itself where the anchor
-        answers a two-way wave without sending its share down.
-        """
+    def contribute_all(self, kind: str, key: tuple, value: Any) -> None:
+        """Contribute this node's part of wave ``kind``, at its middle vnode."""
+        self.wave_contribute(kind, key, self.middle, value)
+
+    def _wave_receive(self, msg: WaveUpMsg) -> None:
+        kind, key, parent, child = msg.kind, msg.key, msg.parent, msg.child
+        kids = self.topo.inner_children.get(parent, ())
+        if child not in kids:
+            raise SimulationFault(f"{child} is no child of {parent} in wave {kind}{key}")
+        self._wave_add(kind, key, parent, _first_child(parent) + kids.index(child), msg.value)
+
+    def _wave_end(self, kind: str, key: tuple, vid: VirtualId) -> _WaveSession:
         sess = self._waves.pop((kind, key, vid), None)
-        if sess is None or not sess.sent:
+        if sess is None or sess.missing:
             raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
         return sess
 
+    def in_wave(self, kind: str, key: tuple) -> bool:
+        """Whether this node holds a session of wave ``kind`` at ``key``."""
+        return (kind, key, self.middle) in self._waves
+
+    def wave_end(self, kind: str, key: tuple) -> None:
+        """End this node's sessions of a combined two-way wave whose share
+        the anchor does not send down."""
+        for vid in (self.left, self.middle):
+            self._wave_end(kind, key, vid)
+
     def wave_down(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
-        """Split ``share`` at ``vid`` over the combined parts and push child
-        shares down.  The session ends here."""
-        sess = self.wave_end(kind, key, vid)
-        kids = self.topo.children[vid]
-        parts = [sess.own] + [sess.child_values[c] for c in kids]
-        own_share, *child_shares = self.wave_split(kind, share, parts)
-        for child, child_share in zip(kids, child_shares):
+        """Split ``share`` at ``vid`` over the combined parts, push child
+        shares down and deliver M's own.  The session ends here."""
+        shares = self.wave_split(kind, share, self._wave_end(kind, key, vid).parts)
+        first = _first_child(vid)
+        for child, child_share in zip(self.topo.inner_children[vid], shares[first:]):
             self.post(child.owner, WaveDownMsg(kind, key, child, child_share))
-        self.wave_deliver(kind, key, vid, own_share)
+        if first:
+            self.wave_deliver(kind, key, shares[0])
 
     def _wave_down(self, msg: WaveDownMsg) -> None:
         self.wave_down(msg.kind, msg.key, msg.vid, msg.share)
@@ -432,11 +446,11 @@ class OverlayNode(ProtocolNode):
         raise SimulationFault(f"no combiner for wave {kind!r}")
 
     def wave_split(self, kind: str, share: Any, parts: list[Any]) -> list[Any]:
-        """One share per combined part, own first: by default the parts are
-        counts and ``share`` is the interval they cover."""
+        """One share per combined part, in combine order: by default the
+        parts are counts and ``share`` is the interval they cover."""
         return split_interval(share, parts)
 
-    def wave_deliver(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
+    def wave_deliver(self, kind: str, key: tuple, share: Any) -> None:
         pass
 
     # -- floods ------------------------------------------------------------------
@@ -446,11 +460,12 @@ class OverlayNode(ProtocolNode):
         self._flood_receive(FloodMsg(kind, key, self.topo.root, payload))
 
     def _flood_receive(self, msg: FloodMsg) -> None:
-        for child in self.topo.children[msg.vid]:
+        for child in self.topo.inner_children[msg.vid]:
             self.post(child.owner, FloodMsg(msg.kind, msg.key, child, msg.payload))
-        self.on_flood(msg.kind, msg.key, msg.vid, msg.payload)
+        if msg.vid.kind == MIDDLE:  # L only relays
+            self.on_flood(msg.kind, msg.key, msg.payload)
 
-    def on_flood(self, kind: str, key: tuple, vid: VirtualId, payload: Any) -> None:
+    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
         pass
 
     # -- routing and DHT -----------------------------------------------------------

@@ -13,7 +13,9 @@ from local rules only:
 Parent links strictly decrease the label, so the structure is acyclic
 with a single root at the globally smallest label (always a left node);
 that root's wrap-around predecessor link is severed.  Right nodes are
-exactly the leaves.
+exactly the leaves (a left node's label is below 1/2 and a right node's
+above, so no left node follows a right one on the cycle).  Floods and
+waves run on the tree without them (``inner_children``).
 
 Key responsibility follows the predecessor rule: the virtual node v with
 v <= key < succ(v) (cyclically) owns the key.  Routing emulates de
@@ -73,6 +75,13 @@ class CycleTopology:
         self.parent: dict[VirtualId, VirtualId | None] = {}
         self.children: dict[VirtualId, list[VirtualId]] = {v: [] for v in self.order}
         self._derive_tree()
+        # the tree without its right leaves: each left and middle node's
+        # children other than a right node, built once for all real nodes
+        self.inner_children: dict[VirtualId, list[VirtualId]] = {
+            v: [c for c in kids if c.kind != RIGHT]
+            for v, kids in self.children.items()
+            if v.kind != RIGHT
+        }
 
     # -- construction --------------------------------------------------------
     @classmethod

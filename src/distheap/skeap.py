@@ -5,9 +5,10 @@ Each epoch runs four phases, pipelined per node:
 1. every node enters the epoch through the lifecycle both heaps share
    (``workload.HeapNode``), which issues the epoch's requests
    (``RequestSource.issue_for``); it snapshots its buffered requests as a
-   batch (``_open_epoch``) and the batches aggregate up the tree (each
-   virtual node combines own batch first, then children ascending by
-   label, remembering the parts);
+   batch (``_open_epoch``), its middle virtual node's part, and the
+   batches aggregate up the tree: a middle virtual node combines its own
+   batch first, then its children's ascending by label, a left one only
+   its children's, and each remembers the parts (``node.OverlayNode``);
 2. the anchor assigns position intervals to every entry of the combined
    batch and serialization bases per entry: each epoch is one anchor
    program (``_epoch``) on the driver all three protocols share
@@ -35,8 +36,8 @@ from .batches import AnchorState, Batch, anchor_assign, decompose
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .node import OverlayNode, build
-from .overlay import MIDDLE, CycleTopology, VirtualId
-from .sim import Element, SimulationFault, Simulator
+from .overlay import CycleTopology
+from .sim import Element, Simulator
 from .workload import HeapNode, Script
 
 _NS = "skeap"
@@ -63,7 +64,7 @@ class SkeapNode(HeapNode, OverlayNode):
         kinds = [(r.kind, r.element.priority if r.element else None) for r in snapshot]
         batch, runs = batches.snapshot_batch(kinds, self.priorities)
         self.inflight[epoch] = (snapshot, runs)
-        self.contribute_all(_WAVE, (epoch,), batch, Batch(self.priorities))
+        self.contribute_all(_WAVE, (epoch,), batch)
 
     @property
     def done(self) -> bool:
@@ -86,11 +87,8 @@ class SkeapNode(HeapNode, OverlayNode):
     def wave_split(self, kind: str, share: Any, parts: list[Batch]) -> list[Any]:
         return decompose(share, parts)
 
-    def wave_deliver(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
-        if vid.kind == MIDDLE:
-            self._apply_share(key[0], share)
-        elif any(e.ins_count() or e.del_count() for e in share):
-            raise SimulationFault("positions assigned to a virtual node without requests")
+    def wave_deliver(self, kind: str, key: tuple, share: Any) -> None:
+        self._apply_share(key[0], share)
 
     # -- phases 3 and 4 --------------------------------------------------------------
     def _apply_share(self, epoch: int, share) -> None:

@@ -57,7 +57,7 @@ from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .kselect import KSelectError, KSelectNode
 from .node import build
-from .overlay import MIDDLE, CycleTopology, VirtualId
+from .overlay import CycleTopology
 from .sim import Element, SimulationFault, Simulator
 from .workload import HeapNode, Script
 
@@ -99,12 +99,12 @@ class SkeapPlusNode(HeapNode, KSelectNode):
     def _open_epoch(self, epoch: int) -> None:
         snap = self.source.snapshot(epoch, INSERT)
         self.ins_snapshot[epoch] = snap
-        self.contribute_all("si", (epoch,), len(snap), 0)
+        self.contribute_all("si", (epoch,), len(snap))
 
     def _enter_delete(self, epoch: int) -> None:
         snap = self.source.snapshot(epoch, DELETE)
         self.del_snapshot[epoch] = snap
-        self.contribute_all("sd", (epoch,), len(snap), 0)
+        self.contribute_all("sd", (epoch,), len(snap))
 
     # -- waves ---------------------------------------------------------------------
     def wave_combine(self, kind: str, parts: list[Any]) -> Any:
@@ -141,35 +141,27 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         self.wave_down("sq", key, self.topo.root, (1, k_star))
 
     # -- sd and sq shares: intervals split by counts (the default wave_split) ---------------
-    def wave_deliver(self, kind, key, vid, share) -> None:
+    def wave_deliver(self, kind, key, share) -> None:
         if kind == "sd":
-            if vid.kind == MIDDLE:
-                self._assign_deletes(key[0], share)
-            return
-        if kind == "sq":
-            if vid.kind == MIDDLE:
-                self._move_qualifying(key[0], share)
-            return
-        super().wave_deliver(kind, key, vid, share)
+            self._assign_deletes(key[0], share)
+        elif kind == "sq":
+            self._move_qualifying(key[0], share)
+        else:
+            super().wave_deliver(kind, key, share)
 
     # -- floods -----------------------------------------------------------------------------
-    def on_flood(self, kind: str, key: tuple, vid: VirtualId, payload: Any) -> None:
+    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
         if kind == "fi":
-            if vid.kind == MIDDLE:
-                self._store_inserts(key[0])
+            self._store_inserts(key[0])
         elif kind == "fskip":
-            self.wave_end("sd", key, vid)  # an epoch without deletes sends no share
-            if vid.kind == MIDDLE:
-                del self.del_snapshot[key[0]]  # empty: k = 0
-                self._enter(key[0] + 1)
+            self.wave_end("sd", key)  # an epoch without deletes sends no share
+            del self.del_snapshot[key[0]]  # empty: k = 0
+            self._enter(key[0] + 1)
         elif kind == "fq":
-            count = 0
-            if vid.kind == MIDDLE:
-                self.qual_limit[key[0]] = payload
-                count = len(self._qualifying(payload))
-            self.wave_contribute("sq", key, vid, count)
+            self.qual_limit[key[0]] = payload
+            self.contribute_all("sq", key, len(self._qualifying(payload)))
         else:
-            super().on_flood(kind, key, vid, payload)
+            super().on_flood(kind, key, payload)
 
     # -- insert phase ----------------------------------------------------------------------
     def _store_inserts(self, epoch: int) -> None:

@@ -76,16 +76,18 @@ def test_no_wave_session_or_anchor_program_outlives_a_run(mode):
 
 @pytest.mark.parametrize("epoch", [0, 2], ids=["already-assigned", "past-the-last-epoch"])
 def test_anchor_rejects_an_sb_root_no_epoch_program_waits_for(epoch):
-    # the epoch's sb wave combines at the root once more: the anchor's own
-    # value and one from each child of the root
+    # the epoch's sb wave combines at the root once more: the root, a left
+    # virtual node, holds no part of its own, so the last of its children's
+    # values completes it
     epochs = 2
     _, anchor = _run(SYNC, epochs)
     root, key, empty = anchor.topo.root, (epoch,), Batch(anchor.priorities)
-    for child in anchor.topo.children[root]:
+    *first, last = anchor.topo.children[root]
+    for child in first:
         anchor.on_message(child.owner, WaveUpMsg("sb", key, root, child, empty))
     refused = re.escape(f"barrier {('sb', key)} reached the anchor unasked")
     with pytest.raises(SimulationFault, match=refused):
-        anchor.wave_contribute("sb", key, root, empty)
+        anchor.on_message(last.owner, WaveUpMsg("sb", key, root, last, empty))
     assert anchor.batches_processed == epochs  # nothing was assigned again
 
 

@@ -101,13 +101,13 @@ def test_anchor_sends_only_what_nodes_read(mode, monkeypatch):
     sent = []
     on_flood, wave_deliver = SkeapPlusNode.on_flood, SkeapPlusNode.wave_deliver
 
-    def flooded(self, kind, key, vid, payload):
+    def flooded(self, kind, key, payload):
         sent.append((kind, payload))
-        on_flood(self, kind, key, vid, payload)
+        on_flood(self, kind, key, payload)
 
-    def delivered(self, kind, key, vid, share):
+    def delivered(self, kind, key, share):
         sent.append((kind, share))
-        wave_deliver(self, kind, key, vid, share)
+        wave_deliver(self, kind, key, share)
 
     monkeypatch.setattr(SkeapPlusNode, "on_flood", flooded)
     monkeypatch.setattr(SkeapPlusNode, "wave_deliver", delivered)

@@ -30,16 +30,16 @@ SEEDS = (0, 1)
 EXPECTED = {
     ('skeap', 'synchronous', 2, 0): ('2da184d75f819a44', '388368d3c75fc922', '519ebf2918a7c79c'),
     ('skeap', 'synchronous', 2, 1): ('4bd3042f69453e49', 'b28d0136ddafb062', 'dee93ba62e3e820b'),
-    ('skeap', 'synchronous', 8, 0): ('ceec964248c76185', 'c9e5fc435d38d1f1', '7f4d72610b8bf139'),
+    ('skeap', 'synchronous', 8, 0): ('7320ac0de5c02fb9', 'c9e5fc435d38d1f1', '7f4d72610b8bf139'),
     ('skeap', 'synchronous', 8, 1): ('9d5fad048ca9f787', '44be1a8a7c2cedf7', 'f725eb4ee7e0a6c0'),
-    ('skeap', 'synchronous', 32, 0): ('2a9cb49ac3a38cfd', '24621a035be4f904', '4c9c5340a275ecd7'),
-    ('skeap', 'synchronous', 32, 1): ('09108349d7caca4f', 'f47010e4b7efe9d0', '633bcdd33127b2bc'),
+    ('skeap', 'synchronous', 32, 0): ('cfca6398be5210e8', '24621a035be4f904', '4c9c5340a275ecd7'),
+    ('skeap', 'synchronous', 32, 1): ('13dd213304b03a89', 'f47010e4b7efe9d0', '633bcdd33127b2bc'),
     ('skeap', 'asynchronous', 2, 0): ('93927833f56b6c9b', '388368d3c75fc922', '68d449a672ebc1d0'),
     ('skeap', 'asynchronous', 2, 1): ('5c97dbdfecd3469d', 'b28d0136ddafb062', '86abb4141b08805e'),
-    ('skeap', 'asynchronous', 8, 0): ('08441d6a517938b4', 'c9e5fc435d38d1f1', '3662d68904e98696'),
+    ('skeap', 'asynchronous', 8, 0): ('6c1e1a26f4192eef', 'c9e5fc435d38d1f1', '3662d68904e98696'),
     ('skeap', 'asynchronous', 8, 1): ('2bc1525d56eae53d', '44be1a8a7c2cedf7', '248430d332d18dc9'),
-    ('skeap', 'asynchronous', 32, 0): ('6444c7b443b18a78', '24621a035be4f904', '3d0ea917ed582838'),
-    ('skeap', 'asynchronous', 32, 1): ('3b1089440a2e15f1', 'f47010e4b7efe9d0', '6d2eeb0710b3240f'),
+    ('skeap', 'asynchronous', 32, 0): ('706470a58198cce0', '24621a035be4f904', '3d0ea917ed582838'),
+    ('skeap', 'asynchronous', 32, 1): ('e1f6b548e6ee254c', 'f47010e4b7efe9d0', '6d2eeb0710b3240f'),
     ('seap', 'synchronous', 2, 0): ('13efe617cf922b0f', '20b74a1a27c9e5bd', 'a581df0e1c480822'),
     ('seap', 'synchronous', 2, 1): ('5cafa4f445caa697', 'e1b12c6bea5a474d', '87d29f0dd1d1bf5b'),
     ('seap', 'synchronous', 8, 0): ('c1f2063367f92262', 'd06939338a165fc2', 'f3741f7ef2ac3f9f'),
