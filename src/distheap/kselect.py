@@ -284,12 +284,6 @@ class KSelectNode(OverlayNode):
     def seed_elements(self, elements: list[Element]) -> None:
         self.elements = sorted(elements, key=lambda e: e.key)
 
-    @property
-    def needs_activation(self) -> bool:
-        # selections are driven by messages alone; a subclass that acts on
-        # activation overrides this
-        return False
-
     # -- anchor programs -----------------------------------------------------------
     def _ask(self, kind: str, key: tuple, payload: Any) -> tuple:
         """Flood ``kind`` and return the barrier of the wave that answers it."""

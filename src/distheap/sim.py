@@ -1,38 +1,35 @@
 """Deterministic discrete-event engine for message-passing protocols.
 
-Two execution modes share one node model:
+Two execution modes share one node model, and in both each node's
+``start`` runs once:
 
 * synchronous rounds: every message sent in round ``i`` is handled in
   round ``i + 1``.  Sends go to one outbox; a round takes the outbox
   over and delivers the previous round's sends ordered by destination
-  id, then in send order.  It then activates, in id order, the nodes
-  whose ``needs_activation`` holds; a node that no longer needs it is
-  never asked again.  Round metrics (per-node message counts,
-  congestion, largest message) are recorded in this mode.
-* asynchronous schedule: a seeded scheduler assigns every message a
-  random delivery deadline at most ``async_delay_max`` clock ticks in
-  the future and activates each node every ``async_delay_max`` ticks,
-  from a random first time, until it is ``done``.  From the first time
-  a node's ``needs_activation`` is False its activation events are
-  dropped, so the picks follow traffic.  Delivery is non-FIFO, never
-  drops or duplicates, and is always within the deadline, which makes
-  runs terminating and replayable.
+  id, then in send order.  The first round then starts every node, in id
+  order.  Round metrics (per-node message counts, congestion, largest
+  message) are recorded in this mode.
+* asynchronous schedule: a seeded scheduler draws every node a random
+  start time and every message a random delivery deadline, each at most
+  ``async_delay_max`` clock ticks in the future.  The start times are
+  drawn first, and a tick runs its starts before its deliveries.
+  Delivery is non-FIFO, never drops or duplicates, and is always within
+  the deadline, which makes runs terminating and replayable.
 * local hand-offs (``hand_off``): a real node that addresses itself, as
   when one of its virtual nodes talks to another, hands the payload to
   its own ``on_message``.  A hand-off is not a message: it is not sized,
   counted or traced, draws nothing from the scheduler and costs no round
   or tick.  Queued hand-offs run in FIFO order after the current handler
-  (delivery or activation) returns, before the next event; those queued
+  (delivery or start) returns, before the next event; those queued
   outside any handler run before the next round or the first pick.
   ``send`` stays a message whatever its endpoints, also from a node to
   itself.
 
-A ``trace=`` callback sees every send, delivery and activation; an
-``activate`` event means the node's ``on_activate`` ran.  A traced run
-takes the same path as an untraced one.  In both modes a run that has no
-message in flight, no hand-off queued and a node that is not ``done`` but
-needs no activation can never progress; it raises a stall
-``SimulationFault`` at once.
+A ``trace=`` callback sees every send and delivery; starts are not
+traced.  A traced run takes the same path as an untraced one.  In both
+modes a run in which every node has started, no message is in flight, no
+hand-off is queued and some node is not ``done`` can never progress; it
+raises a stall ``SimulationFault`` at once.
 
 The simulator keeps two message counters, ``sent`` and ``delivered``.
 An envelope's ``seq``, its place in send order, is the value of ``sent``
@@ -122,7 +119,6 @@ class Envelope:
     size_bits: int
     enqueue_time: int
     seq: int
-    deadline: int = 0
 
 
 @dataclass(slots=True)
@@ -174,30 +170,19 @@ class ProtocolNode:
         self.sim = sim
         self.id = node_id
 
-    def on_activate(self) -> None:  # pragma: no cover - default no-op
-        pass
+    def start(self) -> None:
+        """Runs once per node: in the first round in synchronous mode, at
+        the node's start time in asynchronous mode."""
 
     def on_message(self, src: int, payload: Any) -> None:  # pragma: no cover
         raise NotImplementedError
-
-    @property
-    def needs_activation(self) -> bool:
-        """Whether ``on_activate`` may still do anything.
-
-        Once False it must stay False, and ``on_activate`` must then be a
-        no-op.  The simulator reads it before each activation: before each
-        round's activations in synchronous mode, when the node's activation
-        event comes due in asynchronous mode.  From the first time it is
-        False the node is not activated, and not asked, again.
-        """
-        return True
 
     @property
     def done(self) -> bool:
         return True
 
 
-_ACT = 0
+_START = 0
 _MSG = 1
 _BY_DST = attrgetter("dst")
 
@@ -210,7 +195,7 @@ class Simulator:
         self.nodes: list[ProtocolNode] = []
         self._outbox: list[Envelope] = []  # sent, not yet delivered (sync mode)
         self._handoffs: deque[tuple[int, Any]] = deque()  # (dst, payload), not yet run
-        self._awake: list[int] = []  # ids still activated in sync mode
+        self._started = 0  # nodes whose start has run
         self.time = 0
         self.sent = 0
         self.delivered = 0
@@ -223,7 +208,6 @@ class Simulator:
 
     # -- topology of nodes -------------------------------------------------
     def add_node(self, node: ProtocolNode) -> None:
-        self._awake.append(len(self.nodes))
         self.nodes.append(node)
 
     # -- sending -----------------------------------------------------------
@@ -240,8 +224,7 @@ class Simulator:
             self.max_message_bits = bits
         if self._sched_rng is not None:
             # while an async schedule runs, its event heap owns the envelope
-            env.deadline = self.time + 1 + self._sched_rng.randrange(self.cfg.async_delay_max)
-            heapq.heappush(self._events, (env.deadline, env.seq, _MSG, env))
+            heapq.heappush(self._events, (self._deadline(), env.seq, _MSG, env))
         else:
             self._outbox.append(env)
         if self._trace:
@@ -264,6 +247,10 @@ class Simulator:
             dst, payload = queue.popleft()
             nodes[dst].on_message(dst, payload)
 
+    def _deadline(self) -> int:
+        """A random time 1 to ``async_delay_max`` ticks from now."""
+        return self.time + 1 + self._sched_rng.randrange(self.cfg.async_delay_max)
+
     def pending_messages(self) -> int:
         return self.sent - self.delivered
 
@@ -284,20 +271,17 @@ class Simulator:
         if self._handoffs:
             self._run_handoffs()
 
-    def _activate(self, node_id: int) -> None:
-        if self._trace:
-            self._trace(
-                {"kind": "activate", "time": self.time, "src": node_id, "dst": node_id, "bits": 0}
-            )
-        self.nodes[node_id].on_activate()
+    def _start(self, node_id: int) -> None:
+        self._started += 1
+        self.nodes[node_id].start()
         if self._handoffs:
             self._run_handoffs()
 
     # -- synchronous mode ----------------------------------------------------
     def step_round(self) -> RoundMetrics:
-        """Deliver everything sent before this round, then activate each node
-        whose ``needs_activation`` holds.  Hand-offs queued outside any
-        handler run first."""
+        """Deliver everything sent before this round, then start the nodes
+        not yet started (all of them, in the first round).  Hand-offs
+        queued outside any handler run first."""
         self._run_handoffs()
         self.time += 1
         due, self._outbox = self._outbox, []
@@ -309,10 +293,8 @@ class Simulator:
             per_node[env.dst] = per_node.get(env.dst, 0) + 1
             if env.size_bits > max_bits:
                 max_bits = env.size_bits
-        nodes = self.nodes
-        self._awake = [i for i in self._awake if nodes[i].needs_activation]
-        for node_id in self._awake:
-            self._activate(node_id)
+        for node_id in range(self._started, len(self.nodes)):
+            self._start(node_id)
         metrics = RoundMetrics(
             round=self.time,
             per_node_messages=per_node,
@@ -328,20 +310,19 @@ class Simulator:
         """True if no message is in flight, no hand-off is queued and every
         node is ``done``.
 
-        Raises a stall fault if neither a message nor a hand-off is pending
-        and no node that is not ``done`` needs activation: nothing can ever
-        happen again.
+        Raises a stall fault if nothing is pending, every node has started
+        and some node is not ``done``: nothing can ever happen again.
         """
         if self.sent != self.delivered or self._handoffs:
             return False
         nodes = self.nodes
         if all(nd.done for nd in nodes):
             return True
-        if not any(nd.needs_activation for nd in nodes if not nd.done):
+        if self._started == len(nodes):
             stuck = [i for i, nd in enumerate(nodes) if not nd.done]
             raise SimulationFault(
-                f"{engine} stalled at time {self.time}: no message in flight and "
-                f"nodes {stuck} are not done but need no activation"
+                f"{engine} stalled at time {self.time}: every node has started, no "
+                f"message is in flight and nodes {stuck} are not done"
             )
         return False
 
@@ -361,26 +342,23 @@ class Simulator:
         the number of picks.
 
         Each pick advances the clock to the earliest deadline and executes
-        every event due by then (ordered by deadline then send order), so
-        no envelope is ever delivered later than ``async_delay_max`` ticks
-        after it was sent.  A node's activation event is dropped once the
-        node needs no activation, so no pick is spent on idle activations.
+        every event due by then: the starts, from the highest node id
+        down, then the deliveries in send order.  So no envelope is ever
+        delivered later than ``async_delay_max`` ticks after it was sent.
+        The start times of the nodes not yet started are drawn first, then
+        the deadlines of the envelopes already sent, in sync delivery order.
         """
         if self.cfg.mode != ASYNC:
             raise SimulationFault("run_async requires asynchronous mode")
-        rng = random.Random(mix64(self.cfg.seed, Tag.SCHEDULE, schedule_seed))
-        self._sched_rng = rng
+        self._sched_rng = random.Random(mix64(self.cfg.seed, Tag.SCHEDULE, schedule_seed))
         self._events: list[tuple[int, int, int, Any]] = []
-        interval = self.cfg.async_delay_max
-        for node_id in range(len(self.nodes)):
-            first = self.time + 1 + rng.randrange(interval)
-            heapq.heappush(self._events, (first, -node_id, _ACT, node_id))
-        # the event heap takes over the outbox in sync delivery order
+        for node_id in range(self._started, len(self.nodes)):
+            heapq.heappush(self._events, (self._deadline(), -node_id, _START, node_id))
+        # the event heap takes over the outbox
         pending, self._outbox = self._outbox, []
         pending.sort(key=_BY_DST)
         for env in pending:
-            env.deadline = self.time + 1 + rng.randrange(self.cfg.async_delay_max)
-            heapq.heappush(self._events, (env.deadline, env.seq, _MSG, env))
+            heapq.heappush(self._events, (self._deadline(), env.seq, _MSG, env))
         self._run_handoffs()  # those queued outside any handler
         picks = 0
         while True:
@@ -399,13 +377,6 @@ class Simulator:
                 if kind == _MSG:
                     self._deliver(item)
                 else:
-                    node = self.nodes[item]
-                    if not node.needs_activation:
-                        continue  # never needed again: its events leave the heap
-                    self._activate(item)
-                    if not node.done:
-                        heapq.heappush(
-                            self._events, (self.time + interval, -item, _ACT, item)
-                        )
+                    self._start(item)
         self._sched_rng = None
         return picks

@@ -60,7 +60,7 @@ class SkeapNode(HeapNode, OverlayNode):
 
     # -- phase 1 ---------------------------------------------------------------
     def _open_epoch(self, epoch: int) -> None:
-        snapshot = self.source.snapshot(epoch)
+        snapshot = self._snapshot(epoch)
         kinds = [(r.kind, r.element.priority if r.element else None) for r in snapshot]
         batch, runs = batches.snapshot_batch(kinds, self.priorities)
         self.inflight[epoch] = (snapshot, runs)

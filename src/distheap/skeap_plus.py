@@ -97,12 +97,12 @@ class SkeapPlusNode(HeapNode, KSelectNode):
 
     # -- the two snapshots of an epoch ------------------------------------------------
     def _open_epoch(self, epoch: int) -> None:
-        snap = self.source.snapshot(epoch, INSERT)
+        snap = self._snapshot(epoch, INSERT)
         self.ins_snapshot[epoch] = snap
         self.contribute_all("si", (epoch,), len(snap))
 
     def _enter_delete(self, epoch: int) -> None:
-        snap = self.source.snapshot(epoch, DELETE)
+        snap = self._snapshot(epoch, DELETE)
         self.del_snapshot[epoch] = snap
         self.contribute_all("sd", (epoch,), len(snap))
 

@@ -1,15 +1,20 @@
 """Request generation for the heap protocols, and the epoch lifecycle both
 heaps share.
 
-Requests enter a node's buffer in two ways.  On every activation a
-generated source injects up to ``lam`` random requests until its budget
-is spent, mixing inserts and delete-mins; inserted elements carry the
-issuing node and a per-node sequence number as tiebreaker.  And just
-before a node snapshots an epoch it calls ``issue_for(epoch)``: a script
-issues that epoch's requests there, and a generated source issues its
-leftover budget at the last epoch, so every issued request falls in an
-epoch.  A script is ``{node: {epoch: [(kind, priority), ...]}}``, with
-``None`` as a delete's priority; a scripted run issues nothing else.
+A generated source issues random requests, mixing inserts and
+delete-mins; inserted elements carry the issuing node and a per-node
+sequence number as tiebreaker.  They arrive at the injection rate λ
+(``SimConfig.lam``): λ requests at a node's start and λ per period, until
+the budget of 2λ requests per epoch, 2λ · epochs in all, is spent.  The period is one round in
+synchronous mode, where a round's arrivals follow its deliveries, and
+``async_delay_max`` ticks in asynchronous mode, where a tick's arrivals
+precede its deliveries.  A node issues the arrivals due just before each
+snapshot (``RequestSource.arrive``).  And when a node enters an epoch it
+calls ``issue_for(epoch)``: a script issues that epoch's requests there,
+and a generated source issues its leftover budget at the last epoch, so
+every issued request falls in an epoch.  A script is ``{node: {epoch:
+[(kind, priority), ...]}}``, with ``None`` as a delete's priority; a
+scripted run issues nothing else.
 
 Every request is issued as an ``OperationRecord``.  The snapshot that
 takes it into an epoch stamps its ``epoch``, the protocol fills in its
@@ -24,7 +29,7 @@ from .batches import DELETE, INSERT
 from .consistency import OperationRecord
 from .hashing import Tag, mix64
 from .overlay import CycleTopology
-from .sim import Element, SimConfig, SimulationFault, Simulator
+from .sim import SYNC, Element, SimConfig, SimulationFault, Simulator
 
 INSERT_RATIO = 0.6  # share of generated requests that are inserts
 
@@ -70,15 +75,13 @@ class RequestSource:
     script it issues the script's requests for this node, epoch by epoch.
     """
 
-    def __init__(
-        self, node_id: int, cfg: SimConfig, priority_universe: int, script: Script | None = None
-    ):
+    def __init__(self, node_id: int, cfg: SimConfig, script: Script | None = None):
         self.node_id = node_id
         self.lam = cfg.lam
         self.last_epoch = cfg.epochs - 1
         self.script = None if script is None else script.get(node_id, {})
         self.budget = 0 if script is not None else cfg.lam * cfg.epochs * 2
-        self.priority_universe = priority_universe
+        self.priority_universe = cfg.priority_universe
         self.rng = random.Random(mix64(cfg.seed, Tag.WORKLOAD, node_id))
         self.seq = 0
         self.buffer: list[OperationRecord] = []
@@ -94,17 +97,23 @@ class RequestSource:
         self.issued.append(req)
         return req
 
-    def inject(self, count: int | None = None) -> int:
-        """Generate ``count`` (by default ``lam``) random requests, at most
-        the remaining budget; returns how many."""
-        count = min(self.lam if count is None else count, self.budget)
+    def inject(self, count: int) -> None:
+        """Generate ``count`` random requests, at most the remaining budget."""
+        count = min(count, self.budget)
         for _ in range(count):
             if self.rng.random() < INSERT_RATIO:
                 self._issue(INSERT, self.rng.randint(1, self.priority_universe))
             else:
                 self._issue(DELETE, None)
         self.budget -= count
-        return count
+
+    def arrive(self, slots: int) -> None:
+        """Issue the generated requests of the first ``slots`` arrival
+        slots, ``lam`` per slot, that are not issued yet; at most the
+        remaining budget."""
+        due = self.lam * slots - len(self.issued)
+        if due > 0:
+            self.inject(due)
 
     def issue_for(self, epoch: int) -> None:
         """Issue the requests that enter ``epoch``, just before its snapshot:
@@ -138,23 +147,20 @@ class RequestSource:
             raise SimulationFault("delete finished without an outcome")
         return out
 
-    @property
-    def exhausted(self) -> bool:
-        return self.budget <= 0
-
 
 class HeapNode:
     """The epoch lifecycle of Skeap and Seap, mixed in before the overlay
     base class.
 
-    A node enters epoch 0 at its first activation, and each later epoch
-    when its protocol calls ``_enter``.  Entering an epoch issues its
-    requests (``RequestSource.issue_for``) and opens it with the
-    protocol's first snapshot, which the protocol defines as
-    ``_open_epoch(epoch)``; entering past the last epoch finishes the
-    node.  Activations inject generated requests until the budget is
-    spent.  Priorities lie in ``[1, priority_universe]``, which
-    ``SimConfig`` sets to ``priority_count`` unless it is given.
+    A node enters epoch 0 at its start, and each later epoch when its
+    protocol calls ``_enter``.  Entering an epoch issues its requests
+    (``RequestSource.issue_for``) and opens it with the protocol's first
+    snapshot, which the protocol defines as ``_open_epoch(epoch)``;
+    entering past the last epoch finishes the node.  Each snapshot
+    (``_snapshot``) first issues the generated requests that have
+    arrived: λ at the node's start and λ per period, as the module
+    docstring sets out.  Priorities lie in ``[1, priority_universe]``,
+    which ``SimConfig`` sets to ``priority_count`` unless it is given.
 
     The anchor answers each epoch with one program, which the protocol
     defines as ``_epoch(epoch)``; all of them start here, on the driver of
@@ -165,27 +171,30 @@ class HeapNode:
 
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology, script: Script | None):
         super().__init__(sim, node_id, topo)
-        self.source = RequestSource(node_id, sim.cfg, sim.cfg.priority_universe, script)
-        self.epoch = -1  # last epoch entered
+        self.source = RequestSource(node_id, sim.cfg, script)
+        self.started = -1  # the time of the node's start
         self.finished = False
         if self.is_anchor:
             for epoch in range(sim.cfg.epochs):
                 self.run_program(self._epoch(epoch))
 
-    def on_activate(self) -> None:
-        self.source.inject()
-        if self.epoch < 0:
-            self._enter(0)
-
-    @property
-    def needs_activation(self) -> bool:
-        # activations inject requests and enter epoch 0; epoch and budget are monotone
-        return self.epoch < 0 or not self.source.exhausted
+    def start(self) -> None:
+        self.started = self.sim.time
+        self._enter(0)
 
     def _enter(self, epoch: int) -> None:
         if epoch > self.source.last_epoch:
             self.finished = True
             return
-        self.epoch = epoch
         self.source.issue_for(epoch)
         self._open_epoch(epoch)
+
+    def _snapshot(self, epoch: int, kind: str | None = None) -> list[OperationRecord]:
+        """Issue the generated requests that have arrived by now, then
+        snapshot the buffer into ``epoch`` (``RequestSource.snapshot``)."""
+        cfg, elapsed = self.sim.cfg, self.sim.time - self.started
+        if cfg.mode == SYNC:  # a slot per round, after the round's deliveries
+            self.source.arrive(max(1, elapsed))
+        else:  # a slot per async_delay_max ticks, before the tick's deliveries
+            self.source.arrive(1 + elapsed // cfg.async_delay_max)
+        return self.source.snapshot(epoch, kind)

@@ -75,10 +75,6 @@ class Local(ProtocolNode):
         super().__init__(sim, node_id)
         self.log = log
 
-    @property
-    def needs_activation(self):
-        return False
-
     def on_message(self, src, payload):
         self.log.append((self.sim.time, self.id, src, payload.text))
         if payload.text == "hop":

@@ -13,7 +13,7 @@ from distheap import experiments, run_skeap, run_skeap_plus
 from distheap.batches import DELETE, INSERT
 from distheap.consistency import brute_force_order
 from distheap.sim import ASYNC, SYNC, SimConfig, SimulationFault
-from distheap.workload import RequestSource
+from distheap.workload import HeapNode, RequestSource
 
 RUNS = pytest.mark.parametrize("run", [run_skeap, run_skeap_plus], ids=["skeap", "seap"])
 
@@ -85,10 +85,45 @@ def test_requests_issued_after_the_last_epoch_began_are_recorded(run, seed):
     assert len(res.records) == n * 2 * lam * epochs
 
 
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+@RUNS
+def test_generated_requests_arrive_lam_at_start_and_lam_per_period(run, mode, monkeypatch):
+    lam, epochs = 2, 4
+    budget, last = 2 * lam * epochs, epochs - 1
+    started = {}  # node id -> (simulator, start time)
+    seen = []  # (epoch, time, start time, requests issued in all) per snapshot
+    start, snapshot = HeapNode.start, RequestSource.snapshot
+
+    def starting(self):
+        started[self.id] = (self.sim, self.sim.time)
+        start(self)
+
+    def snapshotting(self, epoch, kind=None):
+        sim, t0 = started[self.node_id]
+        seen.append((epoch, sim.time, t0, len(self.issued)))
+        return snapshot(self, epoch, kind)
+
+    monkeypatch.setattr(HeapNode, "start", starting)
+    monkeypatch.setattr(RequestSource, "snapshot", snapshotting)
+    res = run(8, seed=1, lam=lam, epochs=epochs, mode=mode, schedule_seed=1)
+    assert res.ok and len(res.records) == 8 * budget
+    period = SimConfig(n=8, seed=1).async_delay_max  # the runners' default
+    for epoch, t, t0, issued in seen:
+        if epoch == last:  # the last epoch issues everything left
+            assert issued == budget
+        elif mode == SYNC:  # every node starts in round 1; t is the round
+            assert t0 == 1 and issued == min(lam * max(1, t - 1), budget)
+        else:
+            assert issued == min(lam * (1 + (t - t0) // period), budget)
+    # the cases met: the start's slot, later slots and a spent budget
+    before_last = {issued for epoch, _, _, issued in seen if epoch < last}
+    assert {lam, budget} <= before_last and len(before_last) > 2
+
+
 def test_a_request_outside_every_epoch_is_a_fault():
-    source = RequestSource(0, SimConfig(n=2, seed=1), priority_universe=2)
-    source.inject()
+    source = RequestSource(0, SimConfig(n=2, seed=1))
+    source.arrive(1)
     source.snapshot(0)
-    source.inject()
+    source.arrive(2)
     with pytest.raises(SimulationFault, match="never taken into an epoch"):
         source.recorded()

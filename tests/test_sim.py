@@ -53,13 +53,13 @@ class Recorder(ProtocolNode):
     def __init__(self, sim, node_id):
         super().__init__(sim, node_id)
         self.got = []
-        self.activations = 0
+        self.starts = 0
 
     def on_message(self, src, payload):
         self.got.append((src, payload))
 
-    def on_activate(self):
-        self.activations += 1
+    def start(self):
+        self.starts += 1
 
 
 def make_sim(n=4, mode=SYNC, **kw):
@@ -451,7 +451,7 @@ def test_quiescent_round_metrics():
     m = sim.step_round()
     assert m.max_congestion == 0
     assert m.delivered == 0
-    assert all(node.activations == 1 for node in nodes)
+    assert all(node.starts == 1 for node in nodes)
 
 
 def test_single_message_metrics():
@@ -576,35 +576,14 @@ def test_async_same_seed_same_delays():
     assert delays() == delays()
 
 
-class Sleeper(Recorder):
-    """Needs activation only for its first ``k`` activations."""
-
-    def __init__(self, sim, node_id, k):
-        super().__init__(sim, node_id)
-        self.k = k
-
-    @property
-    def needs_activation(self):
-        return self.activations < self.k
-
-
-def test_sync_stops_activating_a_node_that_no_longer_needs_it():
-    sim, nodes = make_sim(n=4)
-    sleeper = sim.nodes[2] = Sleeper(sim, 2, k=3)
-    for _ in range(7):
-        sim.step_round()
-    assert sleeper.activations == 3
-    assert [nodes[i].activations for i in (0, 1, 3)] == [7, 7, 7]
-
-
 def test_sleeping_node_still_receives_messages():
-    sim, _ = make_sim(n=3)
-    sleeper = sim.nodes[1] = Sleeper(sim, 1, k=0)
-    sim.step_round()
+    # the first round delivers before it starts the nodes
+    sim, nodes = make_sim(n=3)
+    got_at_start = []
+    nodes[1].start = lambda: got_at_start.append(list(nodes[1].got))
     sim.send(0, 1, Ping())
     sim.step_round()
-    assert sleeper.activations == 0
-    assert sleeper.got == [(0, Ping())]
+    assert got_at_start == [[(0, Ping())]]
 
 
 def test_sync_drains_only_busy_channels_in_id_order():
@@ -669,111 +648,112 @@ def test_async_run_leaves_no_envelope_behind():
     assert sim.sent == sim.delivered == 24
 
 
-class Waiter(Sleeper):
-    """Needs its first ``k`` activations, then is done once a message arrives."""
+class Waiter(Recorder):
+    """Done once a message arrives."""
 
     @property
     def done(self):
         return bool(self.got)
 
 
-class Alarm(Recorder):
-    """Sends one ping to ``target`` on its ``fire_at``-th activation, then is done."""
+class Passer(Recorder):
+    """Passes each ping on round the ring until every node has had ``LAPS``
+    of them; node 0 sends the first at its start.  Logs (time, node) of
+    each start."""
 
-    def __init__(self, sim, node_id, target, fire_at):
+    LAPS = 3
+
+    def __init__(self, sim, node_id, log):
         super().__init__(sim, node_id)
-        self.target = target
-        self.fire_at = fire_at
+        self.log = log
 
-    def on_activate(self):
-        super().on_activate()
-        if self.activations == self.fire_at:
-            self.sim.send(self.id, self.target, Ping("wake"))
+    def start(self):
+        super().start()
+        self.log.append((self.sim.time, self.id))
+        if self.id == 0:
+            self.sim.send(0, 1, Ping())
+
+    def on_message(self, src, payload):
+        super().on_message(src, payload)
+        if self.id or len(self.got) < self.LAPS:
+            self.sim.send(self.id, (self.id + 1) % len(self.sim.nodes), Ping())
 
     @property
     def done(self):
-        return self.activations >= self.fire_at
+        return len(self.got) == self.LAPS
 
 
-class AlwaysAwakeWaiter(Waiter):
-    """A ``Waiter`` that never says it needs no activation: the periodic schedule."""
-
-    needs_activation = True
-
-    def on_activate(self):
-        if self.activations < self.k:
-            self.activations += 1
-
-
-def run_alarm(waiter_cls, trace=None):
-    sim = Simulator(SimConfig(n=3, seed=4, mode=ASYNC, async_delay_max=5), trace=trace)
-    waiter = waiter_cls(sim, 0, k=3)
-    alarm = Alarm(sim, 1, target=0, fire_at=12)
-    for node in (waiter, alarm, Recorder(sim, 2)):
-        sim.add_node(node)
-    picks = sim.run_async(schedule_seed=2)
-    assert waiter.got == [(1, Ping("wake"))]
-    return sim, waiter, picks
-
-
-def test_async_stops_activating_a_node_that_no_longer_needs_it():
-    sim, waiter, picks = run_alarm(Waiter)
-    # the waiter stays not done for about nine more activation intervals
-    assert sim.time > 10 * sim.cfg.async_delay_max
-    assert waiter.activations == 3
-    # traced or not, its idle activation events are dropped, not just skipped
-    assert picks == run_alarm(Waiter, trace=[].append)[2] < run_alarm(AlwaysAwakeWaiter)[2]
-
-
-@pytest.mark.parametrize("mode", [SYNC, ASYNC])
-def test_trace_activations_are_the_handler_calls(mode):
-    events = []
-    sim = Simulator(SimConfig(n=4, seed=4, mode=mode, async_delay_max=5), trace=events.append)
-    waiter, never = Waiter(sim, 0, k=3), Sleeper(sim, 2, k=0)
-    nodes = (waiter, Alarm(sim, 1, target=0, fire_at=12), never, Recorder(sim, 3))
-    calls = []  # (time, node) of each handler call, as the nodes see it
-
-    def logged(node_id, handler):
-        def on_activate():
-            calls.append((sim.time, node_id))
-            handler()
-        return on_activate
-
-    for node in nodes:
-        sim.add_node(node)
-        node.on_activate = logged(node.id, node.on_activate)
+def run_passers(mode, trace=None):
+    """Run four ``Passer`` nodes to the end; return the simulator and the
+    (time, node) of each start."""
+    sim = Simulator(SimConfig(n=4, seed=4, mode=mode, async_delay_max=5), trace=trace)
+    starts = []
+    for i in range(4):
+        sim.add_node(Passer(sim, i, starts))
     if mode == SYNC:
         sim.run_sync()
     else:
         sim.run_async(schedule_seed=2)
-    assert waiter.got == [(1, Ping("wake"))]
-    assert (waiter.activations, never.activations) == (3, 0)
-    assert [(e["time"], e["src"]) for e in events if e["kind"] == "activate"] == calls
+    assert all(len(node.got) == Passer.LAPS for node in sim.nodes)
+    assert sim.time > 3 * 4  # the laps outlast the starts by far
+    return sim, starts
+
+
+def test_sync_stops_activating_a_node_that_no_longer_needs_it():
+    sim, starts = run_passers(SYNC)
+    assert all(node.starts == 1 for node in sim.nodes)
+    assert starts == [(1, i) for i in range(4)]  # the first round, in id order
+
+
+def test_async_stops_activating_a_node_that_no_longer_needs_it():
+    sim, starts = run_passers(ASYNC)
+    assert all(node.starts == 1 for node in sim.nodes)
+    # each at its own tick, a tick's starts from the highest id down
+    assert sorted(node for _, node in starts) == list(range(4))
+    assert starts == sorted(starts, key=lambda start: (start[0], -start[1]))
+    assert all(1 <= time <= sim.cfg.async_delay_max for time, _ in starts)
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_trace_activations_are_the_handler_calls(mode, monkeypatch):
+    # starts are not traced; each traced delivery is one on_message call
+    events = []
+    calls = []  # (time, dst, src) of each on_message call, as the nodes see it
+    handler = Passer.on_message
+
+    def logged(node, src, payload):
+        calls.append((node.sim.time, node.id, src))
+        handler(node, src, payload)
+
+    monkeypatch.setattr(Passer, "on_message", logged)
+    run_passers(mode, trace=events.append)
+    assert {e["kind"] for e in events} == {"send", "deliver"}
+    assert [(e["time"], e["dst"], e["src"]) for e in events if e["kind"] == "deliver"] == calls
 
 
 @pytest.mark.parametrize("traced", [False, True])
 def test_async_stall_is_a_fault_at_once(traced):
-    # node 1 needs two activations, then waits for a message nobody sends
+    # node 1 starts, then waits for a message nobody sends
     sim = Simulator(
         SimConfig(n=3, seed=1, mode=ASYNC, async_delay_max=5),
         trace=[].append if traced else None,
     )
-    stuck = Waiter(sim, 1, k=2)
+    stuck = Waiter(sim, 1)
     for node in (Recorder(sim, 0), stuck, Recorder(sim, 2)):
         sim.add_node(node)
     sim.send(0, 2, Ping())
     with pytest.raises(SimulationFault, match=r"run_async stalled .* nodes \[1\]"):
         sim.run_async(schedule_seed=0, max_picks=100_000)
-    assert stuck.activations == 2
+    assert stuck.starts == 1
     assert sim.delivered == 1
     assert sim.time <= 3 * sim.cfg.async_delay_max
 
 
 def test_sync_stall_is_a_fault_at_once():
     sim, _ = make_sim(n=3)
-    stuck = sim.nodes[1] = Waiter(sim, 1, k=2)
+    stuck = sim.nodes[1] = Waiter(sim, 1)
     sim.send(0, 2, Ping())
     with pytest.raises(SimulationFault, match=r"run_sync stalled .* nodes \[1\]"):
         sim.run_sync(max_rounds=100_000)
-    assert stuck.activations == 2
+    assert stuck.starts == 1
     assert sim.time <= 3

@@ -1,7 +1,7 @@
 """Seap end to end: every run must be serializable and phase optimal.
 
 The generated workloads issue each node's whole request budget in its first
-few activations, so only epoch 0 has deletes, and its one selection picks
+few arrival periods, so only epoch 0 has deletes, and its one selection picks
 the whole heap (k* = m).  The later delete phases of the generated runs are
 empty; the scripted runs cover k* = 0.
 """

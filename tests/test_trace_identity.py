@@ -3,7 +3,7 @@
 Each case pins three sha256 digests (first 16 hex digits) of one run: the
 full ``trace=`` event stream, the records (for KSelect the answer, its
 bookkeeping and ``diag``) and ``run_metrics``.  The stream holds every
-send, every delivery and one ``activate`` event per ``on_activate`` call.
+send and every delivery.
 An engine, overlay or protocol change that is meant to keep behaviour must
 leave every digest as it is; the async cases also pin the schedule's RNG
 draw order.  ``tests/test_untraced_identity.py`` reruns each case without
@@ -28,30 +28,30 @@ SEEDS = (0, 1)
 
 # (protocol, mode, n, seed) -> (trace, records, metrics)
 EXPECTED = {
-    ('skeap', 'synchronous', 2, 0): ('2da184d75f819a44', '388368d3c75fc922', '519ebf2918a7c79c'),
-    ('skeap', 'synchronous', 2, 1): ('4bd3042f69453e49', 'b28d0136ddafb062', 'dee93ba62e3e820b'),
-    ('skeap', 'synchronous', 8, 0): ('7320ac0de5c02fb9', 'c9e5fc435d38d1f1', '7f4d72610b8bf139'),
-    ('skeap', 'synchronous', 8, 1): ('9d5fad048ca9f787', '44be1a8a7c2cedf7', 'f725eb4ee7e0a6c0'),
-    ('skeap', 'synchronous', 32, 0): ('cfca6398be5210e8', '24621a035be4f904', '4c9c5340a275ecd7'),
-    ('skeap', 'synchronous', 32, 1): ('13dd213304b03a89', 'f47010e4b7efe9d0', '633bcdd33127b2bc'),
-    ('skeap', 'asynchronous', 2, 0): ('93927833f56b6c9b', '388368d3c75fc922', '68d449a672ebc1d0'),
-    ('skeap', 'asynchronous', 2, 1): ('5c97dbdfecd3469d', 'b28d0136ddafb062', '86abb4141b08805e'),
-    ('skeap', 'asynchronous', 8, 0): ('6c1e1a26f4192eef', 'c9e5fc435d38d1f1', '3662d68904e98696'),
-    ('skeap', 'asynchronous', 8, 1): ('2bc1525d56eae53d', '44be1a8a7c2cedf7', '248430d332d18dc9'),
-    ('skeap', 'asynchronous', 32, 0): ('706470a58198cce0', '24621a035be4f904', '3d0ea917ed582838'),
-    ('skeap', 'asynchronous', 32, 1): ('e1f6b548e6ee254c', 'f47010e4b7efe9d0', '6d2eeb0710b3240f'),
-    ('seap', 'synchronous', 2, 0): ('13efe617cf922b0f', '20b74a1a27c9e5bd', 'a581df0e1c480822'),
-    ('seap', 'synchronous', 2, 1): ('5cafa4f445caa697', 'e1b12c6bea5a474d', '87d29f0dd1d1bf5b'),
-    ('seap', 'synchronous', 8, 0): ('c1f2063367f92262', 'd06939338a165fc2', 'f3741f7ef2ac3f9f'),
-    ('seap', 'synchronous', 8, 1): ('f52f54b0b36f0166', 'ca4b983baa9d08a2', 'd621d0ce761b26d8'),
-    ('seap', 'synchronous', 32, 0): ('0b416374f66d79d6', '9a42dec75bd1d68e', '947de26d779f58f4'),
-    ('seap', 'synchronous', 32, 1): ('9e705fe681603d8a', 'ace6191fa1c7f811', '9a43c9437fbd885c'),
-    ('seap', 'asynchronous', 2, 0): ('9a27845b9be68ce1', '3cc614f9072381d6', 'ac9b3ee33a7ff752'),
-    ('seap', 'asynchronous', 2, 1): ('3a3af2a817092efa', 'ddf0f70ad3f82eef', '61625d92eb818fac'),
-    ('seap', 'asynchronous', 8, 0): ('c873f08308fc9718', 'd06939338a165fc2', '2a395a315c19d98b'),
-    ('seap', 'asynchronous', 8, 1): ('1153298d4f249136', 'ca4b983baa9d08a2', '2da94382e3ae2cee'),
-    ('seap', 'asynchronous', 32, 0): ('350e2d1b7eb20227', '9a42dec75bd1d68e', '15015b33e5d993b8'),
-    ('seap', 'asynchronous', 32, 1): ('0f2196274f5efb97', 'ace6191fa1c7f811', 'd0128d985262b429'),
+    ('skeap', 'synchronous', 2, 0): ('b3ce1d5d593d40b4', '388368d3c75fc922', '519ebf2918a7c79c'),
+    ('skeap', 'synchronous', 2, 1): ('ef2f19bc4b85e4f9', 'b28d0136ddafb062', 'dee93ba62e3e820b'),
+    ('skeap', 'synchronous', 8, 0): ('9ea8a43e558cd287', 'c9e5fc435d38d1f1', '7f4d72610b8bf139'),
+    ('skeap', 'synchronous', 8, 1): ('59c5005b44775603', '44be1a8a7c2cedf7', 'f725eb4ee7e0a6c0'),
+    ('skeap', 'synchronous', 32, 0): ('b918adf8d2f063a3', '24621a035be4f904', '4c9c5340a275ecd7'),
+    ('skeap', 'synchronous', 32, 1): ('fa635e7963fff474', 'f47010e4b7efe9d0', '633bcdd33127b2bc'),
+    ('skeap', 'asynchronous', 2, 0): ('dd534a48dd23810f', '388368d3c75fc922', '68d449a672ebc1d0'),
+    ('skeap', 'asynchronous', 2, 1): ('ed9f351f44371c1d', 'b28d0136ddafb062', '86abb4141b08805e'),
+    ('skeap', 'asynchronous', 8, 0): ('431154566d519c65', 'c9e5fc435d38d1f1', '3662d68904e98696'),
+    ('skeap', 'asynchronous', 8, 1): ('1889a268cc3cad82', '44be1a8a7c2cedf7', '248430d332d18dc9'),
+    ('skeap', 'asynchronous', 32, 0): ('58a94ce9e21f6236', '24621a035be4f904', '3d0ea917ed582838'),
+    ('skeap', 'asynchronous', 32, 1): ('2111ab4a3c2e3867', 'f47010e4b7efe9d0', '6d2eeb0710b3240f'),
+    ('seap', 'synchronous', 2, 0): ('438de9d498bdce59', '20b74a1a27c9e5bd', 'a581df0e1c480822'),
+    ('seap', 'synchronous', 2, 1): ('4bb8078fbb84049e', 'e1b12c6bea5a474d', '87d29f0dd1d1bf5b'),
+    ('seap', 'synchronous', 8, 0): ('09edb96082347e56', 'd06939338a165fc2', 'f3741f7ef2ac3f9f'),
+    ('seap', 'synchronous', 8, 1): ('ecba5c3639959cc1', 'ca4b983baa9d08a2', 'd621d0ce761b26d8'),
+    ('seap', 'synchronous', 32, 0): ('0e9a8cb15b14066e', '9a42dec75bd1d68e', '947de26d779f58f4'),
+    ('seap', 'synchronous', 32, 1): ('430cec20f8ef7c15', 'ace6191fa1c7f811', '9a43c9437fbd885c'),
+    ('seap', 'asynchronous', 2, 0): ('fbef9ac657178c8a', '3cc614f9072381d6', 'ac9b3ee33a7ff752'),
+    ('seap', 'asynchronous', 2, 1): ('a9e8ed438e99551f', 'ddf0f70ad3f82eef', '61625d92eb818fac'),
+    ('seap', 'asynchronous', 8, 0): ('fdf2343a749c3d18', 'd06939338a165fc2', '2a395a315c19d98b'),
+    ('seap', 'asynchronous', 8, 1): ('1d8d516010d9288a', 'ca4b983baa9d08a2', '2da94382e3ae2cee'),
+    ('seap', 'asynchronous', 32, 0): ('1747eba13a0ffa8c', '9a42dec75bd1d68e', '15015b33e5d993b8'),
+    ('seap', 'asynchronous', 32, 1): ('e8926c7cc927d6ac', 'ace6191fa1c7f811', 'd0128d985262b429'),
     ('kselect', 'synchronous', 2, 0): ('2ec2b6632ff7e8a8', '02110ae6881c39ad', '9d942ce15c7f33ca'),
     ('kselect', 'synchronous', 2, 1): ('996e02f51e675c46', '7738fad936616975', '827e23e1ef854ac6'),
     ('kselect', 'synchronous', 8, 0): ('8360e2cb90efbbec', '532c3d6ee5d49b7b', '1c27855b815209ff'),
