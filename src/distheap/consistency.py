@@ -321,7 +321,8 @@ def check_phase_optimality(
     Epoch e sees the m elements inserted up to and in e and not returned
     before it; with k deletes and k* = min(k, m), they must return exactly
     the k* smallest of those elements and k - k* bottoms.  Its
-    ``reported`` row must give the same k and k*; no row reports k = 0.
+    ``reported`` row must give the same k and k*; an epoch without a row
+    must have k = 0.
     """
     log = {row["epoch"]: (row["k"], row["k_star"]) for row in reported}
     phases: dict[int, list[OperationRecord]] = {epoch: [] for epoch in log}

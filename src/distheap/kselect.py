@@ -38,6 +38,15 @@ which each ``ProbeReport`` resumes (``OverlayNode.resume``).
   reported to the anchor.  Its ``k2`` flood is the selection's last to
   read the candidates, so each node releases them there.
 
+Every pruning step is one ``_Selection.cut``: it takes the counts pruned
+below and above the target, updates k and N, logs the step's ``diag`` row
+and checks that ``1 <= k <= N`` still holds.  Phase 2 keeps the rank window
+``[first, last]`` that holds k: ``[rank_lo, rank_hi]`` between the probes,
+or ``[1, rank_lo]`` or ``[rank_hi, N]`` when k lies outside them, so it
+prunes ``first - 1`` below and ``N - last`` above; a probe at an end of the
+window bounds that side of the next prune.  Phase 3's row is a cut of
+nothing.
+
 Rounds: every step is an anchor barrier, a flood down the aggregation
 tree and a wave back up (``_REPLY`` pairs each flood with its wave), which
 in sync mode costs two rounds per edge between real nodes on the tree's
@@ -54,7 +63,12 @@ hash of its position, distributes copies along de Bruijn prefixes
 (halving the index interval per hop, so n' nodes hold copies in log n'
 hops), rendezvouses copy pairs at symmetric hash keys for their single
 comparison, and aggregates the (smaller, larger) vote vectors back up
-each copy tree; order = smaller-count + 1.
+each copy tree; order = smaller-count + 1.  A copy's slot (``_CopySlot``)
+keeps only its parent link, its child count, its own vote and its
+children's totals: what the copy sends on (n', the probe orders, the
+target and the element) is read from the message that opened the slot.
+Only a tree's root reports an order, so only the root keeps its
+``CandOp``.
 """
 from __future__ import annotations
 
@@ -216,28 +230,19 @@ class ProbeReport(Message):
 
 
 class _CopySlot:
-    __slots__ = (
-        "i",
-        "kept",
-        "element",
-        "parent_node",
-        "parent_slot",
-        "children",
-        "child_sums",
-        "own_vote",
-        "meta",
-    )
+    """A node's part of one candidate's copy tree.  It adds its own vote to
+    its children's totals and sends the sum up, as a ``CopyAggMsg`` to slot
+    ``parent`` at ``parent_node``; at the tree's root ``parent`` is the
+    ``CandOp`` that opened the tree, whose fields say what to report."""
 
-    def __init__(self, i, kept, element, parent_node, parent_slot, meta):
-        self.i = i
-        self.kept = kept
-        self.element = element
+    __slots__ = ("parent_node", "parent", "children", "child_sums", "own_vote")
+
+    def __init__(self, parent_node, parent):
         self.parent_node = parent_node
-        self.parent_slot = parent_slot
+        self.parent = parent  # the parent's slot key, or the root's CandOp
         self.children = 0
         self.child_sums: list[tuple[int, int]] = []
         self.own_vote: tuple[int, int] | None = None
-        self.meta = meta  # (n_prime, probe_lo, probe_hi, target)
 
 
 @dataclass
@@ -258,6 +263,19 @@ class _Selection:
     error: str | None = None
     diag: list[dict] = field(default_factory=list)
     rounds: int = 0
+
+    def cut(self, phase, iteration, k, N, below, above, **row) -> tuple[int, int]:
+        """Prune ``below`` candidates under the target and ``above`` over it,
+        log the ``diag`` row and return the new ``(k, N)``."""
+        k -= below
+        N -= below + above
+        self.diag.append(
+            {"phase": f"p{phase}", "iteration": iteration, "N": N, "k": k, "n_prime": 0,
+             "delta": 0, "pruned_below": below, "pruned_above": above, **row}
+        )
+        if not 1 <= k <= N:
+            raise SimulationFault(f"phase-{phase} pruning lost the target")
+        return k, N
 
 
 class KSelectNode(OverlayNode):
@@ -334,24 +352,7 @@ class KSelectNode(OverlayNode):
                 if count != N:
                     raise SimulationFault(f"candidate count {count} does not match N={N}")
             below, above = yield self._ask("k1p", key, (lo, hi))
-            k -= below
-            N -= below + above
-            sel.diag.append(
-                {
-                    "phase": "p1",
-                    "iteration": it,
-                    "N": N,
-                    "k": k,
-                    "n_prime": 0,
-                    "delta": 0,
-                    "pruned_below": below,
-                    "pruned_above": above,
-                    "p_min": lo,
-                    "p_max": hi,
-                }
-            )
-            if not 1 <= k <= N:
-                raise SimulationFault("phase-1 pruning lost the target")
+            k, N = sel.cut(1, it, k, N, below, above, p_min=lo, p_max=hi)
             if N <= threshold or not below + above:
                 # a cut that prunes nothing would repeat over the same candidates
                 break
@@ -387,37 +388,20 @@ class KSelectNode(OverlayNode):
             lo_elem, hi_elem = probes["lo"], probes["hi"]
             below_lo, below_hi = yield self._ask("k2r", key, (lo_elem, hi_elem))
             rank_lo, rank_hi = below_lo + 1, below_hi + 1
-            if rank_lo <= k <= rank_hi:
-                case, bounds = "window", (lo_elem, hi_elem)
-                new_n, new_k = rank_hi - rank_lo + 1, k - (rank_lo - 1)
-                pruned_below, pruned_above = rank_lo - 1, N - rank_hi
-            elif k < rank_lo:
-                case, bounds = "left", (None, lo_elem)
-                new_n, new_k = rank_lo, k
-                pruned_below, pruned_above = 0, N - rank_lo
+            # keep the ranks [first, last] that hold k; a probe at either end
+            # bounds that side of the next prune, an open end leaves it open
+            if k < rank_lo:
+                case, first, last = "left", 1, rank_lo
+            elif k > rank_hi:
+                case, first, last = "right", rank_hi, N
             else:
-                case, bounds = "right", (hi_elem, None)
-                new_n, new_k = N - rank_hi + 1, k - (rank_hi - 1)
-                pruned_below, pruned_above = rank_hi - 1, 0
-            sel.diag.append(
-                {
-                    "phase": "p2",
-                    "iteration": sel.p2_iter,
-                    "N": new_n,
-                    "k": new_k,
-                    "n_prime": n_prime,
-                    "delta": delta,
-                    "pruned_below": pruned_below,
-                    "pruned_above": pruned_above,
-                    "case": case,
-                    "bounds": bounds,
-                    "rank_lo": rank_lo,
-                    "rank_hi": rank_hi,
-                }
+                case, first, last = "window", rank_lo, rank_hi
+            at = {rank_lo: lo_elem, rank_hi: hi_elem}
+            bounds = at.get(first), at.get(last)
+            k, N = sel.cut(
+                2, sel.p2_iter, k, N, first - 1, N - last, n_prime=n_prime, delta=delta,
+                case=case, bounds=bounds, rank_lo=rank_lo, rank_hi=rank_hi,
             )
-            N, k = new_n, new_k
-            if not 1 <= k <= N:
-                raise SimulationFault("phase-2 pruning lost the target")
 
         # phase 3: sort every survivor; the order is the exact rank
         sel.p2_iter += 1
@@ -426,18 +410,7 @@ class KSelectNode(OverlayNode):
         if n_prime != N:
             raise SimulationFault("phase-3 sample must cover all candidates")
         probes = yield from self._sort(key, (1, N, N, 0, 0, k))
-        sel.diag.append(
-            {
-                "phase": "p3",
-                "iteration": sel.p2_iter,
-                "N": N,
-                "k": k,
-                "n_prime": n_prime,
-                "delta": 0,
-                "pruned_below": 0,
-                "pruned_above": 0,
-            }
-        )
+        sel.cut(3, sel.p2_iter, k, N, 0, 0, n_prime=n_prime)
         return probes["target"], None
 
     def _sample(self, key: tuple, payload: tuple, N: int) -> Generator[tuple, Any, int]:
@@ -482,10 +455,7 @@ class KSelectNode(OverlayNode):
 
     def on_routed(self, vid: VirtualId, key: float, inner: Any) -> None:
         if isinstance(inner, CandOp):
-            meta = (inner.n_prime, inner.probe_lo, inner.probe_hi, inner.target)
-            self._open_slot(
-                inner.key, inner.pos, 1, inner.n_prime, inner.element, vid, -1, None, meta
-            )
+            self._open_slot(inner, inner.pos, 1, inner.n_prime, vid, -1, None)
         elif isinstance(inner, CompareOp):
             self._rendezvous(inner)
         else:
@@ -493,17 +463,9 @@ class KSelectNode(OverlayNode):
 
     def on_protocol_message(self, src: int, payload: Any) -> None:
         if isinstance(payload, CopySplit):
-            meta = (payload.n_prime, payload.probe_lo, payload.probe_hi, payload.target)
             self._open_slot(
-                payload.key,
-                payload.i,
-                payload.lo,
-                payload.hi,
-                payload.element,
-                payload.vid,
-                payload.parent_node,
-                payload.parent_slot,
-                meta,
+                payload, payload.i, payload.lo, payload.hi, payload.vid,
+                payload.parent_node, payload.parent_slot,
             )
         elif isinstance(payload, (VoteMsg, CopyAggMsg)):
             slot = self.copy_slots.get(payload.slot)
@@ -523,15 +485,17 @@ class KSelectNode(OverlayNode):
         else:
             super().on_protocol_message(src, payload)
 
-    def _open_slot(
-        self, key, i, lo, hi, element, vid, parent_node, parent_slot, meta
-    ) -> None:
+    def _open_slot(self, op, i, lo, hi, vid, parent_node, parent_slot) -> None:
+        """Open copy ``i``'s slot for positions ``[lo, hi]``, which ``op``
+        (the root's ``CandOp`` or a ``CopySplit``) brought here: keep the
+        middle position, split the rest between the two children, and send
+        the copy to its rendezvous with the kept position's candidate."""
+        key = op.key
         kept = (lo + hi) // 2
         slot_key = key + (i, lo, hi)
-        slot = _CopySlot(i, kept, element, parent_node, parent_slot, meta)
         if slot_key in self.copy_slots:
             raise SimulationFault(f"copy interval {slot_key} opened twice")
-        self.copy_slots[slot_key] = slot
+        slot = self.copy_slots[slot_key] = _CopySlot(parent_node, parent_slot or op)
         label = self.topo.label(vid)
         for child_lo, child_hi, half in (
             (lo, kept - 1, label / 2.0),
@@ -544,29 +508,18 @@ class KSelectNode(OverlayNode):
             self.post(
                 child_vid.owner,
                 CopySplit(
-                    key,
-                    i,
-                    child_lo,
-                    child_hi,
-                    meta[0],
-                    meta[1],
-                    meta[2],
-                    meta[3],
-                    element,
-                    child_vid,
-                    self.id,
-                    slot_key,
+                    key, i, child_lo, child_hi, op.n_prime, op.probe_lo, op.probe_hi,
+                    op.target, op.element, child_vid, self.id, slot_key,
                 ),
             )
-        j = kept
-        if j == i:
+        if kept == i:
             slot.own_vote = (0, 0)  # a candidate is never compared with itself
             self._slot_try(key, slot_key)
         else:
             pair_key = hash_unit(
-                Tag.KS_PAIR, key + (min(i, j), max(i, j)), self.sim.cfg.seed
+                Tag.KS_PAIR, key + (min(i, kept), max(i, kept)), self.sim.cfg.seed
             )
-            self.route_send(pair_key, CompareOp(key, i, j, element, self.id, slot_key))
+            self.route_send(pair_key, CompareOp(key, i, kept, op.element, self.id, slot_key))
 
     def _rendezvous(self, op: CompareOp) -> None:
         pair = op.key + (min(op.i, op.j), max(op.i, op.j))
@@ -590,23 +543,23 @@ class KSelectNode(OverlayNode):
         total = slot.own_vote
         for vec in slot.child_sums:
             total = (total[0] + vec[0], total[1] + vec[1])
-        if slot.parent_slot is not None:
-            self.post(slot.parent_node, CopyAggMsg(key, slot.parent_slot, total))
+        if not isinstance(slot.parent, CandOp):
+            self.post(slot.parent_node, CopyAggMsg(key, slot.parent, total))
             return
         # root of the copy tree: total is this candidate's comparison record
-        n_prime, probe_lo, probe_hi, target = slot.meta
-        if total[0] + total[1] != n_prime - 1:
+        op = slot.parent
+        if total[0] + total[1] != op.n_prime - 1:
             raise SimulationFault("comparison votes lost or duplicated")
         order = total[0] + 1
         anchor = self.topo.root.owner
-        if target:
-            if order == target:
-                self.post(anchor, ProbeReport(key, "target", order, slot.element))
+        if op.target:
+            if order == op.target:
+                self.post(anchor, ProbeReport(key, "target", order, op.element))
         else:
-            if order == probe_lo:
-                self.post(anchor, ProbeReport(key, "lo", order, slot.element))
-            if order == probe_hi:
-                self.post(anchor, ProbeReport(key, "hi", order, slot.element))
+            if order == op.probe_lo:
+                self.post(anchor, ProbeReport(key, "lo", order, op.element))
+            if order == op.probe_hi:
+                self.post(anchor, ProbeReport(key, "hi", order, op.element))
 
     # -- per-node flood handling -------------------------------------------------------------------
     def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
@@ -662,7 +615,7 @@ class KSelectNode(OverlayNode):
         return start, len(cands) - stop
 
     def _choose(self, key: tuple, cands: list[Element], p: float, mode: str) -> list[Element]:
-        if mode == "all" or p >= 1.0:
+        if mode == "all":
             return list(cands)
         seed = self.sim.cfg.seed
         return [

@@ -155,6 +155,8 @@ class SimConfig:
             raise ValueError("need at least two nodes")
         if self.lam < 0:
             raise ValueError("injection rate must be non-negative")
+        if self.priority_count < 1:
+            raise ValueError("need at least one priority")
         if self.async_delay_max < 1:
             raise ValueError("async_delay_max must be at least 1")
         if self.mode not in (SYNC, ASYNC):

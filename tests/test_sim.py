@@ -446,6 +446,22 @@ def test_unknown_destination_is_fault():
         sim.send(0, 99, Ping())
 
 
+@pytest.mark.parametrize(
+    "config,match",
+    [
+        (dict(n=1), "at least two nodes"),
+        (dict(lam=-1), "non-negative"),
+        (dict(async_delay_max=0), "async_delay_max"),
+        (dict(mode="lockstep"), "unknown mode"),
+        (dict(priority_count=0), "at least one priority"),
+    ],
+    ids=["n", "lam", "async_delay_max", "mode", "priority_count"],
+)
+def test_config_rejects_invalid_values(config, match):
+    with pytest.raises(ValueError, match=match):
+        SimConfig(**{"n": 4, "seed": 1, **config})
+
+
 def test_quiescent_round_metrics():
     sim, nodes = make_sim(n=4)
     m = sim.step_round()

@@ -10,10 +10,12 @@ import pytest
 from distheap import experiments, kselect
 from distheap.batches import DELETE, INSERT
 from distheap.consistency import BOTTOM
-from distheap.experiments import _run_heap, run_skeap_plus
-from distheap.kselect import KSelectError
+from distheap.experiments import _run_heap, make_elements, run_skeap_plus
+from distheap.kselect import KSelectError, KSelectNode, exponent_for
+from distheap.node import build
 from distheap.overlay import CycleTopology
 from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
+from distheap.skeap import build_skeap
 from distheap.skeap_plus import SkeapPlusNode, build_skeap_plus
 
 
@@ -213,18 +215,45 @@ def test_equal_seeds_give_identical_records(mode):
     assert first.extra == again.extra
 
 
+def _selected(mode, n=16):
+    """The nodes of a finished selection of rank n among n^2 elements,
+    placed as ``run_kselect`` places them."""
+    sim = Simulator(SimConfig(n=n, seed=1, mode=mode))
+    topo = CycleTopology.build(n, 1)
+    nodes = build(KSelectNode, sim, topo)
+    for node, elems in zip(nodes, make_elements(n, n * n, 1, n ** exponent_for(n, n * n))):
+        node.seed_elements(elems)
+    anchor = nodes[topo.root.owner]
+    anchor.run_program(anchor.select(n))
+    if mode == SYNC:
+        sim.run_sync()
+    else:
+        sim.run_async(0)
+    assert anchor.selection.result is not None
+    return nodes
+
+
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_no_per_epoch_state_outlives_a_run(mode):
-    # the epochs' gets, put counts and selection bounds, and each selection's
-    # candidate lists, are released when the epoch or selection ends
+    # every protocol releases what an epoch or a selection keeps when it
+    # ends: requests in flight, gets, put counts and selection bounds, each
+    # selection's candidate lists and sorting state, and every node's wave
+    # sessions, anchor programs and parked gets
     n = 16
-    _, nodes, _ = _run_heap(
-        build_skeap_plus, 0, None, None,
-        n=n, seed=1, priority_universe=n * n, lam=2, mode=mode, epochs=3,
-    )
-    for node in nodes:
-        assert node.outstanding_gets == {} and node.pending_put_acks == 0
-        assert node.qual_limit == {} and node.candidates == {}
+    heap = dict(n=n, seed=1, lam=2, mode=mode, epochs=3)
+    _, skeap, _ = _run_heap(build_skeap, 0, None, None, **heap)
+    _, seap, _ = _run_heap(build_skeap_plus, 0, None, None, priority_universe=n * n, **heap)
+    selection = ("candidates", "chosen", "copy_slots", "rendezvous")
+    epoch = ("ins_snapshot", "del_snapshot", "outstanding_gets", "qual_limit")
+    for protocol, nodes, names in (
+        ("skeap", skeap, ("inflight", "outstanding")),
+        ("seap", seap, selection + epoch),
+        ("kselect", _selected(mode), selection),
+    ):
+        for node in nodes:
+            for name in ("_waves", "_programs", "waiting_gets") + names:
+                assert not getattr(node, name), (protocol, node.id, name)
+    assert all(node.pending_put_acks == 0 for node in seap)
 
 
 def _stepped_until(ready):
