@@ -1,0 +1,145 @@
+"""The mutation gate's catalog: faults that the tests must catch.
+
+Each mutant replaces one exact piece of a source file with a faulty
+version and names the tests that must fail on it.  ``mutants/run.py``
+applies each to its own copy of the tree and runs only those tests.
+
+The rules:
+
+* the old text occurs exactly once in its file; text that no longer
+  matches is an error, not a skip (``check``);
+* a killer is a test outside the identity files: a pinned digest says
+  that something moved, not what is wrong;
+* a mutant that survives is answered by a stronger test, never by
+  deleting the mutant.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+
+IDENTITY_FILES = (
+    "tests/test_trace_identity.py",
+    "tests/test_untraced_identity.py",
+    "tests/test_benchmark_digests.py",
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    old: str  # exact text, found exactly once in ``file``
+    new: str
+    killers: tuple[str, ...]  # pytest node ids, at least one must fail
+    source: str  # where the fault was first seen
+
+
+CATALOG = (
+    Mutant(
+        name="wave-in-arrival-order",
+        file="src/distheap/node.py",
+        old='''\
+        self._wave_add(kind, key, parent, _first_child(parent) + kids.index(child), msg.value)
+
+    def wave_down(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
+        """Split ``share`` at ``vid`` over the combined parts, push child
+        shares down and deliver M's own.  The session ends here."""
+        sess = self._waves.pop((kind, key, vid), None)
+        if sess is None or sess.missing:
+            raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
+        shares = self.wave_split(kind, share, sess.parts)
+        first = _first_child(vid)
+        for child, child_share in zip(self.topo.inner_children[vid], shares[first:]):
+''',
+        new='''\
+        arrived = self.__dict__.setdefault("_arrived", {}).setdefault((kind, key, parent), [])
+        arrived.append(child)
+        self._wave_add(kind, key, parent, _first_child(parent) + len(arrived) - 1, msg.value)
+
+    def wave_down(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
+        sess = self._waves.pop((kind, key, vid), None)
+        if sess is None or sess.missing:
+            raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
+        shares = self.wave_split(kind, share, sess.parts)
+        first = _first_child(vid)
+        arrived = self.__dict__.get("_arrived", {}).pop((kind, key, vid), [])
+        for child, child_share in zip(arrived, shares[first:]):
+''',
+        killers=("tests/test_schedules.py::test_heap_records_do_not_depend_on_the_schedule",),
+        source="ROADMAP items 11 and 16: only the pinned digests caught it",
+    ),
+    Mutant(
+        name="seap-k-star-one-short",
+        file="src/distheap/skeap_plus.py",
+        old="        k_star = min(k, self.m)\n",
+        new="        k_star = min(k, self.m) - 1\n",
+        killers=("tests/test_scripts.py::test_generated_seap_scripts_run_correctly",),
+        source="CHANGES.md, heap records carry their epoch: scratch mutation",
+    ),
+    Mutant(
+        name="seap-m-read-before-the-insert-count",
+        file="src/distheap/skeap_plus.py",
+        old='''\
+        inserted = yield "si", key  # read m only once the count is here
+        self.m += inserted
+''',
+        new='''\
+        self.m += yield "si", key
+''',
+        killers=("tests/test_scripts.py::test_generated_seap_scripts_run_correctly",),
+        source="CHANGES.md, Seap's epoch program reads m when the insert count arrives",
+    ),
+    Mutant(
+        name="seap-element-returned-twice",
+        file="src/distheap/skeap_plus.py",
+        old="        req.returned = element\n",
+        new='        req.returned = self.__dict__.setdefault("_first_returned", element)\n',
+        killers=(
+            "tests/test_skeap_plus.py::test_elements_left_in_the_heap_count_in_the_next_epoch",
+        ),
+        source="CHANGES.md, heap records carry their epoch: scratch mutation",
+    ),
+    Mutant(
+        name="seap-deletes-serialized-by-position",
+        file="src/distheap/skeap_plus.py",
+        old="        return r.epoch, 1, r.returned.key\n",
+        new="        return r.epoch, 1, r.assigned\n",
+        killers=("tests/test_scripts.py::test_generated_seap_scripts_run_correctly",),
+        source="ROADMAP item 11: the pre-item-1 sort key",
+    ),
+    Mutant(
+        name="wave-down-keeps-its-session",
+        file="src/distheap/node.py",
+        old="        sess = self._waves.pop((kind, key, vid), None)\n",
+        new="        sess = self._waves.get((kind, key, vid))\n",
+        killers=("tests/test_skeap_plus.py::test_no_wave_session_outlives_a_run",),
+        source="a two-way wave session ends only at its share",
+    ),
+)
+
+
+def check(root: Path) -> None:
+    """Raise ``ValueError`` unless every mutant applies to the tree at
+    ``root`` and names only killers outside the identity files."""
+    names = [m.name for m in CATALOG]
+    if len(set(names)) != len(names):
+        raise ValueError("two mutants share a name")
+    for m in CATALOG:
+        found = (root / m.file).read_text().count(m.old)
+        if found != 1:
+            raise ValueError(f"{m.name}: its old text occurs {found} times in {m.file}")
+        if not m.killers:
+            raise ValueError(f"{m.name}: names no killer")
+        for killer in m.killers:
+            path, _, test = killer.partition("::")
+            if path in IDENTITY_FILES:
+                raise ValueError(f"{m.name}: {killer} is in an identity file")
+            if f"def {test.split('[')[0]}(" not in (root / path).read_text():
+                raise ValueError(f"{m.name}: {killer} does not exist")
+
+
+def apply(m: Mutant, root: Path) -> None:
+    """Write mutant ``m`` into the tree at ``root``."""
+    path = root / m.file
+    path.write_text(path.read_text().replace(m.old, m.new, 1))

@@ -22,9 +22,9 @@ which each ``ProbeReport`` resumes (``OverlayNode.resume``).
   two probe candidates around the expected target order are rank-checked
   exactly and the candidate window between them is kept.  If the target
   escapes the window, its exact ranks still allow a safe one-sided cut,
-  so every iteration makes progress; an empty sample is re-drawn with a
-  fresh salt and counted as a retry, and the re-drawn ``k2`` flood ends
-  the empty pass's ``k2n`` sessions, which no share comes down to end.
+  so every iteration makes progress; an empty sample's ``k2n`` share
+  comes down empty, like every pass's, and the sample is re-drawn with a
+  fresh salt and counted as a retry.
   The cut's bounds ride the next ``k2`` flood (the next sample's, or
   phase 3's): a node prunes by them, then samples, and answers with the
   pair (sampled, survivors) on the ``k2n`` wave.  The anchor checks the survivors against the exact ranks,
@@ -376,6 +376,7 @@ class KSelectNode(OverlayNode):
                 n_prime = yield from self._sample(key, (p, "sample", bounds), N)
                 if n_prime:
                     break
+                self.wave_down("k2n", key, self.topo.root, (1, 0, 0, 0, 0, 0))
                 sel.retries += 1
                 salt += 1
                 if sel.retries > RESAMPLE_CAP * sel.p2_iter:
@@ -443,7 +444,7 @@ class KSelectNode(OverlayNode):
         if kind != "k2n":
             return super().wave_deliver(kind, key, share)
         lo, hi, n_prime, plo, phi, target = share
-        chosen = self.chosen.pop(key, [])
+        chosen = self.chosen.pop(key)
         if hi - lo + 1 != len(chosen):
             raise SimulationFault("sample share does not match chosen candidates")
         for offset, element in enumerate(chosen):
@@ -566,11 +567,6 @@ class KSelectNode(OverlayNode):
         reply = _REPLY.get(kind)
         if reply is None:
             return super().on_flood(kind, key, payload)
-        if kind == "k2":
-            # a re-drawn sample: the empty pass before it got no share to end it
-            empty = (*key[:2], key[2] - 1)
-            if self.in_wave("k2n", empty):
-                self.wave_end("k2n", empty)
         self.contribute_all(reply, key, self._answer(kind, key, payload))
 
     def _answer(self, kind: str, key: tuple, payload: Any) -> Any:
@@ -593,9 +589,7 @@ class KSelectNode(OverlayNode):
             p, mode, (lo, hi) = payload
             self._prune(inv, lo and lo.key, hi and hi.key)
             cands = self.candidates[inv]
-            chosen = self._choose(key, cands, p, mode)
-            if chosen:  # an empty sample gets no share
-                self.chosen[key] = chosen
+            chosen = self.chosen[key] = self._choose(key, cands, p, mode)
             if mode == "all":  # the final pass: no flood reads the candidates again
                 del self.candidates[inv]
             return len(chosen), len(cands)

@@ -10,11 +10,12 @@ the virtual-node overlay:
   session remembers the parts it combined so a matching share can later
   be split root-to-leaf over the same parts, in the same order, and the
   middle virtual node's own share is delivered (``wave_deliver``); the
-  split ends the session.  A wave kind that a protocol lists in
-  ``one_way_waves`` has no down half, and its session ends when its
-  combine is sent.  By default a share is an interval ``(lo, hi, *rest)``
-  split by the parts' counts (``split_interval``); Skeap splits a batch
-  share.
+  split ends the session, and nothing else does: the anchor sends a
+  two-way wave's share down even when it is empty.  A wave kind that a
+  protocol lists in ``one_way_waves`` has no down half, and its session
+  ends when its combine is sent.  By default a share is an interval
+  ``(lo, hi, *rest)`` split by the parts' counts (``split_interval``);
+  Skeap splits a batch share.
 * routed operations: a message hops along the de Bruijn emulation to the
   virtual node responsible for a key.  Put/Get pairs rendezvous there; a
   Get that arrives before its Put parks until the Put shows up.
@@ -80,7 +81,7 @@ from functools import cache
 from typing import Annotated, Any, Callable, Generator
 
 from .batches import Batch, EntryShare
-from .overlay import LEFT, MIDDLE, CycleTopology, VirtualId
+from .overlay import MIDDLE, CycleTopology, VirtualId
 from .sim import Element, ProtocolNode, SimulationFault, Simulator, nat_bits
 
 
@@ -320,7 +321,6 @@ class OverlayNode(ProtocolNode):
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id)
         self.topo = topo
-        self.left = VirtualId(node_id, LEFT)
         self.middle = VirtualId(node_id, MIDDLE)
         self.is_anchor = topo.root.owner == node_id
         self._waves: dict[tuple, _WaveSession] = {}
@@ -412,26 +412,13 @@ class OverlayNode(ProtocolNode):
             raise SimulationFault(f"{child} is no child of {parent} in wave {kind}{key}")
         self._wave_add(kind, key, parent, _first_child(parent) + kids.index(child), msg.value)
 
-    def _wave_end(self, kind: str, key: tuple, vid: VirtualId) -> _WaveSession:
-        sess = self._waves.pop((kind, key, vid), None)
-        if sess is None or sess.missing:
-            raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
-        return sess
-
-    def in_wave(self, kind: str, key: tuple) -> bool:
-        """Whether this node holds a session of wave ``kind`` at ``key``."""
-        return (kind, key, self.middle) in self._waves
-
-    def wave_end(self, kind: str, key: tuple) -> None:
-        """End this node's sessions of a combined two-way wave whose share
-        the anchor does not send down."""
-        for vid in (self.left, self.middle):
-            self._wave_end(kind, key, vid)
-
     def wave_down(self, kind: str, key: tuple, vid: VirtualId, share: Any) -> None:
         """Split ``share`` at ``vid`` over the combined parts, push child
         shares down and deliver M's own.  The session ends here."""
-        shares = self.wave_split(kind, share, self._wave_end(kind, key, vid).parts)
+        sess = self._waves.pop((kind, key, vid), None)
+        if sess is None or sess.missing:
+            raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
+        shares = self.wave_split(kind, share, sess.parts)
         first = _first_child(vid)
         for child, child_share in zip(self.topo.inner_children[vid], shares[first:]):
             self.post(child.owner, WaveDownMsg(kind, key, child, child_share))

@@ -14,7 +14,12 @@ Two execution modes share one node model, and in both each node's
   ``async_delay_max`` clock ticks in the future.  The start times are
   drawn first, and a tick runs its starts before its deliveries.
   Delivery is non-FIFO, never drops or duplicates, and is always within
-  the deadline, which makes runs terminating and replayable.
+  the deadline, which makes runs terminating and replayable.  The
+  protocols do not depend on the schedule: for a fixed set of requests
+  per epoch, a heap run records, field by field, what its synchronous
+  run records, and a selection reports the same answer, retries and
+  pruning steps, under any schedule of this kind.  So async correctness
+  is sync correctness plus that equality (``tests/test_schedules.py``).
 * local hand-offs (``hand_off``): a real node that addresses itself, as
   when one of its virtual nodes talks to another, hands the payload to
   its own ``on_message``.  A hand-off is not a message: it is not sized,

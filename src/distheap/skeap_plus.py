@@ -5,8 +5,8 @@ A node enters each epoch through the lifecycle both heaps share
 (``RequestSource.issue_for``), snapshots its inserts and contributes
 their count to ``si`` (``_open_epoch``).  It snapshots its deletes when
 its puts are stored (``_enter_delete``), and enters the next epoch when
-its last get returns, or at ``fskip``; entering past the last epoch
-finishes it.
+its last get returns, or at its ``sd`` share if it issues no get;
+entering past the last epoch finishes it.
 
 The anchor runs each epoch as one program (``_epoch``) on the
 anchor-program driver all three protocols share (``node.OverlayNode``),
@@ -17,30 +17,35 @@ runs inside it.  It waits for three counts in turn:
   element total m and floods ``fi``; nodes store each element in the DHT
   under a pseudorandom key and enter the delete phase once all their puts
   are acknowledged.
-* ``sd``, the deletes k: if k = 0 the anchor floods ``fskip``.  Otherwise
-  it shrinks m by k* = min(k, m), runs the KSelect program for the
-  element of rank k* (none if k* = 0), floods that bound (``fq``) and
-  splits [1, k] down the ``sd`` wave over the deleting nodes; a delete
-  fetches its position from a position-salted DHT key, or returns bottom
-  past k*.
+* ``sd``, the deletes k: the anchor shrinks m by k* = min(k, m).  If
+  k* = 0 no element moves: it splits [1, k] down the ``sd`` wave, every
+  delete returns bottom, and the epoch ends there (with k = 0 the share
+  is empty).  Otherwise it runs the KSelect program for the element of
+  rank k*, floods that bound (``fq``) and splits [1, k] down the ``sd``
+  wave over the deleting nodes; a delete fetches its position from a
+  position-salted DHT key, or returns bottom past k*.
 * ``sq``, the stored elements up to the bound: it must equal k*.  Then
   [1, k*] splits down the tree, and the storing nodes move those elements
   (ascending) to the position keys.
 
-Epochs overlap at the anchor: a node whose deletes all return bottom
-enters the next epoch at its ``sd`` share, so the ``si`` of epoch e+1 can
-arrive before the ``sq`` of epoch e.  A count that no program waits for is
-a fault.
+Epochs reach the anchor in order: the ``si`` of epoch e+1 combines every
+node's count, and a node enters e+1 only at its ``sd`` share or when its
+last get returns.  With k* = 0 the ``sd`` share is the epoch's last;
+otherwise the get of position 1 returns only after the ``sq`` share, the
+epoch's last, has moved an element there.  A count that no program waits
+for is a fault.
 
 Each node keeps an epoch's insert and delete snapshots only until it has
 stored the inserts or assigned the deletes their positions, its
-outstanding gets until each has returned, and the selected bound until
-its ``sq`` share moves the qualifying elements; after a run only the
-records, stamped with their epoch by the snapshot, remain.  Since a node
-enters epoch e+1 only after e's puts are acknowledged and its gets have
-returned, its open puts and outstanding gets always belong to one epoch:
-one put count and one table of gets, which must be empty when the next
-epoch stores its inserts or assigns its deletes.  The
+outstanding gets until each has returned, and the elements up to the
+selected bound, taken at the ``fq`` flood, until its ``sq`` share moves
+them; after a run only the records, stamped with their epoch by the
+snapshot, remain.  A later epoch's puts can reach a node before its
+``sq`` share does, so what qualifies is fixed when it is counted.  Since
+a node enters epoch e+1 only after e's puts are acknowledged and its
+gets have returned, its open puts and outstanding gets always belong to
+one epoch: one put count and one table of gets, which must be empty when
+the next epoch stores its inserts or assigns its deletes.  The
 constructed serialization (``finalize_records``) per epoch is: all
 inserts (in ascending element order), then all deletes ordered by the key
 of the element they return, bottoms last (positions follow the tree, not
@@ -76,7 +81,7 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         self.del_snapshot: dict[int, list[OperationRecord]] = {}
         self.pending_put_acks = 0  # one epoch's puts and gets at a time
         self.outstanding_gets: dict[Any, OperationRecord] = {}
-        self.qual_limit: dict[int, Element | None] = {}
+        self.qualifying: dict[int, list[Element]] = {}
         if self.is_anchor:
             self.m = 0
             self.epoch_log: list[dict] = []
@@ -121,17 +126,14 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         k = yield "sd", key
         k_star = min(k, self.m)
         self.epoch_log.append({"epoch": epoch, "k": k, "k_star": k_star, "m": self.m})
-        if k == 0:
-            self.flood("fskip", key, None)
+        if not k_star:  # no element moves: every delete returns bottom
+            self.wave_down("sd", key, self.topo.root, (1, k, 0))
             return
         self.m -= k_star
-        limit = None
-        if k_star:
-            sel = yield from self.select(k_star, epoch)
-            if sel.error:
-                raise KSelectError(sel.error)
-            limit = sel.result
-        self.flood("fq", key, limit)
+        sel = yield from self.select(k_star, epoch)
+        if sel.error:
+            raise KSelectError(sel.error)
+        self.flood("fq", key, sel.result)
         self.wave_down("sd", key, self.topo.root, (1, k, k_star))
         qualifying = yield "sq", key
         if qualifying != k_star:
@@ -153,13 +155,11 @@ class SkeapPlusNode(HeapNode, KSelectNode):
     def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
         if kind == "fi":
             self._store_inserts(key[0])
-        elif kind == "fskip":
-            self.wave_end("sd", key)  # an epoch without deletes sends no share
-            del self.del_snapshot[key[0]]  # empty: k = 0
-            self._enter(key[0] + 1)
-        elif kind == "fq":
-            self.qual_limit[key[0]] = payload
-            self.contribute_all("sq", key, len(self._qualifying(payload)))
+        elif kind == "fq":  # the stored elements up to the bound
+            stored = self.selection_universe()
+            qual = stored[: bisect_right(stored, payload.key, key=lambda e: e.key)]
+            self.qualifying[key[0]] = qual
+            self.contribute_all("sq", key, len(qual))
         else:
             super().on_flood(kind, key, payload)
 
@@ -186,18 +186,12 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         # position puts need no bookkeeping: their get rendezvous completes them
 
     # -- delete phase -------------------------------------------------------------------------
-    def _qualifying(self, limit: Element | None) -> list[Element]:
-        if limit is None:
-            return []
-        stored = self.selection_universe()
-        return stored[: bisect_right(stored, limit.key, key=lambda e: e.key)]
-
     def _pos_key(self, epoch: int, pos: int) -> float:
         return hash_unit(Tag.SPLUS_POSITION_KEY, (epoch, pos), self.sim.cfg.seed)
 
     def _move_qualifying(self, epoch: int, share) -> None:
         lo, hi = share
-        qual = self._qualifying(self.qual_limit.pop(epoch))
+        qual = self.qualifying.pop(epoch)
         if hi - lo + 1 != len(qual):
             raise SimulationFault("qualifying share does not match stored elements")
         for offset, element in enumerate(qual):

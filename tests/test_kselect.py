@@ -256,10 +256,10 @@ def test_out_of_range_k_is_protocol_error(case, monkeypatch):
     assert res.retries == retries
 
 
-def _started(n, m, seed, k=None):
-    """A sync KSelect system placed as ``run_kselect`` places it, selection
-    of ``k`` (by default n) started; returns (simulator, nodes, anchor)."""
-    sim = Simulator(SimConfig(n=n, seed=seed))
+def _started(n, m, seed, k=None, mode=SYNC):
+    """A KSelect system placed as ``run_kselect`` places it, selection of
+    ``k`` (by default n) started; returns (simulator, nodes, anchor)."""
+    sim = Simulator(SimConfig(n=n, seed=seed, mode=mode))
     topo = CycleTopology.build(n, seed)
     nodes = [KSelectNode(sim, v, topo) for v in range(n)]
     for node, elems in zip(nodes, make_elements(n, m, seed, n ** exponent_for(n, m))):
@@ -325,13 +325,45 @@ def test_no_wave_session_outlives_a_selection():
     sim.run_sync()
     assert anchor.selection.result is not None
     assert sum(len(node._waves) for node in nodes) == 0
-    # an empty sample's k2n pass gets no share; the re-drawn k2 flood ends it
+    # an empty sample's k2n pass ends at its empty share
     sim, nodes, anchor = _started(16, 256, 25, k=128)
     sim.run_sync()
     assert anchor.selection.result is not None and anchor.selection.retries == 1
     assert sum(len(node._waves) for node in nodes) == 0
     with pytest.raises(SimulationFault, match="before the wave combined"):
         anchor.wave_down("ki", (0,), anchor.topo.root, (1, 1))
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_a_forced_empty_sample_ends_at_its_empty_share(mode, monkeypatch):
+    # the first sample draws nothing: every node gets an empty k2n share,
+    # which ends its session and its chosen list, and the re-drawn sample
+    # goes on to the exact answer
+    choose, wave_deliver = KSelectNode._choose, KSelectNode.wave_deliver
+    empty = (0, 1, 0)  # (selection, pass, salt)
+    shares = []
+
+    def first_empty(self, key, cands, p, how):
+        return [] if key == empty else choose(self, key, cands, p, how)
+
+    def delivered(self, kind, key, share):
+        if kind == "k2n" and key == empty:
+            shares.append(share[2:])
+        wave_deliver(self, kind, key, share)
+
+    monkeypatch.setattr(KSelectNode, "_choose", first_empty)
+    monkeypatch.setattr(KSelectNode, "wave_deliver", delivered)
+    n, m, seed = 16, 256, 1
+    sim, nodes, anchor = _started(n, m, seed, mode=mode)
+    if mode == SYNC:
+        sim.run_sync()
+    else:
+        sim.run_async(0)
+    assert anchor.selection.result == oracle_rank(n, m, seed, n)
+    assert anchor.selection.retries == 1
+    assert shares == [(0, 0, 0, 0)] * n
+    for node in nodes:
+        assert node._waves == {} and node.chosen == {} and node._programs == {}
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -1,0 +1,163 @@
+"""Schedule independence: for a fixed set of requests per epoch, what a run
+records does not depend on the order in which messages are delivered.
+
+A scripted Skeap or Seap run records the same thing, field by field, in
+synchronous mode and under every asynchronous schedule; a KSelect run
+reports the same answer, retries and pruning steps.  The checkers of
+``consistency`` cannot see a protocol that is correct under each schedule
+yet decides differently under different ones (say, one that combines a
+wave's children in arrival order); this equality can.
+
+The schedules are the seeded ones, and three adversarial delay rules that
+replace ``Simulator._deadline``, each within ``[time + 1, time +
+async_delay_max]`` as the engine promises:
+
+* every delay the maximum;
+* 1 or the maximum, nothing between;
+* later sends first: each send's deadline is one tick earlier than the
+  previous send's, cycling through the delay window.
+
+One more schedule slows every message to one node; that rule reads the
+destination, so its test also wraps ``Simulator.send``.
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from distheap import run_kselect, run_skeap, run_skeap_plus
+from distheap.batches import DELETE, INSERT
+from distheap.sim import ASYNC, SYNC, Simulator
+from distheap.skeap_plus import SkeapPlusNode
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_scripts import scripted_runs  # noqa: E402
+
+SEEDS = range(4)  # the seeded schedules
+
+
+def _slowest(sim: Simulator) -> int:
+    return sim.time + sim.cfg.async_delay_max
+
+
+def _fastest_or_slowest(sim: Simulator) -> int:
+    return sim.time + (1 if sim._sched_rng.random() < 0.5 else sim.cfg.async_delay_max)
+
+
+def _later_sends_first(sim: Simulator) -> int:
+    return sim.time + sim.cfg.async_delay_max - sim.sent % sim.cfg.async_delay_max
+
+
+RULES = {
+    "every-delay-the-maximum": _slowest,
+    "1-or-the-maximum": _fastest_or_slowest,
+    "later-sends-first": _later_sends_first,
+}
+
+
+def _async_runs(run, **args):
+    """``run(**args)`` in asynchronous mode under every schedule, each
+    yielded with its name."""
+    for seed in SEEDS:
+        yield f"seed-{seed}", run(**args, mode=ASYNC, schedule_seed=seed)
+    for name, rule in RULES.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Simulator, "_deadline", rule)
+            yield name, run(**args, mode=ASYNC, schedule_seed=0)
+
+
+def _records(result) -> dict:
+    return {(r.node, r.seq): (r.to_json(), r.epoch) for r in result.records}
+
+
+def _skeap(top, **args):
+    return run_skeap(priorities=top, **args)
+
+
+def _seap(top, **args):
+    return run_skeap_plus(**args)
+
+
+@pytest.mark.parametrize("run", [_skeap, _seap], ids=["skeap", "seap"])
+@given(case=scripted_runs())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_heap_records_do_not_depend_on_the_schedule(run, case):
+    args, top = case
+    args = dict(args, top=top)
+    del args["mode"], args["schedule_seed"]
+    want = _records(run(**args, mode=SYNC))
+    for schedule, result in _async_runs(run, **args):
+        assert result.ok, (schedule, result.verdict.violation)
+        assert _records(result) == want, schedule
+
+
+def _selection(result) -> tuple:
+    return result.answer, result.error, result.retries, result.phase2_iterations, result.diag
+
+
+# (n, m, k, seed): the extremes, phase-2 sorts, sizes that are not powers
+# of two, and a re-drawn empty sample (16, 256, 128, 25)
+SELECTIONS = [
+    (2, 4, 1, 0), (3, 9, 9, 1), (5, 25, 13, 2), (8, 64, 8, 1),
+    (8, 64, 20, 9), (8, 512, 8, 1), (7, 20, 5, 3), (16, 256, 128, 25), (16, 256, 16, 1),
+]
+
+
+@pytest.mark.parametrize("n,m,k,seed", SELECTIONS)
+def test_a_selection_does_not_depend_on_the_schedule(n, m, k, seed):
+    want = _selection(run_kselect(n, m, k, seed))
+    assert want[1] is None
+    for schedule, result in _async_runs(run_kselect, n=n, m=m, k=k, seed=seed):
+        assert _selection(result) == want, schedule
+
+
+def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypatch):
+    # every message to node 2 takes the maximum delay and every other one
+    # tick, so a node below node 2 gets its sq share of epoch 0 after epoch 1
+    # has stored an element under epoch 0's bound there; what qualifies is
+    # what the node counted at the fq flood
+    slow = {"now": False}
+    send, on_flood = Simulator.send, SkeapPlusNode.on_flood
+    move = SkeapPlusNode._move_qualifying
+    bounds, late = {}, []
+
+    def noting_send(self, src, dst, payload):
+        slow["now"] = dst == 2
+        send(self, src, dst, payload)
+
+    def noting_flood(self, kind, key, payload):
+        if kind == "fq":
+            bounds[key[0]] = payload.key
+        on_flood(self, kind, key, payload)
+
+    def noting_move(self, epoch, share):
+        qual = self.qualifying[epoch]
+        late.extend(
+            e for e in self.selection_universe() if e.key <= bounds[epoch] and e not in qual
+        )
+        move(self, epoch, share)
+
+    D, I = (DELETE, None), INSERT
+    script = {
+        0: {1: [(I, 1)], 2: [D, D, (I, 1)]},
+        1: {0: [D, D, D], 1: [D, (I, 2), D], 2: [(I, 2)]},
+        4: {0: [D, (I, 2)], 2: [(I, 2)]},
+        6: {2: [D]},
+        7: {1: [D, (I, 1)], 2: [(I, 2), (I, 2), D]},
+    }
+    args = dict(n=8, seed=3, epochs=3, script=script)
+    want = _records(run_skeap_plus(**args))
+    monkeypatch.setattr(Simulator, "send", noting_send)
+    monkeypatch.setattr(
+        Simulator, "_deadline",
+        lambda sim: sim.time + (sim.cfg.async_delay_max if slow["now"] else 1),
+    )
+    monkeypatch.setattr(SkeapPlusNode, "on_flood", noting_flood)
+    monkeypatch.setattr(SkeapPlusNode, "_move_qualifying", noting_move)
+    result = run_skeap_plus(**args, mode=ASYNC)
+    assert late, "no element of a later epoch reached a node before its sq share"
+    assert result.ok
+    assert _records(result) == want

@@ -85,8 +85,8 @@ def test_deletes_past_the_stored_elements_return_bottom_in_a_later_epoch(mode):
     "script", [None, {0: {0: [(DELETE, None)]}}], ids=["generated", "scripted"]
 )
 def test_no_wave_session_outlives_a_run(mode, script):
-    # si and KSelect's reply waves end with their combine; the sd wave of an
-    # epoch without deletes sends no share and ends at the fskip flood
+    # si and KSelect's reply waves end with their combine; every other wave
+    # ends at its share, which the anchor sends even when it is empty
     n = 16
     _, nodes, anchor = _run_heap(
         build_skeap_plus, 3, None, script,
@@ -137,30 +137,36 @@ def _recorded_roots(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
-def test_epoch_programs_overlap_at_the_anchor(mode, monkeypatch):
-    # a node whose deletes all return bottom enters epoch 1 at its sd share,
-    # so si(1) may reach the anchor while epoch 0 still waits for its sq
+def test_an_epoch_that_moves_no_element_ends_at_its_sd_share(mode, monkeypatch):
+    # one delete on an empty heap: k = 1 but k* = 0, so the anchor floods no
+    # fq and waits for no sq; the sd share is the epoch's last message, and
+    # no node enters epoch e+1 before it, so each si(e+1) follows sd(e)
     roots = _recorded_roots(monkeypatch)
-    overlapped = []
+    floods = []
+    flood = SkeapPlusNode.flood
+
+    def recording(self, kind, key, payload):
+        floods.append((kind, key))
+        flood(self, kind, key, payload)
+
+    monkeypatch.setattr(SkeapPlusNode, "flood", recording)
     for schedule_seed in range(12) if mode == ASYNC else [0]:
         roots.clear()
+        floods.clear()
         res = checked(
             run_skeap_plus(
                 16, seed=1, epochs=3, mode=mode, schedule_seed=schedule_seed,
                 script={0: {0: [(DELETE, None)]}},
             )
         )
-        assert [row["k_star"] for row in res.extra["epochs"]] == [0, 0, 0]
-        overlapped.append(roots.index(("si", (1,))) < roots.index(("sq", (0,))))
-    if mode == SYNC:
-        # the anchor floods fq before it sends the sd share, and both cross
-        # each edge between real nodes in one round (edges inside a node
-        # are free), so fq reaches every node no later than its sd share
-        # and sq(0) climbs the same tree ahead of si(1)
-        assert overlapped == [False]
-    else:
-        # the schedule decides the race; 7 of these 12 schedules overlap
-        assert any(overlapped)
+        assert [(row["k"], row["k_star"]) for row in res.extra["epochs"]] == [
+            (1, 0), (0, 0), (0, 0)
+        ]
+        assert floods == [("fi", (epoch,)) for epoch in range(3)]
+        assert roots == [(kind, (epoch,)) for epoch in range(3) for kind in ("si", "sd")]
+        # per epoch: si up, fi down, sd up and sd down, n - 1 messages each
+        assert res.metrics["messages_sent"] == 3 * 4 * 15
+        assert [r.returned for r in res.records] == [BOTTOM]
 
 
 @pytest.mark.parametrize(
@@ -244,7 +250,7 @@ def test_no_per_epoch_state_outlives_a_run(mode):
     _, skeap, _ = _run_heap(build_skeap, 0, None, None, **heap)
     _, seap, _ = _run_heap(build_skeap_plus, 0, None, None, priority_universe=n * n, **heap)
     selection = ("candidates", "chosen", "copy_slots", "rendezvous")
-    epoch = ("ins_snapshot", "del_snapshot", "outstanding_gets", "qual_limit")
+    epoch = ("ins_snapshot", "del_snapshot", "outstanding_gets", "qualifying")
     for protocol, nodes, names in (
         ("skeap", skeap, ("inflight", "outstanding")),
         ("seap", seap, selection + epoch),

@@ -42,16 +42,16 @@ EXPECTED = {
     ('skeap', 'asynchronous', 32, 1): ('2111ab4a3c2e3867', 'f47010e4b7efe9d0', '6d2eeb0710b3240f'),
     ('seap', 'synchronous', 2, 0): ('438de9d498bdce59', '20b74a1a27c9e5bd', 'a581df0e1c480822'),
     ('seap', 'synchronous', 2, 1): ('4bb8078fbb84049e', 'e1b12c6bea5a474d', '87d29f0dd1d1bf5b'),
-    ('seap', 'synchronous', 8, 0): ('09edb96082347e56', 'd06939338a165fc2', 'f3741f7ef2ac3f9f'),
-    ('seap', 'synchronous', 8, 1): ('ecba5c3639959cc1', 'ca4b983baa9d08a2', 'd621d0ce761b26d8'),
-    ('seap', 'synchronous', 32, 0): ('0e9a8cb15b14066e', '9a42dec75bd1d68e', '947de26d779f58f4'),
-    ('seap', 'synchronous', 32, 1): ('430cec20f8ef7c15', 'ace6191fa1c7f811', '9a43c9437fbd885c'),
-    ('seap', 'asynchronous', 2, 0): ('fbef9ac657178c8a', '3cc614f9072381d6', 'ac9b3ee33a7ff752'),
+    ('seap', 'synchronous', 8, 0): ('32dcd60195c424a8', 'd06939338a165fc2', '490a673aca2abe16'),
+    ('seap', 'synchronous', 8, 1): ('62521da8323a0d4f', 'ca4b983baa9d08a2', '86d917833d19ef09'),
+    ('seap', 'synchronous', 32, 0): ('456f7c333c6e2254', '9a42dec75bd1d68e', 'edbd9ca76844eec5'),
+    ('seap', 'synchronous', 32, 1): ('9639064ce4361acd', 'ace6191fa1c7f811', '629dbac20a442377'),
+    ('seap', 'asynchronous', 2, 0): ('5906502f5ddfdfd8', '3cc614f9072381d6', 'ac9b3ee33a7ff752'),
     ('seap', 'asynchronous', 2, 1): ('a9e8ed438e99551f', 'ddf0f70ad3f82eef', '61625d92eb818fac'),
-    ('seap', 'asynchronous', 8, 0): ('fdf2343a749c3d18', 'd06939338a165fc2', '2a395a315c19d98b'),
-    ('seap', 'asynchronous', 8, 1): ('1d8d516010d9288a', 'ca4b983baa9d08a2', '2da94382e3ae2cee'),
-    ('seap', 'asynchronous', 32, 0): ('1747eba13a0ffa8c', '9a42dec75bd1d68e', '15015b33e5d993b8'),
-    ('seap', 'asynchronous', 32, 1): ('e8926c7cc927d6ac', 'ace6191fa1c7f811', 'd0128d985262b429'),
+    ('seap', 'asynchronous', 8, 0): ('dd6696c4d2ff9e06', 'd06939338a165fc2', '2a395a315c19d98b'),
+    ('seap', 'asynchronous', 8, 1): ('e51905f6bd3b739c', 'ca4b983baa9d08a2', '2da94382e3ae2cee'),
+    ('seap', 'asynchronous', 32, 0): ('cc0f747a71fc7db8', '9a42dec75bd1d68e', '15015b33e5d993b8'),
+    ('seap', 'asynchronous', 32, 1): ('5513c8441137c2e6', 'ace6191fa1c7f811', 'd0128d985262b429'),
     ('kselect', 'synchronous', 2, 0): ('2ec2b6632ff7e8a8', '02110ae6881c39ad', '9d942ce15c7f33ca'),
     ('kselect', 'synchronous', 2, 1): ('996e02f51e675c46', '7738fad936616975', '827e23e1ef854ac6'),
     ('kselect', 'synchronous', 8, 0): ('8360e2cb90efbbec', '532c3d6ee5d49b7b', '1c27855b815209ff'),
