@@ -116,6 +116,59 @@ CATALOG = (
         killers=("tests/test_skeap_plus.py::test_no_wave_session_outlives_a_run",),
         source="a two-way wave session ends only at its share",
     ),
+    Mutant(
+        name="route-step-forgets-the-wrap-arc",
+        file="src/distheap/overlay.py",
+        old=(
+            "        elif key >= labels[at] or key < labels[0]:"
+            "  # the last node owns the wrap arc\n"
+        ),
+        new="        elif key >= labels[at]:\n",
+        killers=("tests/test_overlay.py::test_route_step_stops_exactly_at_the_owner",),
+        source="ROADMAP item 11's seed catalog",
+    ),
+    Mutant(
+        name="combine-all-skips-the-priority-check",
+        file="src/distheap/batches.py",
+        old='''\
+    for b in batches:
+        if b.priorities != priorities:
+            raise SimulationFault("cannot combine batches over different priority sets")
+        if b.entries:
+''',
+        new='''\
+    for b in batches:
+        if b.entries:
+''',
+        killers=(
+            "tests/test_batches.py::test_combine_all_checks_the_priority_count_of_empty_parts",
+        ),
+        source="ROADMAP item 11's seed catalog",
+    ),
+    Mutant(
+        name="decompose-drops-a-running-offset",
+        file="src/distheap/batches.py",
+        old="            ins_off += n_ins\n",
+        new="",
+        killers=("tests/test_batches.py::test_decompose_offsets_accumulate",),
+        source="ROADMAP item 11's seed catalog",
+    ),
+    Mutant(
+        name="every-put-acknowledged",
+        file="src/distheap/node.py",
+        old='''\
+            if inner.token is not None:
+                self.post(inner.reply_to, PutAckMsg(inner.ns, inner.token))
+''',
+        new='''\
+            self.post(inner.reply_to, PutAckMsg(inner.ns, inner.token))
+''',
+        killers=(
+            "tests/test_node.py::test_skeap_sends_no_put_ack",
+            "tests/test_node.py::test_seap_acknowledges_exactly_its_remote_element_puts",
+        ),
+        source="CHANGES.md, acks for puts that no protocol reads",
+    ),
 )
 
 

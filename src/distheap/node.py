@@ -18,7 +18,11 @@ the virtual-node overlay:
   Skeap splits a batch share.
 * routed operations: a message hops along the de Bruijn emulation to the
   virtual node responsible for a key.  Put/Get pairs rendezvous there; a
-  Get that arrives before its Put parks until the Put shows up.
+  Get that arrives before its Put parks until the Put shows up.  A Put
+  that carries a token is acknowledged to its issuer (``on_put_ack``); a
+  Put with ``token=None`` is fire-and-forget, so no protocol pays for an
+  ack it does not read.  A route that has not arrived after
+  ``CycleTopology.max_route_hops`` hops is a fault, not a hang.
 
 A node's requests and elements live at its middle virtual node (M), so
 floods and waves run on the tree without its right (R) leaves
@@ -474,8 +478,10 @@ class OverlayNode(ProtocolNode):
         nxt = self.topo.route_step(vid, key, start_label, hop)
         if nxt is None:
             self._route_arrived(vid, key, inner)
-        else:
+        elif hop < self.topo.max_route_hops:
             self.post(nxt.owner, RouteMsg(key, start_label, hop + 1, nxt, inner, inner_bits))
+        else:
+            raise SimulationFault(f"route to {key} from {start_label} failed to arrive")
 
     def _route_arrived(self, vid: VirtualId, key: float, inner: Any) -> None:
         if isinstance(inner, PutOp):
@@ -488,7 +494,8 @@ class OverlayNode(ProtocolNode):
                 if slot in self.storage:
                     raise SimulationFault(f"duplicate put under {slot}")
                 self.storage[slot] = inner.element
-            self.post(inner.reply_to, PutAckMsg(inner.ns, inner.token))
+            if inner.token is not None:
+                self.post(inner.reply_to, PutAckMsg(inner.ns, inner.token))
         elif isinstance(inner, GetOp):
             slot = (inner.ns, inner.key_id)
             if slot in self.storage:
@@ -505,13 +512,16 @@ class OverlayNode(ProtocolNode):
         raise SimulationFault(f"unhandled routed payload {type(inner).__name__}")
 
     def dht_put(self, ns: str, key_id: tuple, key: float, element: Element, token: Any) -> None:
+        """Store ``element`` under ``(ns, key_id)`` at the node responsible
+        for ``key``.  The put is acknowledged with ``on_put_ack(ns, token)``
+        only if ``token`` is not None; with None it is fire-and-forget."""
         self.route_send(key, PutOp(ns, key_id, element, self.id, token))
 
     def dht_get(self, ns: str, key_id: tuple, key: float, token: Any) -> None:
         self.route_send(key, GetOp(ns, key_id, self.id, token))
 
     def on_put_ack(self, ns: str, token: Any) -> None:
-        pass
+        raise SimulationFault(f"unread put ack in namespace {ns}")
 
     def on_get_reply(self, ns: str, token: Any, element: Element) -> None:
         pass

@@ -18,7 +18,7 @@ above, so no left node follows a right one on the cycle).  Floods and
 waves run on the tree without them (``inner_children``).
 
 Key responsibility follows the predecessor rule: the virtual node v with
-v <= key < succ(v) (cyclically) owns the key.  Routing emulates de
+v <= key < its cycle successor (cyclically) owns the key.  Routing emulates de
 Bruijn bit-shifting on labels: hop j targets the real value whose
 binary expansion is the top j bits of the key followed by the bits of
 the start label.  Arrival is a local check of the current node's own arc
@@ -26,7 +26,9 @@ the start label.  Arrival is a local check of the current node's own arc
 resolves the key's owner; only after the de Bruijn hops does the route
 resolve the cycle index of the responsible node, and it walks toward
 that index the shorter way round the cycle, so a route that ends next to
-the wrap crosses it instead of circling the ring.
+the wrap crosses it instead of circling the ring.  A route that takes
+more than ``max_route_hops`` hops has failed; ``route`` and the routed
+messages of ``node.OverlayNode`` both stop there.
 """
 from __future__ import annotations
 
@@ -71,6 +73,8 @@ class CycleTopology:
         self._sorted_labels = [self.labels[v] for v in self.order]
         self._index = {vid: i for i, vid in enumerate(self.order)}
         self._debruijn_hops = math.ceil(math.log2(n)) + 2
+        # the de Bruijn hops plus a walk that could visit every virtual node
+        self.max_route_hops = self._debruijn_hops + 3 * n
         self.root = self.order[0]
         self.parent: dict[VirtualId, VirtualId | None] = {}
         self.children: dict[VirtualId, list[VirtualId]] = {v: [] for v in self.order}
@@ -121,15 +125,12 @@ class CycleTopology:
     def pred(self, vid: VirtualId) -> VirtualId:
         return self.order[(self._index[vid] - 1) % len(self.order)]
 
-    def succ(self, vid: VirtualId) -> VirtualId:
-        return self.order[(self._index[vid] + 1) % len(self.order)]
-
     def label(self, vid: VirtualId) -> float:
         return self.labels[vid]
 
     # -- DHT responsibility ----------------------------------------------------
     def responsible(self, key: float) -> VirtualId:
-        """The unique virtual node v with v <= key < succ(v), cyclically."""
+        """The unique virtual node v with v <= key < its successor, cyclically."""
         return self.order[self._cycle_index(key)]
 
     def _cycle_index(self, key: float) -> int:
@@ -174,18 +175,23 @@ class CycleTopology:
         return self.order[(at - 1) % size]
 
     def route(self, start: VirtualId, key: float) -> list[VirtualId]:
-        """Full path from ``start`` to the responsible node (inclusive)."""
+        """Full path from ``start`` to the responsible node (inclusive).
+
+        The reference oracle for ``route_step``: it runs in one loop the
+        steps that a routed message takes hop by hop
+        (``node.OverlayNode.route_send``), so the tests can check whole
+        paths.  A run does not call it.
+        """
         path = [start]
         current = start
         start_label = self.labels[start]
-        limit = self.debruijn_hops() + 3 * self.n
         hop = 0
         while (nxt := self.route_step(current, key, start_label, hop)) is not None:
             hop += 1
             if nxt != current:
                 path.append(nxt)
             current = nxt
-            if hop > limit:
+            if hop > self.max_route_hops:
                 raise RuntimeError("routing failed to terminate")
         return path
 

@@ -19,9 +19,11 @@ Each epoch runs four phases, pipelined per node:
    mark, plus its global serialization index;
 4. inserts put their element under the hash of (priority, position),
    matched deletes get the same key (rendezvous in the DHT), bottom
-   deletes return empty immediately.  A node enters the next epoch, and
-   its phase 1, as soon as its DHT requests are issued; entering past the
-   last epoch finishes it.
+   deletes return empty immediately.  The puts are fire-and-forget: they
+   carry no token, so no ack comes back, and the get that meets a put
+   completes both.  A node enters the next epoch, and its phase 1, as soon
+   as its DHT requests are issued; entering past the last epoch finishes
+   it.
 
 Positions per priority grow monotonically, so a put/get pair for the
 same (priority, position) can never collide with any other pair, even

@@ -26,7 +26,8 @@ runs inside it.  It waits for three counts in turn:
   position-salted DHT key, or returns bottom past k*.
 * ``sq``, the stored elements up to the bound: it must equal k*.  Then
   [1, k*] splits down the tree, and the storing nodes move those elements
-  (ascending) to the position keys.
+  (ascending) to the position keys.  These position puts carry no token,
+  so no ack comes back: the get at each position completes the move.
 
 Epochs reach the anchor in order: the ``si`` of epoch e+1 combines every
 node's count, and a node enters e+1 only at its ``sd`` share or when its
@@ -42,10 +43,10 @@ selected bound, taken at the ``fq`` flood, until its ``sq`` share moves
 them; after a run only the records, stamped with their epoch by the
 snapshot, remain.  A later epoch's puts can reach a node before its
 ``sq`` share does, so what qualifies is fixed when it is counted.  Since
-a node enters epoch e+1 only after e's puts are acknowledged and its
-gets have returned, its open puts and outstanding gets always belong to
-one epoch: one put count and one table of gets, which must be empty when
-the next epoch stores its inserts or assigns its deletes.  The
+a node enters epoch e+1 only after e's element puts are acknowledged and
+its gets have returned, its open element puts and outstanding gets always
+belong to one epoch: one put count and one table of gets, which must be
+empty when the next epoch stores its inserts or assigns its deletes.  The
 constructed serialization (``finalize_records``) per epoch is: all
 inserts (in ascending element order), then all deletes ordered by the key
 of the element they return, bottoms last (positions follow the tree, not
@@ -79,7 +80,9 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         super().__init__(sim, node_id, topo, script)
         self.ins_snapshot: dict[int, list[OperationRecord]] = {}
         self.del_snapshot: dict[int, list[OperationRecord]] = {}
-        self.pending_put_acks = 0  # one epoch's puts and gets at a time
+        # one epoch's element puts and gets at a time; an element put is the
+        # only acknowledged one, since position puts carry no token
+        self.pending_put_acks = 0
         self.outstanding_gets: dict[Any, OperationRecord] = {}
         self.qualifying: dict[int, list[Element]] = {}
         if self.is_anchor:
@@ -179,11 +182,11 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             self.dht_put(_ELEM, (e.origin, e.seq), key, e, (epoch,))
 
     def on_put_ack(self, ns: str, token: Any) -> None:
-        if ns == _ELEM:
-            self.pending_put_acks -= 1
-            if not self.pending_put_acks:
-                self._enter_delete(token[0])
-        # position puts need no bookkeeping: their get rendezvous completes them
+        if ns != _ELEM:
+            raise SimulationFault(f"unexpected put ack in namespace {ns}")
+        self.pending_put_acks -= 1
+        if not self.pending_put_acks:
+            self._enter_delete(token[0])
 
     # -- delete phase -------------------------------------------------------------------------
     def _pos_key(self, epoch: int, pos: int) -> float:

@@ -18,9 +18,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 EXPECTED = {
-    "skeap-sync-n512": "6f560b53f7e3747a",
+    "skeap-sync-n512": "709cdad70b1ee02d",
     "kselect-sync-n128": "bf62d4e203010c00",
-    "seap-async-n128": "040c1ba08cd91c44",
+    "seap-async-n128": "960e660d5b26e886",
 }
 
 

@@ -2,11 +2,15 @@
 
 ``mutants/run.py`` runs the gate itself, outside tier-1; here each
 mutant's old text must occur exactly once in its file and each killer must
-be a test outside the identity files that exists (``catalog.check``).
+be a test outside the identity files that exists (``catalog.check``), and
+a pytest run that outlives its time limit is stopped and counts as a kill.
 """
 from __future__ import annotations
 
+import importlib.util
+import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,31 @@ def test_a_killer_in_an_identity_file_is_an_error(monkeypatch):
     monkeypatch.setattr(catalog, "CATALOG", (pinned,))
     with pytest.raises(ValueError, match="is in an identity file"):
         catalog.check(ROOT)
+
+
+def _runner():
+    """``mutants/run.py``, loaded under its own name (``perfbench`` has a
+    ``run`` module too)."""
+    spec = importlib.util.spec_from_file_location("mutants_run", ROOT / "mutants" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_pytest_run_past_its_time_limit_is_stopped(tmp_path):
+    (tmp_path / "test_sleep.py").write_text("import time\n\n\ndef test_sleep():\n    time.sleep(60)\n")
+    start = time.perf_counter()
+    assert _runner()._pytest(tmp_path, ["test_sleep.py"], timeout=2) == (None, [])
+    assert time.perf_counter() - start < 30
+
+
+def test_a_mutant_that_times_out_counts_as_killed(monkeypatch, capsys):
+    run = _runner()
+    first = catalog.CATALOG[0]
+    monkeypatch.setattr(catalog, "CATALOG", (first,))
+    # the unmutated killers pass; the mutant's run is stopped at its limit
+    outcomes = iter([(0, []), (None, [])])
+    monkeypatch.setattr(run, "_pytest", lambda tree, tests: next(outcomes))
+    assert run.main() == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["name"], row["killed"], row["reason"]) == (first.name, True, "timeout")

@@ -1,8 +1,11 @@
+from collections import Counter as Tally
+
 import pytest
 
-from distheap.node import OverlayNode, WaveUpMsg, split_interval
+from distheap import run_skeap, run_skeap_plus
+from distheap.node import OverlayNode, PutAckMsg, PutOp, WaveUpMsg, split_interval
 from distheap.overlay import LEFT, MIDDLE, RIGHT, CycleTopology, VirtualId
-from distheap.sim import SimConfig, SimulationFault, Simulator
+from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
 
 
 def test_split_interval_own_piece_first_then_children_in_order():
@@ -179,3 +182,96 @@ def test_a_contribution_at_a_left_or_right_vnode_is_a_fault(kind):
     with pytest.raises(SimulationFault, match="holds no part"):
         node.wave_contribute("c", (0,), VirtualId(node.id, kind), 1)
     assert not node._waves
+
+
+# -- DHT puts: acknowledged only when they carry a token -------------------------------
+def _acks_sent(monkeypatch):
+    """Record every ``PutAckMsg`` sent as (src, dst, ns, token)."""
+    acks = []
+    send = Simulator.send
+
+    def recording_send(self, src, dst, payload):
+        if type(payload) is PutAckMsg:
+            acks.append((src, dst, payload.ns, payload.token))
+        send(self, src, dst, payload)
+
+    monkeypatch.setattr(Simulator, "send", recording_send)
+    return acks
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_skeap_sends_no_put_ack(mode, monkeypatch):
+    # Skeap's puts carry no token: the get that meets a put completes both
+    acks = _acks_sent(monkeypatch)
+    res = run_skeap(16, seed=1, lam=2, mode=mode)
+    assert res.ok
+    assert res.metrics["messages_sent"] > 0
+    assert acks == []
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_seap_acknowledges_exactly_its_remote_element_puts(mode, monkeypatch):
+    acks = _acks_sent(monkeypatch)
+    # every put that arrives at a node other than its issuer, as the ack
+    # that node would send: (src, dst, ns, token)
+    remote_puts = []
+    arrived = OverlayNode._route_arrived
+
+    def recording_arrived(self, vid, key, inner):
+        if type(inner) is PutOp and inner.reply_to != self.id:
+            remote_puts.append((self.id, inner.reply_to, inner.ns, inner.token))
+        arrived(self, vid, key, inner)
+
+    monkeypatch.setattr(OverlayNode, "_route_arrived", recording_arrived)
+    res = run_skeap_plus(16, seed=1, lam=2, mode=mode)
+    assert res.ok
+    by_ns = Tally(ns for _, _, ns, _ in remote_puts)
+    assert by_ns["elem"] > 0 and by_ns["pos"] > 0  # both kinds of put were remote
+    assert {ns for _, _, ns, _ in acks} == {"elem"}
+    assert Tally(acks) == Tally(put for put in remote_puts if put[2] == "elem")
+
+
+def _key_owned_by_another_node(topo, issuer):
+    return next(topo.label(v) for v in topo.order if v.owner != issuer)
+
+
+def test_a_put_without_a_token_is_stored_and_not_acknowledged(monkeypatch):
+    acks = _acks_sent(monkeypatch)
+    sim, topo, nodes = _system(4, OverlayNode)
+    key = _key_owned_by_another_node(topo, 0)
+    element = Element(5, 0, 0)
+    nodes[0].dht_put("ns", (0,), key, element, None)
+    sim.run_sync()
+    owner = topo.responsible(key).owner
+    assert nodes[owner].storage == {("ns", (0,)): element}
+    assert acks == []
+
+
+def test_a_put_ack_to_a_node_that_reads_none_is_a_fault():
+    sim, topo, nodes = _system(4, OverlayNode)
+    key = _key_owned_by_another_node(topo, 0)
+    nodes[0].dht_put("ns", (0,), key, Element(5, 0, 0), ("token",))
+    with pytest.raises(SimulationFault, match="unread put ack in namespace ns"):
+        sim.run_sync()
+
+
+# -- routes --------------------------------------------------------------------------------
+def test_a_route_that_never_arrives_is_a_fault(monkeypatch):
+    # a route_step that bounces between the first two virtual nodes of the
+    # cycle: the route fails after max_route_hops hops instead of running on
+    sim, topo, nodes = _system(4, OverlayNode)
+    first, second = topo.order[:2]
+    hops = []
+
+    def bouncing(self, current, key, start_label, hop):
+        hops.append(hop)
+        return second if current == first else first
+
+    monkeypatch.setattr(CycleTopology, "route_step", bouncing)
+    nodes[first.owner].route_send(0.5, PutOp("ns", (0,), Element(5, 0, 0), first.owner, None))
+    with pytest.raises(SimulationFault, match="failed to arrive"):
+        sim.run_sync()
+    assert hops == list(range(topo.max_route_hops + 1))
+    assert sim.time <= topo.max_route_hops
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        topo.route(first, 0.5)

@@ -28,30 +28,30 @@ SEEDS = (0, 1)
 
 # (protocol, mode, n, seed) -> (trace, records, metrics)
 EXPECTED = {
-    ('skeap', 'synchronous', 2, 0): ('b3ce1d5d593d40b4', '388368d3c75fc922', '519ebf2918a7c79c'),
-    ('skeap', 'synchronous', 2, 1): ('ef2f19bc4b85e4f9', 'b28d0136ddafb062', 'dee93ba62e3e820b'),
-    ('skeap', 'synchronous', 8, 0): ('9ea8a43e558cd287', 'c9e5fc435d38d1f1', '7f4d72610b8bf139'),
-    ('skeap', 'synchronous', 8, 1): ('59c5005b44775603', '44be1a8a7c2cedf7', 'f725eb4ee7e0a6c0'),
-    ('skeap', 'synchronous', 32, 0): ('b918adf8d2f063a3', '24621a035be4f904', '4c9c5340a275ecd7'),
-    ('skeap', 'synchronous', 32, 1): ('fa635e7963fff474', 'f47010e4b7efe9d0', '633bcdd33127b2bc'),
-    ('skeap', 'asynchronous', 2, 0): ('dd534a48dd23810f', '388368d3c75fc922', '68d449a672ebc1d0'),
-    ('skeap', 'asynchronous', 2, 1): ('ed9f351f44371c1d', 'b28d0136ddafb062', '86abb4141b08805e'),
-    ('skeap', 'asynchronous', 8, 0): ('431154566d519c65', 'c9e5fc435d38d1f1', '3662d68904e98696'),
-    ('skeap', 'asynchronous', 8, 1): ('1889a268cc3cad82', '44be1a8a7c2cedf7', '248430d332d18dc9'),
-    ('skeap', 'asynchronous', 32, 0): ('58a94ce9e21f6236', '24621a035be4f904', '3d0ea917ed582838'),
-    ('skeap', 'asynchronous', 32, 1): ('2111ab4a3c2e3867', 'f47010e4b7efe9d0', '6d2eeb0710b3240f'),
+    ('skeap', 'synchronous', 2, 0): ('33351e706a74e82b', '388368d3c75fc922', '3718749efcae973c'),
+    ('skeap', 'synchronous', 2, 1): ('eebf7a1d890e2725', 'b28d0136ddafb062', 'b1af874b2e477632'),
+    ('skeap', 'synchronous', 8, 0): ('4b6d1f3676950825', 'c9e5fc435d38d1f1', '8c33cd7d513c01b1'),
+    ('skeap', 'synchronous', 8, 1): ('6a8d47b58da4d315', '44be1a8a7c2cedf7', '42b1e78e36c61545'),
+    ('skeap', 'synchronous', 32, 0): ('f6a6eab0366c71e9', '24621a035be4f904', '51844e19a4ea9b85'),
+    ('skeap', 'synchronous', 32, 1): ('b1d187634892b863', 'f47010e4b7efe9d0', '9738e90d5a8e055d'),
+    ('skeap', 'asynchronous', 2, 0): ('08b5805b1df3e92a', '388368d3c75fc922', 'f6dad62a5acd9dfd'),
+    ('skeap', 'asynchronous', 2, 1): ('0e7488a931555d8e', 'b28d0136ddafb062', 'e7789b2b5d914f62'),
+    ('skeap', 'asynchronous', 8, 0): ('a118af31f91859f8', 'c9e5fc435d38d1f1', '831a4e42176f498e'),
+    ('skeap', 'asynchronous', 8, 1): ('34f361510f485890', '44be1a8a7c2cedf7', '81a378efa8c72ea3'),
+    ('skeap', 'asynchronous', 32, 0): ('49df83351efae0d6', '24621a035be4f904', '448029ef540c4bea'),
+    ('skeap', 'asynchronous', 32, 1): ('23fd3cc5c6bfe4aa', 'f47010e4b7efe9d0', '4f335987ba705ba6'),
     ('seap', 'synchronous', 2, 0): ('438de9d498bdce59', '20b74a1a27c9e5bd', 'a581df0e1c480822'),
-    ('seap', 'synchronous', 2, 1): ('4bb8078fbb84049e', 'e1b12c6bea5a474d', '87d29f0dd1d1bf5b'),
-    ('seap', 'synchronous', 8, 0): ('32dcd60195c424a8', 'd06939338a165fc2', '490a673aca2abe16'),
-    ('seap', 'synchronous', 8, 1): ('62521da8323a0d4f', 'ca4b983baa9d08a2', '86d917833d19ef09'),
-    ('seap', 'synchronous', 32, 0): ('456f7c333c6e2254', '9a42dec75bd1d68e', 'edbd9ca76844eec5'),
-    ('seap', 'synchronous', 32, 1): ('9639064ce4361acd', 'ace6191fa1c7f811', '629dbac20a442377'),
+    ('seap', 'synchronous', 2, 1): ('27a8efd52c097b04', 'e1b12c6bea5a474d', '363f82f437813583'),
+    ('seap', 'synchronous', 8, 0): ('88523f2caed04fdf', 'd06939338a165fc2', '4739db6c0f40ad75'),
+    ('seap', 'synchronous', 8, 1): ('fa93d4b0bfe5a178', 'ca4b983baa9d08a2', '331743f5a3e5fd13'),
+    ('seap', 'synchronous', 32, 0): ('606b5b4c15ebdbf2', '9a42dec75bd1d68e', '5d8ec001dd758fa8'),
+    ('seap', 'synchronous', 32, 1): ('7c31aa860fec0fee', 'ace6191fa1c7f811', '7fd6f525bce2705e'),
     ('seap', 'asynchronous', 2, 0): ('5906502f5ddfdfd8', '3cc614f9072381d6', 'ac9b3ee33a7ff752'),
-    ('seap', 'asynchronous', 2, 1): ('a9e8ed438e99551f', 'ddf0f70ad3f82eef', '61625d92eb818fac'),
-    ('seap', 'asynchronous', 8, 0): ('dd6696c4d2ff9e06', 'd06939338a165fc2', '2a395a315c19d98b'),
-    ('seap', 'asynchronous', 8, 1): ('e51905f6bd3b739c', 'ca4b983baa9d08a2', '2da94382e3ae2cee'),
-    ('seap', 'asynchronous', 32, 0): ('cc0f747a71fc7db8', '9a42dec75bd1d68e', '15015b33e5d993b8'),
-    ('seap', 'asynchronous', 32, 1): ('5513c8441137c2e6', 'ace6191fa1c7f811', 'd0128d985262b429'),
+    ('seap', 'asynchronous', 2, 1): ('bf7e9f0c780f7000', 'ddf0f70ad3f82eef', '73e707a3ec52cc7a'),
+    ('seap', 'asynchronous', 8, 0): ('98bfd7091f8baf16', 'd06939338a165fc2', '6985c924661bac2e'),
+    ('seap', 'asynchronous', 8, 1): ('0eb7f9d99313a26e', 'ca4b983baa9d08a2', 'f3c748779a00cf8d'),
+    ('seap', 'asynchronous', 32, 0): ('644bbf5182c9f936', '9a42dec75bd1d68e', '999252aec9fefa98'),
+    ('seap', 'asynchronous', 32, 1): ('47aa20e1ae930055', 'ace6191fa1c7f811', '01d231a407a16699'),
     ('kselect', 'synchronous', 2, 0): ('2ec2b6632ff7e8a8', '02110ae6881c39ad', '9d942ce15c7f33ca'),
     ('kselect', 'synchronous', 2, 1): ('996e02f51e675c46', '7738fad936616975', '827e23e1ef854ac6'),
     ('kselect', 'synchronous', 8, 0): ('8360e2cb90efbbec', '532c3d6ee5d49b7b', '1c27855b815209ff'),
