@@ -53,18 +53,16 @@ def _copy(dest: Path) -> None:
     (dest / "conftest.py").write_text(NO_SHRINK)
 
 
-def _pytest(
-    tree: Path, tests: list[str], timeout: float = TIMEOUT_S
-) -> tuple[int | None, list[str]]:
+def _pytest(tree: Path, tests: list[str]) -> tuple[int | None, list[str]]:
     """Run ``tests`` in ``tree``; return pytest's exit code, or None if the
-    run was stopped after ``timeout`` seconds, and the ids of the tests
+    run was stopped after ``TIMEOUT_S`` seconds, and the ids of the tests
     that failed or errored."""
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider", *tests],
-            cwd=tree, env=env, capture_output=True, text=True, timeout=timeout,
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         return None, []

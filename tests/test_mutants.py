@@ -49,10 +49,12 @@ def _runner():
     return module
 
 
-def test_a_pytest_run_past_its_time_limit_is_stopped(tmp_path):
+def test_a_pytest_run_past_its_time_limit_is_stopped(tmp_path, monkeypatch):
     (tmp_path / "test_sleep.py").write_text("import time\n\n\ndef test_sleep():\n    time.sleep(60)\n")
+    run = _runner()
+    monkeypatch.setattr(run, "TIMEOUT_S", 2)
     start = time.perf_counter()
-    assert _runner()._pytest(tmp_path, ["test_sleep.py"], timeout=2) == (None, [])
+    assert run._pytest(tmp_path, ["test_sleep.py"]) == (None, [])
     assert time.perf_counter() - start < 30
 
 
