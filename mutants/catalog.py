@@ -169,6 +169,35 @@ CATALOG = (
         ),
         source="CHANGES.md, acks for puts that no protocol reads",
     ),
+    Mutant(
+        name="src-grows-an-uncalled-helper",
+        file="src/distheap/hashing.py",
+        old="def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:\n",
+        new='''\
+def hash_bit(tag: int, inputs: tuple[int, ...], seed: int) -> int:
+    """A fair coin for the given inputs; only a test would call it."""
+    return mix64(seed, tag, *inputs) & 1
+
+
+def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
+''',
+        killers=("tests/test_census.py::test_every_src_def_is_called_or_allowed",),
+        source="ROADMAP item 21: src/ holds only what a run, the CLI or the benchmark calls",
+    ),
+    Mutant(
+        name="flood-hook-drops-silently",
+        file="src/distheap/node.py",
+        old='''\
+    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
+        raise SimulationFault(f"unhandled flood {kind!r}")
+''',
+        new='''\
+    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
+        pass
+''',
+        killers=("tests/test_node.py::test_a_flood_that_no_protocol_handles_is_a_fault",),
+        source="ROADMAP item 21: the silent default hooks",
+    ),
 )
 
 

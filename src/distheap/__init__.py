@@ -4,12 +4,10 @@ from .consistency import (
     BOTTOM,
     OperationRecord,
     Verdict,
-    brute_force_order,
     check_heap_consistency,
     check_local_consistency,
     check_serializable,
     make_verdict,
-    sequential_oracle,
 )
 from .experiments import (
     HeapRunResult,
@@ -18,7 +16,7 @@ from .experiments import (
     run_skeap,
     run_skeap_plus,
 )
-from .hashing import Tag, hash_unit, hash_unit_pair, mix64
+from .hashing import Tag, hash_unit, mix64
 from .overlay import LEFT, MIDDLE, RIGHT, CycleTopology, VirtualId
 from .sim import ASYNC, SYNC, Element, RoundMetrics, SimConfig, SimulationFault, Simulator
 
@@ -41,16 +39,13 @@ __all__ = [
     "Tag",
     "Verdict",
     "VirtualId",
-    "brute_force_order",
     "check_heap_consistency",
     "check_local_consistency",
     "check_serializable",
     "hash_unit",
-    "hash_unit_pair",
     "make_verdict",
     "mix64",
     "run_kselect",
     "run_skeap",
     "run_skeap_plus",
-    "sequential_oracle",
 ]

@@ -23,20 +23,12 @@ induced by returned elements:
   ``epoch`` stamps: each delete phase must return exactly the k* = min(k, m)
   smallest stored elements and k - k* bottoms, and the anchor's reported
   (k, k*) rows must agree with the replay.
-
-``sequential_oracle`` is the reference executor (a deterministic heap
-ordered by priority then tiebreaker) used to generate known-good
-histories and expected outcomes.  ``brute_force_order`` exhaustively
-searches small histories for a satisfying order, validating the
-checkers themselves.
 """
 from __future__ import annotations
 
-import heapq
-import json
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from .batches import DELETE, INSERT
 from .sim import Element
@@ -53,7 +45,7 @@ class OperationRecord:
     assigned: Any = None  # (p, pos), pos, or BOTTOM
     serial_index: int = -1
     returned: Element | str | None = None  # element, BOTTOM, or None for inserts
-    epoch: int = -1  # the epoch whose snapshot took the request; beside to_json in JSONL
+    epoch: int = -1  # the epoch whose snapshot took the request
 
     def to_json(self) -> dict:
         def elem(e: Element | None) -> Any:
@@ -79,40 +71,6 @@ class OperationRecord:
         }
 
 
-def record_from_json(row: dict) -> OperationRecord:
-    element = None
-    if row["kind"] == INSERT:
-        element = Element(row["priority"], row["node"], row["seq"])
-    returned = row["returned"]
-    if isinstance(returned, dict):
-        returned = Element(returned["priority"], returned["origin"], returned["origin_seq"])
-    assigned = row["assigned"]
-    if isinstance(assigned, list):
-        assigned = tuple(assigned)
-    return OperationRecord(
-        node=row["node"],
-        seq=row["seq"],
-        kind=row["kind"],
-        element=element,
-        assigned=assigned,
-        serial_index=row["serial_index"],
-        returned=returned,
-        epoch=row.get("epoch", -1),
-    )
-
-
-def write_records(path, records: Iterable[OperationRecord]) -> None:
-    """One JSON object per line: ``to_json`` plus the record's ``epoch``."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({**rec.to_json(), "epoch": rec.epoch}, sort_keys=True) + "\n")
-
-
-def read_records(path) -> list[OperationRecord]:
-    with open(path) as fh:
-        return [record_from_json(json.loads(line)) for line in fh if line.strip()]
-
-
 @dataclass(slots=True)
 class Verdict:
     serializable: bool
@@ -131,36 +89,6 @@ class Verdict:
             "heap_consistent": self.heap_consistent,
             "violation": self.violation,
         }
-
-
-# -- reference executor ------------------------------------------------------
-
-
-def sequential_oracle(
-    ops: Sequence[tuple[str, Element | None]]
-) -> tuple[list[Element | str | None], set[tuple[tuple[int, int], int]]]:
-    """Replay ops against a serial heap ordered by (priority, tiebreaker).
-
-    Returns per-op results (None for inserts, an element or BOTTOM for
-    deletes) and the induced matching as (insert element identity, delete
-    op index) pairs.
-    """
-    heap: list[tuple[tuple[int, int, int], Element]] = []
-    results: list[Element | str | None] = []
-    matching: set[tuple[tuple[int, int], int]] = set()
-    for i, (kind, element) in enumerate(ops):
-        if kind == INSERT:
-            assert element is not None
-            heapq.heappush(heap, (element.key, element))
-            results.append(None)
-        else:
-            if heap:
-                _, smallest = heapq.heappop(heap)
-                results.append(smallest)
-                matching.add((smallest.ident, i))
-            else:
-                results.append(BOTTOM)
-    return results, matching
 
 
 # -- matchings ---------------------------------------------------------------
@@ -343,61 +271,3 @@ def check_phase_optimality(
             return False, f"epoch {epoch}: returned set is not the k* smallest"
         store.difference_update(returned)
     return True, None
-
-
-# -- exhaustive witness search ---------------------------------------------------
-
-
-def brute_force_order(history: Sequence[OperationRecord]) -> list[OperationRecord] | None:
-    """Search all orders (pruned) for one under which every check passes.
-
-    Only feasible for histories of at most ~10 records; used to validate
-    the checkers and to certify serializability without a protocol order.
-    """
-    if len(history) > 10:
-        raise ValueError("brute force is limited to 10 records")
-    try:
-        build_matching(history)
-    except ValueError:
-        return None
-    records = list(history)
-
-    def replay_ok(prefix: list[OperationRecord]) -> bool:
-        available: dict[tuple[int, int], int] = {}
-        for rec in prefix:
-            if rec.kind == INSERT:
-                available[rec.element.ident] = rec.element.priority
-            elif rec.returned == BOTTOM:
-                if available:
-                    return False
-            else:
-                ident = rec.returned.ident
-                if ident not in available:
-                    return False
-                prio = available.pop(ident)
-                if available and min(available.values()) < prio:
-                    return False
-        return True
-
-    found: list[OperationRecord] | None = None
-
-    def search(prefix: list[OperationRecord], rest: list[OperationRecord]) -> bool:
-        nonlocal found
-        if not rest:
-            found = list(prefix)
-            return True
-        seen: set[tuple] = set()
-        for i, rec in enumerate(rest):
-            sig = (rec.kind, rec.element.key if rec.element else None, rec.returned)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            prefix.append(rec)
-            if replay_ok(prefix) and search(prefix, rest[:i] + rest[i + 1 :]):
-                return True
-            prefix.pop()
-        return False
-
-    if search([], records):
-        return [replace(rec, serial_index=i) for i, rec in enumerate(found)]
-    return None

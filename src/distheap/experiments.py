@@ -29,7 +29,7 @@ class KSelectResult:
     k: int
     seed: int
     answer: Element | None
-    oracle: Element
+    oracle: Element | None
     error: str | None
     rounds: int
     retries: int

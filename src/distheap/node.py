@@ -76,7 +76,10 @@ The rule does not change with how it is evaluated:
   container element are sized element by element every time.
 
 Incoming messages are dispatched by their exact type (``_HANDLERS``); a
-type the table does not name goes to ``on_protocol_message``.
+type the table does not name goes to ``on_protocol_message``.  Every base
+hook raises ``SimulationFault``: a flood, a wave share, a put ack, a get
+reply, a routed payload or a message that the protocol does not handle
+fails the run where it arrives instead of being dropped.
 """
 from __future__ import annotations
 
@@ -442,7 +445,7 @@ class OverlayNode(ProtocolNode):
         return split_interval(share, parts)
 
     def wave_deliver(self, kind: str, key: tuple, share: Any) -> None:
-        pass
+        raise SimulationFault(f"unhandled share of wave {kind!r}")
 
     # -- floods ------------------------------------------------------------------
     def flood(self, kind: str, key: tuple, payload: Any) -> None:
@@ -457,7 +460,7 @@ class OverlayNode(ProtocolNode):
             self.on_flood(msg.kind, msg.key, msg.payload)
 
     def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
-        pass
+        raise SimulationFault(f"unhandled flood {kind!r}")
 
     # -- routing and DHT -----------------------------------------------------------
     def route_send(self, key: float, inner: Any) -> None:
@@ -524,7 +527,7 @@ class OverlayNode(ProtocolNode):
         raise SimulationFault(f"unread put ack in namespace {ns}")
 
     def on_get_reply(self, ns: str, token: Any, element: Element) -> None:
-        pass
+        raise SimulationFault(f"unhandled get reply in namespace {ns}")
 
 
 # ``OverlayNode.on_message``: message type -> handler; any other type goes to

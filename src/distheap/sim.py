@@ -39,8 +39,7 @@ raises a stall ``SimulationFault`` at once.
 The simulator keeps two message counters, ``sent`` and ``delivered``.
 An envelope's ``seq``, its place in send order, is the value of ``sent``
 before its send is counted, and the messages in flight number
-``sent - delivered``; ``pending_messages()`` and the quiescence check
-read that difference.
+``sent - delivered``; the quiescence check reads that difference.
 
 Message sizes are modeled, not serialized, by one rule: a message costs
 the sum of its fields plus a fixed 8-bit action tag.  Natural fields cost
@@ -257,9 +256,6 @@ class Simulator:
     def _deadline(self) -> int:
         """A random time 1 to ``async_delay_max`` ticks from now."""
         return self.time + 1 + self._sched_rng.randrange(self.cfg.async_delay_max)
-
-    def pending_messages(self) -> int:
-        return self.sent - self.delivered
 
     def _deliver(self, env: Envelope) -> None:
         """Hand ``env`` (no longer in the outbox or the event heap) to the recipient."""

@@ -230,6 +230,13 @@ def test_extremes_and_middle(n, m, k_kind):
     assert res.correct, (n, m, k, res.error, res.answer, res.oracle)
 
 
+# the known median stall (ROADMAP item 5); the change that mends it removes the marker
+@pytest.mark.xfail(strict=True, reason="phase 2 stalled at N=114")
+def test_a_median_of_n_squared_elements_at_n64():
+    res = run_kselect(64, 4096, 2048, seed=1)
+    assert res.correct, res.error
+
+
 # (n, m, k, seed, kselect globals patched, error, retries): every early end
 EARLY_ENDS = {
     "k=0": (4, 10, 0, 5, {}, "k=0 outside [1, 10]", 0),

@@ -6,6 +6,7 @@ from distheap import run_skeap, run_skeap_plus
 from distheap.node import OverlayNode, PutAckMsg, PutOp, WaveUpMsg, split_interval
 from distheap.overlay import LEFT, MIDDLE, RIGHT, CycleTopology, VirtualId
 from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
+from distheap.skeap_plus import SkeapPlusNode
 
 
 def test_split_interval_own_piece_first_then_children_in_order():
@@ -275,3 +276,40 @@ def test_a_route_that_never_arrives_is_a_fault(monkeypatch):
     assert sim.time <= topo.max_route_hops
     with pytest.raises(RuntimeError, match="failed to terminate"):
         topo.route(first, 0.5)
+
+
+# -- base hooks: what a protocol does not handle is a fault ------------------------------
+def test_a_flood_that_no_protocol_handles_is_a_fault(monkeypatch):
+    # Seap floods "fq " for "fq": the run fails where the flood arrives,
+    # not later in a stall at quiescence
+    flood = SkeapPlusNode.flood
+
+    def misspelt(self, kind, key, payload):
+        flood(self, "fq " if kind == "fq" else kind, key, payload)
+
+    monkeypatch.setattr(SkeapPlusNode, "flood", misspelt)
+    with pytest.raises(SimulationFault, match="unhandled flood 'fq '"):
+        run_skeap_plus(8, seed=1)
+
+
+class Undelivered(Counter):
+    """Combines and splits the count wave, but takes no share."""
+
+    wave_deliver = OverlayNode.wave_deliver
+
+
+def test_a_wave_share_that_no_protocol_takes_is_a_fault():
+    sim, _, nodes = _system(4, Undelivered)
+    for node in nodes:
+        node.contribute_all("c", (0,), 1)
+    with pytest.raises(SimulationFault, match="unhandled share of wave 'c'"):
+        sim.run_sync()
+
+
+def test_a_get_reply_that_no_protocol_reads_is_a_fault():
+    sim, topo, nodes = _system(4, OverlayNode)
+    key = _key_owned_by_another_node(topo, 0)
+    nodes[0].dht_put("ns", (0,), key, Element(5, 0, 0), None)
+    nodes[0].dht_get("ns", (0,), key, ("token",))
+    with pytest.raises(SimulationFault, match="unhandled get reply in namespace ns"):
+        sim.run_sync()

@@ -11,9 +11,9 @@ import pytest
 
 from distheap import experiments, run_skeap, run_skeap_plus
 from distheap.batches import DELETE, INSERT
-from distheap.consistency import brute_force_order
 from distheap.sim import ASYNC, SYNC, SimConfig, SimulationFault
 from distheap.workload import HeapNode, RequestSource
+from oracles import brute_force_order
 
 RUNS = pytest.mark.parametrize("run", [run_skeap, run_skeap_plus], ids=["skeap", "seap"])
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distheap import brute_force_order, run_skeap, run_skeap_plus
+from distheap import run_skeap, run_skeap_plus
 from distheap.batches import DELETE, INSERT
 from distheap.sim import ASYNC, SYNC
+from oracles import brute_force_order
 
 N = 4
 

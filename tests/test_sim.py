@@ -426,10 +426,10 @@ def test_built_sizer_matches_field_by_field_rule(cls):
 def test_send_appends_to_channel():
     sim, nodes = make_sim()
     sim.send(0, 1, Ping())
-    assert sim.pending_messages() == 1
+    assert sim.sent - sim.delivered == 1
     assert nodes[1].got == []
     sim.step_round()
-    assert sim.pending_messages() == 0
+    assert sim.sent - sim.delivered == 0
     assert nodes[1].got == [(0, Ping())]
 
 
@@ -509,7 +509,7 @@ def test_conservation_after_drain():
     sim, nodes = make_sim()
     for i in range(10):
         sim.send(i % 4, (i + 1) % 4, Ping())
-    while sim.pending_messages():
+    while sim.sent - sim.delivered:
         sim.step_round()
     assert sim.sent == sim.delivered == 10
 
@@ -572,7 +572,7 @@ def test_async_fairness_bound_and_drain():
     for i in range(50):
         sim.send(i % 4, (i * 3 + 1) % 4, Ping())
     sim.run_async(schedule_seed=3)
-    assert sim.pending_messages() == 0
+    assert sim.sent - sim.delivered == 0
     assert sim.sent == sim.delivered == 50
     assert max(delays) <= cfg.async_delay_max
 
@@ -613,7 +613,7 @@ def test_sync_drains_only_busy_channels_in_id_order():
     delivered = [e["dst"] for e in events if e["kind"] == "deliver"]
     assert delivered == [1, 3, 4, 4]
     assert m.per_node_messages == {1: 1, 3: 1, 4: 2}
-    assert sim.pending_messages() == 0
+    assert sim.sent - sim.delivered == 0
     assert sim.step_round().delivered == 0
 
 
@@ -635,7 +635,7 @@ def test_sync_sends_during_a_round_arrive_in_the_next():
     first = sim.step_round()
     assert first.per_node_messages == {2: 1}
     assert nodes[0].got == nodes[3].got == []
-    assert sim.pending_messages() == 2
+    assert sim.sent - sim.delivered == 2
     second = sim.step_round()
     assert second.per_node_messages == {0: 1, 3: 1}
     assert nodes[0].got == nodes[3].got == [(2, Ping("pong"))]
@@ -660,7 +660,7 @@ def test_async_run_leaves_no_envelope_behind():
     for i in range(12):
         sim.send(i % 4, 2, Ping())
     sim.run_async(schedule_seed=4)
-    assert sim.pending_messages() == 0
+    assert sim.sent - sim.delivered == 0
     assert sim.sent == sim.delivered == 24
 
 
