@@ -93,8 +93,8 @@ CATALOG = (
     Mutant(
         name="seap-element-returned-twice",
         file="src/distheap/skeap_plus.py",
-        old="        req.returned = element\n",
-        new='        req.returned = self.__dict__.setdefault("_first_returned", element)\n',
+        old="        req.returned = msg.element\n",
+        new='        req.returned = self.__dict__.setdefault("_first_returned", msg.element)\n',
         killers=(
             "tests/test_skeap_plus.py::test_elements_left_in_the_heap_count_in_the_next_epoch",
         ),
@@ -157,11 +157,11 @@ CATALOG = (
         name="every-put-acknowledged",
         file="src/distheap/node.py",
         old='''\
-            if inner.token is not None:
-                self.post(inner.reply_to, PutAckMsg(inner.ns, inner.token))
+        if op.token is not None:
+            self.post(op.reply_to, PutAckMsg(op.ns, op.token))
 ''',
         new='''\
-            self.post(inner.reply_to, PutAckMsg(inner.ns, inner.token))
+        self.post(op.reply_to, PutAckMsg(op.ns, op.token))
 ''',
         killers=(
             "tests/test_node.py::test_skeap_sends_no_put_ack",
@@ -197,6 +197,22 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
 ''',
         killers=("tests/test_node.py::test_a_flood_that_no_protocol_handles_is_a_fault",),
         source="ROADMAP item 21: the silent default hooks",
+    ),
+    Mutant(
+        name="unhandled-message-dropped",
+        file="src/distheap/node.py",
+        old='''\
+        if handler is None:
+            raise SimulationFault(f"unhandled message {type(payload).__name__}")
+''',
+        new='''\
+        if handler is None:
+            return
+''',
+        killers=(
+            "tests/test_node.py::test_a_message_that_no_node_handles_is_a_fault_where_it_arrives",
+        ),
+        source="a node handles type T in on_T: a type with no handler is a fault",
     ),
 )
 

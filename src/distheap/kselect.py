@@ -454,37 +454,31 @@ class KSelectNode(OverlayNode):
                 route_key, CandOp(key, pos, n_prime, plo, phi, target, element)
             )
 
-    def on_routed(self, vid: VirtualId, key: float, inner: Any) -> None:
-        if isinstance(inner, CandOp):
-            self._open_slot(inner, inner.pos, 1, inner.n_prime, vid, -1, None)
-        elif isinstance(inner, CompareOp):
-            self._rendezvous(inner)
-        else:
-            super().on_routed(vid, key, inner)
+    def on_CandOp(self, op: CandOp, vid: VirtualId) -> None:
+        self._open_slot(op, op.pos, 1, op.n_prime, vid, -1, None)
 
-    def on_protocol_message(self, src: int, payload: Any) -> None:
-        if isinstance(payload, CopySplit):
-            self._open_slot(
-                payload, payload.i, payload.lo, payload.hi, payload.vid,
-                payload.parent_node, payload.parent_slot,
-            )
-        elif isinstance(payload, (VoteMsg, CopyAggMsg)):
-            slot = self.copy_slots.get(payload.slot)
-            if slot is None:
-                raise SimulationFault(
-                    f"{type(payload).__name__} for unknown copy slot {payload.slot}"
-                )
-            if isinstance(payload, CopyAggMsg):
-                slot.child_sums.append(payload.vector)
-            elif slot.own_vote is not None:
-                raise SimulationFault("duplicate vote for a copy")
-            else:
-                slot.own_vote = payload.vector
-            self._slot_try(payload.key, payload.slot)
-        elif isinstance(payload, ProbeReport):
-            self.resume(("probes", payload.key), payload)
-        else:
-            super().on_protocol_message(src, payload)
+    def on_CopySplit(self, msg: CopySplit) -> None:
+        self._open_slot(msg, msg.i, msg.lo, msg.hi, msg.vid, msg.parent_node, msg.parent_slot)
+
+    def on_VoteMsg(self, msg: VoteMsg) -> None:
+        slot = self._copy_slot(msg)
+        if slot.own_vote is not None:
+            raise SimulationFault("duplicate vote for a copy")
+        slot.own_vote = msg.vector
+        self._slot_try(msg.key, msg.slot)
+
+    def on_CopyAggMsg(self, msg: CopyAggMsg) -> None:
+        self._copy_slot(msg).child_sums.append(msg.vector)
+        self._slot_try(msg.key, msg.slot)
+
+    def on_ProbeReport(self, msg: ProbeReport) -> None:
+        self.resume(("probes", msg.key), msg)
+
+    def _copy_slot(self, msg: VoteMsg | CopyAggMsg) -> _CopySlot:
+        slot = self.copy_slots.get(msg.slot)
+        if slot is None:
+            raise SimulationFault(f"{type(msg).__name__} for unknown copy slot {msg.slot}")
+        return slot
 
     def _open_slot(self, op, i, lo, hi, vid, parent_node, parent_slot) -> None:
         """Open copy ``i``'s slot for positions ``[lo, hi]``, which ``op``
@@ -522,7 +516,7 @@ class KSelectNode(OverlayNode):
             )
             self.route_send(pair_key, CompareOp(key, i, kept, op.element, self.id, slot_key))
 
-    def _rendezvous(self, op: CompareOp) -> None:
+    def on_CompareOp(self, op: CompareOp, vid: VirtualId) -> None:
         pair = op.key + (min(op.i, op.j), max(op.i, op.j))
         other = self.rendezvous.pop(pair, None)
         if other is None:

@@ -19,7 +19,7 @@ the virtual-node overlay:
 * routed operations: a message hops along the de Bruijn emulation to the
   virtual node responsible for a key.  Put/Get pairs rendezvous there; a
   Get that arrives before its Put parks until the Put shows up.  A Put
-  that carries a token is acknowledged to its issuer (``on_put_ack``); a
+  that carries a token is acknowledged to its issuer (a ``PutAckMsg``); a
   Put with ``token=None`` is fire-and-forget, so no protocol pays for an
   ack it does not read.  A route that has not arrived after
   ``CycleTopology.max_route_hops`` hops is a fault, not a hang.
@@ -75,14 +75,20 @@ The rule does not change with how it is evaluated:
   ``float`` (equal to an ``int`` yet sized differently) or a mutable or
   container element are sized element by element every time.
 
-Incoming messages are dispatched by their exact type (``_HANDLERS``); a
-type the table does not name goes to ``on_protocol_message``.  Every base
-hook raises ``SimulationFault``: a flood, a wave share, a put ack, a get
-reply, a routed payload or a message that the protocol does not handle
-fails the run where it arrives instead of being dropped.
+One rule takes every message to its handler: a node handles a message of
+type ``T`` in its method ``on_T(msg)``, and a routed operation of type
+``T`` that arrives in ``on_T(op, vid)``, at the virtual node ``vid`` it
+reached (``ast.NodeVisitor.visit_<ClassName>`` works the same way).  A
+node with no such method raises ``SimulationFault`` where the message
+arrives, as do the base hooks of floods and waves: a message, a routed
+operation, a flood or a wave share that the protocol does not handle
+fails the run instead of being dropped.  The handler's name is built once
+per type and interned (``_HANDLER_NAMES``), so each delivery's lookup is
+one dict lookup and a hit in the interpreter's method cache.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from functools import cache
 from typing import Annotated, Any, Callable, Generator
@@ -279,6 +285,18 @@ class GetReplyMsg(Message):
     element: Element
 
 
+class _HandlerNames(dict):
+    """Message type -> ``on_<type name>``, the name of the method that
+    handles it; built and interned on a type's first lookup."""
+
+    def __missing__(self, cls: type) -> str:
+        name = self[cls] = sys.intern("on_" + cls.__name__)
+        return name
+
+
+_HANDLER_NAMES = _HandlerNames()
+
+
 def split_interval(share: tuple, counts: list[int]) -> list[tuple]:
     """Carve ``share = (lo, hi, *rest)`` into consecutive intervals.
 
@@ -361,14 +379,11 @@ class OverlayNode(ProtocolNode):
 
     # -- dispatch ------------------------------------------------------------
     def on_message(self, src: int, payload: Any) -> None:
-        handler = _HANDLERS.get(type(payload))
+        """Hand ``payload``, of type T, to ``on_T``."""
+        handler = getattr(self, _HANDLER_NAMES[type(payload)], None)
         if handler is None:
-            self.on_protocol_message(src, payload)
-        else:
-            handler(self, payload)
-
-    def on_protocol_message(self, src: int, payload: Any) -> None:
-        raise SimulationFault(f"unhandled message {type(payload).__name__}")
+            raise SimulationFault(f"unhandled message {type(payload).__name__}")
+        handler(payload)
 
     def post(self, dst: int, payload: Any) -> None:
         """Send ``payload`` to real node ``dst``; to this node itself it is a
@@ -412,7 +427,7 @@ class OverlayNode(ProtocolNode):
         """Contribute this node's part of wave ``kind``, at its middle vnode."""
         self.wave_contribute(kind, key, self.middle, value)
 
-    def _wave_receive(self, msg: WaveUpMsg) -> None:
+    def on_WaveUpMsg(self, msg: WaveUpMsg) -> None:
         kind, key, parent, child = msg.kind, msg.key, msg.parent, msg.child
         kids = self.topo.inner_children.get(parent, ())
         if child not in kids:
@@ -432,7 +447,7 @@ class OverlayNode(ProtocolNode):
         if first:
             self.wave_deliver(kind, key, shares[0])
 
-    def _wave_down(self, msg: WaveDownMsg) -> None:
+    def on_WaveDownMsg(self, msg: WaveDownMsg) -> None:
         self.wave_down(msg.kind, msg.key, msg.vid, msg.share)
 
     # protocol hooks
@@ -451,9 +466,9 @@ class OverlayNode(ProtocolNode):
     def flood(self, kind: str, key: tuple, payload: Any) -> None:
         if not self.is_anchor:
             raise SimulationFault("only the anchor floods")
-        self._flood_receive(FloodMsg(kind, key, self.topo.root, payload))
+        self.on_FloodMsg(FloodMsg(kind, key, self.topo.root, payload))
 
-    def _flood_receive(self, msg: FloodMsg) -> None:
+    def on_FloodMsg(self, msg: FloodMsg) -> None:
         for child in self.topo.inner_children[msg.vid]:
             self.post(child.owner, FloodMsg(msg.kind, msg.key, child, msg.payload))
         if msg.vid.kind == MIDDLE:  # L only relays
@@ -469,7 +484,7 @@ class OverlayNode(ProtocolNode):
             start, key, self.topo.label(start), 0, inner, inner.size_bits(self.sim)
         )
 
-    def _route_receive(self, msg: RouteMsg) -> None:
+    def on_RouteMsg(self, msg: RouteMsg) -> None:
         self._route_advance(
             msg.vid, msg.key, msg.start_label, msg.hop, msg.inner, msg.inner_bits
         )
@@ -479,67 +494,50 @@ class OverlayNode(ProtocolNode):
         inner_bits: int,
     ) -> None:
         nxt = self.topo.route_step(vid, key, start_label, hop)
-        if nxt is None:
-            self._route_arrived(vid, key, inner)
+        if nxt is None:  # arrived: ``inner``, of type T, goes to ``on_T``
+            handler = getattr(self, _HANDLER_NAMES[type(inner)], None)
+            if handler is None:
+                raise SimulationFault(f"unhandled message {type(inner).__name__}")
+            handler(inner, vid)
         elif hop < self.topo.max_route_hops:
             self.post(nxt.owner, RouteMsg(key, start_label, hop + 1, nxt, inner, inner_bits))
         else:
             raise SimulationFault(f"route to {key} from {start_label} failed to arrive")
 
-    def _route_arrived(self, vid: VirtualId, key: float, inner: Any) -> None:
-        if isinstance(inner, PutOp):
-            slot = (inner.ns, inner.key_id)
-            waiter = self.waiting_gets.pop(slot, None)
-            if waiter is not None:
-                requester, token = waiter
-                self.post(requester, GetReplyMsg(inner.ns, token, inner.element))
-            else:
-                if slot in self.storage:
-                    raise SimulationFault(f"duplicate put under {slot}")
-                self.storage[slot] = inner.element
-            if inner.token is not None:
-                self.post(inner.reply_to, PutAckMsg(inner.ns, inner.token))
-        elif isinstance(inner, GetOp):
-            slot = (inner.ns, inner.key_id)
-            if slot in self.storage:
-                element = self.storage.pop(slot)
-                self.post(inner.requester, GetReplyMsg(inner.ns, inner.token, element))
-            else:
-                if slot in self.waiting_gets:
-                    raise SimulationFault(f"two gets parked under {slot}")
-                self.waiting_gets[slot] = (inner.requester, inner.token)
+    def on_PutOp(self, op: PutOp, vid: VirtualId) -> None:
+        slot = (op.ns, op.key_id)
+        waiter = self.waiting_gets.pop(slot, None)
+        if waiter is not None:
+            requester, token = waiter
+            self.post(requester, GetReplyMsg(op.ns, token, op.element))
         else:
-            self.on_routed(vid, key, inner)
+            if slot in self.storage:
+                raise SimulationFault(f"duplicate put under {slot}")
+            self.storage[slot] = op.element
+        if op.token is not None:
+            self.post(op.reply_to, PutAckMsg(op.ns, op.token))
 
-    def on_routed(self, vid: VirtualId, key: float, inner: Any) -> None:
-        raise SimulationFault(f"unhandled routed payload {type(inner).__name__}")
+    def on_GetOp(self, op: GetOp, vid: VirtualId) -> None:
+        slot = (op.ns, op.key_id)
+        if slot in self.storage:
+            element = self.storage.pop(slot)
+            self.post(op.requester, GetReplyMsg(op.ns, op.token, element))
+        else:
+            if slot in self.waiting_gets:
+                raise SimulationFault(f"two gets parked under {slot}")
+            self.waiting_gets[slot] = (op.requester, op.token)
 
     def dht_put(self, ns: str, key_id: tuple, key: float, element: Element, token: Any) -> None:
         """Store ``element`` under ``(ns, key_id)`` at the node responsible
-        for ``key``.  The put is acknowledged with ``on_put_ack(ns, token)``
-        only if ``token`` is not None; with None it is fire-and-forget."""
+        for ``key``.  The put is acknowledged with a ``PutAckMsg`` to
+        ``on_PutAckMsg`` only if ``token`` is not None; with None it is
+        fire-and-forget."""
         self.route_send(key, PutOp(ns, key_id, element, self.id, token))
 
     def dht_get(self, ns: str, key_id: tuple, key: float, token: Any) -> None:
+        """Fetch the element under ``(ns, key_id)``; it comes back in a
+        ``GetReplyMsg`` to ``on_GetReplyMsg``."""
         self.route_send(key, GetOp(ns, key_id, self.id, token))
-
-    def on_put_ack(self, ns: str, token: Any) -> None:
-        raise SimulationFault(f"unread put ack in namespace {ns}")
-
-    def on_get_reply(self, ns: str, token: Any, element: Element) -> None:
-        raise SimulationFault(f"unhandled get reply in namespace {ns}")
-
-
-# ``OverlayNode.on_message``: message type -> handler; any other type goes to
-# ``on_protocol_message``.
-_HANDLERS: dict[type, Callable[[OverlayNode, Any], None]] = {
-    WaveUpMsg: OverlayNode._wave_receive,
-    WaveDownMsg: OverlayNode._wave_down,
-    FloodMsg: OverlayNode._flood_receive,
-    RouteMsg: OverlayNode._route_receive,
-    PutAckMsg: lambda node, msg: node.on_put_ack(msg.ns, msg.token),
-    GetReplyMsg: lambda node, msg: node.on_get_reply(msg.ns, msg.token, msg.element),
-}
 
 
 def build(cls: type, sim: Simulator, topo: CycleTopology, *args: Any) -> list:

@@ -11,7 +11,7 @@ Two execution modes share one node model, and in both each node's
   message) are recorded in this mode.
 * asynchronous schedule: a seeded scheduler draws every node a random
   start time and every message a random delivery deadline, each at most
-  ``async_delay_max`` clock ticks in the future.  The start times are
+  ``ASYNC_DELAY_MAX`` clock ticks in the future.  The start times are
   drawn first, and a tick runs its starts before its deliveries.
   Delivery is non-FIFO, never drops or duplicates, and is always within
   the deadline, which makes runs terminating and replayable.  The
@@ -68,6 +68,7 @@ from typing import Any, Callable
 from .hashing import Tag, mix64
 
 TAG_BITS = 8
+ASYNC_DELAY_MAX = 16  # the longest delay of an async delivery or start, in ticks
 
 SYNC = "synchronous"
 ASYNC = "asynchronous"
@@ -150,7 +151,6 @@ class SimConfig:
     priority_count: int = 2
     lam: int = 1
     mode: str = SYNC
-    async_delay_max: int = 16
     epochs: int = 2
     priority_universe: int = 0  # 0 -> priority_count; >0 for arbitrary priorities
 
@@ -161,8 +161,6 @@ class SimConfig:
             raise ValueError("injection rate must be non-negative")
         if self.priority_count < 1:
             raise ValueError("need at least one priority")
-        if self.async_delay_max < 1:
-            raise ValueError("async_delay_max must be at least 1")
         if self.mode not in (SYNC, ASYNC):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.priority_universe <= 0:
@@ -254,8 +252,8 @@ class Simulator:
             nodes[dst].on_message(dst, payload)
 
     def _deadline(self) -> int:
-        """A random time 1 to ``async_delay_max`` ticks from now."""
-        return self.time + 1 + self._sched_rng.randrange(self.cfg.async_delay_max)
+        """A random time 1 to ``ASYNC_DELAY_MAX`` ticks from now."""
+        return self.time + 1 + self._sched_rng.randrange(ASYNC_DELAY_MAX)
 
     def _deliver(self, env: Envelope) -> None:
         """Hand ``env`` (no longer in the outbox or the event heap) to the recipient."""
@@ -347,7 +345,7 @@ class Simulator:
         Each pick advances the clock to the earliest deadline and executes
         every event due by then: the starts, from the highest node id
         down, then the deliveries in send order.  So no envelope is ever
-        delivered later than ``async_delay_max`` ticks after it was sent.
+        delivered later than ``ASYNC_DELAY_MAX`` ticks after it was sent.
         The start times of the nodes not yet started are drawn first, then
         the deadlines of the envelopes already sent, in sync delivery order.
         """

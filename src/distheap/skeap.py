@@ -37,9 +37,9 @@ from . import batches
 from .batches import AnchorState, Batch, anchor_assign, decompose
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
-from .node import OverlayNode, build
+from .node import GetReplyMsg, OverlayNode, build
 from .overlay import CycleTopology
-from .sim import Element, Simulator
+from .sim import Simulator
 from .workload import HeapNode, Script
 
 _NS = "skeap"
@@ -135,9 +135,9 @@ class SkeapNode(HeapNode, OverlayNode):
         self.outstanding[token] = req
         self.dht_get(_NS, (p, pos), self._key(p, pos), token)
 
-    def on_get_reply(self, ns: str, token: Any, element: Element) -> None:
-        req = self.outstanding.pop(token)
-        req.returned = element
+    def on_GetReplyMsg(self, msg: GetReplyMsg) -> None:
+        req = self.outstanding.pop(msg.token)
+        req.returned = msg.element
 
 
 def build_skeap(sim: Simulator, topo: CycleTopology, script: Script | None = None) -> list:

@@ -62,7 +62,7 @@ from .batches import DELETE, INSERT
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .kselect import KSelectError, KSelectNode
-from .node import build
+from .node import GetReplyMsg, PutAckMsg, build
 from .overlay import CycleTopology
 from .sim import Element, SimulationFault, Simulator
 from .workload import HeapNode, Script
@@ -181,12 +181,12 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             key = hash_unit(Tag.SPLUS_INSERT_KEY, (e.origin, e.seq), seed)
             self.dht_put(_ELEM, (e.origin, e.seq), key, e, (epoch,))
 
-    def on_put_ack(self, ns: str, token: Any) -> None:
-        if ns != _ELEM:
-            raise SimulationFault(f"unexpected put ack in namespace {ns}")
+    def on_PutAckMsg(self, msg: PutAckMsg) -> None:
+        if msg.ns != _ELEM:
+            raise SimulationFault(f"unexpected put ack in namespace {msg.ns}")
         self.pending_put_acks -= 1
         if not self.pending_put_acks:
-            self._enter_delete(token[0])
+            self._enter_delete(msg.token[0])
 
     # -- delete phase -------------------------------------------------------------------------
     def _pos_key(self, epoch: int, pos: int) -> float:
@@ -220,12 +220,12 @@ class SkeapPlusNode(HeapNode, KSelectNode):
                 req.returned = BOTTOM
         self._close_gets(epoch)
 
-    def on_get_reply(self, ns: str, token: Any, element: Element) -> None:
-        if ns != _POS:
-            raise SimulationFault(f"unexpected get reply in namespace {ns}")
-        req = self.outstanding_gets.pop(token)
-        req.returned = element
-        self._close_gets(token[0])
+    def on_GetReplyMsg(self, msg: GetReplyMsg) -> None:
+        if msg.ns != _POS:
+            raise SimulationFault(f"unexpected get reply in namespace {msg.ns}")
+        req = self.outstanding_gets.pop(msg.token)
+        req.returned = msg.element
+        self._close_gets(msg.token[0])
 
     def _close_gets(self, epoch: int) -> None:
         """Once every get of ``epoch`` has returned, enter the next epoch."""

@@ -7,7 +7,7 @@ sequence number as tiebreaker.  They arrive at the injection rate λ
 (``SimConfig.lam``): λ requests at a node's start and λ per period, until
 the budget of 2λ requests per epoch, 2λ · epochs in all, is spent.  The period is one round in
 synchronous mode, where a round's arrivals follow its deliveries, and
-``async_delay_max`` ticks in asynchronous mode, where a tick's arrivals
+``ASYNC_DELAY_MAX`` ticks in asynchronous mode, where a tick's arrivals
 precede its deliveries.  A node issues the arrivals due just before each
 snapshot (``RequestSource.arrive``).  And when a node enters an epoch it
 calls ``issue_for(epoch)``: a script issues that epoch's requests there,
@@ -29,7 +29,7 @@ from .batches import DELETE, INSERT
 from .consistency import OperationRecord
 from .hashing import Tag, mix64
 from .overlay import CycleTopology
-from .sim import SYNC, Element, SimConfig, SimulationFault, Simulator
+from .sim import ASYNC_DELAY_MAX, SYNC, Element, SimConfig, SimulationFault, Simulator
 
 INSERT_RATIO = 0.6  # share of generated requests that are inserts
 
@@ -195,6 +195,6 @@ class HeapNode:
         cfg, elapsed = self.sim.cfg, self.sim.time - self.started
         if cfg.mode == SYNC:  # a slot per round, after the round's deliveries
             self.source.arrive(max(1, elapsed))
-        else:  # a slot per async_delay_max ticks, before the tick's deliveries
-            self.source.arrive(1 + elapsed // cfg.async_delay_max)
+        else:  # a slot per ASYNC_DELAY_MAX ticks, before the tick's deliveries
+            self.source.arrive(1 + elapsed // ASYNC_DELAY_MAX)
         return self.source.snapshot(epoch, kind)

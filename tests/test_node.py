@@ -216,14 +216,14 @@ def test_seap_acknowledges_exactly_its_remote_element_puts(mode, monkeypatch):
     # every put that arrives at a node other than its issuer, as the ack
     # that node would send: (src, dst, ns, token)
     remote_puts = []
-    arrived = OverlayNode._route_arrived
+    arrived = OverlayNode.on_PutOp
 
-    def recording_arrived(self, vid, key, inner):
-        if type(inner) is PutOp and inner.reply_to != self.id:
-            remote_puts.append((self.id, inner.reply_to, inner.ns, inner.token))
-        arrived(self, vid, key, inner)
+    def recording_arrived(self, op, vid):
+        if op.reply_to != self.id:
+            remote_puts.append((self.id, op.reply_to, op.ns, op.token))
+        arrived(self, op, vid)
 
-    monkeypatch.setattr(OverlayNode, "_route_arrived", recording_arrived)
+    monkeypatch.setattr(OverlayNode, "on_PutOp", recording_arrived)
     res = run_skeap_plus(16, seed=1, lam=2, mode=mode)
     assert res.ok
     by_ns = Tally(ns for _, _, ns, _ in remote_puts)
@@ -252,7 +252,7 @@ def test_a_put_ack_to_a_node_that_reads_none_is_a_fault():
     sim, topo, nodes = _system(4, OverlayNode)
     key = _key_owned_by_another_node(topo, 0)
     nodes[0].dht_put("ns", (0,), key, Element(5, 0, 0), ("token",))
-    with pytest.raises(SimulationFault, match="unread put ack in namespace ns"):
+    with pytest.raises(SimulationFault, match="unhandled message PutAckMsg"):
         sim.run_sync()
 
 
@@ -278,7 +278,35 @@ def test_a_route_that_never_arrives_is_a_fault(monkeypatch):
         topo.route(first, 0.5)
 
 
-# -- base hooks: what a protocol does not handle is a fault ------------------------------
+# -- what a protocol does not handle is a fault ----------------------------------------
+class Stray:
+    """A message type that no node handles: no node has ``on_Stray``.  Not a
+    ``Message``, whose subclasses the size tests enumerate."""
+
+    def size_bits(self, sim):
+        return 1
+
+
+def test_a_message_that_no_node_handles_is_a_fault_where_it_arrives():
+    sim, _, nodes = _system(4, OverlayNode)
+    nodes[0].post(1, Stray())  # sent and sized: the fault is the arrival's
+    with pytest.raises(SimulationFault, match="unhandled message Stray") as fault:
+        sim.run_sync()
+    assert sim.time == 1
+    assert fault.traceback[-1].locals["self"] is nodes[1]
+
+
+def test_a_routed_operation_that_no_node_handles_is_a_fault_where_it_arrives():
+    sim, topo, nodes = _system(4, OverlayNode)
+    key = _key_owned_by_another_node(topo, 0)
+    nodes[0].route_send(key, Stray())  # hops on: the fault is the arrival's
+    with pytest.raises(SimulationFault, match="unhandled message Stray") as fault:
+        sim.run_sync()
+    at = fault.traceback[-1].locals
+    assert at["self"] is nodes[topo.responsible(key).owner]
+    assert at["vid"] == topo.responsible(key)
+
+
 def test_a_flood_that_no_protocol_handles_is_a_fault(monkeypatch):
     # Seap floods "fq " for "fq": the run fails where the flood arrives,
     # not later in a stall at quiescence
@@ -311,5 +339,5 @@ def test_a_get_reply_that_no_protocol_reads_is_a_fault():
     key = _key_owned_by_another_node(topo, 0)
     nodes[0].dht_put("ns", (0,), key, Element(5, 0, 0), None)
     nodes[0].dht_get("ns", (0,), key, ("token",))
-    with pytest.raises(SimulationFault, match="unhandled get reply in namespace ns"):
+    with pytest.raises(SimulationFault, match="unhandled message GetReplyMsg"):
         sim.run_sync()

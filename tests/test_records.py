@@ -11,7 +11,7 @@ import pytest
 
 from distheap import experiments, run_skeap, run_skeap_plus
 from distheap.batches import DELETE, INSERT
-from distheap.sim import ASYNC, SYNC, SimConfig, SimulationFault
+from distheap.sim import ASYNC, ASYNC_DELAY_MAX, SYNC, SimConfig, SimulationFault
 from distheap.workload import HeapNode, RequestSource
 from oracles import brute_force_order
 
@@ -107,7 +107,7 @@ def test_generated_requests_arrive_lam_at_start_and_lam_per_period(run, mode, mo
     monkeypatch.setattr(RequestSource, "snapshot", snapshotting)
     res = run(8, seed=1, lam=lam, epochs=epochs, mode=mode, schedule_seed=1)
     assert res.ok and len(res.records) == 8 * budget
-    period = SimConfig(n=8, seed=1).async_delay_max  # the runners' default
+    period = ASYNC_DELAY_MAX
     for epoch, t, t0, issued in seen:
         if epoch == last:  # the last epoch issues everything left
             assert issued == budget

@@ -8,17 +8,23 @@ reports the same answer, retries and pruning steps.  The checkers of
 yet decides differently under different ones (say, one that combines a
 wave's children in arrival order); this equality can.
 
-The schedules are the seeded ones, and three adversarial delay rules that
+The schedules are the seeded ones, and four adversarial delay rules that
 replace ``Simulator._deadline``, each within ``[time + 1, time +
-async_delay_max]`` as the engine promises:
+ASYNC_DELAY_MAX]`` as the engine promises:
 
 * every delay the maximum;
 * 1 or the maximum, nothing between;
 * later sends first: each send's deadline is one tick earlier than the
-  previous send's, cycling through the delay window.
+  previous send's, cycling through the delay window;
+* PCT's priorities (Burckhardt et al., "A Randomized Scheduler with
+  Probabilistic Guarantees of Finding Bugs", ASPLOS 2010), over
+  destinations: the nodes rank in a random order, a message waits longer
+  the lower its destination ranks, and at 3 change points, sends drawn
+  among as many as the synchronous run sends, the destination of the send
+  drops to the last rank (``_pct``).
 
-One more schedule slows every message to one node; that rule reads the
-destination, so its test also wraps ``Simulator.send``.
+The PCT rule and one more schedule, which slows every message to one
+node, read the destination, so they also wrap ``Simulator.send``.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from hypothesis import given, settings
 
 from distheap import run_kselect, run_skeap, run_skeap_plus
 from distheap.batches import DELETE, INSERT
-from distheap.sim import ASYNC, SYNC, Simulator
+from distheap.sim import ASYNC, ASYNC_DELAY_MAX, SYNC, Simulator
 from distheap.skeap_plus import SkeapPlusNode
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -40,32 +46,81 @@ SEEDS = range(4)  # the seeded schedules
 
 
 def _slowest(sim: Simulator) -> int:
-    return sim.time + sim.cfg.async_delay_max
+    return sim.time + ASYNC_DELAY_MAX
 
 
 def _fastest_or_slowest(sim: Simulator) -> int:
-    return sim.time + (1 if sim._sched_rng.random() < 0.5 else sim.cfg.async_delay_max)
+    return sim.time + (1 if sim._sched_rng.random() < 0.5 else ASYNC_DELAY_MAX)
 
 
 def _later_sends_first(sim: Simulator) -> int:
-    return sim.time + sim.cfg.async_delay_max - sim.sent % sim.cfg.async_delay_max
+    return sim.time + ASYNC_DELAY_MAX - sim.sent % ASYNC_DELAY_MAX
+
+
+CHANGE_POINTS = 3
+
+
+def _pct(patch: pytest.MonkeyPatch, sends: int) -> None:
+    """Install PCT's priorities for one run of about ``sends`` sends.
+
+    At the run's first send the nodes are ranked in a random order, highest
+    priority first, and ``CHANGE_POINTS`` of its first ``sends`` sends are
+    drawn as change points, both from ``sim._sched_rng``.  A message waits 1
+    tick if its destination ranks first and ``ASYNC_DELAY_MAX`` if it ranks
+    last, evenly between; at a change point the send's destination drops
+    to the last rank.  A deadline drawn outside a send, a node's start
+    time, is the engine's own.
+    """
+    send, engine_deadline = Simulator.send, Simulator._deadline
+    run = {"dst": None, "sent": 0}
+
+    def noting_send(sim, src, dst, payload):
+        run["dst"] = dst
+        try:
+            send(sim, src, dst, payload)
+        finally:
+            run["dst"] = None
+
+    def deadline(sim: Simulator) -> int:
+        dst, n = run["dst"], len(sim.nodes)
+        if dst is None:
+            return engine_deadline(sim)
+        if "ranked" not in run:
+            run["ranked"] = sim._sched_rng.sample(range(n), n)
+            steps = range(max(sends, CHANGE_POINTS))
+            run["changes"] = set(sim._sched_rng.sample(steps, CHANGE_POINTS))
+        ranked = run["ranked"]
+        if run["sent"] in run["changes"]:
+            ranked.remove(dst)
+            ranked.append(dst)
+        run["sent"] += 1
+        return sim.time + 1 + ranked.index(dst) * (ASYNC_DELAY_MAX - 1) // (n - 1)
+
+    patch.setattr(Simulator, "send", noting_send)
+    patch.setattr(Simulator, "_deadline", deadline)
+
+
+def _delays(rule):
+    """Install ``rule`` as the run's ``Simulator._deadline``."""
+    return lambda patch, sends: patch.setattr(Simulator, "_deadline", rule)
 
 
 RULES = {
-    "every-delay-the-maximum": _slowest,
-    "1-or-the-maximum": _fastest_or_slowest,
-    "later-sends-first": _later_sends_first,
+    "every-delay-the-maximum": _delays(_slowest),
+    "1-or-the-maximum": _delays(_fastest_or_slowest),
+    "later-sends-first": _delays(_later_sends_first),
+    "pct-3-change-points": _pct,
 }
 
 
-def _async_runs(run, **args):
+def _async_runs(run, sends, **args):
     """``run(**args)`` in asynchronous mode under every schedule, each
-    yielded with its name."""
+    yielded with its name; ``sends`` is what its synchronous run sends."""
     for seed in SEEDS:
         yield f"seed-{seed}", run(**args, mode=ASYNC, schedule_seed=seed)
-    for name, rule in RULES.items():
+    for name, install in RULES.items():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Simulator, "_deadline", rule)
+            install(patch, sends)
             yield name, run(**args, mode=ASYNC, schedule_seed=0)
 
 
@@ -88,8 +143,9 @@ def test_heap_records_do_not_depend_on_the_schedule(run, case):
     args, top = case
     args = dict(args, top=top)
     del args["mode"], args["schedule_seed"]
-    want = _records(run(**args, mode=SYNC))
-    for schedule, result in _async_runs(run, **args):
+    sync = run(**args, mode=SYNC)
+    want = _records(sync)
+    for schedule, result in _async_runs(run, sync.metrics["messages_sent"], **args):
         assert result.ok, (schedule, result.verdict.violation)
         assert _records(result) == want, schedule
 
@@ -108,9 +164,11 @@ SELECTIONS = [
 
 @pytest.mark.parametrize("n,m,k,seed", SELECTIONS)
 def test_a_selection_does_not_depend_on_the_schedule(n, m, k, seed):
-    want = _selection(run_kselect(n, m, k, seed))
+    sync = run_kselect(n, m, k, seed)
+    want = _selection(sync)
     assert want[1] is None
-    for schedule, result in _async_runs(run_kselect, n=n, m=m, k=k, seed=seed):
+    sends = sync.metrics["messages_sent"]
+    for schedule, result in _async_runs(run_kselect, sends, n=n, m=m, k=k, seed=seed):
         assert _selection(result) == want, schedule
 
 
@@ -153,7 +211,7 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
     monkeypatch.setattr(Simulator, "send", noting_send)
     monkeypatch.setattr(
         Simulator, "_deadline",
-        lambda sim: sim.time + (sim.cfg.async_delay_max if slow["now"] else 1),
+        lambda sim: sim.time + (ASYNC_DELAY_MAX if slow["now"] else 1),
     )
     monkeypatch.setattr(SkeapPlusNode, "on_flood", noting_flood)
     monkeypatch.setattr(SkeapPlusNode, "_move_qualifying", noting_move)

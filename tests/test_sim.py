@@ -29,6 +29,7 @@ from distheap.node import (
 from distheap.overlay import VirtualId
 from distheap.sim import (
     ASYNC,
+    ASYNC_DELAY_MAX,
     SYNC,
     Element,
     ProtocolNode,
@@ -451,11 +452,10 @@ def test_unknown_destination_is_fault():
     [
         (dict(n=1), "at least two nodes"),
         (dict(lam=-1), "non-negative"),
-        (dict(async_delay_max=0), "async_delay_max"),
         (dict(mode="lockstep"), "unknown mode"),
         (dict(priority_count=0), "at least one priority"),
     ],
-    ids=["n", "lam", "async_delay_max", "mode", "priority_count"],
+    ids=["n", "lam", "mode", "priority_count"],
 )
 def test_config_rejects_invalid_values(config, match):
     with pytest.raises(ValueError, match=match):
@@ -517,7 +517,7 @@ def test_conservation_after_drain():
 def test_async_determinism():
     def trace_run():
         events = []
-        cfg = SimConfig(n=3, seed=42, mode=ASYNC, async_delay_max=5)
+        cfg = SimConfig(n=3, seed=42, mode=ASYNC)
         sim = Simulator(cfg, trace=events.append)
         nodes = [Recorder(sim, i) for i in range(3)]
         for node in nodes:
@@ -534,7 +534,7 @@ def test_async_non_fifo_possible():
     # two messages from 0 to 1 may be delivered in reverse order for some seed
     reordered = False
     for schedule_seed in range(40):
-        cfg = SimConfig(n=2, seed=5, mode=ASYNC, async_delay_max=8)
+        cfg = SimConfig(n=2, seed=5, mode=ASYNC)
         sim = Simulator(cfg)
         nodes = [Recorder(sim, i) for i in range(2)]
         for node in nodes:
@@ -563,7 +563,7 @@ def record_delays(sim):
 
 
 def test_async_fairness_bound_and_drain():
-    cfg = SimConfig(n=4, seed=9, mode=ASYNC, async_delay_max=6)
+    cfg = SimConfig(n=4, seed=9, mode=ASYNC)
     sim = Simulator(cfg)
     nodes = [Recorder(sim, i) for i in range(4)]
     for node in nodes:
@@ -574,12 +574,12 @@ def test_async_fairness_bound_and_drain():
     sim.run_async(schedule_seed=3)
     assert sim.sent - sim.delivered == 0
     assert sim.sent == sim.delivered == 50
-    assert max(delays) <= cfg.async_delay_max
+    assert max(delays) <= ASYNC_DELAY_MAX
 
 
 def test_async_same_seed_same_delays():
     def delays():
-        cfg = SimConfig(n=3, seed=11, mode=ASYNC, async_delay_max=7)
+        cfg = SimConfig(n=3, seed=11, mode=ASYNC)
         sim = Simulator(cfg)
         for i in range(3):
             sim.add_node(Recorder(sim, i))
@@ -644,7 +644,7 @@ def test_sync_sends_during_a_round_arrive_in_the_next():
 
 
 def test_async_run_leaves_no_envelope_behind():
-    cfg = SimConfig(n=4, seed=3, mode=ASYNC, async_delay_max=5)
+    cfg = SimConfig(n=4, seed=3, mode=ASYNC)
     sim = Simulator(cfg)
     nodes = [Recorder(sim, i) for i in range(4)]
     for node in nodes:
@@ -702,7 +702,7 @@ class Passer(Recorder):
 def run_passers(mode, trace=None):
     """Run four ``Passer`` nodes to the end; return the simulator and the
     (time, node) of each start."""
-    sim = Simulator(SimConfig(n=4, seed=4, mode=mode, async_delay_max=5), trace=trace)
+    sim = Simulator(SimConfig(n=4, seed=4, mode=mode), trace=trace)
     starts = []
     for i in range(4):
         sim.add_node(Passer(sim, i, starts))
@@ -727,7 +727,7 @@ def test_async_stops_activating_a_node_that_no_longer_needs_it():
     # each at its own tick, a tick's starts from the highest id down
     assert sorted(node for _, node in starts) == list(range(4))
     assert starts == sorted(starts, key=lambda start: (start[0], -start[1]))
-    assert all(1 <= time <= sim.cfg.async_delay_max for time, _ in starts)
+    assert all(1 <= time <= ASYNC_DELAY_MAX for time, _ in starts)
 
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
@@ -751,7 +751,7 @@ def test_trace_activations_are_the_handler_calls(mode, monkeypatch):
 def test_async_stall_is_a_fault_at_once(traced):
     # node 1 starts, then waits for a message nobody sends
     sim = Simulator(
-        SimConfig(n=3, seed=1, mode=ASYNC, async_delay_max=5),
+        SimConfig(n=3, seed=1, mode=ASYNC),
         trace=[].append if traced else None,
     )
     stuck = Waiter(sim, 1)
@@ -762,7 +762,7 @@ def test_async_stall_is_a_fault_at_once(traced):
         sim.run_async(schedule_seed=0, max_picks=100_000)
     assert stuck.starts == 1
     assert sim.delivered == 1
-    assert sim.time <= 3 * sim.cfg.async_delay_max
+    assert sim.time <= 3 * ASYNC_DELAY_MAX
 
 
 def test_sync_stall_is_a_fault_at_once():
