@@ -170,6 +170,17 @@ CATALOG = (
         source="CHANGES.md, acks for puts that no protocol reads",
     ),
     Mutant(
+        name="route-hop-keeps-its-vid",
+        file="src/distheap/node.py",
+        old="            msg.vid = nxt\n",
+        new="",
+        killers=(
+            "tests/test_node.py::"
+            "test_each_route_hop_goes_along_the_oracle_path_and_is_sized_from_its_fields",
+        ),
+        source="a route is one RouteMsg, advanced in place hop by hop",
+    ),
+    Mutant(
         name="src-grows-an-uncalled-helper",
         file="src/distheap/hashing.py",
         old="def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:\n",

@@ -17,12 +17,19 @@ the virtual-node overlay:
   ``(lo, hi, *rest)`` split by the parts' counts (``split_interval``);
   Skeap splits a batch share.
 * routed operations: a message hops along the de Bruijn emulation to the
-  virtual node responsible for a key.  Put/Get pairs rendezvous there; a
-  Get that arrives before its Put parks until the Put shows up.  A Put
-  that carries a token is acknowledged to its issuer (a ``PutAckMsg``); a
-  Put with ``token=None`` is fire-and-forget, so no protocol pays for an
-  ack it does not read.  A route that has not arrived after
-  ``CycleTopology.max_route_hops`` hops is a fault, not a hang.
+  virtual node responsible for a key.  A route is one ``RouteMsg``:
+  ``route_send`` builds it and takes the first step, and each later hop
+  sets its ``hop`` and ``vid`` and posts the same object on.  That is
+  safe because a message has one holder at a time: the engine drops an
+  envelope once it is delivered and pops a hand-off before it runs, so
+  no one reads the message's old hop.  ``send`` still sizes every hop
+  from the message's fields.  Put/Get pairs rendezvous at the end of
+  the route; a Get that arrives before its Put parks until the Put shows
+  up.  A Put that carries a token is acknowledged to its issuer (a
+  ``PutAckMsg``); a Put with ``token=None`` is fire-and-forget, so no
+  protocol pays for an ack it does not read.  A route that has not
+  arrived after ``CycleTopology.max_route_hops`` hops is a fault, not a
+  hang.
 
 A node's requests and elements live at its middle virtual node (M), so
 floods and waves run on the tree without its right (R) leaves
@@ -63,12 +70,15 @@ its routed operation that way, once when the route starts.
 
 The rule does not change with how it is evaluated:
 
-* each class sizes a message with one function built once from its
-  dataclass fields (``_sizer``).  A ``Nat`` field is sized inline as
-  ``max(v, 2).bit_length()`` (a negative value still faults); a field
-  annotated ``float``, ``str``, ``tuple``, ``VirtualId`` or ``Element``
-  whose value has exactly that type takes the matching ``value_bits`` rule
-  inline; any other value goes through ``value_bits``.
+* each class sizes a message with one function built from its dataclass
+  fields on the class's first sizing and kept in ``_SIZERS``, a dict
+  keyed by class, so ``Message.size_bits`` is one dict lookup and a
+  call; no class gets a ``size_bits`` of its own.  A ``Nat`` field is
+  sized inline as ``max(v, 2).bit_length()`` (a negative value still
+  faults); a field annotated ``float``, ``str``, ``tuple``,
+  ``VirtualId`` or ``Element`` whose value has exactly that type takes
+  the matching ``value_bits`` rule inline; any other value goes through
+  ``value_bits``.
 * a tuple whose elements are all value-sized (``int``, ``str``, ``None``,
   ``Element``, ``VirtualId``) is sized once per run and then looked up by
   value in ``Simulator.size_memo``.  Tuples holding a ``bool`` or
@@ -90,7 +100,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, fields
-from functools import cache
 from typing import Annotated, Any, Callable, Generator
 
 from .batches import Batch, EntryShare
@@ -187,9 +196,8 @@ def _field_size(annotation: Any) -> str:
     return f"{size} if {guard} else value_bits(sim, v)"
 
 
-@cache
-def _sizer(cls: type) -> Callable[[Any, Simulator], int]:
-    """``cls``'s size function, built once from its dataclass fields.
+def _build_sizer(cls: type) -> Callable[[Any, Simulator], int]:
+    """``cls``'s size function, built from its dataclass fields.
 
     The function resolves the helpers it calls in this module's globals at
     call time, so rebinding one of them (as the benchmark's tracer does)
@@ -197,11 +205,30 @@ def _sizer(cls: type) -> Callable[[Any, Simulator], int]:
     """
     lines = ["def size_bits(self, sim):", "    bits = 0"]
     for f in fields(cls):
-        lines += [f"    v = self.{f.name}", f"    bits += {_field_size(f.type)}"]
+        size = _field_size(f.type)
+        if size != "0":  # a ``Presized`` field adds nothing
+            lines += [f"    v = self.{f.name}", f"    bits += {size}"]
     lines.append("    return bits")
     namespace: dict[str, Any] = {}
     exec("\n".join(lines), globals(), namespace)
     return namespace["size_bits"]
+
+
+class _BuiltOnce(dict):
+    """A dict that builds the value of a missing key with ``build(key)`` on
+    the key's first lookup and keeps it."""
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.build(key)
+        return value
+
+
+# message class -> its size function, built on the class's first sizing
+_SIZERS: dict[type, Callable[[Any, Simulator], int]] = _BuiltOnce(_build_sizer)
 
 
 class Message:
@@ -211,13 +238,13 @@ class Message:
     field its value and a ``Presized`` field nothing; every other field
     costs ``value_bits``.  The simulator adds the 8-bit tag.  Each
     class evaluates this rule with one function built from its fields
-    (``_sizer``).
+    (``_SIZERS``).
     """
 
     __slots__ = ()
 
     def size_bits(self, sim: Simulator) -> int:
-        return _sizer(type(self))(self, sim)
+        return _SIZERS[type(self)](self, sim)
 
 
 @dataclass(slots=True)
@@ -285,16 +312,9 @@ class GetReplyMsg(Message):
     element: Element
 
 
-class _HandlerNames(dict):
-    """Message type -> ``on_<type name>``, the name of the method that
-    handles it; built and interned on a type's first lookup."""
-
-    def __missing__(self, cls: type) -> str:
-        name = self[cls] = sys.intern("on_" + cls.__name__)
-        return name
-
-
-_HANDLER_NAMES = _HandlerNames()
+# message type -> ``on_<type name>``, the name of the method that handles
+# it; built and interned on the type's first lookup
+_HANDLER_NAMES: dict[type, str] = _BuiltOnce(lambda cls: sys.intern("on_" + cls.__name__))
 
 
 def split_interval(share: tuple, counts: list[int]) -> list[tuple]:
@@ -479,30 +499,30 @@ class OverlayNode(ProtocolNode):
 
     # -- routing and DHT -----------------------------------------------------------
     def route_send(self, key: float, inner: Any) -> None:
+        """Route ``inner`` from this node's middle virtual node to the one
+        responsible for ``key``, in one ``RouteMsg`` for the whole route."""
         start = self.middle
-        self._route_advance(
-            start, key, self.topo.label(start), 0, inner, inner.size_bits(self.sim)
+        self.on_RouteMsg(
+            RouteMsg(key, self.topo.label(start), 0, start, inner, inner.size_bits(self.sim))
         )
 
     def on_RouteMsg(self, msg: RouteMsg) -> None:
-        self._route_advance(
-            msg.vid, msg.key, msg.start_label, msg.hop, msg.inner, msg.inner_bits
-        )
-
-    def _route_advance(
-        self, vid: VirtualId, key: float, start_label: float, hop: int, inner: Any,
-        inner_bits: int,
-    ) -> None:
-        nxt = self.topo.route_step(vid, key, start_label, hop)
-        if nxt is None:  # arrived: ``inner``, of type T, goes to ``on_T``
+        """One step of a route at ``msg.vid``: the routed operation arrives,
+        or ``msg`` itself moves on one hop (see the module docstring)."""
+        vid, hop = msg.vid, msg.hop
+        nxt = self.topo.route_step(vid, msg.key, msg.start_label, hop)
+        if nxt is None:  # arrived: the operation, of type T, goes to ``on_T``
+            inner = msg.inner
             handler = getattr(self, _HANDLER_NAMES[type(inner)], None)
             if handler is None:
                 raise SimulationFault(f"unhandled message {type(inner).__name__}")
             handler(inner, vid)
         elif hop < self.topo.max_route_hops:
-            self.post(nxt.owner, RouteMsg(key, start_label, hop + 1, nxt, inner, inner_bits))
+            msg.hop = hop + 1
+            msg.vid = nxt
+            self.post(nxt.owner, msg)
         else:
-            raise SimulationFault(f"route to {key} from {start_label} failed to arrive")
+            raise SimulationFault(f"route to {msg.key} from {msg.start_label} failed to arrive")
 
     def on_PutOp(self, op: PutOp, vid: VirtualId) -> None:
         slot = (op.ns, op.key_id)

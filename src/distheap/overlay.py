@@ -73,6 +73,9 @@ class CycleTopology:
         self._sorted_labels = [self.labels[v] for v in self.order]
         self._index = {vid: i for i, vid in enumerate(self.order)}
         self._debruijn_hops = math.ceil(math.log2(n)) + 2
+        # hop j's scale 2**j as a float: for a key in [0, 1),
+        # ``int(key * scale)`` is ``math.floor(key * (1 << j))``, the same float
+        self._scales = [float(1 << j) for j in range(self._debruijn_hops + 1)]
         # the de Bruijn hops plus a walk that could visit every virtual node
         self.max_route_hops = self._debruijn_hops + 3 * n
         self.root = self.order[0]
@@ -166,9 +169,10 @@ class CycleTopology:
         elif key >= labels[at] or key < labels[0]:  # the last node owns the wrap arc
             return None
         if hop < self._debruijn_hops:
-            j = hop + 1
-            waypoint = (math.floor(key * (1 << j)) + start_label) / (1 << j)
-            return self.order[(bisect_right(labels, waypoint) - 1) % size]
+            scale = self._scales[hop + 1]
+            waypoint = (int(key * scale) + start_label) / scale
+            # a waypoint below the smallest label wraps to the last node, index -1
+            return self.order[bisect_right(labels, waypoint) - 1]
         target = self._cycle_index(key)
         if (target - at) % size <= size // 2:
             return self.order[(at + 1) % size]

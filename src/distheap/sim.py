@@ -8,7 +8,8 @@ Two execution modes share one node model, and in both each node's
   over and delivers the previous round's sends ordered by destination
   id, then in send order.  The first round then starts every node, in id
   order.  Round metrics (per-node message counts, congestion, largest
-  message) are recorded in this mode.
+  message) are recorded in this mode, counted over the round's delivered
+  envelopes once they have all been delivered.
 * asynchronous schedule: a seeded scheduler draws every node a random
   start time and every message a random delivery deadline, each at most
   ``ASYNC_DELAY_MAX`` clock ticks in the future.  The start times are
@@ -29,6 +30,12 @@ Two execution modes share one node model, and in both each node's
   outside any handler run before the next round or the first pick.
   ``send`` stays a message whatever its endpoints, also from a node to
   itself.
+
+In both modes a payload has one holder at a time: the engine hands a
+delivered envelope's payload to its recipient and keeps no reference it
+reads again, and a hand-off leaves the queue before it runs.  So a node
+may send the payload it was handed on again (``node.RouteMsg`` does, hop
+by hop).
 
 A ``trace=`` callback sees every send and delivery; starts are not
 traced.  A traced run takes the same path as an untraced one.  In both
@@ -60,7 +67,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable
@@ -189,6 +196,7 @@ class ProtocolNode:
 _START = 0
 _MSG = 1
 _BY_DST = attrgetter("dst")
+_BY_SIZE = attrgetter("size_bits")
 
 
 class Simulator:
@@ -287,20 +295,16 @@ class Simulator:
         self.time += 1
         due, self._outbox = self._outbox, []
         due.sort(key=_BY_DST)  # stable: each destination's envelopes stay in send order
-        per_node: dict[int, int] = {}
-        max_bits = 0
         for env in due:
             self._deliver(env)
-            per_node[env.dst] = per_node.get(env.dst, 0) + 1
-            if env.size_bits > max_bits:
-                max_bits = env.size_bits
         for node_id in range(self._started, len(self.nodes)):
             self._start(node_id)
+        per_node = Counter(map(_BY_DST, due))  # in delivery order, by destination
         metrics = RoundMetrics(
             round=self.time,
             per_node_messages=per_node,
             max_congestion=max(per_node.values(), default=0),
-            max_message_bits=max_bits,
+            max_message_bits=max(map(_BY_SIZE, due), default=0),
             delivered=len(due),
         )
         metrics.check()

@@ -5,9 +5,9 @@ A fresh process imports the package under ``sys.setprofile`` and runs a
 small fixed set: each protocol in both modes at n=8, a scripted Seap run
 whose deletes outnumber its inserts, a selection that ends early and the
 ``distheap run`` command for each protocol.  The process must be fresh:
-in a warm one, ``functools.cache`` has already filled and skips the
-bodies it wraps.  It runs the package this test imported, so a copy of
-the tree censuses itself.
+in a warm one, ``node``'s registries (``_SIZERS``, ``_HANDLER_NAMES``)
+have already filled and skip the builders they call.  It runs the
+package this test imported, so a copy of the tree censuses itself.
 
 The test compiles each module and lists its defs (functions, methods and
 nested defs; not lambdas, comprehensions, class bodies or the methods

@@ -3,9 +3,25 @@ from collections import Counter as Tally
 import pytest
 
 from distheap import run_skeap, run_skeap_plus
-from distheap.node import OverlayNode, PutAckMsg, PutOp, WaveUpMsg, split_interval
+from distheap.node import (
+    GetOp,
+    OverlayNode,
+    PutAckMsg,
+    PutOp,
+    RouteMsg,
+    WaveUpMsg,
+    split_interval,
+)
 from distheap.overlay import LEFT, MIDDLE, RIGHT, CycleTopology, VirtualId
-from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
+from distheap.sim import (
+    ASYNC,
+    SYNC,
+    TAG_BITS,
+    Element,
+    SimConfig,
+    SimulationFault,
+    Simulator,
+)
 from distheap.skeap_plus import SkeapPlusNode
 
 
@@ -276,6 +292,66 @@ def test_a_route_that_never_arrives_is_a_fault(monkeypatch):
     assert sim.time <= topo.max_route_hops
     with pytest.raises(RuntimeError, match="failed to terminate"):
         topo.route(first, 0.5)
+
+
+class _Fetcher(OverlayNode):
+    """Keeps what its DHT gets bring back, by token."""
+
+    def __init__(self, sim, node_id, topo):
+        super().__init__(sim, node_id, topo)
+        self.fetched = {}
+
+    def on_GetReplyMsg(self, msg):
+        self.fetched[msg.token] = msg.element
+
+
+def test_each_route_hop_goes_along_the_oracle_path_and_is_sized_from_its_fields(monkeypatch):
+    # several puts and gets in flight at once, half of the gets issued before
+    # their puts; every RouteMsg send is recorded as it is sent
+    n = 32
+    events = []
+    sim = Simulator(SimConfig(n=n, seed=3), trace=events.append)
+    topo = CycleTopology.build(n, 3)
+    nodes = [_Fetcher(sim, v, topo) for v in range(n)]
+    for node in nodes:
+        sim.add_node(node)
+    sends = {}  # id of the routed operation -> [(key, start_label, hop, vid, traced bits)]
+    send = Simulator.send
+
+    def recording_send(self, src, dst, payload):
+        send(self, src, dst, payload)
+        if type(payload) is RouteMsg:
+            p = payload
+            row = (p.key, p.start_label, p.hop, p.vid, events[-1]["bits"])
+            sends.setdefault(id(p.inner), []).append(row)
+
+    monkeypatch.setattr(Simulator, "send", recording_send)
+    routes = {}  # id of the routed operation -> (operation, start vid, key)
+    for i in range(8):
+        key = (0.1 + 0.618034 * i) % 1.0
+        putter, getter = nodes[(7 * i) % n], nodes[(7 * i + 12) % n]
+        put = PutOp("ns", (i,), Element(i, putter.id, 0), putter.id, None)
+        get = GetOp("ns", (i,), getter.id, i)
+        for node, op in ((getter, get), (putter, put)) if i % 2 else ((putter, put), (getter, get)):
+            routes[id(op)] = (op, node.middle, key)
+            node.route_send(key, op)
+    sim.run_sync()
+    assert {i: nodes[(7 * i + 12) % n].fetched[i].priority for i in range(8)} == {
+        i: i for i in range(8)
+    }
+    assert len(sends) >= 12  # most routes leave their issuer
+    for op_id, rows in sends.items():
+        op, start, key = routes[op_id]
+        path = topo.route(start, key)
+        assert [vid for *_, vid, _ in rows] == [
+            v for u, v in zip(path, path[1:]) if v.owner != u.owner
+        ]
+        hops = [hop for _, _, hop, _, _ in rows]
+        assert hops == sorted(set(hops)) and hops[0] >= 1
+        for row_key, start_label, hop, vid, bits in rows:
+            assert (row_key, start_label) == (key, topo.label(start))
+            fresh = RouteMsg(key, start_label, hop, vid, op, op.size_bits(sim))
+            assert bits == TAG_BITS + fresh.size_bits(sim)
 
 
 # -- what a protocol does not handle is a fault ----------------------------------------

@@ -102,15 +102,19 @@ def test_sizers_built_under_the_tracer_keep_none_of_its_counters():
     # each message class's size function is built on first use; one built
     # while the counting tracer is installed must still call the helpers
     # that are bound once the tracer is gone
-    node._sizer.cache_clear()
+    node._SIZERS.clear()
     tr = perf_tracer.Tracer(timing=False)
     tr.install()
     try:
         run_skeap_plus(N, seed=1, lam=2, epochs=2)
     finally:
         tr.restore()
-    assert node._sizer.cache_info().currsize == len(
-        {cls.__name__ for cls in node.Message.__subclasses__()}
+    assert len(node._SIZERS) == len(
+        {
+            cls.__name__
+            for cls in node.Message.__subclasses__()
+            if cls.__module__.startswith("distheap")
+        }
     )  # every message class was first sized under the tracer
     assert tr.counts["msgsize.size_bits"] > 0 and tr.counts["msgsize.leaf"] > 0
     counts = dict(tr.counts)
