@@ -225,6 +225,42 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         ),
         source="a node handles type T in on_T: a type with no handler is a fault",
     ),
+    Mutant(
+        name="collector-left-paused",
+        file="src/distheap/sim.py",
+        old="""\
+    finally:
+        if was_on:
+            gc.enable()
+""",
+        new="""\
+    finally:
+        pass
+""",
+        killers=(
+            "tests/test_collector.py::test_a_run_puts_back_the_collector_state",
+            "tests/test_collector.py::test_a_run_that_raises_puts_back_the_collector_state",
+        ),
+        source="the engine pauses the cyclic collector and puts back the caller's state",
+    ),
+    Mutant(
+        name="collector-never-paused",
+        file="src/distheap/sim.py",
+        old="    gc.disable()\n",
+        new="",
+        killers=(
+            "tests/test_collector.py::test_starts_and_handlers_run_with_the_collector_paused",
+        ),
+        source="the engine pauses the cyclic collector and puts back the caller's state",
+    ),
+    Mutant(
+        name="arrived-route-keeps-itself",
+        file="src/distheap/node.py",
+        old="            inner = msg.inner\n",
+        new="            inner = msg.inner\n            msg.inner = msg\n",
+        killers=("tests/test_collector.py::test_a_run_leaves_no_cyclic_garbage",),
+        source="a run makes no reference cycles, which makes the collector's pause safe",
+    ),
 )
 
 

@@ -43,6 +43,17 @@ modes a run in which every node has started, no message is in flight, no
 hand-off is queued and some node is not ``done`` can never progress; it
 raises a stall ``SimulationFault`` at once.
 
+The two run loops, ``run_sync`` and ``run_async``, pause CPython's
+cyclic garbage collector for as long as they run.  A run makes no
+reference cycles: reference counting frees every envelope, message,
+wave session and finished anchor program, so the collector's passes
+would only walk the live nodes, sessions and records and find nothing
+(``tests/test_collector.py`` checks that a run of each protocol, in
+both modes, leaves no cyclic garbage).  Each loop puts back the state
+its caller had, also when the run raises: the collector is turned back
+on only if it was on.  The pause is process-wide, so cycles that a
+``trace=`` callback makes wait for the collector until the run ends.
+
 The simulator keeps two message counters, ``sent`` and ``delivered``.
 An envelope's ``seq``, its place in send order, is the value of ``sent``
 before its send is counted, and the messages in flight number
@@ -64,10 +75,12 @@ it, since equal values of those need not have equal sizes.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import random
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable
@@ -84,6 +97,19 @@ ASYNC = "asynchronous"
 class SimulationFault(AssertionError):
     """An internal invariant was violated; indicates a bug, not a protocol
     condition."""
+
+
+@contextmanager
+def _collector_paused():
+    """Turn the cyclic collector off for the block, then back on if it was
+    on before, also when the block raises (see the module docstring)."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def nat_bits(value: int) -> int:
@@ -334,11 +360,12 @@ class Simulator:
     def run_sync(self, max_rounds: int = 1_000_000) -> int:
         """Step rounds until quiescence.  Returns rounds run."""
         start = self.time
-        self._run_handoffs()  # those queued outside any handler
-        while self.time - start < max_rounds:
-            if self._quiescent("run_sync"):
-                return self.time - start
-            self.step_round()
+        with _collector_paused():
+            self._run_handoffs()  # those queued outside any handler
+            while self.time - start < max_rounds:
+                if self._quiescent("run_sync"):
+                    return self.time - start
+                self.step_round()
         raise SimulationFault("run_sync exceeded max_rounds")
 
     # -- asynchronous mode ---------------------------------------------------
@@ -355,33 +382,34 @@ class Simulator:
         """
         if self.cfg.mode != ASYNC:
             raise SimulationFault("run_async requires asynchronous mode")
-        self._sched_rng = random.Random(mix64(self.cfg.seed, Tag.SCHEDULE, schedule_seed))
-        self._events: list[tuple[int, int, int, Any]] = []
-        for node_id in range(self._started, len(self.nodes)):
-            heapq.heappush(self._events, (self._deadline(), -node_id, _START, node_id))
-        # the event heap takes over the outbox
-        pending, self._outbox = self._outbox, []
-        pending.sort(key=_BY_DST)
-        for env in pending:
-            heapq.heappush(self._events, (self._deadline(), env.seq, _MSG, env))
-        self._run_handoffs()  # those queued outside any handler
-        picks = 0
-        while True:
-            if picks >= max_picks:
-                raise SimulationFault("run_async exceeded max_picks")
-            # checked before the heap: a stall empties it
-            if self._quiescent("run_async"):
-                break
-            if not self._events:
-                break
-            deadline, _, _, _ = self._events[0]
-            self.time = max(self.time + 1, deadline)
-            picks += 1
-            while self._events and self._events[0][0] <= self.time:
-                _, _, kind, item = heapq.heappop(self._events)
-                if kind == _MSG:
-                    self._deliver(item)
-                else:
-                    self._start(item)
-        self._sched_rng = None
+        with _collector_paused():
+            self._sched_rng = random.Random(mix64(self.cfg.seed, Tag.SCHEDULE, schedule_seed))
+            self._events: list[tuple[int, int, int, Any]] = []
+            for node_id in range(self._started, len(self.nodes)):
+                heapq.heappush(self._events, (self._deadline(), -node_id, _START, node_id))
+            # the event heap takes over the outbox
+            pending, self._outbox = self._outbox, []
+            pending.sort(key=_BY_DST)
+            for env in pending:
+                heapq.heappush(self._events, (self._deadline(), env.seq, _MSG, env))
+            self._run_handoffs()  # those queued outside any handler
+            picks = 0
+            while True:
+                if picks >= max_picks:
+                    raise SimulationFault("run_async exceeded max_picks")
+                # checked before the heap: a stall empties it
+                if self._quiescent("run_async"):
+                    break
+                if not self._events:
+                    break
+                deadline, _, _, _ = self._events[0]
+                self.time = max(self.time + 1, deadline)
+                picks += 1
+                while self._events and self._events[0][0] <= self.time:
+                    _, _, kind, item = heapq.heappop(self._events)
+                    if kind == _MSG:
+                        self._deliver(item)
+                    else:
+                        self._start(item)
+            self._sched_rng = None
         return picks
