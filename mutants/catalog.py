@@ -48,7 +48,8 @@ CATALOG = (
         sess = self._waves.pop((kind, key, vid), None)
         if sess is None or sess.missing:
             raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
-        shares = self.wave_split(kind, share, sess.parts)
+        split = getattr(self, _KIND_HANDLER_NAMES["split", kind], None)
+        shares = split_interval(share, sess.parts) if split is None else split(share, sess.parts)
         first = _first_child(vid)
         for child, child_share in zip(self.topo.inner_children[vid], shares[first:]):
 ''',
@@ -61,7 +62,8 @@ CATALOG = (
         sess = self._waves.pop((kind, key, vid), None)
         if sess is None or sess.missing:
             raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
-        shares = self.wave_split(kind, share, sess.parts)
+        split = getattr(self, _KIND_HANDLER_NAMES["split", kind], None)
+        shares = split_interval(share, sess.parts) if split is None else split(share, sess.parts)
         first = _first_child(vid)
         arrived = self.__dict__.get("_arrived", {}).pop((kind, key, vid), [])
         for child, child_share in zip(arrived, shares[first:]):
@@ -115,6 +117,21 @@ CATALOG = (
         new="        sess = self._waves.get((kind, key, vid))\n",
         killers=("tests/test_skeap_plus.py::test_no_wave_session_outlives_a_run",),
         source="a two-way wave session ends only at its share",
+    ),
+    Mutant(
+        name="one-way-wave-keeps-its-session",
+        file="src/distheap/node.py",
+        old='''\
+        if not hasattr(self, _KIND_HANDLER_NAMES["deliver", kind]):
+            del self._waves[sk]  # a one-way wave: no share will come down
+''',
+        new="",
+        killers=(
+            "tests/test_kselect.py::test_no_wave_session_outlives_a_selection",
+            "tests/test_skeap_plus.py::test_no_wave_session_outlives_a_run",
+            "tests/test_node.py::test_one_way_wave_sessions_end_with_their_combine",
+        ),
+        source="a wave kind is two-way exactly when the node has its deliver_k",
     ),
     Mutant(
         name="route-step-forgets-the-wrap-arc",
@@ -199,14 +216,17 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         name="flood-hook-drops-silently",
         file="src/distheap/node.py",
         old='''\
-    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
-        raise SimulationFault(f"unhandled flood {kind!r}")
+        if msg.vid.kind == MIDDLE:  # L only relays
+            self._handler("flood", msg.kind)(msg.key, msg.payload)
 ''',
         new='''\
-    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
-        pass
+        if msg.vid.kind == MIDDLE:  # L only relays
+            getattr(self, "flood_" + msg.kind, lambda key, payload: None)(msg.key, msg.payload)
 ''',
-        killers=("tests/test_node.py::test_a_flood_that_no_protocol_handles_is_a_fault",),
+        killers=(
+            "tests/test_node.py::test_a_flood_that_no_protocol_handles_is_a_fault",
+            "tests/test_node.py::test_a_flood_that_no_node_handles_is_a_fault_where_it_arrives",
+        ),
         source="ROADMAP item 21: the silent default hooks",
     ),
     Mutant(

@@ -47,6 +47,10 @@ prunes ``first - 1`` below and ``N - last`` above; a probe at an end of the
 window bounds that side of the next prune.  Phase 3's row is a cut of
 nothing.
 
+A node answers flood ``k`` in ``flood_k``, on the wave ``_REPLY[k]``.
+Only a sorting pass's ``k2n`` wave has a down half (``split_k2n``,
+``deliver_k2n``); the other reply waves end at their combine.
+
 Rounds: every step is an anchor barrier, a flood down the aggregation
 tree and a wave back up (``_REPLY`` pairs each flood with its wave), which
 in sync mode costs two rounds per edge between real nodes on the tree's
@@ -158,10 +162,10 @@ def combine_minmax(parts):
 
 
 # The anchor's flood kinds, each mapped to the wave that answers it; a node
-# answers once, with its part at its middle virtual node.  ``ki`` and
-# ``k2p`` are no longer flooded (the count rides the first ``k1`` wave, the
-# prune the next ``k2`` flood); the benchmark's tracer names this same map,
-# and both drop them together.
+# answers flood k in ``flood_k``, once, with its part at its middle virtual
+# node.  ``ki`` and ``k2p`` are no longer flooded (the count rides the first
+# ``k1`` wave, the prune the next ``k2`` flood); the benchmark's tracer names
+# this same map, and both drop them together.
 _REPLY = {"ki": "ki", "k1": "k1", "k1p": "k1c", "k2": "k2n", "k2r": "k2r", "k2p": "k2s"}
 
 
@@ -280,9 +284,6 @@ class _Selection:
 
 class KSelectNode(OverlayNode):
     """Overlay node that stores elements and participates in selections."""
-
-    # the reply waves that no share splits: all but a sorting pass's ``k2n``
-    one_way_waves = frozenset({"k1", "k1c", "k2r"})
 
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id, topo)
@@ -425,24 +426,22 @@ class KSelectNode(OverlayNode):
             )
         return n_prime
 
-    # -- waves ----------------------------------------------------------------------
-    def wave_combine(self, kind: str, parts: list[Any]) -> Any:
-        if kind in ("k1c", "k2n", "k2r"):
-            return tuple(map(sum, zip(*parts)))
-        if kind == "k1":
-            lo, hi = combine_minmax(part[:2] for part in parts)
-            return lo, hi, sum(part[2] for part in parts)
-        return super().wave_combine(kind, parts)
+    # -- waves: only a sorting pass's ``k2n`` has a down half -------------------------
+    def combine_k1(self, parts: list[tuple]) -> tuple:
+        lo, hi = combine_minmax(part[:2] for part in parts)
+        return lo, hi, sum(part[2] for part in parts)
 
-    def wave_split(self, kind: str, share: Any, parts: list[Any]) -> list[Any]:
-        if kind == "k2n":  # parts are (sampled, survivors); the share covers the sample
-            return split_interval(share, [sampled for sampled, _ in parts])
-        return super().wave_split(kind, share, parts)
+    def combine_k1c(self, parts: list[tuple]) -> tuple:
+        return tuple(map(sum, zip(*parts)))
+
+    combine_k2n = combine_k2r = combine_k1c
+
+    def split_k2n(self, share: tuple, parts: list[tuple]) -> list[tuple]:
+        """Parts are (sampled, survivors); the share covers the sample."""
+        return split_interval(share, [sampled for sampled, _ in parts])
 
     # -- sort plumbing: positions, copies, rendezvous, votes ---------------------------
-    def wave_deliver(self, kind, key, share) -> None:
-        if kind != "k2n":
-            return super().wave_deliver(kind, key, share)
+    def deliver_k2n(self, key: tuple, share: tuple) -> None:
         lo, hi, n_prime, plo, phi, target = share
         chosen = self.chosen.pop(key)
         if hi - lo + 1 != len(chosen):
@@ -556,39 +555,41 @@ class KSelectNode(OverlayNode):
             if order == op.probe_hi:
                 self.post(anchor, ProbeReport(key, "hi", order, op.element))
 
-    # -- per-node flood handling -------------------------------------------------------------------
-    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
-        reply = _REPLY.get(kind)
-        if reply is None:
-            return super().on_flood(kind, key, payload)
-        self.contribute_all(reply, key, self._answer(kind, key, payload))
-
-    def _answer(self, kind: str, key: tuple, payload: Any) -> Any:
-        """This node's contribution to the wave that answers flood ``kind``."""
+    # -- floods: a node answers each at its M, on the wave ``_REPLY`` names -------------
+    def flood_k1(self, key: tuple, payload: tuple) -> None:
         inv = key[0]
-        if kind == "k1":
-            if key[1] == 1:  # the selection's first flood
-                self.candidates[inv] = self.selection_universe()
-            cands = self.candidates[inv]
-            k, n = payload
-            return *order_statistics(cands, k, n), len(cands)
-        if kind == "k1p":  # priority bounds; a sentinel leaves its side open
-            lo, hi = payload
-            return self._prune(
-                inv,
-                None if lo in (NEG_INF, POS_INF) else (lo,),
-                None if hi in (NEG_INF, POS_INF) else (hi + 1,),
-            )
-        if kind == "k2":  # element bounds; ``None`` leaves its side open
-            p, mode, (lo, hi) = payload
-            self._prune(inv, lo and lo.key, hi and hi.key)
-            cands = self.candidates[inv]
-            chosen = self.chosen[key] = self._choose(key, cands, p, mode)
-            if mode == "all":  # the final pass: no flood reads the candidates again
-                del self.candidates[inv]
-            return len(chosen), len(cands)
-        cands = self.candidates[inv]  # k2r
-        return tuple(bisect_left(cands, e.key, key=lambda c: c.key) for e in payload)
+        if key[1] == 1:  # the selection's first flood
+            self.candidates[inv] = self.selection_universe()
+        cands = self.candidates[inv]
+        k, n = payload
+        self.contribute_all(_REPLY["k1"], key, (*order_statistics(cands, k, n), len(cands)))
+
+    def flood_k1p(self, key: tuple, payload: tuple) -> None:
+        """Prune by priority bounds; a sentinel leaves its side open."""
+        lo, hi = payload
+        pruned = self._prune(
+            key[0],
+            None if lo in (NEG_INF, POS_INF) else (lo,),
+            None if hi in (NEG_INF, POS_INF) else (hi + 1,),
+        )
+        self.contribute_all(_REPLY["k1p"], key, pruned)
+
+    def flood_k2(self, key: tuple, payload: tuple) -> None:
+        """Prune by element bounds (``None`` leaves a side open), then sample."""
+        inv = key[0]
+        p, mode, (lo, hi) = payload
+        self._prune(inv, lo and lo.key, hi and hi.key)
+        cands = self.candidates[inv]
+        chosen = self.chosen[key] = self._choose(key, cands, p, mode)
+        if mode == "all":  # the final pass: no flood reads the candidates again
+            del self.candidates[inv]
+        self.contribute_all(_REPLY["k2"], key, (len(chosen), len(cands)))
+
+    def flood_k2r(self, key: tuple, payload: tuple) -> None:
+        """Count the candidates below each probe."""
+        cands = self.candidates[key[0]]
+        below = tuple(bisect_left(cands, e.key, key=lambda c: c.key) for e in payload)
+        self.contribute_all(_REPLY["k2r"], key, below)
 
     def _prune(self, inv: int, lo_key, hi_key) -> tuple[int, int]:
         """Keep the candidates whose keys lie in ``[lo_key, hi_key]`` (``None``

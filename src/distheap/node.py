@@ -4,18 +4,19 @@ Every protocol in this package is built from three primitives running on
 the virtual-node overlay:
 
 * floods: the anchor pushes an announcement down the tree; every real
-  node sees it exactly once, at its middle virtual node (``on_flood``).
+  node sees it exactly once, at its middle virtual node.
 * waves: values flow leaf-to-root, combined at each virtual node in a
   fixed order (own part first, then children ascending by label); each
   session remembers the parts it combined so a matching share can later
   be split root-to-leaf over the same parts, in the same order, and the
-  middle virtual node's own share is delivered (``wave_deliver``); the
-  split ends the session, and nothing else does: the anchor sends a
-  two-way wave's share down even when it is empty.  A wave kind that a
-  protocol lists in ``one_way_waves`` has no down half, and its session
-  ends when its combine is sent.  By default a share is an interval
-  ``(lo, hi, *rest)`` split by the parts' counts (``split_interval``);
-  Skeap splits a batch share.
+  middle virtual node's own share is delivered; the split ends the
+  session, and nothing else does: the anchor sends a two-way wave's
+  share down even when it is empty.  Whether a wave kind has a down half
+  is not declared but read off the node: it does exactly when the node
+  delivers that kind's share (below).  A one-way wave's session ends
+  when its combine is sent.  A share the node does not split itself is
+  an interval ``(lo, hi, *rest)`` split by the parts' counts
+  (``split_interval``); Skeap splits a batch share.
 * routed operations: a message hops along the de Bruijn emulation to the
   virtual node responsible for a key.  A route is one ``RouteMsg``:
   ``route_send`` builds it and takes the first step, and each later hop
@@ -85,16 +86,23 @@ The rule does not change with how it is evaluated:
   ``float`` (equal to an ``int`` yet sized differently) or a mutable or
   container element are sized element by element every time.
 
-One rule takes every message to its handler: a node handles a message of
-type ``T`` in its method ``on_T(msg)``, and a routed operation of type
-``T`` that arrives in ``on_T(op, vid)``, at the virtual node ``vid`` it
-reached (``ast.NodeVisitor.visit_<ClassName>`` works the same way).  A
-node with no such method raises ``SimulationFault`` where the message
-arrives, as do the base hooks of floods and waves: a message, a routed
-operation, a flood or a wave share that the protocol does not handle
-fails the run instead of being dropped.  The handler's name is built once
-per type and interned (``_HANDLER_NAMES``), so each delivery's lookup is
-one dict lookup and a hit in the interpreter's method cache.
+One rule takes every message, flood and wave to its handler: a node
+handles a message of type ``T`` in its method ``on_T(msg)``, and a routed
+operation of type ``T`` that arrives in ``on_T(op, vid)``, at the virtual
+node ``vid`` it reached (``ast.NodeVisitor.visit_<ClassName>`` works the
+same way).  Likewise, for a flood or wave of kind ``k``, a node handles
+the flood in ``flood_k(key, payload)``, combines the wave's parts in
+``combine_k(parts)``, splits its share in ``split_k(share, parts)`` (by
+counts when it has none) and delivers M's share in ``deliver_k(key,
+share)``; a wave kind is two-way exactly when the node has
+``deliver_k``.  A node with no handler for a message, a routed
+operation, a flood or a combine raises ``SimulationFault`` where it looks
+the handler up, so what the protocol does not handle fails the run
+instead of being dropped; a share sent down a wave with no ``deliver_k``
+finds its session already gone, which is a fault too.  Each handler's
+name is built once per type (``_HANDLER_NAMES``) or per role and kind
+(``_KIND_HANDLER_NAMES``) and interned, so each lookup is one dict lookup
+and a hit in the interpreter's method cache.
 """
 from __future__ import annotations
 
@@ -316,6 +324,11 @@ class GetReplyMsg(Message):
 # it; built and interned on the type's first lookup
 _HANDLER_NAMES: dict[type, str] = _BuiltOnce(lambda cls: sys.intern("on_" + cls.__name__))
 
+# (role, kind) -> ``<role>_<kind>``, the name of the method that handles a
+# flood or wave of that kind in that role (``flood``, ``combine``, ``split``
+# or ``deliver``); built and interned on the pair's first lookup
+_KIND_HANDLER_NAMES: dict[tuple[str, str], str] = _BuiltOnce(lambda rk: sys.intern("_".join(rk)))
+
 
 def split_interval(share: tuple, counts: list[int]) -> list[tuple]:
     """Carve ``share = (lo, hi, *rest)`` into consecutive intervals.
@@ -355,13 +368,7 @@ class _WaveSession:
 
 
 class OverlayNode(ProtocolNode):
-    """A real node emulating its three virtual overlay positions.
-
-    ``one_way_waves`` names the wave kinds that have no down half: their
-    sessions end when the combine is sent.
-    """
-
-    one_way_waves: frozenset[str] = frozenset()
+    """A real node emulating its three virtual overlay positions."""
 
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id)
@@ -405,6 +412,13 @@ class OverlayNode(ProtocolNode):
             raise SimulationFault(f"unhandled message {type(payload).__name__}")
         handler(payload)
 
+    def _handler(self, role: str, kind: str) -> Callable:
+        """This node's ``<role>_<kind>``; a node without it fails here."""
+        handler = getattr(self, _KIND_HANDLER_NAMES[role, kind], None)
+        if handler is None:
+            raise SimulationFault(f"unhandled {role} {kind!r}")
+        return handler
+
     def post(self, dst: int, payload: Any) -> None:
         """Send ``payload`` to real node ``dst``; to this node itself it is a
         local hand-off (``Simulator.hand_off``), not a message."""
@@ -428,9 +442,9 @@ class OverlayNode(ProtocolNode):
         sess.missing -= 1
         if sess.missing:
             return
-        combined = self.wave_combine(kind, sess.parts)
-        if kind in self.one_way_waves:
-            del self._waves[sk]  # no share will come down
+        combined = self._handler("combine", kind)(sess.parts)
+        if not hasattr(self, _KIND_HANDLER_NAMES["deliver", kind]):
+            del self._waves[sk]  # a one-way wave: no share will come down
         if vid == self.topo.root:
             self.resume((kind, key), combined)
         else:
@@ -460,27 +474,16 @@ class OverlayNode(ProtocolNode):
         sess = self._waves.pop((kind, key, vid), None)
         if sess is None or sess.missing:
             raise SimulationFault(f"{kind}{key} at {vid} ended before the wave combined")
-        shares = self.wave_split(kind, share, sess.parts)
+        split = getattr(self, _KIND_HANDLER_NAMES["split", kind], None)
+        shares = split_interval(share, sess.parts) if split is None else split(share, sess.parts)
         first = _first_child(vid)
         for child, child_share in zip(self.topo.inner_children[vid], shares[first:]):
             self.post(child.owner, WaveDownMsg(kind, key, child, child_share))
         if first:
-            self.wave_deliver(kind, key, shares[0])
+            self._handler("deliver", kind)(key, shares[0])
 
     def on_WaveDownMsg(self, msg: WaveDownMsg) -> None:
         self.wave_down(msg.kind, msg.key, msg.vid, msg.share)
-
-    # protocol hooks
-    def wave_combine(self, kind: str, parts: list[Any]) -> Any:
-        raise SimulationFault(f"no combiner for wave {kind!r}")
-
-    def wave_split(self, kind: str, share: Any, parts: list[Any]) -> list[Any]:
-        """One share per combined part, in combine order: by default the
-        parts are counts and ``share`` is the interval they cover."""
-        return split_interval(share, parts)
-
-    def wave_deliver(self, kind: str, key: tuple, share: Any) -> None:
-        raise SimulationFault(f"unhandled share of wave {kind!r}")
 
     # -- floods ------------------------------------------------------------------
     def flood(self, kind: str, key: tuple, payload: Any) -> None:
@@ -492,10 +495,7 @@ class OverlayNode(ProtocolNode):
         for child in self.topo.inner_children[msg.vid]:
             self.post(child.owner, FloodMsg(msg.kind, msg.key, child, msg.payload))
         if msg.vid.kind == MIDDLE:  # L only relays
-            self.on_flood(msg.kind, msg.key, msg.payload)
-
-    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
-        raise SimulationFault(f"unhandled flood {kind!r}")
+            self._handler("flood", msg.kind)(msg.key, msg.payload)
 
     # -- routing and DHT -----------------------------------------------------------
     def route_send(self, key: float, inner: Any) -> None:

@@ -14,9 +14,10 @@ Each epoch runs four phases, pipelined per node:
    program (``_epoch``) on the driver all three protocols share
    (``node.OverlayNode``), which waits for the epoch's ``sb`` wave and
    assigns in the same event as the wave reaches the root;
-3. the intervals decompose back down the tree in the combine order, so
-   every request obtains a unique (priority, position) pair or a bottom
-   mark, plus its global serialization index;
+3. the intervals decompose back down the tree in the combine order
+   (``split_sb``), so every request obtains a unique (priority, position)
+   pair or a bottom mark, plus its global serialization index
+   (``deliver_sb``);
 4. inserts put their element under the hash of (priority, position),
    matched deletes get the same key (rendezvous in the DHT), bottom
    deletes return empty immediately.  The puts are fire-and-forget: they
@@ -34,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from . import batches
-from .batches import AnchorState, Batch, anchor_assign, decompose
+from .batches import AnchorState, Batch, Share, anchor_assign, decompose
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .node import GetReplyMsg, OverlayNode, build
@@ -82,18 +83,16 @@ class SkeapNode(HeapNode, OverlayNode):
         self.batches_processed += 1
         self.wave_down(_WAVE, key, self.topo.root, share)
 
-    # -- wave plumbing ------------------------------------------------------------
-    def wave_combine(self, kind: str, parts: list[Any]) -> Any:
+    # -- the sb wave: batches combine up, their shares decompose down -------------
+    def combine_sb(self, parts: list[Batch]) -> Batch:
         return batches.combine_all(parts, self.priorities)
 
-    def wave_split(self, kind: str, share: Any, parts: list[Batch]) -> list[Any]:
+    def split_sb(self, share: Share, parts: list[Batch]) -> list[Share]:
         return decompose(share, parts)
 
-    def wave_deliver(self, kind: str, key: tuple, share: Any) -> None:
-        self._apply_share(key[0], share)
-
     # -- phases 3 and 4 --------------------------------------------------------------
-    def _apply_share(self, epoch: int, share) -> None:
+    def deliver_sb(self, key: tuple, share: Share) -> None:
+        epoch = key[0]
         requests, runs = self.inflight.pop(epoch)
         for j, (ins_idx, del_idx) in enumerate(runs):
             entry = share[j]

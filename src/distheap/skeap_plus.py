@@ -15,19 +15,21 @@ runs inside it.  It waits for three counts in turn:
 
 * ``si``, the inserts the nodes snapshot: the anchor adds them to its
   element total m and floods ``fi``; nodes store each element in the DHT
-  under a pseudorandom key and enter the delete phase once all their puts
-  are acknowledged.
+  under a pseudorandom key (``flood_fi``) and enter the delete phase once
+  all their puts are acknowledged.  No share comes down ``si``, so it has
+  no ``deliver_si``.
 * ``sd``, the deletes k: the anchor shrinks m by k* = min(k, m).  If
   k* = 0 no element moves: it splits [1, k] down the ``sd`` wave, every
   delete returns bottom, and the epoch ends there (with k = 0 the share
   is empty).  Otherwise it runs the KSelect program for the element of
   rank k*, floods that bound (``fq``) and splits [1, k] down the ``sd``
   wave over the deleting nodes; a delete fetches its position from a
-  position-salted DHT key, or returns bottom past k*.
-* ``sq``, the stored elements up to the bound: it must equal k*.  Then
-  [1, k*] splits down the tree, and the storing nodes move those elements
-  (ascending) to the position keys.  These position puts carry no token,
-  so no ack comes back: the get at each position completes the move.
+  position-salted DHT key, or returns bottom past k* (``deliver_sd``).
+* ``sq``, the stored elements up to the bound (``flood_fq``): it must
+  equal k*.  Then [1, k*] splits down the tree, and the storing nodes
+  move those elements (ascending) to the position keys (``deliver_sq``).
+  These position puts carry no token, so no ack comes back: the get at
+  each position completes the move.
 
 Epochs reach the anchor in order: the ``si`` of epoch e+1 combines every
 node's count, and a node enters e+1 only at its ``sd`` share or when its
@@ -72,8 +74,6 @@ _POS = "pos"
 
 
 class SkeapPlusNode(HeapNode, KSelectNode):
-    one_way_waves = KSelectNode.one_way_waves | {"si"}  # ``si`` is answered by a flood
-
     def __init__(
         self, sim: Simulator, node_id: int, topo: CycleTopology, script: Script | None = None
     ):
@@ -114,11 +114,11 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         self.del_snapshot[epoch] = snap
         self.contribute_all("sd", (epoch,), len(snap))
 
-    # -- waves ---------------------------------------------------------------------
-    def wave_combine(self, kind: str, parts: list[Any]) -> Any:
-        if kind in ("si", "sd", "sq"):
-            return sum(parts)
-        return super().wave_combine(kind, parts)
+    # -- waves: counts, summed; ``si`` is answered by a flood, so it has no down half
+    def combine_si(self, parts: list[int]) -> int:
+        return sum(parts)
+
+    combine_sd = combine_sq = combine_si
 
     # -- the anchor program of one epoch ---------------------------------------------
     def _epoch(self, epoch: int) -> Generator[tuple, Any, None]:
@@ -145,29 +145,10 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             )
         self.wave_down("sq", key, self.topo.root, (1, k_star))
 
-    # -- sd and sq shares: intervals split by counts (the default wave_split) ---------------
-    def wave_deliver(self, kind, key, share) -> None:
-        if kind == "sd":
-            self._assign_deletes(key[0], share)
-        elif kind == "sq":
-            self._move_qualifying(key[0], share)
-        else:
-            super().wave_deliver(kind, key, share)
-
-    # -- floods -----------------------------------------------------------------------------
-    def on_flood(self, kind: str, key: tuple, payload: Any) -> None:
-        if kind == "fi":
-            self._store_inserts(key[0])
-        elif kind == "fq":  # the stored elements up to the bound
-            stored = self.selection_universe()
-            qual = stored[: bisect_right(stored, payload.key, key=lambda e: e.key)]
-            self.qualifying[key[0]] = qual
-            self.contribute_all("sq", key, len(qual))
-        else:
-            super().on_flood(kind, key, payload)
-
     # -- insert phase ----------------------------------------------------------------------
-    def _store_inserts(self, epoch: int) -> None:
+    def flood_fi(self, key: tuple, payload: None) -> None:
+        """Store the epoch's inserts in the DHT."""
+        epoch = key[0]
         if self.pending_put_acks:
             raise SimulationFault(f"epoch {epoch} stores its inserts with puts still open")
         snap = self.ins_snapshot.pop(epoch)
@@ -178,8 +159,8 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         seed = self.sim.cfg.seed
         for req in snap:
             e = req.element
-            key = hash_unit(Tag.SPLUS_INSERT_KEY, (e.origin, e.seq), seed)
-            self.dht_put(_ELEM, (e.origin, e.seq), key, e, (epoch,))
+            at = hash_unit(Tag.SPLUS_INSERT_KEY, (e.origin, e.seq), seed)
+            self.dht_put(_ELEM, (e.origin, e.seq), at, e, key)
 
     def on_PutAckMsg(self, msg: PutAckMsg) -> None:
         if msg.ns != _ELEM:
@@ -192,7 +173,17 @@ class SkeapPlusNode(HeapNode, KSelectNode):
     def _pos_key(self, epoch: int, pos: int) -> float:
         return hash_unit(Tag.SPLUS_POSITION_KEY, (epoch, pos), self.sim.cfg.seed)
 
-    def _move_qualifying(self, epoch: int, share) -> None:
+    def flood_fq(self, key: tuple, payload: Element) -> None:
+        """Count the stored elements up to the bound ``payload``: they qualify."""
+        stored = self.selection_universe()
+        qual = stored[: bisect_right(stored, payload.key, key=lambda e: e.key)]
+        self.qualifying[key[0]] = qual
+        self.contribute_all("sq", key, len(qual))
+
+    # -- sd and sq shares: intervals split by counts -------------------------------------------
+    def deliver_sq(self, key: tuple, share: tuple) -> None:
+        """Move the qualifying elements to their positions."""
+        epoch = key[0]
         lo, hi = share
         qual = self.qualifying.pop(epoch)
         if hi - lo + 1 != len(qual):
@@ -202,7 +193,9 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             del self.storage[(_ELEM, element.ident)]
             self.dht_put(_POS, (epoch, pos), self._pos_key(epoch, pos), element, None)
 
-    def _assign_deletes(self, epoch: int, share) -> None:
+    def deliver_sd(self, key: tuple, share: tuple) -> None:
+        """Give each delete its position: a get, or bottom past k*."""
+        epoch = key[0]
         if self.outstanding_gets:
             raise SimulationFault(f"epoch {epoch} assigns its deletes with gets still out")
         lo, hi, k_star = share

@@ -38,9 +38,6 @@ ALLOWED = {
     "sim.py:ProtocolNode.on_message": _BASE_HOOK,
     "sim.py:ProtocolNode.done": "the base contract (a node with no waits is done); "
     "OverlayNode overrides it",
-    "node.py:OverlayNode.wave_combine": _BASE_HOOK,
-    "node.py:OverlayNode.wave_deliver": _BASE_HOOK,
-    "node.py:OverlayNode.on_flood": _BASE_HOOK,
     "overlay.py:CycleTopology.route": "the reference that route_step is tested against",
     "overlay.py:CycleTopology.height": "perfbench reads it",
     "overlay.py:CycleTopology.debruijn_hops": "perfbench's tracer reads it",

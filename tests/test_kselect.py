@@ -144,7 +144,11 @@ def _open(bound):
 @given(_candidate_lists, _bounds, _bounds)
 def test_phase1_prune_keeps_the_priorities_within_the_bounds(cands, lo, hi):
     node = _holding(cands)
-    below, above = node._answer("k1p", (7, 1), (lo, hi))
+    answers = []
+    node.contribute_all = lambda kind, key, value: answers.append((kind, key, value))
+    node.flood_k1p((7, 1), (lo, hi))
+    [(wave, key, (below, above))] = answers
+    assert (wave, key) == ("k1c", (7, 1))  # answered once, on the k1c wave
     assert node.candidates[7] == [
         e for e in cands if (_open(lo) or lo <= e.priority) and (_open(hi) or e.priority <= hi)
     ]
@@ -346,20 +350,20 @@ def test_a_forced_empty_sample_ends_at_its_empty_share(mode, monkeypatch):
     # the first sample draws nothing: every node gets an empty k2n share,
     # which ends its session and its chosen list, and the re-drawn sample
     # goes on to the exact answer
-    choose, wave_deliver = KSelectNode._choose, KSelectNode.wave_deliver
+    choose, deliver_k2n = KSelectNode._choose, KSelectNode.deliver_k2n
     empty = (0, 1, 0)  # (selection, pass, salt)
     shares = []
 
     def first_empty(self, key, cands, p, how):
         return [] if key == empty else choose(self, key, cands, p, how)
 
-    def delivered(self, kind, key, share):
-        if kind == "k2n" and key == empty:
+    def delivered(self, key, share):
+        if key == empty:
             shares.append(share[2:])
-        wave_deliver(self, kind, key, share)
+        deliver_k2n(self, key, share)
 
     monkeypatch.setattr(KSelectNode, "_choose", first_empty)
-    monkeypatch.setattr(KSelectNode, "wave_deliver", delivered)
+    monkeypatch.setattr(KSelectNode, "deliver_k2n", delivered)
     n, m, seed = 16, 256, 1
     sim, nodes, anchor = _started(n, m, seed, mode=mode)
     if mode == SYNC:

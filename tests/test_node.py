@@ -44,24 +44,35 @@ def test_split_interval_count_mismatch_is_a_fault(counts):
         split_interval((1, 3), counts)
 
 
-class Counter(OverlayNode):
-    """Sums counts up the tree; the anchor's program hands the interval
-    [1, total] down."""
+class OneWayCounter(OverlayNode):
+    """Sums counts up the tree; the anchor's program keeps the total and
+    sends nothing down.  With no ``deliver_c``, ``c`` has no down half."""
 
     def __init__(self, sim, node_id, topo):
         super().__init__(sim, node_id, topo)
-        self.shares = []
         if self.is_anchor:
             self.run_program(self.count())
+
+    def count(self):
+        self.total = yield "c", (0,)
+
+    def combine_c(self, parts):
+        return sum(parts)
+
+
+class Counter(OneWayCounter):
+    """Sums counts up the tree; the anchor's program hands the interval
+    [1, total] down, split by counts, and each node keeps its share."""
+
+    def __init__(self, sim, node_id, topo):
+        self.shares = []
+        super().__init__(sim, node_id, topo)
 
     def count(self):
         combined = yield "c", (0,)
         self.wave_down("c", (0,), self.topo.root, (1, combined, "tag"))
 
-    def wave_combine(self, kind, parts):
-        return sum(parts)
-
-    def wave_deliver(self, kind, key, share):
+    def deliver_c(self, key, share):
         self.shares.append(share)
 
 
@@ -111,17 +122,9 @@ def test_wave_value_from_a_stray_child_is_a_fault():
         nodes[parent.owner].on_message(stray.owner, WaveUpMsg("c", (0,), parent, stray, 1))
 
 
-class OneWayCounter(Counter):
-    """Sums counts up the tree; the anchor's program keeps the total and
-    sends nothing down."""
-
-    one_way_waves = frozenset({"c"})
-
-    def count(self):
-        self.total = yield "c", (0,)
-
-
 def test_one_way_wave_sessions_end_with_their_combine():
+    # no deliver_c: every session drops at its combine, and a share sent
+    # down after it finds none
     n = 8
     sim, topo, nodes = _system(n, OneWayCounter)
     for node in nodes:
@@ -134,6 +137,50 @@ def test_one_way_wave_sessions_end_with_their_combine():
         anchor.wave_down("c", (0,), topo.root, (1, n, "tag"))
 
 
+class Held(Counter):
+    """A two-way count wave whose share the anchor's program does not send."""
+
+    def count(self):
+        self.total = yield "c", (0,)
+
+
+def test_a_two_way_wave_keeps_its_sessions_until_its_share_comes_down():
+    n = 8
+    sim, topo, nodes = _system(n, Held)
+    for node in nodes:
+        node.contribute_all("c", (0,), 1)
+    sim.run_sync()
+    anchor = nodes[topo.root.owner]
+    assert anchor.total == n
+    for node in nodes:  # combined, and still open at M and at L
+        assert {(kind, key, vid.kind) for kind, key, vid in node._waves} == {
+            ("c", (0,), LEFT), ("c", (0,), MIDDLE)
+        }
+        assert not any(sess.missing for sess in node._waves.values())
+    anchor.wave_down("c", (0,), topo.root, (1, n, "tag"))
+    sim.run_sync()
+    assert all(not node._waves for node in nodes)
+    assert sorted(lo for node in nodes for lo, _, _ in node.shares) == list(range(1, n + 1))
+
+
+def test_a_wave_that_no_node_combines_is_a_fault():
+    sim, _, nodes = _system(4)
+    with pytest.raises(SimulationFault, match="unhandled combine 'z'"):
+        for node in nodes:
+            node.contribute_all("z", (0,), 1)
+        sim.run_sync()
+
+
+def test_a_flood_that_no_node_handles_is_a_fault_where_it_arrives():
+    sim, topo, nodes = _system(8)
+    with pytest.raises(SimulationFault, match="unhandled flood 'z'") as fault:
+        nodes[topo.root.owner].flood("z", (0,), None)
+        sim.run_sync()
+    at = fault.traceback[-2].locals  # on_FloodMsg, which looked the handler up
+    assert at["msg"].kind == "z"
+    assert at["msg"].vid == at["self"].middle  # L only relays
+
+
 class Announced(Counter):
     """Answers the anchor's flood ``a`` with a count of one on the two-way
     wave ``c``, and records each flood and share it is handed."""
@@ -142,12 +189,12 @@ class Announced(Counter):
         self.hooks = []
         super().__init__(sim, node_id, topo)
 
-    def on_flood(self, kind, key, payload):
-        self.hooks.append(("flood", kind, payload))
+    def flood_a(self, key, payload):
+        self.hooks.append(("flood", "a", payload))
         self.contribute_all("c", key, 1)
 
-    def wave_deliver(self, kind, key, share):
-        self.hooks.append(("share", kind, share))
+    def deliver_c(self, key, share):
+        self.hooks.append(("share", "c", share))
 
 
 class _OpenedSessions(dict):
@@ -396,17 +443,18 @@ def test_a_flood_that_no_protocol_handles_is_a_fault(monkeypatch):
         run_skeap_plus(8, seed=1)
 
 
-class Undelivered(Counter):
-    """Combines and splits the count wave, but takes no share."""
+class Undelivered(OneWayCounter):
+    """Combines the count wave and sends its share down, but takes no share:
+    with no ``deliver_c`` the wave is one-way, so its sessions are gone."""
 
-    wave_deliver = OverlayNode.wave_deliver
+    count = Counter.count
 
 
 def test_a_wave_share_that_no_protocol_takes_is_a_fault():
     sim, _, nodes = _system(4, Undelivered)
     for node in nodes:
         node.contribute_all("c", (0,), 1)
-    with pytest.raises(SimulationFault, match="unhandled share of wave 'c'"):
+    with pytest.raises(SimulationFault, match="ended before the wave combined"):
         sim.run_sync()
 
 

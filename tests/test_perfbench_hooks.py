@@ -12,12 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from distheap import node, run_skeap, run_skeap_plus
+from distheap import node, run_kselect, run_skeap, run_skeap_plus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer as perf_tracer  # noqa: E402
 
 N = 8
+
+# protocol -> one run of it, given the ``trace=`` callback
+RUNS = {
+    "skeap": lambda trace: run_skeap(N, seed=1, priorities=2, lam=2, epochs=2, trace=trace),
+    "seap": lambda trace: run_skeap_plus(N, seed=1, lam=2, epochs=2, trace=trace),
+    "kselect": lambda trace: run_kselect(N, N * N, N, seed=1, trace=trace),
+}
 
 
 def _snapshot() -> dict:
@@ -34,15 +41,13 @@ def _snapshot() -> dict:
     return out
 
 
-def _run_installed(timing: bool):
+def _run_installed(timing: bool, protocol: str = "skeap"):
     tr = perf_tracer.Tracer(timing)
     before = _snapshot()
     tr.install()
     try:
         patched = {(owner, attr) for owner, attr, _ in tr._patched}
-        result = run_skeap(
-            N, seed=1, priorities=2, lam=2, epochs=2, trace=None if timing else tr
-        )
+        result = RUNS[protocol](None if timing else tr)
     finally:
         tr.restore()
     after = _snapshot()
@@ -90,12 +95,38 @@ def test_timing_tracer_hooks_and_restore():
     assert table["msgsize.size_bits"][0] > 0
 
 
+def _outcome(result) -> list:
+    """What a run computed besides its metrics: a heap's records, or a
+    selection's answer, error and pruning rows."""
+    if hasattr(result, "records"):
+        return [r.to_json() for r in result.records]
+    return [result.answer, result.error, result.diag]
+
+
+def _kind_handlers(protocol: str) -> set:
+    """The flood and wave handlers (``flood_k``, ``combine_k``, ``split_k``,
+    ``deliver_k``) the protocol's classes define, aliases included."""
+    from distheap import kselect, skeap, skeap_plus
+
+    classes = {
+        "skeap": (skeap.SkeapNode,),
+        "seap": (skeap_plus.SkeapPlusNode, kselect.KSelectNode),
+        "kselect": (kselect.KSelectNode,),
+    }[protocol]
+    roles = ("flood", "combine", "split", "deliver")
+    return {(cls, attr) for cls in classes for attr in vars(cls) if attr.split("_")[0] in roles}
+
+
+@pytest.mark.parametrize("protocol", sorted(RUNS))
 @pytest.mark.parametrize("timing", [False, True])
-def test_tracer_leaves_runs_unchanged(timing):
-    plain = run_skeap(N, seed=1, priorities=2, lam=2, epochs=2)
-    _, traced, _ = _run_installed(timing)
+def test_tracer_leaves_runs_unchanged(timing, protocol):
+    # the tracer wraps every flood and wave handler, the aliased ones too,
+    # and the run still computes the same
+    plain = RUNS[protocol](None)
+    _, traced, patched = _run_installed(timing, protocol)
+    assert _kind_handlers(protocol) and _kind_handlers(protocol) <= patched
     assert traced.metrics == plain.metrics
-    assert [r.to_json() for r in traced.records] == [r.to_json() for r in plain.records]
+    assert _outcome(traced) == _outcome(plain)
 
 
 def test_sizers_built_under_the_tracer_keep_none_of_its_counters():

@@ -178,25 +178,25 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
     # has stored an element under epoch 0's bound there; what qualifies is
     # what the node counted at the fq flood
     slow = {"now": False}
-    send, on_flood = Simulator.send, SkeapPlusNode.on_flood
-    move = SkeapPlusNode._move_qualifying
+    send, flood_fq = Simulator.send, SkeapPlusNode.flood_fq
+    move = SkeapPlusNode.deliver_sq
     bounds, late = {}, []
 
     def noting_send(self, src, dst, payload):
         slow["now"] = dst == 2
         send(self, src, dst, payload)
 
-    def noting_flood(self, kind, key, payload):
-        if kind == "fq":
-            bounds[key[0]] = payload.key
-        on_flood(self, kind, key, payload)
+    def noting_flood(self, key, payload):
+        bounds[key[0]] = payload.key
+        flood_fq(self, key, payload)
 
-    def noting_move(self, epoch, share):
+    def noting_move(self, key, share):
+        epoch = key[0]
         qual = self.qualifying[epoch]
         late.extend(
             e for e in self.selection_universe() if e.key <= bounds[epoch] and e not in qual
         )
-        move(self, epoch, share)
+        move(self, key, share)
 
     D, I = (DELETE, None), INSERT
     script = {
@@ -213,8 +213,8 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
         Simulator, "_deadline",
         lambda sim: sim.time + (ASYNC_DELAY_MAX if slow["now"] else 1),
     )
-    monkeypatch.setattr(SkeapPlusNode, "on_flood", noting_flood)
-    monkeypatch.setattr(SkeapPlusNode, "_move_qualifying", noting_move)
+    monkeypatch.setattr(SkeapPlusNode, "flood_fq", noting_flood)
+    monkeypatch.setattr(SkeapPlusNode, "deliver_sq", noting_move)
     result = run_skeap_plus(**args, mode=ASYNC)
     assert late, "no element of a later epoch reached a node before its sq share"
     assert result.ok

@@ -101,18 +101,17 @@ def test_anchor_sends_only_what_nodes_read(mode, monkeypatch):
     # the fq flood carries the bound alone; sd shares carry (lo, hi, k*) and
     # sq shares (lo, hi): the epoch is already the wave key
     sent = []
-    on_flood, wave_deliver = SkeapPlusNode.on_flood, SkeapPlusNode.wave_deliver
 
-    def flooded(self, kind, key, payload):
-        sent.append((kind, payload))
-        on_flood(self, kind, key, payload)
+    def noting(kind, handler):
+        def noted(self, key, value):
+            sent.append((kind, value))
+            handler(self, key, value)
 
-    def delivered(self, kind, key, share):
-        sent.append((kind, share))
-        wave_deliver(self, kind, key, share)
+        return noted
 
-    monkeypatch.setattr(SkeapPlusNode, "on_flood", flooded)
-    monkeypatch.setattr(SkeapPlusNode, "wave_deliver", delivered)
+    for name in ("flood_fq", "deliver_sd", "deliver_sq"):
+        kind = name.split("_")[1]
+        monkeypatch.setattr(SkeapPlusNode, name, noting(kind, getattr(SkeapPlusNode, name)))
     run_script(
         mode, {1: {0: [(INSERT, 5), (INSERT, 7), (DELETE, None)]}, 2: {0: [(DELETE, None)] * 3}}
     )
@@ -279,11 +278,11 @@ def test_next_epoch_may_not_store_inserts_with_puts_still_open():
     node = _stepped_until(lambda node: node.pending_put_acks)
     node.ins_snapshot[1] = []
     with pytest.raises(SimulationFault, match="puts still open"):
-        node._store_inserts(1)
+        node.flood_fi((1,), None)
 
 
 def test_next_epoch_may_not_assign_deletes_with_gets_still_out():
     node = _stepped_until(lambda node: node.outstanding_gets)
     node.del_snapshot[1] = []
     with pytest.raises(SimulationFault, match="gets still out"):
-        node._assign_deletes(1, (1, 0, 0))
+        node.deliver_sd((1,), (1, 0, 0))
