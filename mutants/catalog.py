@@ -281,6 +281,28 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         killers=("tests/test_collector.py::test_a_run_leaves_no_cyclic_garbage",),
         source="a run makes no reference cycles, which makes the collector's pause safe",
     ),
+    Mutant(
+        name="fold-last-value-unmasked",
+        file="src/distheap/hashing.py",
+        old="    x = ((values[-1] & _MASK) + _GOLDEN) & _MASK\n",
+        new="    x = (values[-1] & _MASK) + _GOLDEN\n",
+        killers=(
+            "tests/test_hashing.py::test_mix64_equals_the_plain_fold",
+            "tests/test_hashing.py::test_hash_unit_is_pinned",
+        ),
+        source="mix64 folds each repeated prefix once: every pinned digest passed on it",
+    ),
+    Mutant(
+        name="below-draws-one-bit-short",
+        file="src/distheap/hashing.py",
+        old="    k = n.bit_length()\n",
+        new="    k = (n - 1).bit_length()\n",
+        killers=(
+            "tests/test_hashing.py::test_below_draws_the_randrange_stream",
+            "tests/test_hashing.py::test_one_plus_below_draws_the_randint_stream",
+        ),
+        source="integer draws come straight from getrandbits, by CPython's rule",
+    ),
 )
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .consistency import OperationRecord, Verdict, check_phase_optimality, make_verdict
-from .hashing import Tag, mix64
+from .hashing import Tag, below, mix64
 from .kselect import KSelectNode, exponent_for
 from .metrics import run_metrics
 from .node import build
@@ -49,8 +49,8 @@ def make_elements(n: int, m: int, seed: int, universe: int) -> list[list[Element
     per_node: list[list[Element]] = [[] for _ in range(n)]
     seqs = [0] * n
     for _ in range(m):
-        owner = rng.randrange(n)
-        prio = rng.randint(1, universe)
+        owner = below(rng, n)
+        prio = 1 + below(rng, universe)
         seqs[owner] += 1
         per_node[owner].append(Element(prio, owner, seqs[owner]))
     return per_node

@@ -7,13 +7,16 @@ Two execution modes share one node model, and in both each node's
   round ``i + 1``.  Sends go to one outbox; a round takes the outbox
   over and delivers the previous round's sends ordered by destination
   id, then in send order.  The first round then starts every node, in id
-  order.  Round metrics (per-node message counts, congestion, largest
+  order.  Round metrics (messages delivered, congestion, largest
   message) are recorded in this mode, counted over the round's delivered
   envelopes once they have all been delivered.
 * asynchronous schedule: a seeded scheduler draws every node a random
   start time and every message a random delivery deadline, each at most
-  ``ASYNC_DELAY_MAX`` clock ticks in the future.  The start times are
-  drawn first, and a tick runs its starts before its deliveries.
+  ``ASYNC_DELAY_MAX`` clock ticks in the future.  ``_deadline`` draws
+  each delay through ``hashing.below`` from one ``random.Random`` per
+  run, seeded by ``mix64(seed, Tag.SCHEDULE, schedule_seed)``.  The
+  start times are drawn first, and a tick runs its starts before its
+  deliveries.
   Delivery is non-FIFO, never drops or duplicates, and is always within
   the deadline, which makes runs terminating and replayable.  The
   protocols do not depend on the schedule: for a fixed set of requests
@@ -85,7 +88,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable
 
-from .hashing import Tag, mix64
+from .hashing import Tag, below, mix64
 
 TAG_BITS = 8
 ASYNC_DELAY_MAX = 16  # the longest delay of an async delivery or start, in ticks
@@ -162,8 +165,7 @@ class Envelope:
 @dataclass(slots=True)
 class RoundMetrics:
     round: int
-    per_node_messages: dict[int, int]
-    max_congestion: int
+    max_congestion: int  # the most messages one node was delivered this round
     max_message_bits: int
     delivered: int
 
@@ -278,7 +280,7 @@ class Simulator:
 
     def _deadline(self) -> int:
         """A random time 1 to ``ASYNC_DELAY_MAX`` ticks from now."""
-        return self.time + 1 + self._sched_rng.randrange(ASYNC_DELAY_MAX)
+        return self.time + 1 + below(self._sched_rng, ASYNC_DELAY_MAX)
 
     def _deliver(self, env: Envelope) -> None:
         """Hand ``env`` (no longer in the outbox or the event heap) to the recipient."""
@@ -316,10 +318,9 @@ class Simulator:
             self._deliver(env)
         for node_id in range(self._started, len(self.nodes)):
             self._start(node_id)
-        per_node = Counter(map(_BY_DST, due))  # in delivery order, by destination
+        per_node = Counter(map(_BY_DST, due))  # messages delivered to each destination
         metrics = RoundMetrics(
             round=self.time,
-            per_node_messages=per_node,
             max_congestion=max(per_node.values(), default=0),
             max_message_bits=max(map(_BY_SIZE, due), default=0),
             delivered=len(due),

@@ -27,7 +27,7 @@ import random
 
 from .batches import DELETE, INSERT
 from .consistency import OperationRecord
-from .hashing import Tag, mix64
+from .hashing import Tag, below, mix64
 from .overlay import CycleTopology
 from .sim import ASYNC_DELAY_MAX, SYNC, Element, SimConfig, SimulationFault, Simulator
 
@@ -102,7 +102,7 @@ class RequestSource:
         count = min(count, self.budget)
         for _ in range(count):
             if self.rng.random() < INSERT_RATIO:
-                self._issue(INSERT, self.rng.randint(1, self.priority_universe))
+                self._issue(INSERT, 1 + below(self.rng, self.priority_universe))
             else:
                 self._issue(DELETE, None)
         self.budget -= count

@@ -1,5 +1,5 @@
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from itertools import permutations
@@ -63,13 +63,18 @@ class Recorder(ProtocolNode):
         self.starts += 1
 
 
-def make_sim(n=4, mode=SYNC, **kw):
+def make_sim(n=4, mode=SYNC, trace=None, **kw):
     cfg = SimConfig(n=n, seed=1, mode=mode, **kw)
-    sim = Simulator(cfg)
+    sim = Simulator(cfg, trace=trace)
     nodes = [Recorder(sim, i) for i in range(n)]
     for node in nodes:
         sim.add_node(node)
     return sim, nodes
+
+
+def deliveries_per_dst(events, time):
+    """How many messages each node was delivered at ``time``, from the trace."""
+    return Counter(e["dst"] for e in events if e["kind"] == "deliver" and e["time"] == time)
 
 
 def test_nat_bits_rule():
@@ -473,19 +478,21 @@ def test_quiescent_round_metrics():
 
 
 def test_single_message_metrics():
-    sim, nodes = make_sim()
+    events = []
+    sim, nodes = make_sim(trace=events.append)
     sim.send(0, 1, Ping())
     m = sim.step_round()
-    assert m.per_node_messages == {1: 1}
+    assert deliveries_per_dst(events, m.round) == {1: 1}
     assert m.max_congestion == 1
 
 
 def test_k_messages_one_round_congestion():
-    sim, nodes = make_sim()
+    events = []
+    sim, nodes = make_sim(trace=events.append)
     for _ in range(5):
         sim.send(0, 2, Ping())
     m = sim.step_round()
-    assert m.per_node_messages == {2: 5}
+    assert deliveries_per_dst(events, m.round) == {2: 5}
     assert m.max_congestion == 5
     assert len(nodes[2].got) == 5
 
@@ -614,7 +621,7 @@ def test_sync_drains_only_busy_channels_in_id_order():
     m = sim.step_round()
     delivered = [e["dst"] for e in events if e["kind"] == "deliver"]
     assert delivered == [1, 3, 4, 4]
-    assert m.per_node_messages == {1: 1, 3: 1, 4: 2}
+    assert deliveries_per_dst(events, m.round) == {1: 1, 3: 1, 4: 2}
     assert sim.sent - sim.delivered == 0
     assert sim.step_round().delivered == 0
 
@@ -635,11 +642,11 @@ def test_sync_sends_during_a_round_arrive_in_the_next():
         sim.add_node(node)
     sim.send(1, 2, Ping())
     first = sim.step_round()
-    assert first.per_node_messages == {2: 1}
+    assert deliveries_per_dst(events, first.round) == {2: 1}
     assert nodes[0].got == nodes[3].got == []
     assert sim.sent - sim.delivered == 2
     second = sim.step_round()
-    assert second.per_node_messages == {0: 1, 3: 1}
+    assert deliveries_per_dst(events, second.round) == {0: 1, 3: 1}
     assert nodes[0].got == nodes[3].got == [(2, Ping("pong"))]
     delivered = [(e["time"], e["dst"]) for e in events if e["kind"] == "deliver"]
     assert delivered == [(1, 2), (2, 0), (2, 3)]
