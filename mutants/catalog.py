@@ -303,6 +303,30 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         ),
         source="integer draws come straight from getrandbits, by CPython's rule",
     ),
+    Mutant(
+        name="round-max-bits-carried-over",
+        file="src/distheap/sim.py",
+        old="        max_bits, self._outbox_bits = self._outbox_bits, 0\n",
+        new="        max_bits = self._outbox_bits\n",
+        killers=("tests/test_sim.py::test_round_metrics_count_only_that_rounds_messages",),
+        source="messages are plain tuples: a round reads its largest message off the outbox",
+    ),
+    Mutant(
+        name="takeover-in-send-order",
+        file="src/distheap/sim.py",
+        old="""\
+            for dst in sorted(pending):
+                for src, payload, bits, seq in pending[dst]:
+""",
+        new="""\
+            queued = sorted((m[3], dst, m) for dst in pending for m in pending[dst])
+            for _, dst, (src, payload, bits, seq) in queued:
+""",
+        killers=(
+            "tests/test_sim.py::test_async_takeover_draws_starts_then_deadlines_by_destination",
+        ),
+        source="messages are plain tuples: the event heap takes over a dict of queues",
+    ),
 )
 
 

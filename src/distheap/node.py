@@ -21,9 +21,9 @@ the virtual-node overlay:
   virtual node responsible for a key.  A route is one ``RouteMsg``:
   ``route_send`` builds it and takes the first step, and each later hop
   sets its ``hop`` and ``vid`` and posts the same object on.  That is
-  safe because a message has one holder at a time: the engine drops an
-  envelope once it is delivered and pops a hand-off before it runs, so
-  no one reads the message's old hop.  ``send`` still sizes every hop
+  safe because a message has one holder at a time: the engine reads a
+  queued message no more once it is delivered and pops a hand-off
+  before it runs, so no one reads the message's old hop.  ``send`` still sizes every hop
   from the message's fields.  Put/Get pairs rendezvous at the end of
   the route; a Get that arrives before its Put parks until the Put shows
   up.  A Put that carries a token is acknowledged to its issuer (a

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from distheap import node as node_module
 from distheap import run_kselect, run_skeap, run_skeap_plus
 from distheap.batches import Batch, EntryShare
-from distheap.hashing import Tag
+from distheap.hashing import Tag, below, mix64
 from distheap.kselect import CandOp, CompareOp, CopyAggMsg, CopySplit, ProbeReport, VoteMsg
 from distheap.node import (
     FloodMsg,
@@ -559,15 +560,27 @@ def test_async_non_fifo_possible():
 
 
 def record_delays(sim):
-    """The ticks from enqueue to delivery of every message ``sim`` delivers."""
-    delays = []
-    deliver = sim._deliver
+    """The ticks from send to receipt of every message ``sim`` delivers, in
+    delivery order: ``sim.send`` stamps each payload with the clock, and
+    each recipient, added before this is called, reads the clock when the
+    payload arrives."""
+    sent_at, delays = {}, []
+    send = sim.send
 
-    def recording(env):
-        delays.append(sim.time - env.enqueue_time)
-        deliver(env)
+    def stamping(src, dst, payload):
+        sent_at[id(payload)] = (payload, sim.time)  # held, so that the id stays unique
+        send(src, dst, payload)
 
-    sim._deliver = recording
+    def timing(on_message):
+        def received(src, payload):
+            delays.append(sim.time - sent_at.pop(id(payload))[1])
+            on_message(src, payload)
+
+        return received
+
+    sim.send = stamping
+    for node in sim.nodes:
+        node.on_message = timing(node.on_message)
     return delays
 
 
@@ -650,6 +663,92 @@ def test_sync_sends_during_a_round_arrive_in_the_next():
     assert nodes[0].got == nodes[3].got == [(2, Ping("pong"))]
     delivered = [(e["time"], e["dst"]) for e in events if e["kind"] == "deliver"]
     assert delivered == [(1, 2), (2, 0), (2, 3)]
+
+
+@dataclass
+class Sized:
+    bits: int
+
+    def size_bits(self, sim):
+        return self.bits
+
+
+def round_metrics_from_trace(events, time):
+    """``(delivered, max_congestion, max_message_bits)`` of the round at
+    ``time``, from its ``deliver`` events."""
+    per_dst = deliveries_per_dst(events, time)
+    bits = [e["bits"] for e in events if e["kind"] == "deliver" and e["time"] == time]
+    return sum(per_dst.values()), max(per_dst.values(), default=0), max(bits, default=0)
+
+
+SYNC_RUNS = {
+    "skeap": lambda trace: run_skeap(16, seed=1, lam=2, trace=trace),
+    "kselect": lambda trace: run_kselect(16, 256, 16, seed=1, trace=trace),
+    "seap": lambda trace: run_skeap_plus(16, seed=1, lam=2, trace=trace),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(SYNC_RUNS))
+def test_every_sync_round_metric_matches_its_deliveries(protocol):
+    events = []
+    rows = SYNC_RUNS[protocol](events.append).metrics["per_round"]
+    assert [row["round"] for row in rows] == list(range(1, len(rows) + 1))
+    assert sum(row["delivered"] for row in rows) == sum(e["kind"] == "deliver" for e in events)
+    for row in rows:
+        want = (row["delivered"], row["max_congestion"], row["max_message_bits"])
+        assert round_metrics_from_trace(events, row["round"]) == want, row
+
+
+def test_round_metrics_count_only_that_rounds_messages():
+    events = []
+    sim = Simulator(SimConfig(n=4, seed=1), trace=events.append)
+
+    class Replier(Recorder):
+        def on_message(self, src, payload):
+            super().on_message(src, payload)
+            if src == 0:
+                self.sim.send(self.id, 0, Sized(payload.bits // 2 + 8 * self.id))
+
+    for i in range(4):
+        sim.add_node(Replier(sim, i))
+    # in both rounds the largest message is neither the first nor the last
+    # sent or delivered; the second round's are sent from the handlers alone
+    for dst, bits in ((3, 16), (1, 24), (2, 64), (1, 40)):
+        sim.send(0, dst, Sized(bits))
+    first = sim.step_round()
+    second = sim.step_round()
+    third = sim.step_round()
+    assert (first.delivered, first.max_congestion, first.max_message_bits) == (4, 2, 72)
+    assert (second.delivered, second.max_congestion, second.max_message_bits) == (4, 4, 56)
+    assert (third.delivered, third.max_congestion, third.max_message_bits) == (0, 0, 0)
+    for m in (first, second, third):
+        assert round_metrics_from_trace(events, m.round) == (
+            m.delivered, m.max_congestion, m.max_message_bits
+        )
+
+
+def test_async_takeover_draws_starts_then_deadlines_by_destination():
+    n, seed, schedule_seed = 4, 6, 2
+    sim = Simulator(SimConfig(n=n, seed=seed, mode=ASYNC))
+    received = {}
+
+    class Clocked(Recorder):
+        def on_message(self, src, payload):
+            received[payload.note] = self.sim.time
+
+    for i in range(n):
+        sim.add_node(Clocked(sim, i))
+    sends = [(3, "a"), (1, "b"), (3, "c"), (0, "d"), (2, "e"), (1, "f"), (0, "g")]
+    for dst, note in sends:
+        sim.send(2, dst, Ping(note))
+    sim.run_async(schedule_seed)
+    rng = random.Random(mix64(seed, Tag.SCHEDULE, schedule_seed))
+    for _ in range(n):  # the start times
+        below(rng, ASYNC_DELAY_MAX)
+    # each message is delivered at its deadline, as nothing else is sent
+    by_destination = sorted(sends, key=lambda send: send[0])  # stable: then in send order
+    want = {note: 1 + below(rng, ASYNC_DELAY_MAX) for _, note in by_destination}
+    assert received == want
 
 
 def test_async_run_leaves_no_envelope_behind():
