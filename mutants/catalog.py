@@ -315,17 +315,67 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         name="takeover-in-send-order",
         file="src/distheap/sim.py",
         old="""\
-            for dst in sorted(pending):
-                for src, payload, bits, seq in pending[dst]:
+                for dst in sorted(pending):
+                    for src, payload, bits, seq in pending[dst]:
 """,
         new="""\
-            queued = sorted((m[3], dst, m) for dst in pending for m in pending[dst])
-            for _, dst, (src, payload, bits, seq) in queued:
+                queued = sorted((m[3], dst, m) for dst in pending for m in pending[dst])
+                for _, dst, (src, payload, bits, seq) in queued:
 """,
         killers=(
             "tests/test_sim.py::test_async_takeover_draws_starts_then_deadlines_by_destination",
         ),
         source="messages are plain tuples: the event heap takes over a dict of queues",
+    ),
+    Mutant(
+        name="takeover-filed-in-draw-order",
+        file="src/distheap/sim.py",
+        old="                taken.sort()\n",
+        new="",
+        killers=(
+            "tests/test_sim.py::"
+            "test_async_tick_runs_starts_from_the_highest_id_then_deliveries_in_send_order",
+        ),
+        source="the async ring: a tick's list must hold the taken-over messages in send order",
+    ),
+    Mutant(
+        name="async-tick-in-reverse-send-order",
+        file="src/distheap/sim.py",
+        old="                    for src, dst, payload, bits in due:\n",
+        new="                    for src, dst, payload, bits in reversed(due):\n",
+        killers=(
+            "tests/test_sim.py::"
+            "test_async_tick_runs_starts_from_the_highest_id_then_deliveries_in_send_order",
+        ),
+        source="the async ring: only the identity digests pinned the order within a tick",
+    ),
+    Mutant(
+        name="deadline-window-unchecked",
+        file="src/distheap/sim.py",
+        old="""\
+            if not 0 < deadline - self.time <= ASYNC_DELAY_MAX:
+                raise SimulationFault(f"deadline {deadline} is outside the window at {self.time}")
+""",
+        new="",
+        killers=("tests/test_sim.py::test_async_deadline_outside_the_window_is_a_fault",),
+        source="the async ring files a deadline at deadline % (ASYNC_DELAY_MAX + 1)",
+    ),
+    Mutant(
+        name="schedule-left-set-after-fault",
+        file="src/distheap/sim.py",
+        old="""\
+        finally:
+            self._sched_rng = None
+        return picks
+""",
+        new="""\
+        finally:
+            pass
+        self._sched_rng = None
+        return picks
+""",
+        killers=("tests/test_sim.py::test_a_failed_async_run_leaves_no_schedule_behind",),
+        source="a stalled async run left its schedule set: later sends went to its dead queue",
     ),
 )
 

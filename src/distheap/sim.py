@@ -20,9 +20,16 @@ Two execution modes share one node model, and in both each node's
   ``ASYNC_DELAY_MAX`` clock ticks in the future.  ``_deadline`` draws
   each delay through ``hashing.below`` from one ``random.Random`` per
   run, seeded by ``mix64(seed, Tag.SCHEDULE, schedule_seed)``.  The
-  start times are drawn first, and a tick runs its starts before its
-  deliveries.  A message in the event heap is the tuple ``(src, dst,
-  payload, bits)``.
+  start times are drawn first, and a tick runs its starts, from the
+  highest id down, before its deliveries, in send order.  Since every
+  deadline falls in the window of the next ``ASYNC_DELAY_MAX`` ticks,
+  the events are filed in a ring of ``ASYNC_DELAY_MAX + 1`` lists, tick
+  ``t``'s at ``t % (ASYNC_DELAY_MAX + 1)``: a calendar queue with one
+  tick per bucket (R. Brown, CACM 31(10), 1988).  A send appends the
+  tuple ``(src, dst, payload, bits)`` to its deadline's list, never to
+  the list being run, and a pick runs the next non-empty list in order.
+  A deadline outside the window raises a ``SimulationFault``.  Seap ran
+  5.8% faster on the ring than on a binary heap (``BENCH_33.json``).
   Delivery is non-FIFO, never drops or duplicates, and is always within
   the deadline, which makes runs terminating and replayable.  The
   protocols do not depend on the schedule: for a fixed set of requests
@@ -65,9 +72,12 @@ on only if it was on.  The pause is process-wide, so cycles that a
 
 The simulator keeps two message counters, ``sent`` and ``delivered``.
 A message's ``seq``, its place in send order, is the value of ``sent``
-before its send is counted; it orders the async event heap's ties and
-the heap's takeover of the outbox.  The messages in flight number
-``sent - delivered``; the quiescence check reads that difference.
+before its send is counted.  The async ring files the messages it takes
+over from the outbox in ``seq`` order, so that each tick's list is in
+send order; later sends are appended in that order anyway.  The
+messages in flight number ``sent - delivered``; the quiescence check
+reads that difference, and ``run_async`` calls it only when no message
+is in flight.
 
 Message sizes are modeled, not serialized, by one rule: a message costs
 the sum of its fields plus a fixed 8-bit action tag.  Natural fields cost
@@ -86,7 +96,6 @@ it, since equal values of those need not have equal sizes.
 from __future__ import annotations
 
 import gc
-import heapq
 import math
 import random
 from collections import deque
@@ -98,6 +107,7 @@ from .hashing import Tag, below, mix64
 
 TAG_BITS = 8
 ASYNC_DELAY_MAX = 16  # the longest delay of an async delivery or start, in ticks
+_SLOTS = ASYNC_DELAY_MAX + 1  # the async ring's lists: the tick being run's and the window's
 
 SYNC = "synchronous"
 ASYNC = "asynchronous"
@@ -208,10 +218,6 @@ class ProtocolNode:
         return True
 
 
-_START = 0
-_MSG = 1
-
-
 class Simulator:
     """Owns nodes, the messages in flight, the clock, and metrics."""
 
@@ -250,8 +256,12 @@ class Simulator:
         if bits > self.max_message_bits:
             self.max_message_bits = bits
         if self._sched_rng is not None:
-            # while an async schedule runs, its event heap owns the message
-            heapq.heappush(self._events, (self._deadline(), seq, _MSG, (src, dst, payload, bits)))
+            # while an async schedule runs, its ring owns the message; the
+            # window check is _due's, inline here, as a call per send is slower
+            deadline = self._deadline()
+            if not 0 < deadline - self.time <= ASYNC_DELAY_MAX:
+                raise SimulationFault(f"deadline {deadline} is outside the window at {self.time}")
+            self._ring[deadline % _SLOTS].append((src, dst, payload, bits))
         else:
             self._outbox.setdefault(dst, []).append((src, payload, bits, seq))
             if bits > self._outbox_bits:
@@ -358,46 +368,56 @@ class Simulator:
         """Run the seeded bounded-delay schedule until quiescence.  Returns
         the number of picks.
 
-        Each pick advances the clock to the earliest deadline and executes
-        every event due by then: the starts, from the highest node id
-        down, then the deliveries in send order.  So no message is ever
-        delivered later than ``ASYNC_DELAY_MAX`` ticks after it was sent.
-        The start times of the nodes not yet started are drawn first, then
-        the deadlines of the messages already sent, in sync delivery order:
-        by destination id, then in send order.
+        Each pick advances the clock to the next tick that has an event
+        due and executes every event due then: the starts, from the
+        highest node id down, then the deliveries in send order.  So no
+        message is ever delivered later than ``ASYNC_DELAY_MAX`` ticks
+        after it was sent.  The start times of the nodes not yet started
+        are drawn first, then the deadlines of the messages already sent,
+        in sync delivery order: by destination id, then in send order.
+        The schedule is cleared when the run ends, also when it raises.
         """
         if self.cfg.mode != ASYNC:
             raise SimulationFault("run_async requires asynchronous mode")
-        with _collector_paused():
-            self._sched_rng = random.Random(mix64(self.cfg.seed, Tag.SCHEDULE, schedule_seed))
-            self._events: list[tuple[int, int, int, Any]] = []
-            events = self._events
-            nodes, trace, handoffs = self.nodes, self._trace, self._handoffs
-            for node_id in range(self._started, len(nodes)):
-                heapq.heappush(events, (self._deadline(), -node_id, _START, node_id))
-            # the event heap takes over the outbox
-            pending, self._outbox, self._outbox_bits = self._outbox, {}, 0
-            for dst in sorted(pending):
-                for src, payload, bits, seq in pending[dst]:
-                    msg = (src, dst, payload, bits)
-                    heapq.heappush(events, (self._deadline(), seq, _MSG, msg))
-            self._run_handoffs()  # those queued outside any handler
-            picks = 0
-            while True:
-                if picks >= max_picks:
-                    raise SimulationFault("run_async exceeded max_picks")
-                # checked before the heap: a stall empties it
-                if self._quiescent("run_async"):
-                    break
-                if not events:
-                    break
-                deadline = events[0][0]
-                self.time = time = max(self.time + 1, deadline)
-                picks += 1
-                while events and events[0][0] <= time:
-                    _, _, kind, item = heapq.heappop(events)
-                    if kind == _MSG:
-                        src, dst, payload, bits = item
+        self._sched_rng = random.Random(mix64(self.cfg.seed, Tag.SCHEDULE, schedule_seed))
+        try:
+            with _collector_paused():
+                # tick t's events, in the order they run, at ring[t % _SLOTS]
+                self._ring = ring = [[] for _ in range(_SLOTS)]
+                nodes, trace, handoffs = self.nodes, self._trace, self._handoffs
+                starts = [(self._due(), node_id) for node_id in range(self._started, len(nodes))]
+                for deadline, node_id in reversed(starts):  # a start is (id, id, None, 0)
+                    ring[deadline % _SLOTS].append((node_id, node_id, None, 0))
+                # the ring takes over the outbox, each tick's list in send order
+                pending, self._outbox, self._outbox_bits = self._outbox, {}, 0
+                taken = []
+                for dst in sorted(pending):
+                    for src, payload, bits, seq in pending[dst]:
+                        taken.append((seq, self._due(), (src, dst, payload, bits)))
+                taken.sort()
+                for _, deadline, msg in taken:
+                    ring[deadline % _SLOTS].append(msg)
+                self._run_handoffs()  # those queued outside any handler
+                picks = 0
+                time = self.time
+                while True:
+                    if picks >= max_picks:
+                        raise SimulationFault("run_async exceeded max_picks")
+                    # checked before the ring: a stall leaves it empty
+                    if self.sent == self.delivered and self._quiescent("run_async"):
+                        break
+                    for time in range(time + 1, time + _SLOTS):
+                        due = ring[time % _SLOTS]
+                        if due:
+                            break
+                    else:
+                        break  # nothing is due within the window: nothing is pending
+                    self.time = time
+                    picks += 1
+                    for src, dst, payload, bits in due:
+                        if payload is None:
+                            self._start(dst)
+                            continue
                         self.delivered += 1
                         if trace:
                             trace(
@@ -407,7 +427,15 @@ class Simulator:
                         nodes[dst].on_message(src, payload)
                         if handoffs:
                             self._run_handoffs()
-                    else:
-                        self._start(item)
+                    due.clear()  # sends during the tick were filed at later ticks
+        finally:
             self._sched_rng = None
         return picks
+
+    def _due(self) -> int:
+        """``_deadline()``, which must fall within the ring's window: 1 to
+        ``ASYNC_DELAY_MAX`` ticks from now."""
+        deadline = self._deadline()
+        if not 0 < deadline - self.time <= ASYNC_DELAY_MAX:
+            raise SimulationFault(f"deadline {deadline} is outside the window at {self.time}")
+        return deadline

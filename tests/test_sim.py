@@ -32,6 +32,7 @@ from distheap.sim import (
     ASYNC,
     ASYNC_DELAY_MAX,
     SYNC,
+    TAG_BITS,
     Element,
     ProtocolNode,
     SimConfig,
@@ -881,3 +882,101 @@ def test_sync_stall_is_a_fault_at_once():
         sim.run_sync(max_rounds=100_000)
     assert stuck.starts == 1
     assert sim.time <= 3
+
+
+def test_async_tick_runs_starts_from_the_highest_id_then_deliveries_in_send_order(
+    monkeypatch,
+):
+    # messages sent before the run and at three different ticks of it, and
+    # two starts, all fall due on tick T
+    T = 10
+    log = []
+
+    class Logged(Recorder):
+        # what a node sends at its start or when handed a note: (dst, note)
+        sends = {("start", 0): (2, "c"), ("start", 2): (0, "d"), "x": (1, "e")}
+
+        def start(self):
+            log.append((self.sim.time, "start", self.id))
+            self._send_for(("start", self.id))
+
+        def on_message(self, src, payload):
+            log.append((self.sim.time, "got", payload.note))
+            self._send_for(payload.note)
+
+        def _send_for(self, cause):
+            if cause in self.sends:
+                dst, note = self.sends[cause]
+                self.sim.send(self.id, dst, Ping(note))
+
+    sim = Simulator(SimConfig(n=4, seed=1, mode=ASYNC))
+    for i in range(4):
+        sim.add_node(Logged(sim, i))
+    for dst, note in ((3, "a"), (1, "b"), (2, "x")):  # seq 0, 1, 2
+        sim.send(0, dst, Ping(note))
+    # drawn: the starts of nodes 0-3, the takeover by destination (b, x, a),
+    # then c at tick 1, d at tick 2 and e at tick 3, as they are sent
+    plan = iter([1, T, 2, T, T, 3, T, T, T, T])
+    monkeypatch.setattr(Simulator, "_deadline", lambda sim: next(plan))
+    sim.run_async(schedule_seed=0)
+    assert next(plan, None) is None
+    assert log == [
+        (1, "start", 0),
+        (2, "start", 2),
+        (3, "got", "x"),
+        (T, "start", 3),
+        (T, "start", 1),
+        (T, "got", "a"),
+        (T, "got", "b"),
+        (T, "got", "c"),
+        (T, "got", "d"),
+        (T, "got", "e"),
+    ]
+
+
+class Starter(Recorder):
+    """Sends node 1 a ping at its start."""
+
+    def start(self):
+        super().start()
+        self.sim.send(self.id, 1, Ping("started"))
+
+
+@pytest.mark.parametrize("delay", [0, ASYNC_DELAY_MAX + 1])
+@pytest.mark.parametrize("good", [0, 2, 3], ids=["start", "takeover", "send"])
+def test_async_deadline_outside_the_window_is_a_fault(delay, good, monkeypatch):
+    # the first ``good`` draws are 1 tick ahead: two starts, then the
+    # message sent before the run; the next is ``delay`` ticks ahead
+    sim = Simulator(SimConfig(n=2, seed=1, mode=ASYNC))
+    for i in range(2):
+        sim.add_node(Starter(sim, i))
+    sim.send(0, 1, Ping())
+    draws = []
+
+    def deadline(sim):
+        draws.append(sim.time)
+        return sim.time + (1 if len(draws) <= good else delay)
+
+    monkeypatch.setattr(Simulator, "_deadline", deadline)
+    with pytest.raises(SimulationFault, match=r"deadline \d+ is outside the window at \d+"):
+        sim.run_async(schedule_seed=0)
+    assert len(draws) == good + 1
+
+
+@pytest.mark.parametrize("fault", ["stall", "max_picks"])
+def test_a_failed_async_run_leaves_no_schedule_behind(fault):
+    # after the fault, a send goes to the outbox again, not to the dead run
+    sim = Simulator(SimConfig(n=2, seed=1, mode=ASYNC))
+    for i in range(2):
+        sim.add_node(Waiter(sim, i))
+    if fault == "stall":
+        with pytest.raises(SimulationFault, match="run_async stalled"):
+            sim.run_async(schedule_seed=0)
+    else:
+        sim.send(0, 1, Ping("in flight"))
+        with pytest.raises(SimulationFault, match="run_async exceeded max_picks"):
+            sim.run_async(schedule_seed=0, max_picks=1)
+    seq = sim.sent
+    sim.send(1, 0, Ping("late"))
+    assert sim._outbox == {0: [(1, Ping("late"), TAG_BITS + 8, seq)]}
+    assert sim._sched_rng is None
