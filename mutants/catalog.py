@@ -377,6 +377,22 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         killers=("tests/test_sim.py::test_a_failed_async_run_leaves_no_schedule_behind",),
         source="a stalled async run left its schedule set: later sends went to its dead queue",
     ),
+    Mutant(
+        name="inline-int-drops-sign-bit",
+        file="src/distheap/node.py",
+        old='''    "int": ("type(v) is int", "(2 if -2 < v < 2 else v.bit_length()) + 1"),\n''',
+        new='''    "int": ("type(v) is int", "(2 if -2 < v < 2 else v.bit_length())"),\n''',
+        killers=("tests/test_sim.py::test_int_value_is_sized_by_the_int_rule",),
+        source="the size rule evaluated inline: a built sizer's int fast path",
+    ),
+    Mutant(
+        name="inline-nat-accepts-negative",
+        file="src/distheap/sim.py",
+        old="            ((2 if 2 > p else p).bit_length() if p >= 0 else nat_bits(p))\n",
+        new="            (2 if 2 > p else p).bit_length()\n",
+        killers=("tests/test_sim.py::test_inline_bits_negative_natural_is_a_fault",),
+        source="the size rule evaluated inline: Element.bits must keep the negative fault",
+    ),
 )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .sim import SimulationFault, interval_bits, nat_bits
+from .sim import SimulationFault, nat_bits
 
 INSERT = "insert"
 DELETE = "deletemin"
@@ -41,9 +41,14 @@ class Batch:
     entries: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def bits(self) -> int:
-        total = nat_bits(len(self.entries))
-        for vec, d in self.entries:
-            total += sum(nat_bits(x) for x in vec) + nat_bits(d)
+        # ``nat_bits`` inlined; a negative count still faults there
+        entries = self.entries
+        k = len(entries)
+        total = (2 if 2 > k else k).bit_length()
+        for vec, d in entries:
+            for x in vec:
+                total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
+            total += (2 if 2 > d else d).bit_length() if d >= 0 else nat_bits(d)
         return total
 
 
@@ -151,12 +156,21 @@ class EntryShare:
     del_offset: int
 
     def bits(self) -> int:
-        total = nat_bits(self.bottoms) + nat_bits(self.ins_base) + nat_bits(self.del_base)
-        total += nat_bits(self.ins_offset) + nat_bits(self.del_offset)
+        # five naturals, an interval (two) or ``None`` (1 bit) per priority
+        # and a priority and an interval per delete run; ``nat_bits`` inlined,
+        # a negative value still faults there
+        total = 0
+        for x in (self.bottoms, self.ins_base, self.del_base, self.ins_offset, self.del_offset):
+            total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
         for iv in self.ins:
-            total += interval_bits(*iv) if iv else 1
-        for prio, lo, hi in self.dels:
-            total += nat_bits(prio) + interval_bits(lo, hi)
+            if not iv:
+                total += 1
+                continue
+            for x in iv:
+                total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
+        for run in self.dels:
+            for x in run:
+                total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
         return total
 
 

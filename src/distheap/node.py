@@ -69,17 +69,29 @@ carry a size computed once: a ``SizeBits`` field costs its value, and the
 ``Presized`` field whose size it holds costs nothing.  ``RouteMsg`` sizes
 its routed operation that way, once when the route starts.
 
-The rule does not change with how it is evaluated:
+The rule does not change with how it is evaluated, and most of it is
+evaluated inline, with no Python call per field, element or natural:
 
 * each class sizes a message with one function built from its dataclass
-  fields on the class's first sizing and kept in ``_SIZERS``, a dict
-  keyed by class, so ``Message.size_bits`` is one dict lookup and a
+  fields on the class's first sizing and kept in ``_SIZERS``, a plain
+  dict keyed by class, so ``Message.size_bits`` is one dict lookup and a
   call; no class gets a ``size_bits`` of its own.  A ``Nat`` field is
-  sized inline as ``max(v, 2).bit_length()`` (a negative value still
-  faults); a field annotated ``float``, ``str``, ``tuple``,
-  ``VirtualId`` or ``Element`` whose value has exactly that type takes
-  the matching ``value_bits`` rule inline; any other value goes through
+  sized inline as ``max(v, 2).bit_length()``.  A field annotated ``int``,
+  ``float``, ``str``, ``tuple``, ``VirtualId`` or ``Element`` whose value
+  has exactly that type, and an ``Any`` field holding ``None``, take the
+  matching ``value_bits`` rule inline (an ``Element`` as its three
+  naturals plus 8 bits a payload byte); any other value goes through
   ``value_bits``.
+* ``value_bits`` sizes an ``int`` and ``None`` inline and hands a tuple
+  to the memo below before it looks the type up in its table; a tuple or
+  list is sized in one loop that sizes its ``int`` elements inline.
+  ``Element.bits``, ``Batch.bits`` and ``EntryShare.bits`` size their
+  naturals inline too.
+* every inline natural sends a negative value to ``nat_bits``, which
+  raises the "negative natural" fault, so no inline path loses it.  The
+  built functions and ``.bits`` methods look ``nat_bits``, ``value_bits``
+  and ``.bits`` up when they run, so rebinding one by name (as the
+  benchmark's tracer does) reaches them.
 * a tuple whose elements are all value-sized (``int``, ``str``, ``None``,
   ``Element``, ``VirtualId``) is sized once per run and then looked up by
   value in ``Simulator.size_memo``.  Tuples holding a ``bool`` or
@@ -116,7 +128,16 @@ from .sim import Element, ProtocolNode, SimulationFault, Simulator, nat_bits
 
 
 def _sequence_bits(sim: Simulator, obj: tuple | list) -> int:
-    return nat_bits(len(obj)) + sum(value_bits(sim, x) for x in obj)
+    # the ``int`` rule inline: ``nat_bits(abs(x)) + 1`` is
+    # ``max(x.bit_length(), 2) + 1``, as ``bit_length`` ignores the sign
+    k = len(obj)
+    bits = (2 if 2 > k else k).bit_length()
+    for x in obj:
+        if type(x) is int:
+            bits += (2 if -2 < x < 2 else x.bit_length()) + 1
+        else:
+            bits += value_bits(sim, x)
+    return bits
 
 
 # Element types whose equal values always have equal sizes.  Not ``bool`` or
@@ -130,17 +151,18 @@ _VALUE_SIZED = frozenset({int, str, type(None), Element, VirtualId})
 def _tuple_bits(sim: Simulator, obj: tuple) -> int:
     """``_sequence_bits``, looked up in the run's memo when every element is
     value-sized, so each distinct protocol key is sized once per run."""
-    if not _VALUE_SIZED.issuperset(map(type, obj)):
-        return _sequence_bits(sim, obj)
+    # a loop, as ``issuperset(map(type, obj))`` builds a set first
+    for x in obj:
+        if type(x) not in _VALUE_SIZED:
+            return _sequence_bits(sim, obj)
     bits = sim.size_memo.get(obj)
     if bits is None:
         bits = sim.size_memo[obj] = _sequence_bits(sim, obj)
     return bits
 
 
-# Bit accounting per message field type.
+# Bit accounting per message field type (``None`` is ``value_bits``' own).
 _FIELD_BITS: dict[type, Callable[[Simulator, Any], int]] = {
-    type(None): lambda sim, obj: 1,
     bool: lambda sim, obj: 1,
     int: lambda sim, obj: nat_bits(abs(obj)) + 1,
     float: lambda sim, obj: sim.label_bits,
@@ -156,12 +178,20 @@ _FIELD_BITS: dict[type, Callable[[Simulator, Any], int]] = {
 
 def value_bits(sim: Simulator, obj: Any) -> int:
     """Modeled bit size of a message field."""
-    rule = _FIELD_BITS.get(type(obj))
+    cls = type(obj)
+    # the commonest types first, the ``int`` rule inline (see ``_sequence_bits``)
+    if cls is int:
+        return (2 if -2 < obj < 2 else obj.bit_length()) + 1
+    if obj is None:
+        return 1
+    if cls is tuple:
+        return _tuple_bits(sim, obj)
+    rule = _FIELD_BITS.get(cls)
     if rule is None:
         # a subclass is sized by its nearest accounted base
-        rule = next((_FIELD_BITS[t] for t in type(obj).__mro__ if t in _FIELD_BITS), None)
+        rule = next((_FIELD_BITS[t] for t in cls.__mro__ if t in _FIELD_BITS), None)
         if rule is None:
-            raise SimulationFault(f"no bit accounting for {type(obj).__name__}")
+            raise SimulationFault(f"no bit accounting for {cls.__name__}")
     return rule(sim, obj)
 
 
@@ -171,27 +201,35 @@ Nat = Annotated[int, "natural"]  # a message field sized by ``nat_bits``, unsign
 SizeBits = Annotated[int, "size in bits"]
 Presized = Annotated[Any, "sized by a SizeBits field"]
 
+
+def _nat(x: str) -> str:
+    """``nat_bits(x)`` inline, ``max(x, 2).bit_length()`` without the call;
+    a negative ``x`` still goes to ``nat_bits``, which faults."""
+    return f"((2 if 2 > {x} else {x}).bit_length() if {x} >= 0 else nat_bits({x}))"
+
+
 # Field annotation -> (guard, size): a value that passes the guard is sized by
 # the inlined rule, anything else by ``value_bits``.  The guards test exact
-# types, so a subclass, a ``bool`` or a negative owner takes the full rule.
-# ``(2 if 2 > x else x)`` is ``max(x, 2)`` without the builtin call.
+# types, so a subclass or a ``bool`` takes the full rule.
 _FAST_PATHS = {
+    "int": ("type(v) is int", "(2 if -2 < v < 2 else v.bit_length()) + 1"),
     "float": ("type(v) is float", "sim.label_bits"),
     "str": ("type(v) is str", "8"),
     "tuple": ("type(v) is tuple", "_tuple_bits(sim, v)"),
-    "VirtualId": (
-        "type(v) is VirtualId and v.owner >= 0",
-        "(2 if 2 > v.owner else v.owner).bit_length() + 2",
+    "VirtualId": ("type(v) is VirtualId", _nat("v.owner") + " + 2"),
+    "Element": (
+        "type(v) is Element",
+        " + ".join(_nat(f"v.{name}") for name in ("priority", "origin", "seq"))
+        + " + 8 * len(v.payload)",
     ),
-    "Element": ("type(v) is Element", "v.bits()"),
+    "Any": ("v is None", "1"),
 }
 
 
 def _field_size(annotation: Any) -> str:
     """The expression that sizes a field's value ``v`` (``sim`` in scope)."""
     if annotation in (Nat, "Nat"):
-        # ``nat_bits`` inlined; it still raises the negative-natural fault
-        return "(2 if 2 > v else v).bit_length() if v >= 0 else nat_bits(v)"
+        return _nat("v")
     if annotation in (SizeBits, "SizeBits"):
         return "v"
     if annotation in (Presized, "Presized"):
@@ -235,8 +273,9 @@ class _BuiltOnce(dict):
         return value
 
 
-# message class -> its size function, built on the class's first sizing
-_SIZERS: dict[type, Callable[[Any, Simulator], int]] = _BuiltOnce(_build_sizer)
+# message class -> its size function, built on the class's first sizing; a
+# plain dict, whose subscript the interpreter specializes (a subclass's not)
+_SIZERS: dict[type, Callable[[Any, Simulator], int]] = {}
 
 
 class Message:
@@ -246,13 +285,18 @@ class Message:
     field its value and a ``Presized`` field nothing; every other field
     costs ``value_bits``.  The simulator adds the 8-bit tag.  Each
     class evaluates this rule with one function built from its fields
-    (``_SIZERS``).
+    (``_SIZERS``), which sizes the common field types inline.
     """
 
     __slots__ = ()
 
     def size_bits(self, sim: Simulator) -> int:
-        return _SIZERS[type(self)](self, sim)
+        cls = type(self)
+        try:
+            sizer = _SIZERS[cls]
+        except KeyError:
+            sizer = _SIZERS[cls] = _build_sizer(cls)
+        return sizer(self, sim)
 
 
 @dataclass(slots=True)

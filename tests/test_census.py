@@ -42,6 +42,10 @@ ALLOWED = {
     "overlay.py:CycleTopology.height": "perfbench reads it",
     "overlay.py:CycleTopology.debruijn_hops": "perfbench's tracer reads it",
     "hashing.py:hash_unit_pair": "perfbench's tracer wraps it by name (ROADMAP item 7A deletes it)",
+    "sim.py:nat_bits": "the fault path of every inline natural: only a negative value, which "
+    "no run sends, reaches it; tests/test_sim.py checks the rule against it",
+    "sim.py:interval_bits": "the benchmark tracer's counting pass wraps `sim.interval_bits` "
+    "by name; item 22 removes that",
     "consistency.py:OperationRecord.to_json": _PINNED,
     "consistency.py:OperationRecord.to_json.elem": _PINNED,
 }

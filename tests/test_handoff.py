@@ -112,7 +112,7 @@ def test_a_hand_off_is_neither_counted_nor_traced():
     sim, log = _system(n=2, trace=events.append)
     sim.hand_off(1, Note("outside"))
     assert not sim._quiescent("test")  # a queued hand-off is pending work
-    assert sim.run_sync() == 0
+    assert sim.run_sync() == 1  # the hand-off runs first, then the round that starts the nodes
     assert log == [(0, 1, 1, "outside")]
     assert events == [] and sim.sent == 0 and sim.max_message_bits == 0
 

@@ -1,7 +1,8 @@
 import math
 import random
 from collections import Counter, namedtuple
-from dataclasses import dataclass, fields
+import inspect
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import IntEnum
 from itertools import permutations
 
@@ -431,6 +432,89 @@ def test_built_sizer_matches_field_by_field_rule(cls):
             assert msg.size_bits(sim) == want
 
     check()
+
+
+def _field_by_field(sim, msg):
+    """``msg``'s size by the isinstance chain, field by field."""
+    return sum(_chained_value_bits(sim, getattr(msg, f.name)) for f in fields(msg))
+
+
+@pytest.mark.parametrize("cls", [FloodMsg, WaveUpMsg], ids=lambda c: c.__name__)
+def test_tuple_field_holding_a_list_or_an_entry_share_is_sized_by_the_rule(cls):
+    # ``key`` is annotated ``tuple``: these values fail the built sizer's exact
+    # type guard, or hold an element the memo must not keep
+    sim, _ = make_sim(n=8)
+    share = EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 6, 0, 2)
+    items = [1, -7, "a"]
+    vid = VirtualId(3, "M")
+    for key in (items, share, (1, share), (2, items)):
+        msg = FloodMsg("k2", key, vid, None) if cls is FloodMsg else WaveUpMsg("k2", key, vid, vid, 4)
+        before = msg.size_bits(sim)
+        assert before == _field_by_field(sim, msg), key
+        share.bottoms <<= 20  # sized again, not looked up
+        items.append(2**40)
+        assert msg.size_bits(sim) == _field_by_field(sim, msg) > before, key
+    assert sim.size_memo == {}
+
+
+def _negative_naturals():
+    """(name, a ``.bits()`` call with one natural set to -1) for every natural
+    ``Element.bits``, ``Batch.bits`` and ``EntryShare.bits`` read."""
+    elem = dict(priority=3, origin=1, seq=7)
+    share = dict(
+        ins=((1, 4), None), dels=((2, 1, 3),), bottoms=1, ins_base=5, del_base=6,
+        ins_offset=0, del_offset=2,
+    )
+    cases = [(f"Element.{k}", lambda k=k: Element(**{**elem, k: -1}).bits()) for k in elem]
+    cases += [
+        ("Batch.insert", lambda: Batch(2, (((1, 0), 2), ((0, -1), 0))).bits()),
+        ("Batch.delete", lambda: Batch(2, (((1, 0), 2), ((0, 3), -1))).bits()),
+    ]
+    scalars = ("bottoms", "ins_base", "del_base", "ins_offset", "del_offset")
+    cases += [(f"EntryShare.{k}", lambda k=k: EntryShare(**{**share, k: -1}).bits()) for k in scalars]
+    cases += [
+        ("EntryShare.ins.lo", lambda: EntryShare(**{**share, "ins": ((-1, 4), None)}).bits()),
+        ("EntryShare.ins.hi", lambda: EntryShare(**{**share, "ins": (None, (1, -1))}).bits()),
+        ("EntryShare.dels.prio", lambda: EntryShare(**{**share, "dels": ((-1, 1, 3),)}).bits()),
+        ("EntryShare.dels.lo", lambda: EntryShare(**{**share, "dels": ((2, -1, 3),)}).bits()),
+        ("EntryShare.dels.hi", lambda: EntryShare(**{**share, "dels": ((2, 1, -1),)}).bits()),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("bits", [c[1] for c in _negative_naturals()],
+                         ids=[c[0] for c in _negative_naturals()])
+def test_inline_bits_negative_natural_is_a_fault(bits):
+    with pytest.raises(SimulationFault, match="negative natural -1"):
+        bits()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-1, -2, -3, -4, 0, 1, 2, 3, 4, 2**64, -(2**64), True, False, _Level.ONE, _Int(5), _Int(-5)],
+    ids=repr,
+)
+def test_int_value_is_sized_by_the_int_rule(value):
+    # ``PutOp.reply_to`` is annotated ``int``: the built sizer's fast path
+    # takes exact ints only; value_bits and the sequence loop inline them too
+    sim, _ = make_sim(n=8)
+    msg = PutOp("elem", (1, 2), Element(1, 2, 3), value, None)
+    assert msg.size_bits(sim) == _field_by_field(sim, msg)
+    for obj in (value, (value, 7), [value, 7]):
+        assert value_bits(sim, obj) == _chained_value_bits(sim, obj)
+
+
+def test_element_keeps_its_dataclass_contract():
+    e = Element(3, 1, 7)
+    for name in ("priority", "origin", "seq", "payload"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, 4)
+    assert hash(e) == hash((3, 1, 7, b""))
+    assert hash(Element(3, 1, 7, b"ab")) == hash((3, 1, 7, b"ab"))
+    assert repr(e) == "Element(priority=3, origin=1, seq=7, payload=b'')"
+    assert e == Element(priority=3, origin=1, seq=7) != Element(3, 1, 7, b"ab")
+    assert list(inspect.signature(Element).parameters) == ["priority", "origin", "seq", "payload"]
+    assert inspect.signature(Element).parameters["payload"].default == b""
 
 
 def test_send_appends_to_channel():
@@ -882,6 +966,18 @@ def test_sync_stall_is_a_fault_at_once():
         sim.run_sync(max_rounds=100_000)
     assert stuck.starts == 1
     assert sim.time <= 3
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_each_start_runs_once_though_every_node_is_done_before_it(mode):
+    # a ``Recorder`` is done from the outset; the run still owes it its start
+    sim, nodes = make_sim(n=3, mode=mode)
+    assert all(node.done for node in nodes)
+    if mode == SYNC:
+        sim.run_sync()
+    else:
+        sim.run_async(schedule_seed=0)
+    assert [node.starts for node in nodes] == [1, 1, 1]
 
 
 def test_async_tick_runs_starts_from_the_highest_id_then_deliveries_in_send_order(
