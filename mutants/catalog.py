@@ -393,6 +393,40 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         killers=("tests/test_sim.py::test_inline_bits_negative_natural_is_a_fault",),
         source="the size rule evaluated inline: Element.bits must keep the negative fault",
     ),
+    Mutant(
+        name="decompose-pads-short-parts",
+        file="src/distheap/batches.py",
+        old="""\
+            if j >= len(part.entries):  # no receiver reads a share past its batch
+                continue
+""",
+        new="""\
+            if j >= len(part.entries):
+                out[part_i].append(EntryShare((None,) * len(share_ins), (), 0, ins_off, del_off))
+                continue
+""",
+        killers=(
+            "tests/test_batches.py::test_decompose_carries_bases_and_running_offsets",
+            "tests/test_batches.py::test_decompose_all_zero_subbatch_gets_empty_share",
+        ),
+        source="messages carry only what their receivers read: the unread all-None tail",
+    ),
+    Mutant(
+        name="slot-key-rebuilt-from-the-wrong-interval",
+        file="src/distheap/kselect.py",
+        old="        slot_key = msg.key + (msg.i, msg.lo, msg.hi)\n",
+        new="        slot_key = msg.key + (msg.i, msg.lo, msg.lo)\n",
+        killers=("tests/test_kselect.py::test_extremes_and_middle",),
+        source="messages carry only what their receivers read: a copy slot named by naturals",
+    ),
+    Mutant(
+        name="unacked-put-names-its-issuer",
+        file="src/distheap/node.py",
+        old="        reply_to = None if token is None else self.id\n",
+        new="        reply_to = self.id\n",
+        killers=("tests/test_kselect.py::test_messages_carry_no_field_their_receiver_holds",),
+        source="messages carry only what their receivers read: no reply address without an ack",
+    ),
 )
 
 

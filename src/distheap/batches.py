@@ -16,10 +16,12 @@ empty; the unmatched remainder is a bottom count (those deletes return
 nothing).  Shares are decomposed back down the tree in the exact order
 the batches were combined: own contribution first, then children
 ascending by label.  Alongside the intervals each share carries the
-entry's global serialization bases and this subtree's offsets, so every
-request can compute a unique serialization index locally.  A part with
-no entry j, or no inserts in it, gets an all-``None`` insert share
-without a walk over the priorities.
+global serialization index of this subtree's first insert and first
+delete of the entry, so every request can compute a unique serialization
+index locally.  A part gets a share only for the entries its own batch
+has, so its share is exactly as long as its batch; a part with no inserts
+in an entry gets an all-``None`` insert share without a walk over the
+priorities.
 """
 from __future__ import annotations
 
@@ -150,17 +152,15 @@ class EntryShare:
     ins: tuple[tuple[int, int] | None, ...]  # interval per priority, or None
     dels: tuple[tuple[int, int, int], ...]  # ordered (priority, lo, hi)
     bottoms: int
-    ins_base: int  # global serialization index of the entry's first insert
-    del_base: int  # global serialization index of the entry's first delete
-    ins_offset: int  # inserts of this entry serialized before this subtree
-    del_offset: int
+    ins_first: int  # global serialization index of this subtree's first insert
+    del_first: int  # global serialization index of this subtree's first delete
 
     def bits(self) -> int:
-        # five naturals, an interval (two) or ``None`` (1 bit) per priority
+        # three naturals, an interval (two) or ``None`` (1 bit) per priority
         # and a priority and an interval per delete run; ``nat_bits`` inlined,
         # a negative value still faults there
         total = 0
-        for x in (self.bottoms, self.ins_base, self.del_base, self.ins_offset, self.del_offset):
+        for x in (self.bottoms, self.ins_first, self.del_first):
             total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
         for iv in self.ins:
             if not iv:
@@ -207,20 +207,11 @@ def anchor_assign(state: AnchorState, batch: Batch, serial_base: int) -> tuple[S
                 dels.append((p + 1, state.first[p], state.first[p] + take - 1))
                 state.first[p] += take
                 rem -= take
-        ins_base = counter
-        del_base = counter + sum(vec)
-        counter = del_base + d
+        del_first = counter + sum(vec)
         shares.append(
-            EntryShare(
-                ins=tuple(ins),
-                dels=tuple(dels),
-                bottoms=rem,
-                ins_base=ins_base,
-                del_base=del_base,
-                ins_offset=0,
-                del_offset=0,
-            )
+            EntryShare(tuple(ins), tuple(dels), rem, ins_first=counter, del_first=del_first)
         )
+        counter = del_first + d
         state.check()
     return tuple(shares), counter
 
@@ -229,7 +220,9 @@ def decompose(share: Share, parts: Sequence[Batch]) -> list[Share]:
     """Split a share among sub-batches, consuming positions in combine order.
 
     ``parts`` must be the exact batches combined at this tree node, own
-    batch first, then children ascending by label.
+    batch first, then children ascending by label.  Each part's share has
+    one entry per entry of its batch, and its serial starts follow the
+    inserts and deletes of the parts before it.
     """
     priorities = parts[0].priorities if parts else 0
     no_ins: tuple[None, ...] = (None,) * priorities
@@ -241,15 +234,10 @@ def decompose(share: Share, parts: Sequence[Batch]) -> list[Share]:
         del_stream_pos = 0  # index into del_stream
         del_inner = 0  # positions consumed within del_stream[del_stream_pos]
         bottoms_left = entry_share.bottoms
-        ins_base = entry_share.ins_base
-        del_base = entry_share.del_base
-        ins_off = entry_share.ins_offset
-        del_off = entry_share.del_offset
+        ins_off = entry_share.ins_first  # the serial index of the next part's first insert
+        del_off = entry_share.del_first
         for part_i, part in enumerate(parts):
-            if j >= len(part.entries):
-                out[part_i].append(
-                    EntryShare(no_ins, (), 0, ins_base, del_base, ins_off, del_off)
-                )
+            if j >= len(part.entries):  # no receiver reads a share past its batch
                 continue
             vec, d = part.entries[j]
             n_ins = sum(vec)
@@ -286,15 +274,7 @@ def decompose(share: Share, parts: Sequence[Batch]) -> list[Share]:
                 part_bottoms = need
                 bottoms_left -= need
             out[part_i].append(
-                EntryShare(
-                    ins=ins_tuple,
-                    dels=tuple(part_dels),
-                    bottoms=part_bottoms,
-                    ins_base=ins_base,
-                    del_base=del_base,
-                    ins_offset=ins_off,
-                    del_offset=del_off,
-                )
+                EntryShare(ins_tuple, tuple(part_dels), part_bottoms, ins_off, del_off)
             )
             ins_off += n_ins
             del_off += d

@@ -67,12 +67,15 @@ hash of its position, distributes copies along de Bruijn prefixes
 (halving the index interval per hop, so n' nodes hold copies in log n'
 hops), rendezvouses copy pairs at symmetric hash keys for their single
 comparison, and aggregates the (smaller, larger) vote vectors back up
-each copy tree; order = smaller-count + 1.  A copy's slot (``_CopySlot``)
-keeps only its parent link, its child count, its own vote and its
-children's totals: what the copy sends on (n', the probe orders, the
-target and the element) is read from the message that opened the slot.
-Only a tree's root reports an order, so only the root keeps its
-``CandOp``.
+each copy tree; order = smaller-count + 1.  The slot of copy ``i`` that
+holds positions ``[lo, hi]`` is named ``key + (i, lo, hi)``: a message to
+a slot carries ``i``, ``lo`` and ``hi`` as naturals, and its receiver
+rebuilds the name from the selection ``key`` the message carries anyway.
+A slot (``_CopySlot``) keeps only its parent link (the parent's node and
+``(lo, hi)``), its child count, its own vote and its children's totals.
+A copy sends on only its element: n', the probe orders and the target
+are read only where a tree's root reports its order, so the root keeps
+the ``CandOp`` that opened the tree and no ``CopySplit`` carries them.
 """
 from __future__ import annotations
 
@@ -187,41 +190,53 @@ class CandOp(Message):
 
 @dataclass(slots=True)
 class CopySplit(Message):
+    """Copy ``i`` sent to open its slot for positions ``[lo, hi]``, a child of
+    the slot ``key + (i, parent_lo, parent_hi)`` at ``parent_node``."""
+
     key: tuple
     i: Nat
     lo: Nat
     hi: Nat
-    n_prime: Nat
-    probe_lo: Nat
-    probe_hi: Nat
-    target: Nat
     element: Element
     vid: VirtualId
     parent_node: Nat
-    parent_slot: tuple | None
+    parent_lo: Nat
+    parent_hi: Nat
 
 
 @dataclass(slots=True)
 class CompareOp(Message):
+    """Copy ``i``, from slot ``key + (i, lo, hi)`` at ``holder``, routed to its
+    rendezvous with candidate ``j``."""
+
     key: tuple
     i: Nat
     j: Nat
     element: Element
     holder: Nat
-    slot: tuple
+    lo: Nat
+    hi: Nat
 
 
 @dataclass(slots=True)
 class VoteMsg(Message):
+    """The vote of one comparison for slot ``key + (i, lo, hi)``."""
+
     key: tuple
-    slot: tuple
+    i: Nat
+    lo: Nat
+    hi: Nat
     vector: tuple[int, int]
 
 
 @dataclass(slots=True)
 class CopyAggMsg(Message):
+    """A child slot's total for slot ``key + (i, lo, hi)``."""
+
     key: tuple
-    slot: tuple
+    i: Nat
+    lo: Nat
+    hi: Nat
     vector: tuple[int, int]
 
 
@@ -235,15 +250,16 @@ class ProbeReport(Message):
 
 class _CopySlot:
     """A node's part of one candidate's copy tree.  It adds its own vote to
-    its children's totals and sends the sum up, as a ``CopyAggMsg`` to slot
-    ``parent`` at ``parent_node``; at the tree's root ``parent`` is the
-    ``CandOp`` that opened the tree, whose fields say what to report."""
+    its children's totals and sends the sum up, as a ``CopyAggMsg`` to the
+    same copy's slot over the positions ``parent`` at ``parent_node``; at
+    the tree's root ``parent`` is the ``CandOp`` that opened the tree,
+    whose fields say what to report."""
 
     __slots__ = ("parent_node", "parent", "children", "child_sums", "own_vote")
 
     def __init__(self, parent_node, parent):
         self.parent_node = parent_node
-        self.parent = parent  # the parent's slot key, or the root's CandOp
+        self.parent = parent  # the parent slot's (lo, hi), or the root's CandOp
         self.children = 0
         self.child_sums: list[tuple[int, int]] = []
         self.own_vote: tuple[int, int] | None = None
@@ -454,32 +470,35 @@ class KSelectNode(OverlayNode):
             )
 
     def on_CandOp(self, op: CandOp, vid: VirtualId) -> None:
-        self._open_slot(op, op.pos, 1, op.n_prime, vid, -1, None)
+        self._open_slot(op, op.pos, 1, op.n_prime, vid, -1, op)
 
     def on_CopySplit(self, msg: CopySplit) -> None:
-        self._open_slot(msg, msg.i, msg.lo, msg.hi, msg.vid, msg.parent_node, msg.parent_slot)
+        self._open_slot(
+            msg, msg.i, msg.lo, msg.hi, msg.vid, msg.parent_node, (msg.parent_lo, msg.parent_hi)
+        )
 
     def on_VoteMsg(self, msg: VoteMsg) -> None:
         slot = self._copy_slot(msg)
         if slot.own_vote is not None:
             raise SimulationFault("duplicate vote for a copy")
         slot.own_vote = msg.vector
-        self._slot_try(msg.key, msg.slot)
+        self._slot_try(msg.key, msg.i, msg.lo, msg.hi)
 
     def on_CopyAggMsg(self, msg: CopyAggMsg) -> None:
         self._copy_slot(msg).child_sums.append(msg.vector)
-        self._slot_try(msg.key, msg.slot)
+        self._slot_try(msg.key, msg.i, msg.lo, msg.hi)
 
     def on_ProbeReport(self, msg: ProbeReport) -> None:
         self.resume(("probes", msg.key), msg)
 
     def _copy_slot(self, msg: VoteMsg | CopyAggMsg) -> _CopySlot:
-        slot = self.copy_slots.get(msg.slot)
+        slot_key = msg.key + (msg.i, msg.lo, msg.hi)
+        slot = self.copy_slots.get(slot_key)
         if slot is None:
-            raise SimulationFault(f"{type(msg).__name__} for unknown copy slot {msg.slot}")
+            raise SimulationFault(f"{type(msg).__name__} for unknown copy slot {slot_key}")
         return slot
 
-    def _open_slot(self, op, i, lo, hi, vid, parent_node, parent_slot) -> None:
+    def _open_slot(self, op, i, lo, hi, vid, parent_node, parent) -> None:
         """Open copy ``i``'s slot for positions ``[lo, hi]``, which ``op``
         (the root's ``CandOp`` or a ``CopySplit``) brought here: keep the
         middle position, split the rest between the two children, and send
@@ -489,7 +508,7 @@ class KSelectNode(OverlayNode):
         slot_key = key + (i, lo, hi)
         if slot_key in self.copy_slots:
             raise SimulationFault(f"copy interval {slot_key} opened twice")
-        slot = self.copy_slots[slot_key] = _CopySlot(parent_node, parent_slot or op)
+        slot = self.copy_slots[slot_key] = _CopySlot(parent_node, parent)
         label = self.topo.label(vid)
         for child_lo, child_hi, half in (
             (lo, kept - 1, label / 2.0),
@@ -501,19 +520,16 @@ class KSelectNode(OverlayNode):
             child_vid = self.topo.responsible(half)
             self.post(
                 child_vid.owner,
-                CopySplit(
-                    key, i, child_lo, child_hi, op.n_prime, op.probe_lo, op.probe_hi,
-                    op.target, op.element, child_vid, self.id, slot_key,
-                ),
+                CopySplit(key, i, child_lo, child_hi, op.element, child_vid, self.id, lo, hi),
             )
         if kept == i:
             slot.own_vote = (0, 0)  # a candidate is never compared with itself
-            self._slot_try(key, slot_key)
+            self._slot_try(key, i, lo, hi)
         else:
             pair_key = hash_unit(
                 Tag.KS_PAIR, key + (min(i, kept), max(i, kept)), self.sim.cfg.seed
             )
-            self.route_send(pair_key, CompareOp(key, i, kept, op.element, self.id, slot_key))
+            self.route_send(pair_key, CompareOp(key, i, kept, op.element, self.id, lo, hi))
 
     def on_CompareOp(self, op: CompareOp, vid: VirtualId) -> None:
         pair = op.key + (min(op.i, op.j), max(op.i, op.j))
@@ -527,9 +543,10 @@ class KSelectNode(OverlayNode):
         else:
             votes = ((0, 1), (1, 0))
         for target, vector in zip((first, second), votes):
-            self.post(target.holder, VoteMsg(op.key, target.slot, vector))
+            self.post(target.holder, VoteMsg(op.key, target.i, target.lo, target.hi, vector))
 
-    def _slot_try(self, key: tuple, slot_key: tuple) -> None:
+    def _slot_try(self, key: tuple, i: int, lo: int, hi: int) -> None:
+        slot_key = key + (i, lo, hi)
         slot = self.copy_slots[slot_key]
         if slot.own_vote is None or len(slot.child_sums) != slot.children:
             return
@@ -538,7 +555,7 @@ class KSelectNode(OverlayNode):
         for vec in slot.child_sums:
             total = (total[0] + vec[0], total[1] + vec[1])
         if not isinstance(slot.parent, CandOp):
-            self.post(slot.parent_node, CopyAggMsg(key, slot.parent, total))
+            self.post(slot.parent_node, CopyAggMsg(key, i, *slot.parent, total))
             return
         # root of the copy tree: total is this candidate's comparison record
         op = slot.parent

@@ -27,8 +27,9 @@ the virtual-node overlay:
   from the message's fields.  Put/Get pairs rendezvous at the end of
   the route; a Get that arrives before its Put parks until the Put shows
   up.  A Put that carries a token is acknowledged to its issuer (a
-  ``PutAckMsg``); a Put with ``token=None`` is fire-and-forget, so no
-  protocol pays for an ack it does not read.  A route that has not
+  ``PutAckMsg``); a Put with ``token=None`` is fire-and-forget and
+  carries ``reply_to=None``, so no protocol pays for an ack, or an
+  issuer's id, that it does not read.  A route that has not
   arrived after ``CycleTopology.max_route_hops`` hops is a fault, not a
   hang.
 
@@ -75,10 +76,12 @@ evaluated inline, with no Python call per field, element or natural:
 * each class sizes a message with one function built from its dataclass
   fields on the class's first sizing and kept in ``_SIZERS``, a plain
   dict keyed by class, so ``Message.size_bits`` is one dict lookup and a
-  call; no class gets a ``size_bits`` of its own.  A ``Nat`` field is
-  sized inline as ``max(v, 2).bit_length()``.  A field annotated ``int``,
-  ``float``, ``str``, ``tuple``, ``VirtualId`` or ``Element`` whose value
-  has exactly that type, and an ``Any`` field holding ``None``, take the
+  call; no class gets a ``size_bits`` of its own.  Each function is
+  compiled under its class's name (``<size_bits CopySplit>``), so a
+  profile tells them apart.  A ``Nat`` field is sized inline as
+  ``max(v, 2).bit_length()``.  A field annotated ``int``, ``float``,
+  ``str``, ``tuple``, ``VirtualId`` or ``Element`` whose value has
+  exactly that type, and an ``Any`` field holding ``None``, take the
   matching ``value_bits`` rule inline (an ``Element`` as its three
   naturals plus 8 bits a payload byte); any other value goes through
   ``value_bits``.
@@ -247,7 +250,9 @@ def _build_sizer(cls: type) -> Callable[[Any, Simulator], int]:
 
     The function resolves the helpers it calls in this module's globals at
     call time, so rebinding one of them (as the benchmark's tracer does)
-    reaches every class, and undoing it leaves nothing behind.
+    reaches every class, and undoing it leaves nothing behind.  It is
+    compiled under the file name ``<size_bits ClassName>``, so a profile
+    keeps one row per class.
     """
     lines = ["def size_bits(self, sim):", "    bits = 0"]
     for f in fields(cls):
@@ -256,7 +261,7 @@ def _build_sizer(cls: type) -> Callable[[Any, Simulator], int]:
             lines += [f"    v = self.{f.name}", f"    bits += {size}"]
     lines.append("    return bits")
     namespace: dict[str, Any] = {}
-    exec("\n".join(lines), globals(), namespace)
+    exec(compile("\n".join(lines), f"<size_bits {cls.__name__}>", "exec"), globals(), namespace)
     return namespace["size_bits"]
 
 
@@ -339,7 +344,7 @@ class PutOp(Message):
     ns: str
     key_id: tuple
     element: Element
-    reply_to: int
+    reply_to: int | None  # the issuer, or None when no ack is asked for
     token: Any
 
 
@@ -595,8 +600,9 @@ class OverlayNode(ProtocolNode):
         """Store ``element`` under ``(ns, key_id)`` at the node responsible
         for ``key``.  The put is acknowledged with a ``PutAckMsg`` to
         ``on_PutAckMsg`` only if ``token`` is not None; with None it is
-        fire-and-forget."""
-        self.route_send(key, PutOp(ns, key_id, element, self.id, token))
+        fire-and-forget and names no node to reply to."""
+        reply_to = None if token is None else self.id
+        self.route_send(key, PutOp(ns, key_id, element, reply_to, token))
 
     def dht_get(self, ns: str, key_id: tuple, key: float, token: Any) -> None:
         """Fetch the element under ``(ns, key_id)``; it comes back in a

@@ -10,13 +10,16 @@ Each epoch runs four phases, pipelined per node:
    batch first, then its children's ascending by label, a left one only
    its children's, and each remembers the parts (``node.OverlayNode``);
 2. the anchor assigns position intervals to every entry of the combined
-   batch and serialization bases per entry: each epoch is one anchor
-   program (``_epoch``) on the driver all three protocols share
-   (``node.OverlayNode``), which waits for the epoch's ``sb`` wave and
-   assigns in the same event as the wave reaches the root;
+   batch and the serial index of its first insert and first delete: each
+   epoch is one anchor program (``_epoch``) on the driver all three
+   protocols share (``node.OverlayNode``), which waits for the epoch's
+   ``sb`` wave and assigns in the same event as the wave reaches the root;
 3. the intervals decompose back down the tree in the combine order
-   (``split_sb``), so every request obtains a unique (priority, position)
-   pair or a bottom mark, plus its global serialization index
+   (``split_sb``): a part's share has one entry per entry of its own
+   batch, and each entry's two serial starts move past the inserts and
+   deletes of the parts before it, so every request obtains a unique
+   (priority, position) pair or a bottom mark, plus its global
+   serialization index, its serial start plus its place in its run
    (``deliver_sb``);
 4. inserts put their element under the hash of (priority, position),
    matched deletes get the same key (rendezvous in the DHT), bottom
@@ -103,7 +106,7 @@ class SkeapNode(HeapNode, OverlayNode):
                 pos = cursors[p - 1]
                 cursors[p - 1] += 1
                 req.assigned = (p, pos)
-                req.serial_index = entry.ins_base + entry.ins_offset + offset
+                req.serial_index = entry.ins_first + offset
                 self._execute_insert(req)
             flat: list[tuple[int, int]] = [
                 (p, pos)
@@ -112,7 +115,7 @@ class SkeapNode(HeapNode, OverlayNode):
             ]
             for offset, req_i in enumerate(del_idx):
                 req = requests[req_i]
-                req.serial_index = entry.del_base + entry.del_offset + offset
+                req.serial_index = entry.del_first + offset
                 if offset < len(flat):
                     req.assigned = flat[offset]
                     self._execute_delete(req)

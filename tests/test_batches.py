@@ -129,7 +129,7 @@ def test_anchor_assign_worked_example():
     assert state.first == [4, 1]
     assert state.last == [4, 1]
     assert counter == 1 + 5 + 3
-    assert entry.ins_base == 1 and entry.del_base == 6
+    assert entry.ins_first == 1 and entry.del_first == 6
 
 
 def test_anchor_assign_multi_priority_delete():
@@ -177,14 +177,16 @@ def test_decompose_worked_example():
 
 
 def test_decompose_offsets_accumulate():
+    # the entry's inserts are serialized from 1 and its deletes from 6; each
+    # part starts after the inserts and deletes of the parts before it
     state = AnchorState(2)
     share, _ = anchor_assign(state, B(((4, 1), 3)), 1)
     own_share, c1_share, c2_share = decompose(
         share, [B(((1, 0), 0)), B(((1, 0), 2)), B(((2, 1), 1))]
     )
-    assert own_share[0].ins_offset == 0 and own_share[0].del_offset == 0
-    assert c1_share[0].ins_offset == 1 and c1_share[0].del_offset == 0
-    assert c2_share[0].ins_offset == 2 and c2_share[0].del_offset == 2
+    assert own_share[0].ins_first == 1 and own_share[0].del_first == 6
+    assert c1_share[0].ins_first == 2 and c1_share[0].del_first == 6
+    assert c2_share[0].ins_first == 3 and c2_share[0].del_first == 8
 
 
 def test_decompose_leaf_identity():
@@ -210,7 +212,7 @@ def test_decompose_all_zero_subbatch_gets_empty_share():
     state = AnchorState(2)
     share, _ = anchor_assign(state, B(((2, 0), 1)), 1)
     z, full = decompose(share, [Batch(2), B(((2, 0), 1))])
-    assert _ins_count(z[0]) == 0 and _del_count(z[0]) == 0
+    assert z == ()
     assert full[0].ins == ((1, 2), None)
 
 
@@ -305,23 +307,20 @@ def test_decompose_carries_bases_and_running_offsets(r1, r2, r3):
     batches = [snapshot_batch(r, 3)[0] for r in (r1, r2, r3)]
     batches.insert(1, Batch(3))
     share, _ = anchor_assign(AnchorState(3), combine_all(batches, 3), 5)
-    # a subtree's share starts at nonzero offsets
+    # a subtree's share starts after the requests of other subtrees
     share = tuple(
-        dataclasses.replace(e, ins_offset=7 + j, del_offset=11 + j)
+        dataclasses.replace(e, ins_first=e.ins_first + 7 + j, del_first=e.del_first + 11 + j)
         for j, e in enumerate(share)
     )
     parts = decompose(share, batches)
+    for part_share, part_batch in zip(parts, batches):
+        assert len(part_share) == len(part_batch.entries)  # no share past its batch
     for j, entry in enumerate(share):
-        ins_off, del_off = entry.ins_offset, entry.del_offset
+        ins_next, del_next = entry.ins_first, entry.del_first
         for part_share, part_batch in zip(parts, batches):
-            assert len(part_share) == len(share)
-            got = part_share[j]
-            assert (got.ins_base, got.del_base) == (entry.ins_base, entry.del_base)
-            assert (got.ins_offset, got.del_offset) == (ins_off, del_off)
             if j < len(part_batch.entries):
+                got = part_share[j]
+                assert (got.ins_first, got.del_first) == (ins_next, del_next)
                 vec, d = part_batch.entries[j]
-                ins_off += sum(vec)
-                del_off += d
-            else:
-                assert got.ins == (None,) * 3
-                assert got.dels == () and got.bottoms == 0
+                ins_next += sum(vec)
+                del_next += d

@@ -4,6 +4,10 @@
 fields and simulated metrics.  A change that moves one of these digests
 changes what the benchmark measures, even when every smaller case stays
 green; these tests pin them at schedule seed 0.
+
+``PYTHONPATH=src python tests/test_benchmark_digests.py`` prints the
+digests of the current code in the form of ``EXPECTED``, for a change
+that is meant to move them.
 """
 from __future__ import annotations
 
@@ -18,9 +22,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 EXPECTED = {
-    "skeap-sync-n512": "709cdad70b1ee02d",
-    "kselect-sync-n128": "bf62d4e203010c00",
-    "seap-async-n128": "960e660d5b26e886",
+    "skeap-sync-n512": "df97a0b2e8265d59",
+    "kselect-sync-n128": "12a7f011894d4ca2",
+    "seap-async-n128": "ebcb441b209f95b1",
 }
 
 
@@ -30,3 +34,12 @@ def test_workload_digest_is_pinned(name):
     result = workloads.run(distheap, wl, 0)
     assert not workloads.failed(wl, result)
     assert workloads.digest(wl, result) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    for name in EXPECTED:
+        wl = workloads.WORKLOADS[name]
+        result = workloads.run(distheap, wl, 0)
+        if workloads.failed(wl, result):
+            raise SystemExit(f"{name}: the protocol's checker rejects the run")
+        print(f"    {name!r}: {workloads.digest(wl, result)!r},")

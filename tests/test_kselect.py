@@ -1,6 +1,8 @@
 import math
 import random
 import re
+from collections import Counter
+from dataclasses import fields
 from functools import reduce
 
 import pytest
@@ -8,14 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distheap import kselect
-from distheap.experiments import make_elements, run_kselect
+from distheap.experiments import make_elements, run_kselect, run_skeap_plus
 from distheap.kselect import (
     NEG_INF,
     PHASE2_CAP,
     POS_INF,
     RESAMPLE_CAP,
+    CandOp,
+    CompareOp,
+    CopyAggMsg,
+    CopySplit,
     KSelectNode,
     ProbeReport,
+    VoteMsg,
     combine_minmax,
     delta_for,
     exponent_for,
@@ -23,6 +30,7 @@ from distheap.kselect import (
     phase1_iterations,
     sample_probability,
 )
+from distheap.node import PutOp, RouteMsg
 from distheap.overlay import CycleTopology
 from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
 
@@ -577,3 +585,44 @@ def test_no_candidate_list_outlives_a_selection():
     sim.run_sync()
     assert anchor.selection.result is not None
     assert all(node.candidates == {} for node in nodes)
+
+
+def _sent_operations(monkeypatch):
+    """Every payload sent from now on, a routed operation unwrapped from the
+    ``RouteMsg`` of each hop that carries it."""
+    sent = []
+    send = Simulator.send
+
+    def recording(self, src, dst, payload):
+        sent.append(payload.inner if isinstance(payload, RouteMsg) else payload)
+        send(self, src, dst, payload)
+
+    monkeypatch.setattr(Simulator, "send", recording)
+    return sent
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_messages_carry_no_field_their_receiver_holds(mode, monkeypatch):
+    # Seap runs KSelect in every delete phase and puts elements with and
+    # without an ack
+    sent = _sent_operations(monkeypatch)
+    res = run_skeap_plus(16, seed=1, lam=2, mode=mode)
+    assert res.ok
+    slot_messages = (CopySplit, CompareOp, VoteMsg, CopyAggMsg)
+    kinds = Counter(type(op) for op in sent)
+    assert all(kinds[cls] > 0 for cls in (*slot_messages, CandOp, PutOp))
+    puts = Counter(op.token is None for op in sent if type(op) is PutOp)
+    assert puts[True] > 0 and puts[False] > 0
+    for op in sent:
+        if isinstance(op, slot_messages):
+            # a copy slot is named by naturals; the receiver adds the key
+            held = [getattr(op, f.name) for f in fields(op) if f.name != "key"]
+            assert not any(
+                type(v) is tuple and v[: len(op.key)] == op.key for v in held
+            ), op
+        elif type(op) is PutOp and op.token is None:
+            assert op.reply_to is None, op  # no ack, so no one to reply to
+    # only a copy tree's root reports an order, from its own CandOp
+    assert not {"n_prime", "probe_lo", "probe_hi", "target"} & {
+        f.name for f in fields(CopySplit)
+    }

@@ -277,15 +277,25 @@ def test_skeap_sends_no_put_ack(mode, monkeypatch):
 def test_seap_acknowledges_exactly_its_remote_element_puts(mode, monkeypatch):
     acks = _acks_sent(monkeypatch)
     # every put that arrives at a node other than its issuer, as the ack
-    # that node would send: (src, dst, ns, token)
+    # that node would send: (src, dst, ns, token).  A put without a token
+    # names no issuer, so each put's issuer is taken where it is routed.
+    issuers = {}  # id of a put -> (the put, its issuer)
     remote_puts = []
+    routed = OverlayNode.route_send
     arrived = OverlayNode.on_PutOp
 
+    def recording_routed(self, key, inner):
+        if type(inner) is PutOp:
+            issuers[id(inner)] = (inner, self.id)
+        routed(self, key, inner)
+
     def recording_arrived(self, op, vid):
-        if op.reply_to != self.id:
-            remote_puts.append((self.id, op.reply_to, op.ns, op.token))
+        issuer = issuers[id(op)][1]
+        if issuer != self.id:
+            remote_puts.append((self.id, issuer, op.ns, op.token))
         arrived(self, op, vid)
 
+    monkeypatch.setattr(OverlayNode, "route_send", recording_routed)
     monkeypatch.setattr(OverlayNode, "on_PutOp", recording_arrived)
     res = run_skeap_plus(16, seed=1, lam=2, mode=mode)
     assert res.ok

@@ -131,7 +131,7 @@ def test_value_bits_matches_isinstance_chain():
         None, True, False, 0, 1, -5, 2**60, 0.25, "k2n",
         Element(3, 1, 7), Element(2**40, 5, 1, b"xy"),
         Batch(2, (((1, 0), 2), ((0, 3), 0))),
-        EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 6, 0, 2),
+        EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 8),
         VirtualId(6, "M"), (), (1, "a", (None, 2.5)), [VirtualId(0, "L"), 9],
         pair(4, (1, 2)),
     ]
@@ -182,7 +182,7 @@ def test_tuple_memo_is_exact_in_every_order():
 
 def test_tuple_memo_resizes_mutable_elements():
     sim, _ = make_sim(n=8)
-    share = EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 6, 0, 2)
+    share = EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 8)
     key = ("sd", 3, share)
     before = value_bits(sim, key)
     share.bottoms = 2**40
@@ -294,26 +294,25 @@ _MESSAGE_CASES = {
         + m.element.bits(),
     ),
     CopySplit: (
-        lambda v: CopySplit(
-            _key(v), v, v, v + 3, v + 4, v, v + 1, 0, _elem(v), _vid(v), v, _key(v) + (v, v, v)
-        ),
+        lambda v: CopySplit(_key(v), v, v, v + 3, _elem(v), _vid(v), v, v, v + 3),
         lambda sim, m: _vb(sim, m.key) + nat_bits(m.i) + nat_bits(m.lo) + nat_bits(m.hi)
-        + nat_bits(m.n_prime) + nat_bits(m.probe_lo) + nat_bits(m.probe_hi)
-        + nat_bits(m.target) + m.element.bits() + _vb(sim, m.vid)
-        + nat_bits(m.parent_node) + _vb(sim, m.parent_slot),
+        + m.element.bits() + _vb(sim, m.vid) + nat_bits(m.parent_node)
+        + nat_bits(m.parent_lo) + nat_bits(m.parent_hi),
     ),
     CompareOp: (
-        lambda v: CompareOp(_key(v), v, v + 1, _elem(v), v, _key(v) + (v, 0, v)),
+        lambda v: CompareOp(_key(v), v, v + 1, _elem(v), v, 0, v),
         lambda sim, m: _vb(sim, m.key) + nat_bits(m.i) + nat_bits(m.j) + m.element.bits()
-        + nat_bits(m.holder) + _vb(sim, m.slot),
+        + nat_bits(m.holder) + nat_bits(m.lo) + nat_bits(m.hi),
     ),
     VoteMsg: (
-        lambda v: VoteMsg(_key(v), _key(v) + (v, v, v), (v, 0)),
-        lambda sim, m: _vb(sim, m.key) + _vb(sim, m.slot) + _vb(sim, m.vector),
+        lambda v: VoteMsg(_key(v), v, v, v, (v, 0)),
+        lambda sim, m: _vb(sim, m.key) + nat_bits(m.i) + nat_bits(m.lo) + nat_bits(m.hi)
+        + _vb(sim, m.vector),
     ),
     CopyAggMsg: (
-        lambda v: CopyAggMsg(_key(v), _key(v) + (v, v, v), (v, v)),
-        lambda sim, m: _vb(sim, m.key) + _vb(sim, m.slot) + _vb(sim, m.vector),
+        lambda v: CopyAggMsg(_key(v), v, v, v, (v, v)),
+        lambda sim, m: _vb(sim, m.key) + nat_bits(m.i) + nat_bits(m.lo) + nat_bits(m.hi)
+        + _vb(sim, m.vector),
     ),
     ProbeReport: (
         lambda v: ProbeReport(_key(v), "target", v, _elem(v)),
@@ -335,6 +334,15 @@ def test_message_size_matches_hand_written_formula(cls, value):
     build, reference = _MESSAGE_CASES[cls]
     msg = build(value)
     assert msg.size_bits(sim) == reference(sim, msg)
+
+
+def test_each_built_sizer_is_compiled_under_its_class_name():
+    # a profile keeps one row per message class, not one ``<string>`` row
+    sim, _ = make_sim(n=8)
+    for cls, (build, _) in _MESSAGE_CASES.items():
+        build(1).size_bits(sim)
+        code = node_module._SIZERS[cls].__code__
+        assert code.co_filename == f"<size_bits {cls.__name__}>"
 
 
 def _nat_fields(cls):
@@ -396,11 +404,11 @@ _values = st.one_of(_scalars, _tuples, st.lists(_scalars, max_size=3))
 _FIELD_VALUES = {
     "Nat": _nats,
     "int": _ints,
+    "int | None": st.one_of(_ints, st.none()),  # ``PutOp.reply_to``
     "float": st.floats(0.0, 1.0, exclude_max=True),
     "str": st.one_of(_strs, _strs.map(_Str)),  # ``ProbeReport``'s reference counts 8
     "tuple": st.one_of(_tuples, _values),
     "tuple[int, int]": st.one_of(st.tuples(_ints, _ints), _values),
-    "tuple | None": st.one_of(_tuples, st.none(), _values),
     "VirtualId": st.one_of(_vids, _values),
     "Element": _elements,  # the hand-written references call ``.bits()``
     "Any": _values,
@@ -444,7 +452,7 @@ def test_tuple_field_holding_a_list_or_an_entry_share_is_sized_by_the_rule(cls):
     # ``key`` is annotated ``tuple``: these values fail the built sizer's exact
     # type guard, or hold an element the memo must not keep
     sim, _ = make_sim(n=8)
-    share = EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 6, 0, 2)
+    share = EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 8)
     items = [1, -7, "a"]
     vid = VirtualId(3, "M")
     for key in (items, share, (1, share), (2, items)):
@@ -461,16 +469,13 @@ def _negative_naturals():
     """(name, a ``.bits()`` call with one natural set to -1) for every natural
     ``Element.bits``, ``Batch.bits`` and ``EntryShare.bits`` read."""
     elem = dict(priority=3, origin=1, seq=7)
-    share = dict(
-        ins=((1, 4), None), dels=((2, 1, 3),), bottoms=1, ins_base=5, del_base=6,
-        ins_offset=0, del_offset=2,
-    )
+    share = dict(ins=((1, 4), None), dels=((2, 1, 3),), bottoms=1, ins_first=5, del_first=8)
     cases = [(f"Element.{k}", lambda k=k: Element(**{**elem, k: -1}).bits()) for k in elem]
     cases += [
         ("Batch.insert", lambda: Batch(2, (((1, 0), 2), ((0, -1), 0))).bits()),
         ("Batch.delete", lambda: Batch(2, (((1, 0), 2), ((0, 3), -1))).bits()),
     ]
-    scalars = ("bottoms", "ins_base", "del_base", "ins_offset", "del_offset")
+    scalars = ("bottoms", "ins_first", "del_first")
     cases += [(f"EntryShare.{k}", lambda k=k: EntryShare(**{**share, k: -1}).bits()) for k in scalars]
     cases += [
         ("EntryShare.ins.lo", lambda: EntryShare(**{**share, "ins": ((-1, 4), None)}).bits()),

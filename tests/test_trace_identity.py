@@ -28,42 +28,42 @@ SEEDS = (0, 1)
 
 # (protocol, mode, n, seed) -> (trace, records, metrics)
 EXPECTED = {
-    ('skeap', 'synchronous', 2, 0): ('33351e706a74e82b', '388368d3c75fc922', '3718749efcae973c'),
-    ('skeap', 'synchronous', 2, 1): ('eebf7a1d890e2725', 'b28d0136ddafb062', 'b1af874b2e477632'),
-    ('skeap', 'synchronous', 8, 0): ('4b6d1f3676950825', 'c9e5fc435d38d1f1', '8c33cd7d513c01b1'),
-    ('skeap', 'synchronous', 8, 1): ('6a8d47b58da4d315', '44be1a8a7c2cedf7', '42b1e78e36c61545'),
-    ('skeap', 'synchronous', 32, 0): ('f6a6eab0366c71e9', '24621a035be4f904', '51844e19a4ea9b85'),
-    ('skeap', 'synchronous', 32, 1): ('b1d187634892b863', 'f47010e4b7efe9d0', '9738e90d5a8e055d'),
-    ('skeap', 'asynchronous', 2, 0): ('08b5805b1df3e92a', '388368d3c75fc922', 'f6dad62a5acd9dfd'),
-    ('skeap', 'asynchronous', 2, 1): ('0e7488a931555d8e', 'b28d0136ddafb062', 'e7789b2b5d914f62'),
-    ('skeap', 'asynchronous', 8, 0): ('a118af31f91859f8', 'c9e5fc435d38d1f1', '831a4e42176f498e'),
-    ('skeap', 'asynchronous', 8, 1): ('34f361510f485890', '44be1a8a7c2cedf7', '81a378efa8c72ea3'),
-    ('skeap', 'asynchronous', 32, 0): ('49df83351efae0d6', '24621a035be4f904', '448029ef540c4bea'),
-    ('skeap', 'asynchronous', 32, 1): ('23fd3cc5c6bfe4aa', 'f47010e4b7efe9d0', '4f335987ba705ba6'),
-    ('seap', 'synchronous', 2, 0): ('438de9d498bdce59', '20b74a1a27c9e5bd', 'a581df0e1c480822'),
-    ('seap', 'synchronous', 2, 1): ('27a8efd52c097b04', 'e1b12c6bea5a474d', '363f82f437813583'),
-    ('seap', 'synchronous', 8, 0): ('88523f2caed04fdf', 'd06939338a165fc2', '4739db6c0f40ad75'),
-    ('seap', 'synchronous', 8, 1): ('fa93d4b0bfe5a178', 'ca4b983baa9d08a2', '331743f5a3e5fd13'),
-    ('seap', 'synchronous', 32, 0): ('606b5b4c15ebdbf2', '9a42dec75bd1d68e', '5d8ec001dd758fa8'),
-    ('seap', 'synchronous', 32, 1): ('7c31aa860fec0fee', 'ace6191fa1c7f811', '7fd6f525bce2705e'),
+    ('skeap', 'synchronous', 2, 0): ('feadc8db7c6bdba8', '388368d3c75fc922', '7b59b9005a70fa67'),
+    ('skeap', 'synchronous', 2, 1): ('acacea6cd218debf', 'b28d0136ddafb062', 'cf325fb5645e6318'),
+    ('skeap', 'synchronous', 8, 0): ('3c62380b48a03e10', 'c9e5fc435d38d1f1', '2d6e26c3d2e0e676'),
+    ('skeap', 'synchronous', 8, 1): ('5aaa2f31438a42a6', '44be1a8a7c2cedf7', 'd31cd879c743b23b'),
+    ('skeap', 'synchronous', 32, 0): ('a4fa78c780f6c465', '24621a035be4f904', '0caddf040cd29e1e'),
+    ('skeap', 'synchronous', 32, 1): ('a208300d55911025', 'f47010e4b7efe9d0', '98acfc5c6c0b0b15'),
+    ('skeap', 'asynchronous', 2, 0): ('84e53abd1febb652', '388368d3c75fc922', '1ee5a2726b32fe7f'),
+    ('skeap', 'asynchronous', 2, 1): ('c7ca8b78b311e53e', 'b28d0136ddafb062', '362fef6edd8f3df5'),
+    ('skeap', 'asynchronous', 8, 0): ('9e3fb82d649d93c8', 'c9e5fc435d38d1f1', '1d0dd83f8c7fc2ee'),
+    ('skeap', 'asynchronous', 8, 1): ('be0809797106d113', '44be1a8a7c2cedf7', '3bab367f74ec5c87'),
+    ('skeap', 'asynchronous', 32, 0): ('2f4feef6bdf0236b', '24621a035be4f904', 'e948c26ce1ac2a14'),
+    ('skeap', 'asynchronous', 32, 1): ('78f581f0388df161', 'f47010e4b7efe9d0', '9a71f07c45de6f0e'),
+    ('seap', 'synchronous', 2, 0): ('2da95fbd9bd4b42c', '20b74a1a27c9e5bd', 'e6550f740138c772'),
+    ('seap', 'synchronous', 2, 1): ('aa051eb7b95a4136', 'e1b12c6bea5a474d', 'a3fe4969f8164551'),
+    ('seap', 'synchronous', 8, 0): ('bdc0585af9821e55', 'd06939338a165fc2', '2a2efc590ef48f5e'),
+    ('seap', 'synchronous', 8, 1): ('7d34fc1e016748ad', 'ca4b983baa9d08a2', 'd5bf52a6f8a88589'),
+    ('seap', 'synchronous', 32, 0): ('611f108ffddc42b6', '9a42dec75bd1d68e', 'ccf055e10c0ef529'),
+    ('seap', 'synchronous', 32, 1): ('d7fdd4f6918cec41', 'ace6191fa1c7f811', '2aa351dbe3081105'),
     ('seap', 'asynchronous', 2, 0): ('5906502f5ddfdfd8', '3cc614f9072381d6', 'ac9b3ee33a7ff752'),
-    ('seap', 'asynchronous', 2, 1): ('bf7e9f0c780f7000', 'ddf0f70ad3f82eef', '73e707a3ec52cc7a'),
-    ('seap', 'asynchronous', 8, 0): ('98bfd7091f8baf16', 'd06939338a165fc2', '6985c924661bac2e'),
-    ('seap', 'asynchronous', 8, 1): ('0eb7f9d99313a26e', 'ca4b983baa9d08a2', 'f3c748779a00cf8d'),
-    ('seap', 'asynchronous', 32, 0): ('644bbf5182c9f936', '9a42dec75bd1d68e', '999252aec9fefa98'),
-    ('seap', 'asynchronous', 32, 1): ('47aa20e1ae930055', 'ace6191fa1c7f811', '01d231a407a16699'),
+    ('seap', 'asynchronous', 2, 1): ('9e0380cef3fa09f2', 'ddf0f70ad3f82eef', 'a3c3df5d44fe3893'),
+    ('seap', 'asynchronous', 8, 0): ('788dd2f56abc95cb', 'd06939338a165fc2', 'e0e9beb4e17d43c2'),
+    ('seap', 'asynchronous', 8, 1): ('26f514d6cc707eda', 'ca4b983baa9d08a2', '30264fec1dd873eb'),
+    ('seap', 'asynchronous', 32, 0): ('ec99fbcecc47d43b', '9a42dec75bd1d68e', 'ed11edfd6485f971'),
+    ('seap', 'asynchronous', 32, 1): ('c8172825e3324487', 'ace6191fa1c7f811', '686e9a6216976759'),
     ('kselect', 'synchronous', 2, 0): ('2ec2b6632ff7e8a8', '02110ae6881c39ad', '9d942ce15c7f33ca'),
-    ('kselect', 'synchronous', 2, 1): ('996e02f51e675c46', '7738fad936616975', '827e23e1ef854ac6'),
-    ('kselect', 'synchronous', 8, 0): ('8360e2cb90efbbec', '532c3d6ee5d49b7b', '1c27855b815209ff'),
-    ('kselect', 'synchronous', 8, 1): ('0f3a642c1bd842e3', '8d24248dbef6fe6d', 'f754baa286bfbea3'),
-    ('kselect', 'synchronous', 32, 0): ('0a679055fce76eec', '447eb6ce8f84c61a', '2f4e37c35e2ed8d4'),
-    ('kselect', 'synchronous', 32, 1): ('aa0835c70f6ab46b', '3ba3c01ab8c48bb7', '991cae139d367f7c'),
+    ('kselect', 'synchronous', 2, 1): ('0544cb428746c3a4', '7738fad936616975', '1e0b81009b293255'),
+    ('kselect', 'synchronous', 8, 0): ('2f2a73833b61ff16', '532c3d6ee5d49b7b', '730d9b85b048eca4'),
+    ('kselect', 'synchronous', 8, 1): ('cea0af3ceeebe300', '8d24248dbef6fe6d', 'b2be18004c071cfa'),
+    ('kselect', 'synchronous', 32, 0): ('30e739bd5f5a9892', '447eb6ce8f84c61a', 'fb6ec8a6d4be9e58'),
+    ('kselect', 'synchronous', 32, 1): ('16eb59bac863f996', '3ba3c01ab8c48bb7', '658d807465e8e83c'),
     ('kselect', 'asynchronous', 2, 0): ('63a3e6b41e69e8b7', '87c945b83f9ac2ab', 'd621577b85380664'),
-    ('kselect', 'asynchronous', 2, 1): ('5d7777dba661a05f', '3b211b81226c168c', '64e98b48d4e1b31a'),
-    ('kselect', 'asynchronous', 8, 0): ('7a4dd75a3cdcb2bc', '2cc15b022bdc8d7f', 'ba4f0c13358cce9e'),
-    ('kselect', 'asynchronous', 8, 1): ('0571dea64344bd7b', '1eaa4a956dd43ba6', 'dabcdddee2b20b99'),
-    ('kselect', 'asynchronous', 32, 0): ('321a8a47bca77d65', '9a3e69843496aee4', '421f536bc65f4b41'),
-    ('kselect', 'asynchronous', 32, 1): ('67054719b58f6ba6', '7c6800170a914d14', 'c8345e671de7b102'),
+    ('kselect', 'asynchronous', 2, 1): ('3b504dcbbf2f92d1', '3b211b81226c168c', '5f1836fd9a9a670f'),
+    ('kselect', 'asynchronous', 8, 0): ('445e829aae009538', '2cc15b022bdc8d7f', 'ff1074b5e6758810'),
+    ('kselect', 'asynchronous', 8, 1): ('9b781a05e7b1036f', '1eaa4a956dd43ba6', '365d7b30fcc240be'),
+    ('kselect', 'asynchronous', 32, 0): ('169b221814c7e03c', '9a3e69843496aee4', '5ee31f08e40d4864'),
+    ('kselect', 'asynchronous', 32, 1): ('00ea4b8f78c26a33', '7c6800170a914d14', '6ed6e2f84c4be6da'),
 }
 
 
