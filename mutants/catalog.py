@@ -171,22 +171,6 @@ CATALOG = (
         source="ROADMAP item 11's seed catalog",
     ),
     Mutant(
-        name="every-put-acknowledged",
-        file="src/distheap/node.py",
-        old='''\
-        if op.token is not None:
-            self.post(op.reply_to, PutAckMsg(op.ns, op.token))
-''',
-        new='''\
-        self.post(op.reply_to, PutAckMsg(op.ns, op.token))
-''',
-        killers=(
-            "tests/test_node.py::test_skeap_sends_no_put_ack",
-            "tests/test_node.py::test_seap_acknowledges_exactly_its_remote_element_puts",
-        ),
-        source="CHANGES.md, acks for puts that no protocol reads",
-    ),
-    Mutant(
         name="route-hop-keeps-its-vid",
         file="src/distheap/node.py",
         old="            msg.vid = nxt\n",
@@ -211,6 +195,14 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
 ''',
         killers=("tests/test_census.py::test_every_src_def_is_called_or_allowed",),
         source="ROADMAP item 21: src/ holds only what a run, the CLI or the benchmark calls",
+    ),
+    Mutant(
+        name="src-grows-an-unread-field",
+        file="src/distheap/kselect.py",
+        old="    rounds: int = 0\n",
+        new="    rounds: int = 0\n    barriers: int = 0  # written, never read\n",
+        killers=("tests/test_census.py::test_every_src_dataclass_field_is_read_or_allowed",),
+        source="ROADMAP item 23: src/ keeps no data that no run reads",
     ),
     Mutant(
         name="flood-hook-drops-silently",
@@ -420,12 +412,27 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         source="messages carry only what their receivers read: a copy slot named by naturals",
     ),
     Mutant(
-        name="unacked-put-names-its-issuer",
-        file="src/distheap/node.py",
-        old="        reply_to = None if token is None else self.id\n",
-        new="        reply_to = self.id\n",
-        killers=("tests/test_kselect.py::test_messages_carry_no_field_their_receiver_holds",),
-        source="messages carry only what their receivers read: no reply address without an ack",
+        name="stored-elements-removed-by-prefix",
+        file="src/distheap/skeap_plus.py",
+        old="""\
+        moved = set(map(id, qual))
+        self.elements = [e for e in self.elements if id(e) not in moved]
+""",
+        new="""\
+        self.elements = self.elements[len(qual):]
+""",
+        killers=(
+            "tests/test_skeap_plus.py::test_a_move_takes_out_exactly_the_qualifying_elements",
+        ),
+        source="one element store: the move takes out what the fq flood counted",
+    ),
+    Mutant(
+        name="store-acked-to-the-storing-node",
+        file="src/distheap/skeap_plus.py",
+        old="        self.post(element.origin, StoreAckMsg(op.epoch))\n",
+        new="        self.post(self.id, StoreAckMsg(op.epoch))\n",
+        killers=("tests/test_node.py::test_seap_acknowledges_exactly_its_remote_element_puts",),
+        source="one element store: a store is acknowledged to the element's origin, its issuer",
     ),
 )
 

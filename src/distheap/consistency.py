@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .batches import DELETE, INSERT
-from .sim import Element
+from .sim import ELEMENT_KEY, Element
 
 BOTTOM = "bottom"
 
@@ -260,14 +260,14 @@ def check_phase_optimality(
     for epoch in sorted(phases):
         store.update(r.element for r in phases[epoch] if r.kind == INSERT)
         deletes = [r.returned for r in phases[epoch] if r.kind == DELETE]
-        returned = sorted((e for e in deletes if isinstance(e, Element)), key=lambda e: e.key)
+        returned = sorted((e for e in deletes if isinstance(e, Element)), key=ELEMENT_KEY)
         k_star = min(len(deletes), len(store))
         if log.get(epoch, (0, 0)) != (len(deletes), k_star):
             return False, (
                 f"epoch {epoch}: reported (k, k*) = {log.get(epoch)}, "
                 f"replay gives ({len(deletes)}, {k_star})"
             )
-        if returned != sorted(store, key=lambda e: e.key)[:k_star]:
+        if returned != sorted(store, key=ELEMENT_KEY)[:k_star]:
             return False, f"epoch {epoch}: returned set is not the k* smallest"
         store.difference_update(returned)
     return True, None

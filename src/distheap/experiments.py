@@ -16,7 +16,7 @@ from .kselect import KSelectNode, exponent_for
 from .metrics import run_metrics
 from .node import build
 from .overlay import CycleTopology
-from .sim import SYNC, Element, SimConfig, Simulator
+from .sim import ELEMENT_KEY, SYNC, Element, SimConfig, Simulator
 from .skeap import build_skeap
 from .skeap_plus import build_skeap_plus, finalize_records
 from .workload import Script, check_script
@@ -75,7 +75,7 @@ def run_kselect(
     for node, elems in zip(nodes, placement):
         node.seed_elements(elems)
         everything.extend(elems)
-    everything.sort(key=lambda e: e.key)
+    everything.sort(key=ELEMENT_KEY)
     anchor = nodes[topo.root.owner]
     anchor.run_program(anchor.select(k))
     if mode == SYNC:

@@ -87,7 +87,7 @@ from typing import Any, Generator
 from .hashing import Tag, hash_unit
 from .node import Message, Nat, OverlayNode, split_interval
 from .overlay import CycleTopology, VirtualId
-from .sim import Element, SimulationFault, Simulator
+from .sim import ELEMENT_KEY, Element, SimulationFault, Simulator
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -299,7 +299,13 @@ class _Selection:
 
 
 class KSelectNode(OverlayNode):
-    """Overlay node that stores elements and participates in selections."""
+    """Overlay node that stores elements and participates in selections.
+
+    ``elements`` holds the node's elements in key order.  A selection's
+    first flood takes that list as its candidates and prunes by slicing,
+    so whoever changes the node's elements (``seed_elements``, Seap's
+    stores and moves) builds a new list and never changes it in place.
+    """
 
     def __init__(self, sim: Simulator, node_id: int, topo: CycleTopology):
         super().__init__(sim, node_id, topo)
@@ -311,13 +317,8 @@ class KSelectNode(OverlayNode):
         self.selection: _Selection | None = None  # anchor only: the one opened last
 
     # -- element source -------------------------------------------------------
-    def selection_universe(self) -> list[Element]:
-        """This node's elements, sorted by ``seed_elements``; a selection
-        prunes by slicing, so it never changes the list in place."""
-        return self.elements
-
     def seed_elements(self, elements: list[Element]) -> None:
-        self.elements = sorted(elements, key=lambda e: e.key)
+        self.elements = sorted(elements, key=ELEMENT_KEY)
 
     # -- anchor programs -----------------------------------------------------------
     def _ask(self, kind: str, key: tuple, payload: Any) -> tuple:
@@ -576,7 +577,7 @@ class KSelectNode(OverlayNode):
     def flood_k1(self, key: tuple, payload: tuple) -> None:
         inv = key[0]
         if key[1] == 1:  # the selection's first flood
-            self.candidates[inv] = self.selection_universe()
+            self.candidates[inv] = self.elements
         cands = self.candidates[inv]
         k, n = payload
         self.contribute_all(_REPLY["k1"], key, (*order_statistics(cands, k, n), len(cands)))
@@ -605,7 +606,7 @@ class KSelectNode(OverlayNode):
     def flood_k2r(self, key: tuple, payload: tuple) -> None:
         """Count the candidates below each probe."""
         cands = self.candidates[key[0]]
-        below = tuple(bisect_left(cands, e.key, key=lambda c: c.key) for e in payload)
+        below = tuple(bisect_left(cands, e.key, key=ELEMENT_KEY) for e in payload)
         self.contribute_all(_REPLY["k2r"], key, below)
 
     def _prune(self, inv: int, lo_key, hi_key) -> tuple[int, int]:
@@ -614,9 +615,9 @@ class KSelectNode(OverlayNode):
         cands = self.candidates[inv]
         start, stop = 0, len(cands)
         if lo_key is not None:
-            start = bisect_left(cands, lo_key, key=lambda e: e.key)
+            start = bisect_left(cands, lo_key, key=ELEMENT_KEY)
         if hi_key is not None:
-            stop = bisect_right(cands, hi_key, key=lambda e: e.key)
+            stop = bisect_right(cands, hi_key, key=ELEMENT_KEY)
         self.candidates[inv] = cands[start:stop]
         return start, len(cands) - stop
 

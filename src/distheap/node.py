@@ -24,14 +24,14 @@ the virtual-node overlay:
   safe because a message has one holder at a time: the engine reads a
   queued message no more once it is delivered and pops a hand-off
   before it runs, so no one reads the message's old hop.  ``send`` still sizes every hop
-  from the message's fields.  Put/Get pairs rendezvous at the end of
-  the route; a Get that arrives before its Put parks until the Put shows
-  up.  A Put that carries a token is acknowledged to its issuer (a
-  ``PutAckMsg``); a Put with ``token=None`` is fire-and-forget and
-  carries ``reply_to=None``, so no protocol pays for an ack, or an
-  issuer's id, that it does not read.  A route that has not
-  arrived after ``CycleTopology.max_route_hops`` hops is a fault, not a
-  hang.
+  from the message's fields.  The DHT is a put/get rendezvous and
+  nothing more: a Put and the Get for the same key id meet at the end
+  of their routes, a Get that arrives before its Put parks until the Put
+  shows up, and the Get's requester is sent the element.  A Put is not
+  acknowledged, and each protocol keeps its key ids in one space of its
+  own, so neither message names a namespace or a node to reply to.  A
+  route that has not arrived after ``CycleTopology.max_route_hops`` hops
+  is a fault, not a hang.
 
 A node's requests and elements live at its middle virtual node (M), so
 floods and waves run on the tree without its right (R) leaves
@@ -341,30 +341,19 @@ class RouteMsg(Message):
 
 @dataclass(slots=True)
 class PutOp(Message):
-    ns: str
     key_id: tuple
     element: Element
-    reply_to: int | None  # the issuer, or None when no ack is asked for
-    token: Any
 
 
 @dataclass(slots=True)
 class GetOp(Message):
-    ns: str
     key_id: tuple
     requester: int
     token: Any
 
 
 @dataclass(slots=True)
-class PutAckMsg(Message):
-    ns: str
-    token: Any
-
-
-@dataclass(slots=True)
 class GetReplyMsg(Message):
-    ns: str
     token: Any
     element: Element
 
@@ -574,40 +563,34 @@ class OverlayNode(ProtocolNode):
             raise SimulationFault(f"route to {msg.key} from {msg.start_label} failed to arrive")
 
     def on_PutOp(self, op: PutOp, vid: VirtualId) -> None:
-        slot = (op.ns, op.key_id)
+        slot = op.key_id
         waiter = self.waiting_gets.pop(slot, None)
         if waiter is not None:
             requester, token = waiter
-            self.post(requester, GetReplyMsg(op.ns, token, op.element))
+            self.post(requester, GetReplyMsg(token, op.element))
+        elif slot in self.storage:
+            raise SimulationFault(f"duplicate put under {slot}")
         else:
-            if slot in self.storage:
-                raise SimulationFault(f"duplicate put under {slot}")
             self.storage[slot] = op.element
-        if op.token is not None:
-            self.post(op.reply_to, PutAckMsg(op.ns, op.token))
 
     def on_GetOp(self, op: GetOp, vid: VirtualId) -> None:
-        slot = (op.ns, op.key_id)
+        slot = op.key_id
         if slot in self.storage:
-            element = self.storage.pop(slot)
-            self.post(op.requester, GetReplyMsg(op.ns, op.token, element))
+            self.post(op.requester, GetReplyMsg(op.token, self.storage.pop(slot)))
+        elif slot in self.waiting_gets:
+            raise SimulationFault(f"two gets parked under {slot}")
         else:
-            if slot in self.waiting_gets:
-                raise SimulationFault(f"two gets parked under {slot}")
             self.waiting_gets[slot] = (op.requester, op.token)
 
-    def dht_put(self, ns: str, key_id: tuple, key: float, element: Element, token: Any) -> None:
-        """Store ``element`` under ``(ns, key_id)`` at the node responsible
-        for ``key``.  The put is acknowledged with a ``PutAckMsg`` to
-        ``on_PutAckMsg`` only if ``token`` is not None; with None it is
-        fire-and-forget and names no node to reply to."""
-        reply_to = None if token is None else self.id
-        self.route_send(key, PutOp(ns, key_id, element, reply_to, token))
+    def dht_put(self, key_id: tuple, key: float, element: Element) -> None:
+        """Store ``element`` under ``key_id`` at the node responsible for
+        ``key``, for the one get of ``key_id``; no ack comes back."""
+        self.route_send(key, PutOp(key_id, element))
 
-    def dht_get(self, ns: str, key_id: tuple, key: float, token: Any) -> None:
-        """Fetch the element under ``(ns, key_id)``; it comes back in a
+    def dht_get(self, key_id: tuple, key: float, token: Any) -> None:
+        """Fetch the element under ``key_id``; it comes back in a
         ``GetReplyMsg`` to ``on_GetReplyMsg``."""
-        self.route_send(key, GetOp(ns, key_id, self.id, token))
+        self.route_send(key, GetOp(key_id, self.id, token))
 
 
 def build(cls: type, sim: Simulator, topo: CycleTopology, *args: Any) -> list:

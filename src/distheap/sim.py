@@ -104,6 +104,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+from operator import attrgetter
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -192,6 +193,10 @@ class Element:
 _set_priority, _set_origin, _set_seq, _set_payload = (
     getattr(Element, f.name).__set__ for f in fields(Element)
 )
+
+# An element's place in the global order, ``Element.key`` read in C: the one
+# sort and bisect key for elements
+ELEMENT_KEY = attrgetter("priority", "origin", "seq")
 
 
 @dataclass(slots=True)

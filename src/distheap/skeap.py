@@ -23,9 +23,8 @@ Each epoch runs four phases, pipelined per node:
    (``deliver_sb``);
 4. inserts put their element under the hash of (priority, position),
    matched deletes get the same key (rendezvous in the DHT), bottom
-   deletes return empty immediately.  The puts are fire-and-forget: they
-   carry no token, so no ack comes back, and the get that meets a put
-   completes both.  A node enters the next epoch, and its phase 1, as soon
+   deletes return empty immediately.  No ack comes back for a put: the
+   get that meets it completes both.  A node enters the next epoch, and its phase 1, as soon
    as its DHT requests are issued; entering past the last epoch finishes
    it.
 
@@ -46,7 +45,6 @@ from .overlay import CycleTopology
 from .sim import Simulator
 from .workload import HeapNode, Script
 
-_NS = "skeap"
 _WAVE = "sb"
 
 
@@ -129,13 +127,13 @@ class SkeapNode(HeapNode, OverlayNode):
 
     def _execute_insert(self, req: OperationRecord) -> None:
         p, pos = req.assigned
-        self.dht_put(_NS, (p, pos), self._key(p, pos), req.element, None)
+        self.dht_put((p, pos), self._key(p, pos), req.element)
 
     def _execute_delete(self, req: OperationRecord) -> None:
         p, pos = req.assigned
         token = (req.seq,)
         self.outstanding[token] = req
-        self.dht_get(_NS, (p, pos), self._key(p, pos), token)
+        self.dht_get((p, pos), self._key(p, pos), token)
 
     def on_GetReplyMsg(self, msg: GetReplyMsg) -> None:
         req = self.outstanding.pop(msg.token)

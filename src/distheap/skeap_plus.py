@@ -4,9 +4,9 @@ A node enters each epoch through the lifecycle both heaps share
 (``workload.HeapNode``): it issues the epoch's requests
 (``RequestSource.issue_for``), snapshots its inserts and contributes
 their count to ``si`` (``_open_epoch``).  It snapshots its deletes when
-its puts are stored (``_enter_delete``), and enters the next epoch when
-its last get returns, or at its ``sd`` share if it issues no get;
-entering past the last epoch finishes it.
+its stores are acknowledged (``_enter_delete``), and enters the next
+epoch when its last get returns, or at its ``sd`` share if it issues no
+get; entering past the last epoch finishes it.
 
 The anchor runs each epoch as one program (``_epoch``) on the
 anchor-program driver all three protocols share (``node.OverlayNode``),
@@ -14,10 +14,13 @@ all started with the anchor (``workload.HeapNode``); the KSelect program
 runs inside it.  It waits for three counts in turn:
 
 * ``si``, the inserts the nodes snapshot: the anchor adds them to its
-  element total m and floods ``fi``; nodes store each element in the DHT
-  under a pseudorandom key (``flood_fi``) and enter the delete phase once
-  all their puts are acknowledged.  No share comes down ``si``, so it has
-  no ``deliver_si``.
+  element total m and floods ``fi``.  A node routes each insert's element
+  to the node responsible for a pseudorandom key, in a ``StoreOp``
+  (``flood_fi``).  That node keeps it in ``elements``, in key order, the
+  list KSelect selects from, and acknowledges the store to the element's
+  origin, its issuer, in a ``StoreAckMsg``; the issuer enters the delete
+  phase once all its stores are acknowledged.  No share comes down
+  ``si``, so it has no ``deliver_si``.
 * ``sd``, the deletes k: the anchor shrinks m by k* = min(k, m).  If
   k* = 0 no element moves: it splits [1, k] down the ``sd`` wave, every
   delete returns bottom, and the epoch ends there (with k = 0 the share
@@ -27,9 +30,9 @@ runs inside it.  It waits for three counts in turn:
   position-salted DHT key, or returns bottom past k* (``deliver_sd``).
 * ``sq``, the stored elements up to the bound (``flood_fq``): it must
   equal k*.  Then [1, k*] splits down the tree, and the storing nodes
-  move those elements (ascending) to the position keys (``deliver_sq``).
-  These position puts carry no token, so no ack comes back: the get at
-  each position completes the move.
+  move those elements (ascending) to the position keys as DHT puts
+  (``deliver_sq``).  No ack comes back for a put: the get at each
+  position completes the move.
 
 Epochs reach the anchor in order: the ``si`` of epoch e+1 combines every
 node's count, and a node enters e+1 only at its ``sd`` share or when its
@@ -43,34 +46,51 @@ stored the inserts or assigned the deletes their positions, its
 outstanding gets until each has returned, and the elements up to the
 selected bound, taken at the ``fq`` flood, until its ``sq`` share moves
 them; after a run only the records, stamped with their epoch by the
-snapshot, remain.  A later epoch's puts can reach a node before its
-``sq`` share does, so what qualifies is fixed when it is counted.  Since
-a node enters epoch e+1 only after e's element puts are acknowledged and
-its gets have returned, its open element puts and outstanding gets always
-belong to one epoch: one put count and one table of gets, which must be
-empty when the next epoch stores its inserts or assigns its deletes.  The
-constructed serialization (``finalize_records``) per epoch is: all
-inserts (in ascending element order), then all deletes ordered by the key
-of the element they return, bottoms last (positions follow the tree, not
-the ranks).  Only serializability is claimed; a node's own requests may
-serialize out of issue order.
+snapshot, remain.  A later epoch's stores can reach a node before its
+``sq`` share does, so what qualifies is fixed when it is counted, and
+the move takes exactly those elements out of ``elements``, not a prefix
+of it.  (Epoch e+1 stores only once every get of e has returned, that
+is, once every qualifying element has moved, so such a store finds
+nothing left to move; the move does not rest on that.)  Since a node
+enters epoch e+1 only after e's stores are acknowledged and its gets
+have returned, its open stores and outstanding gets always belong to one
+epoch: one count of pending acks and one table of gets, which must be
+empty when the next epoch stores its inserts or assigns its deletes.
+The constructed serialization (``finalize_records``) per epoch is: all
+inserts (in ascending element order), then all deletes ordered by the
+key of the element they return, bottoms last (positions follow the tree,
+not the ranks).  Only serializability is claimed; a node's own requests
+may serialize out of issue order.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Any, Generator
 
 from .batches import DELETE, INSERT
 from .consistency import BOTTOM, OperationRecord
 from .hashing import Tag, hash_unit
 from .kselect import KSelectError, KSelectNode
-from .node import GetReplyMsg, PutAckMsg, build
-from .overlay import CycleTopology
-from .sim import Element, SimulationFault, Simulator
+from .node import GetReplyMsg, Message, Nat, build
+from .overlay import CycleTopology, VirtualId
+from .sim import ELEMENT_KEY, Element, SimulationFault, Simulator
 from .workload import HeapNode, Script
 
-_ELEM = "elem"
-_POS = "pos"
+
+@dataclass(slots=True)
+class StoreOp(Message):
+    """An inserted element of ``epoch``, routed to the node that keeps it."""
+
+    element: Element
+    epoch: Nat
+
+
+@dataclass(slots=True)
+class StoreAckMsg(Message):
+    """A store of ``epoch`` is done; sent to the element's origin."""
+
+    epoch: Nat
 
 
 class SkeapPlusNode(HeapNode, KSelectNode):
@@ -80,19 +100,13 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         super().__init__(sim, node_id, topo, script)
         self.ins_snapshot: dict[int, list[OperationRecord]] = {}
         self.del_snapshot: dict[int, list[OperationRecord]] = {}
-        # one epoch's element puts and gets at a time; an element put is the
-        # only acknowledged one, since position puts carry no token
+        # one epoch's stores and gets at a time
         self.pending_put_acks = 0
         self.outstanding_gets: dict[Any, OperationRecord] = {}
         self.qualifying: dict[int, list[Element]] = {}
         if self.is_anchor:
             self.m = 0
             self.epoch_log: list[dict] = []
-
-    # -- element source for selections ------------------------------------------
-    def selection_universe(self) -> list[Element]:
-        stored = (e for (ns, _), e in self.storage.items() if ns == _ELEM)
-        return sorted(stored, key=lambda e: e.key)
 
     @property
     def done(self) -> bool:
@@ -147,7 +161,7 @@ class SkeapPlusNode(HeapNode, KSelectNode):
 
     # -- insert phase ----------------------------------------------------------------------
     def flood_fi(self, key: tuple, payload: None) -> None:
-        """Store the epoch's inserts in the DHT."""
+        """Store the epoch's inserts, each at the node its key hashes to."""
         epoch = key[0]
         if self.pending_put_acks:
             raise SimulationFault(f"epoch {epoch} stores its inserts with puts still open")
@@ -160,14 +174,23 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         for req in snap:
             e = req.element
             at = hash_unit(Tag.SPLUS_INSERT_KEY, (e.origin, e.seq), seed)
-            self.dht_put(_ELEM, (e.origin, e.seq), at, e, key)
+            self.route_send(at, StoreOp(e, epoch))
 
-    def on_PutAckMsg(self, msg: PutAckMsg) -> None:
-        if msg.ns != _ELEM:
-            raise SimulationFault(f"unexpected put ack in namespace {msg.ns}")
+    def on_StoreOp(self, op: StoreOp, vid: VirtualId) -> None:
+        """Keep the element in key order and acknowledge it to its issuer."""
+        element, elements = op.element, self.elements
+        key = element.key
+        i = bisect_left(elements, key, key=ELEMENT_KEY)
+        if i < len(elements) and elements[i].key == key:
+            raise SimulationFault(f"{element} stored twice")
+        # a new list: a selection may hold the old one as its candidates
+        self.elements = elements[:i] + [element] + elements[i:]
+        self.post(element.origin, StoreAckMsg(op.epoch))
+
+    def on_StoreAckMsg(self, msg: StoreAckMsg) -> None:
         self.pending_put_acks -= 1
         if not self.pending_put_acks:
-            self._enter_delete(msg.token[0])
+            self._enter_delete(msg.epoch)
 
     # -- delete phase -------------------------------------------------------------------------
     def _pos_key(self, epoch: int, pos: int) -> float:
@@ -175,8 +198,8 @@ class SkeapPlusNode(HeapNode, KSelectNode):
 
     def flood_fq(self, key: tuple, payload: Element) -> None:
         """Count the stored elements up to the bound ``payload``: they qualify."""
-        stored = self.selection_universe()
-        qual = stored[: bisect_right(stored, payload.key, key=lambda e: e.key)]
+        elements = self.elements
+        qual = elements[: bisect_right(elements, payload.key, key=ELEMENT_KEY)]
         self.qualifying[key[0]] = qual
         self.contribute_all("sq", key, len(qual))
 
@@ -188,10 +211,12 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         qual = self.qualifying.pop(epoch)
         if hi - lo + 1 != len(qual):
             raise SimulationFault("qualifying share does not match stored elements")
-        for offset, element in enumerate(qual):
-            pos = lo + offset
-            del self.storage[(_ELEM, element.ident)]
-            self.dht_put(_POS, (epoch, pos), self._pos_key(epoch, pos), element, None)
+        # by identity, not a prefix: a later epoch's element may have been
+        # stored under this epoch's bound since the fq flood
+        moved = set(map(id, qual))
+        self.elements = [e for e in self.elements if id(e) not in moved]
+        for pos, element in enumerate(qual, start=lo):
+            self.dht_put((epoch, pos), self._pos_key(epoch, pos), element)
 
     def deliver_sd(self, key: tuple, share: tuple) -> None:
         """Give each delete its position: a get, or bottom past k*."""
@@ -208,14 +233,12 @@ class SkeapPlusNode(HeapNode, KSelectNode):
             if pos <= k_star:
                 token = (epoch, req.seq)
                 self.outstanding_gets[token] = req
-                self.dht_get(_POS, (epoch, pos), self._pos_key(epoch, pos), token)
+                self.dht_get((epoch, pos), self._pos_key(epoch, pos), token)
             else:
                 req.returned = BOTTOM
         self._close_gets(epoch)
 
     def on_GetReplyMsg(self, msg: GetReplyMsg) -> None:
-        if msg.ns != _POS:
-            raise SimulationFault(f"unexpected get reply in namespace {msg.ns}")
         req = self.outstanding_gets.pop(msg.token)
         req.returned = msg.element
         self._close_gets(msg.token[0])

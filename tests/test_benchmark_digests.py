@@ -22,9 +22,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 EXPECTED = {
-    "skeap-sync-n512": "df97a0b2e8265d59",
+    "skeap-sync-n512": "85d3b679a57756f9",
     "kselect-sync-n128": "12a7f011894d4ca2",
-    "seap-async-n128": "ebcb441b209f95b1",
+    "seap-async-n128": "781ac392a76cd8d9",
 }
 
 

@@ -1,5 +1,6 @@
-"""Every ``def`` in ``src/distheap`` is called by a run or the CLI, or is
-allowed by name with its reason.
+"""Every ``def`` in ``src/distheap`` is called by a run or the CLI, and
+every field of its dataclasses is read by its own code, or the def or
+field is allowed by name with its reason.
 
 A fresh process imports the package under ``sys.setprofile`` and runs a
 small fixed set: each protocol in both modes at n=8, a scripted Seap run
@@ -15,9 +16,19 @@ nested defs; not lambdas, comprehensions, class bodies or the methods
 Python 3.10 has no ``co_qualname``.  The defs the run never entered must
 be exactly ``ALLOWED``.  A helper that only a test calls belongs beside
 the tests, not in ``src/``.
+
+Before the runs, the process puts a counting descriptor on every field of
+every dataclass the package defines: over a ``slots`` class's member
+descriptor, or in place of a plain class's attribute, keeping the value
+in the instance's ``__dict__``.  It counts a read only from a function in
+the package's files, so not from a built sizer (compiled from
+``<size_bits ...>``), a ``bits`` method or a method that ``dataclass``
+generates (compiled from ``<string>``): sizing a field is not reading it.
+The fields no run reads must be exactly ``UNREAD``.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import os
@@ -50,6 +61,22 @@ ALLOWED = {
     "consistency.py:OperationRecord.to_json.elem": _PINNED,
 }
 
+_ITEM_23 = "ROADMAP item 23: always sized, never read; deleting it moves KSelect's pins"
+_RESULT = "a run's result, as the caller sees it: tests and perfbench read it"
+
+# "file:Class.field" -> why no run reads it
+UNREAD = {
+    "sim.py:Element.payload": _ITEM_23,
+    "kselect.py:ProbeReport.order": _ITEM_23,
+    "node.py:RouteMsg.inner_bits": "sized only, by design: it holds the routed operation's "
+    "size, which the built sizer adds in place of the operation's own",
+    **{
+        f"experiments.py:KSelectResult.{name}": _RESULT
+        for name in ("n", "m", "k", "seed", "rounds", "retries", "phase2_iterations", "diag")
+    },
+    **{f"experiments.py:HeapRunResult.{name}": _RESULT for name in ("n", "seed", "records")},
+}
+
 CENSUS = r"""
 import contextlib, io, json, os, sys
 
@@ -63,7 +90,69 @@ def hook(frame, event, arg):
 
 
 sys.setprofile(hook)
+import dataclasses, importlib, pkgutil
 import distheap
+
+package = os.path.dirname(os.path.abspath(distheap.__file__))
+reads = {}
+from_package = {}  # code object -> whether a read from it counts
+
+
+def count(key, code):
+    counts = from_package.get(code)
+    if counts is None:
+        counts = from_package[code] = code.co_name != "bits" and (
+            os.path.dirname(os.path.abspath(code.co_filename)) == package
+        )
+    if counts:
+        reads[key] += 1
+
+
+class SlotField:
+    def __init__(self, key, member):
+        self.key, self.member = key, member
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.member
+        count(self.key, sys._getframe(1).f_code)
+        return self.member.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        self.member.__set__(obj, value)
+
+
+class DictField:
+    def __init__(self, key, name):
+        self.key, self.name = key, name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        count(self.key, sys._getframe(1).f_code)
+        try:
+            return obj.__dict__[self.name]
+        except KeyError:
+            raise AttributeError(self.name) from None
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+for info in pkgutil.iter_modules(distheap.__path__):
+    module = importlib.import_module(f"distheap.{info.name}")
+    for cls in list(vars(module).values()):
+        if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+            continue
+        if cls.__module__ != module.__name__:
+            continue
+        for f in dataclasses.fields(cls):
+            key = f"{info.name}.py:{cls.__qualname__}.{f.name}"
+            reads[key] = 0
+            if f.name in cls.__dict__.get("__slots__", ()):
+                setattr(cls, f.name, SlotField(key, cls.__dict__[f.name]))
+            else:
+                setattr(cls, f.name, DictField(key, f.name))
 from distheap import ASYNC, SYNC, cli, run_kselect, run_skeap, run_skeap_plus
 from distheap.batches import DELETE, INSERT
 
@@ -79,12 +168,14 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["run", "--protocol", protocol, "--n", "8", "--seed", "1"])
 sys.setprofile(None)
 
-package = os.path.dirname(os.path.abspath(distheap.__file__))
-print(json.dumps(sorted(
-    (os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
-    for c in entered.values()
-    if os.path.dirname(os.path.abspath(c.co_filename)) == package
-)))
+print(json.dumps({
+    "entered": sorted(
+        (os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
+        for c in entered.values()
+        if os.path.dirname(os.path.abspath(c.co_filename)) == package
+    ),
+    "reads": reads,
+}))
 """
 
 
@@ -101,22 +192,34 @@ def _defs(code: types.CodeType, file: str, prefix: str = "") -> dict[tuple, str]
     return found
 
 
-def _entered() -> set[tuple]:
+@functools.cache
+def _census() -> dict:
+    """The census process's output: the defs it entered and the reads of
+    each dataclass field."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-c", CENSUS], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return {tuple(key) for key in json.loads(proc.stdout)}
+    return json.loads(proc.stdout)
 
 
 def test_every_src_def_is_called_or_allowed():
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
         defs.update(_defs(compile(path.read_text(), str(path), "exec"), path.name))
-    entered = _entered()
+    entered = {tuple(key) for key in _census()["entered"]}
     uncalled = sorted(f"{key[0]}:{name}" for key, name in defs.items() if key not in entered)
     assert uncalled == sorted(ALLOWED), (
         f"never called and not allowed: {sorted(set(uncalled) - ALLOWED.keys())}; "
         f"allowed but called: {sorted(ALLOWED.keys() - set(uncalled))}"
+    )
+
+
+def test_every_src_dataclass_field_is_read_or_allowed():
+    reads = _census()["reads"]
+    unread = sorted(name for name, count in reads.items() if not count)
+    assert unread == sorted(UNREAD), (
+        f"never read and not allowed: {sorted(set(unread) - UNREAD.keys())}; "
+        f"allowed but read: {sorted(UNREAD.keys() - set(unread))}"
     )

@@ -33,6 +33,7 @@ from distheap.kselect import (
 from distheap.node import PutOp, RouteMsg
 from distheap.overlay import CycleTopology
 from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
+from distheap.skeap_plus import StoreOp
 
 
 def E(prio, origin=0, seq=None, _counter=[0]):
@@ -603,16 +604,14 @@ def _sent_operations(monkeypatch):
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_messages_carry_no_field_their_receiver_holds(mode, monkeypatch):
-    # Seap runs KSelect in every delete phase and puts elements with and
-    # without an ack
+    # Seap runs KSelect in every delete phase, stores its inserted elements
+    # and puts the selected ones at their positions
     sent = _sent_operations(monkeypatch)
     res = run_skeap_plus(16, seed=1, lam=2, mode=mode)
     assert res.ok
     slot_messages = (CopySplit, CompareOp, VoteMsg, CopyAggMsg)
     kinds = Counter(type(op) for op in sent)
-    assert all(kinds[cls] > 0 for cls in (*slot_messages, CandOp, PutOp))
-    puts = Counter(op.token is None for op in sent if type(op) is PutOp)
-    assert puts[True] > 0 and puts[False] > 0
+    assert all(kinds[cls] > 0 for cls in (*slot_messages, CandOp, PutOp, StoreOp))
     for op in sent:
         if isinstance(op, slot_messages):
             # a copy slot is named by naturals; the receiver adds the key
@@ -620,8 +619,11 @@ def test_messages_carry_no_field_their_receiver_holds(mode, monkeypatch):
             assert not any(
                 type(v) is tuple and v[: len(op.key)] == op.key for v in held
             ), op
-        elif type(op) is PutOp and op.token is None:
-            assert op.reply_to is None, op  # no ack, so no one to reply to
+        element = getattr(op, "element", None)
+        if element is not None:
+            # the element names itself: no field repeats its (origin, seq)
+            held = [getattr(op, f.name) for f in fields(op) if f.name != "element"]
+            assert (element.origin, element.seq) not in held, op
     # only a copy tree's root reports an order, from its own CandOp
     assert not {"n_prime", "probe_lo", "probe_hi", "target"} & {
         f.name for f in fields(CopySplit)

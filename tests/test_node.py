@@ -6,7 +6,6 @@ from distheap import run_skeap, run_skeap_plus
 from distheap.node import (
     GetOp,
     OverlayNode,
-    PutAckMsg,
     PutOp,
     RouteMsg,
     WaveUpMsg,
@@ -22,7 +21,7 @@ from distheap.sim import (
     SimulationFault,
     Simulator,
 )
-from distheap.skeap_plus import SkeapPlusNode
+from distheap.skeap_plus import SkeapPlusNode, StoreAckMsg
 
 
 def test_split_interval_own_piece_first_then_children_in_order():
@@ -248,15 +247,16 @@ def test_a_contribution_at_a_left_or_right_vnode_is_a_fault(kind):
     assert not node._waves
 
 
-# -- DHT puts: acknowledged only when they carry a token -------------------------------
+# -- acks: a DHT put has none; Seap acknowledges a store to the element's origin ------
 def _acks_sent(monkeypatch):
-    """Record every ``PutAckMsg`` sent as (src, dst, ns, token)."""
+    """Record every ack sent, a message whose class ends in ``AckMsg``, as
+    (src, dst, message)."""
     acks = []
     send = Simulator.send
 
     def recording_send(self, src, dst, payload):
-        if type(payload) is PutAckMsg:
-            acks.append((src, dst, payload.ns, payload.token))
+        if type(payload).__name__.endswith("AckMsg"):
+            acks.append((src, dst, payload))
         send(self, src, dst, payload)
 
     monkeypatch.setattr(Simulator, "send", recording_send)
@@ -265,7 +265,7 @@ def _acks_sent(monkeypatch):
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_skeap_sends_no_put_ack(mode, monkeypatch):
-    # Skeap's puts carry no token: the get that meets a put completes both
+    # the get that meets a put completes both
     acks = _acks_sent(monkeypatch)
     res = run_skeap(16, seed=1, lam=2, mode=mode)
     assert res.ok
@@ -276,33 +276,39 @@ def test_skeap_sends_no_put_ack(mode, monkeypatch):
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_seap_acknowledges_exactly_its_remote_element_puts(mode, monkeypatch):
     acks = _acks_sent(monkeypatch)
-    # every put that arrives at a node other than its issuer, as the ack
-    # that node would send: (src, dst, ns, token).  A put without a token
-    # names no issuer, so each put's issuer is taken where it is routed.
-    issuers = {}  # id of a put -> (the put, its issuer)
-    remote_puts = []
+    # every store that arrives at a node other than its issuer, as the ack
+    # that node would send: (src, dst, epoch).  Each routed operation's
+    # issuer is taken where it is routed; a store's must be its element's
+    # origin.  A position put that leaves its issuer is acknowledged by none.
+    issuers = {}  # id of a routed operation -> (the operation, its issuer)
+    remote_stores, remote_puts = [], []
     routed = OverlayNode.route_send
-    arrived = OverlayNode.on_PutOp
+    stored, put = SkeapPlusNode.on_StoreOp, OverlayNode.on_PutOp
 
     def recording_routed(self, key, inner):
-        if type(inner) is PutOp:
-            issuers[id(inner)] = (inner, self.id)
+        issuers[id(inner)] = (inner, self.id)
         routed(self, key, inner)
 
-    def recording_arrived(self, op, vid):
+    def recording_stored(self, op, vid):
         issuer = issuers[id(op)][1]
+        assert issuer == op.element.origin, op
         if issuer != self.id:
-            remote_puts.append((self.id, issuer, op.ns, op.token))
-        arrived(self, op, vid)
+            remote_stores.append((self.id, issuer, op.epoch))
+        stored(self, op, vid)
+
+    def recording_put(self, op, vid):
+        if issuers[id(op)][1] != self.id:
+            remote_puts.append(op)
+        put(self, op, vid)
 
     monkeypatch.setattr(OverlayNode, "route_send", recording_routed)
-    monkeypatch.setattr(OverlayNode, "on_PutOp", recording_arrived)
+    monkeypatch.setattr(SkeapPlusNode, "on_StoreOp", recording_stored)
+    monkeypatch.setattr(OverlayNode, "on_PutOp", recording_put)
     res = run_skeap_plus(16, seed=1, lam=2, mode=mode)
     assert res.ok
-    by_ns = Tally(ns for _, _, ns, _ in remote_puts)
-    assert by_ns["elem"] > 0 and by_ns["pos"] > 0  # both kinds of put were remote
-    assert {ns for _, _, ns, _ in acks} == {"elem"}
-    assert Tally(acks) == Tally(put for put in remote_puts if put[2] == "elem")
+    assert remote_stores and remote_puts  # both kinds left their issuers
+    assert all(type(ack) is StoreAckMsg for *_, ack in acks)
+    assert Tally((src, dst, ack.epoch) for src, dst, ack in acks) == Tally(remote_stores)
 
 
 def _key_owned_by_another_node(topo, issuer):
@@ -314,19 +320,11 @@ def test_a_put_without_a_token_is_stored_and_not_acknowledged(monkeypatch):
     sim, topo, nodes = _system(4, OverlayNode)
     key = _key_owned_by_another_node(topo, 0)
     element = Element(5, 0, 0)
-    nodes[0].dht_put("ns", (0,), key, element, None)
+    nodes[0].dht_put((0,), key, element)
     sim.run_sync()
     owner = topo.responsible(key).owner
-    assert nodes[owner].storage == {("ns", (0,)): element}
+    assert nodes[owner].storage == {(0,): element}
     assert acks == []
-
-
-def test_a_put_ack_to_a_node_that_reads_none_is_a_fault():
-    sim, topo, nodes = _system(4, OverlayNode)
-    key = _key_owned_by_another_node(topo, 0)
-    nodes[0].dht_put("ns", (0,), key, Element(5, 0, 0), ("token",))
-    with pytest.raises(SimulationFault, match="unhandled message PutAckMsg"):
-        sim.run_sync()
 
 
 # -- routes --------------------------------------------------------------------------------
@@ -342,7 +340,7 @@ def test_a_route_that_never_arrives_is_a_fault(monkeypatch):
         return second if current == first else first
 
     monkeypatch.setattr(CycleTopology, "route_step", bouncing)
-    nodes[first.owner].route_send(0.5, PutOp("ns", (0,), Element(5, 0, 0), first.owner, None))
+    nodes[first.owner].route_send(0.5, PutOp((0,), Element(5, 0, 0)))
     with pytest.raises(SimulationFault, match="failed to arrive"):
         sim.run_sync()
     assert hops == list(range(topo.max_route_hops + 1))
@@ -387,8 +385,8 @@ def test_each_route_hop_goes_along_the_oracle_path_and_is_sized_from_its_fields(
     for i in range(8):
         key = (0.1 + 0.618034 * i) % 1.0
         putter, getter = nodes[(7 * i) % n], nodes[(7 * i + 12) % n]
-        put = PutOp("ns", (i,), Element(i, putter.id, 0), putter.id, None)
-        get = GetOp("ns", (i,), getter.id, i)
+        put = PutOp((i,), Element(i, putter.id, 0))
+        get = GetOp((i,), getter.id, i)
         for node, op in ((getter, get), (putter, put)) if i % 2 else ((putter, put), (getter, get)):
             routes[id(op)] = (op, node.middle, key)
             node.route_send(key, op)
@@ -471,7 +469,7 @@ def test_a_wave_share_that_no_protocol_takes_is_a_fault():
 def test_a_get_reply_that_no_protocol_reads_is_a_fault():
     sim, topo, nodes = _system(4, OverlayNode)
     key = _key_owned_by_another_node(topo, 0)
-    nodes[0].dht_put("ns", (0,), key, Element(5, 0, 0), None)
-    nodes[0].dht_get("ns", (0,), key, ("token",))
+    nodes[0].dht_put((0,), key, Element(5, 0, 0))
+    nodes[0].dht_get((0,), key, ("token",))
     with pytest.raises(SimulationFault, match="unhandled message GetReplyMsg"):
         sim.run_sync()

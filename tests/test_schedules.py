@@ -176,11 +176,12 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
     # every message to node 2 takes the maximum delay and every other one
     # tick, so a node below node 2 gets its sq share of epoch 0 after epoch 1
     # has stored an element under epoch 0's bound there; what qualifies is
-    # what the node counted at the fq flood
+    # what the node counted at the fq flood, and the move takes out exactly
+    # that, not a prefix of the node's elements
     slow = {"now": False}
     send, flood_fq = Simulator.send, SkeapPlusNode.flood_fq
     move = SkeapPlusNode.deliver_sq
-    bounds, late = {}, []
+    bounds, late, moves = {}, [], []
 
     def noting_send(self, src, dst, payload):
         slow["now"] = dst == 2
@@ -193,10 +194,10 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
     def noting_move(self, key, share):
         epoch = key[0]
         qual = self.qualifying[epoch]
-        late.extend(
-            e for e in self.selection_universe() if e.key <= bounds[epoch] and e not in qual
-        )
+        now_late = [e for e in self.elements if e.key <= bounds[epoch] and e not in qual]
+        late.extend(now_late)
         move(self, key, share)
+        moves.append((now_late, qual, self.elements))
 
     D, I = (DELETE, None), INSERT
     script = {
@@ -217,5 +218,8 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
     monkeypatch.setattr(SkeapPlusNode, "deliver_sq", noting_move)
     result = run_skeap_plus(**args, mode=ASYNC)
     assert late, "no element of a later epoch reached a node before its sq share"
+    for now_late, qual, after in moves:
+        assert all(e in after for e in now_late)
+        assert not any(e in after for e in qual)
     assert result.ok
     assert _records(result) == want

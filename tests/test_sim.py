@@ -21,7 +21,6 @@ from distheap.node import (
     GetReplyMsg,
     Message,
     Nat,
-    PutAckMsg,
     PutOp,
     RouteMsg,
     WaveDownMsg,
@@ -29,6 +28,7 @@ from distheap.node import (
     value_bits,
 )
 from distheap.overlay import VirtualId
+from distheap.skeap_plus import StoreAckMsg, StoreOp
 from distheap.sim import (
     ASYNC,
     ASYNC_DELAY_MAX,
@@ -267,25 +267,29 @@ _MESSAGE_CASES = {
         lambda sim, m: _vb(sim, m.kind, m.key, m.vid, m.share),
     ),
     RouteMsg: (
-        lambda v: RouteMsg(0.25, 0.5, v, _vid(v), GetOp("pos", _key(v), v, None), 40 + v),
+        lambda v: RouteMsg(0.25, 0.5, v, _vid(v), GetOp(_key(v), v, None), 40 + v),
         lambda sim, m: 2 * sim.label_bits + nat_bits(m.hop) + value_bits(sim, m.vid)
         + m.inner_bits,
     ),
     PutOp: (
-        lambda v: PutOp("elem", _key(v), _elem(v), v, (v,)),
-        lambda sim, m: _vb(sim, m.ns, m.key_id, m.element, m.reply_to, m.token),
+        lambda v: PutOp(_key(v), _elem(v)),
+        lambda sim, m: _vb(sim, m.key_id, m.element),
     ),
     GetOp: (
-        lambda v: GetOp("pos", _key(v), v, (v, v)),
-        lambda sim, m: _vb(sim, m.ns, m.key_id, m.requester, m.token),
-    ),
-    PutAckMsg: (
-        lambda v: PutAckMsg("elem", (v,)),
-        lambda sim, m: _vb(sim, m.ns) + _vb(sim, m.token),
+        lambda v: GetOp(_key(v), v, (v, v)),
+        lambda sim, m: _vb(sim, m.key_id, m.requester, m.token),
     ),
     GetReplyMsg: (
-        lambda v: GetReplyMsg("skeap", (v,), _elem(v)),
-        lambda sim, m: _vb(sim, m.ns) + _vb(sim, m.token) + m.element.bits(),
+        lambda v: GetReplyMsg((v,), _elem(v)),
+        lambda sim, m: _vb(sim, m.token) + m.element.bits(),
+    ),
+    StoreOp: (
+        lambda v: StoreOp(_elem(v), v),
+        lambda sim, m: m.element.bits() + nat_bits(m.epoch),
+    ),
+    StoreAckMsg: (
+        lambda v: StoreAckMsg(v),
+        lambda sim, m: nat_bits(m.epoch),
     ),
     CandOp: (
         lambda v: CandOp(_key(v), v, v + 1, v, v + 2, v, _elem(v)),
@@ -404,7 +408,6 @@ _values = st.one_of(_scalars, _tuples, st.lists(_scalars, max_size=3))
 _FIELD_VALUES = {
     "Nat": _nats,
     "int": _ints,
-    "int | None": st.one_of(_ints, st.none()),  # ``PutOp.reply_to``
     "float": st.floats(0.0, 1.0, exclude_max=True),
     "str": st.one_of(_strs, _strs.map(_Str)),  # ``ProbeReport``'s reference counts 8
     "tuple": st.one_of(_tuples, _values),
@@ -500,10 +503,10 @@ def test_inline_bits_negative_natural_is_a_fault(bits):
     ids=repr,
 )
 def test_int_value_is_sized_by_the_int_rule(value):
-    # ``PutOp.reply_to`` is annotated ``int``: the built sizer's fast path
+    # ``GetOp.requester`` is annotated ``int``: the built sizer's fast path
     # takes exact ints only; value_bits and the sequence loop inline them too
     sim, _ = make_sim(n=8)
-    msg = PutOp("elem", (1, 2), Element(1, 2, 3), value, None)
+    msg = GetOp((1, 2), value, None)
     assert msg.size_bits(sim) == _field_by_field(sim, msg)
     for obj in (value, (value, 7), [value, 7]):
         assert value_bits(sim, obj) == _chained_value_bits(sim, obj)

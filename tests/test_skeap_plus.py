@@ -5,6 +5,8 @@ few arrival periods, so only epoch 0 has deletes, and its one selection picks
 the whole heap (k* = m).  The later delete phases of the generated runs are
 empty; the scripted runs cover k* = 0.
 """
+from collections import Counter
+
 import pytest
 
 from distheap import experiments, kselect
@@ -236,6 +238,73 @@ def _selected(mode, n=16):
         sim.run_async(0)
     assert anchor.selection.result is not None
     return nodes
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+def test_a_node_keeps_exactly_the_elements_stored_at_it_and_not_yet_moved(mode, monkeypatch):
+    # checked at each node's sq share, its last step of an epoch, and after
+    # the run: a node's elements are sorted and are exactly those whose
+    # store arrived there, less those it moved to their positions, and the
+    # DHT holds only positions that a delete's get asks for
+    stored, moved, checks = Counter(), Counter(), []
+    on_store, put, move = SkeapPlusNode.on_StoreOp, SkeapPlusNode.dht_put, SkeapPlusNode.deliver_sq
+
+    def noting_store(self, op, vid):
+        stored[self.id, op.element] += 1
+        on_store(self, op, vid)
+
+    def noting_put(self, key_id, key, element):
+        moved[self.id, element] += 1
+        put(self, key_id, key, element)
+
+    def check(node):
+        kept = [e for at, e in (stored - moved).elements() if at == node.id]
+        held = {slot for other in node.sim.nodes for slot in other.storage}
+        checks.append((list(node.elements), sorted(kept, key=lambda e: e.key), held))
+
+    def noting_move(self, key, share):
+        move(self, key, share)
+        check(self)
+
+    monkeypatch.setattr(SkeapPlusNode, "on_StoreOp", noting_store)
+    monkeypatch.setattr(SkeapPlusNode, "dht_put", noting_put)
+    monkeypatch.setattr(SkeapPlusNode, "deliver_sq", noting_move)
+    D, I = (DELETE, None), INSERT
+    script = {
+        0: {0: [(I, 5), (I, 3), (I, 9), D], 1: [(I, 4), D, (I, 4)]},
+        1: {0: [(I, 2), (I, 7)], 2: [D, D, (I, 1)]},
+        3: {0: [D, (I, 6)], 1: [(I, 8), D], 2: [(I, 3)]},
+        5: {1: [(I, 1), (I, 2), D, D], 2: [D]},
+    }
+    n = 8
+    _, nodes, _ = _run_heap(
+        build_skeap_plus, 2, None, script, n=n, seed=3, priority_universe=n * n, mode=mode,
+        epochs=3,
+    )
+    for node in nodes:
+        check(node)
+    records = [req for node in nodes for req in node.source.recorded()]
+    asked = {(r.epoch, r.assigned) for r in records if r.kind == DELETE and r.returned != BOTTOM}
+    assert len(checks) > len(nodes) and sum(moved.values()) == len(asked) > 0
+    assert any(elements for elements, _, _ in checks[-len(nodes):])  # some stay stored
+    for elements, kept, held in checks:
+        assert elements == kept
+        assert held <= asked
+
+
+def test_a_move_takes_out_exactly_the_qualifying_elements():
+    # what the fq flood counted leaves by identity, not as a prefix: an
+    # element stored since stays, even one that sorts among them.  In a run
+    # a later epoch's store reaches only a node with nothing to move (epoch
+    # e + 1 stores only once every get of e has returned), so this drives
+    # the move on a node directly
+    sim = Simulator(SimConfig(n=4, seed=1, priority_universe=16))
+    node = build_skeap_plus(sim, CycleTopology.build(4, 1))[0]
+    first, late, last = Element(1, 0, 1), Element(2, 1, 1), Element(3, 0, 2)
+    node.elements = [first, late, last]
+    node.qualifying[0] = [first, last]
+    node.deliver_sq((0,), (1, 2))
+    assert node.elements == [late]
 
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])

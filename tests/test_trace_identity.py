@@ -28,30 +28,30 @@ SEEDS = (0, 1)
 
 # (protocol, mode, n, seed) -> (trace, records, metrics)
 EXPECTED = {
-    ('skeap', 'synchronous', 2, 0): ('feadc8db7c6bdba8', '388368d3c75fc922', '7b59b9005a70fa67'),
-    ('skeap', 'synchronous', 2, 1): ('acacea6cd218debf', 'b28d0136ddafb062', 'cf325fb5645e6318'),
-    ('skeap', 'synchronous', 8, 0): ('3c62380b48a03e10', 'c9e5fc435d38d1f1', '2d6e26c3d2e0e676'),
-    ('skeap', 'synchronous', 8, 1): ('5aaa2f31438a42a6', '44be1a8a7c2cedf7', 'd31cd879c743b23b'),
-    ('skeap', 'synchronous', 32, 0): ('a4fa78c780f6c465', '24621a035be4f904', '0caddf040cd29e1e'),
-    ('skeap', 'synchronous', 32, 1): ('a208300d55911025', 'f47010e4b7efe9d0', '98acfc5c6c0b0b15'),
-    ('skeap', 'asynchronous', 2, 0): ('84e53abd1febb652', '388368d3c75fc922', '1ee5a2726b32fe7f'),
-    ('skeap', 'asynchronous', 2, 1): ('c7ca8b78b311e53e', 'b28d0136ddafb062', '362fef6edd8f3df5'),
-    ('skeap', 'asynchronous', 8, 0): ('9e3fb82d649d93c8', 'c9e5fc435d38d1f1', '1d0dd83f8c7fc2ee'),
-    ('skeap', 'asynchronous', 8, 1): ('be0809797106d113', '44be1a8a7c2cedf7', '3bab367f74ec5c87'),
-    ('skeap', 'asynchronous', 32, 0): ('2f4feef6bdf0236b', '24621a035be4f904', 'e948c26ce1ac2a14'),
-    ('skeap', 'asynchronous', 32, 1): ('78f581f0388df161', 'f47010e4b7efe9d0', '9a71f07c45de6f0e'),
-    ('seap', 'synchronous', 2, 0): ('2da95fbd9bd4b42c', '20b74a1a27c9e5bd', 'e6550f740138c772'),
-    ('seap', 'synchronous', 2, 1): ('aa051eb7b95a4136', 'e1b12c6bea5a474d', 'a3fe4969f8164551'),
-    ('seap', 'synchronous', 8, 0): ('bdc0585af9821e55', 'd06939338a165fc2', '2a2efc590ef48f5e'),
-    ('seap', 'synchronous', 8, 1): ('7d34fc1e016748ad', 'ca4b983baa9d08a2', 'd5bf52a6f8a88589'),
-    ('seap', 'synchronous', 32, 0): ('611f108ffddc42b6', '9a42dec75bd1d68e', 'ccf055e10c0ef529'),
-    ('seap', 'synchronous', 32, 1): ('d7fdd4f6918cec41', 'ace6191fa1c7f811', '2aa351dbe3081105'),
-    ('seap', 'asynchronous', 2, 0): ('5906502f5ddfdfd8', '3cc614f9072381d6', 'ac9b3ee33a7ff752'),
-    ('seap', 'asynchronous', 2, 1): ('9e0380cef3fa09f2', 'ddf0f70ad3f82eef', 'a3c3df5d44fe3893'),
-    ('seap', 'asynchronous', 8, 0): ('788dd2f56abc95cb', 'd06939338a165fc2', 'e0e9beb4e17d43c2'),
-    ('seap', 'asynchronous', 8, 1): ('26f514d6cc707eda', 'ca4b983baa9d08a2', '30264fec1dd873eb'),
-    ('seap', 'asynchronous', 32, 0): ('ec99fbcecc47d43b', '9a42dec75bd1d68e', 'ed11edfd6485f971'),
-    ('seap', 'asynchronous', 32, 1): ('c8172825e3324487', 'ace6191fa1c7f811', '686e9a6216976759'),
+    ('skeap', 'synchronous', 2, 0): ('af7ad38c0e2f5bf8', '388368d3c75fc922', 'a72e221f6eaa7d0f'),
+    ('skeap', 'synchronous', 2, 1): ('c3dd5eb2f1be89b0', 'b28d0136ddafb062', '01b897c2c11c736f'),
+    ('skeap', 'synchronous', 8, 0): ('9935a8d3cbe219c7', 'c9e5fc435d38d1f1', 'f66e15bf0aa350fd'),
+    ('skeap', 'synchronous', 8, 1): ('3ed9fd6e90272860', '44be1a8a7c2cedf7', 'dc80bd767c27d7e4'),
+    ('skeap', 'synchronous', 32, 0): ('39e87ffe70cd162e', '24621a035be4f904', '7736e32860979e34'),
+    ('skeap', 'synchronous', 32, 1): ('72b159916ec0838f', 'f47010e4b7efe9d0', 'd8a56b1ff3d6d387'),
+    ('skeap', 'asynchronous', 2, 0): ('356f928a0fb150c8', '388368d3c75fc922', '1ee5a2726b32fe7f'),
+    ('skeap', 'asynchronous', 2, 1): ('c2fb1e2e62f65d6f', 'b28d0136ddafb062', '362fef6edd8f3df5'),
+    ('skeap', 'asynchronous', 8, 0): ('5475e2d28cbb0877', 'c9e5fc435d38d1f1', '1d0dd83f8c7fc2ee'),
+    ('skeap', 'asynchronous', 8, 1): ('070679e634129c04', '44be1a8a7c2cedf7', '3bab367f74ec5c87'),
+    ('skeap', 'asynchronous', 32, 0): ('cbbeb387ccdc7457', '24621a035be4f904', 'e948c26ce1ac2a14'),
+    ('skeap', 'asynchronous', 32, 1): ('4be9b3948949b73e', 'f47010e4b7efe9d0', '9a71f07c45de6f0e'),
+    ('seap', 'synchronous', 2, 0): ('6a15562bfee360e9', '20b74a1a27c9e5bd', '2ef73255cfe6f9cb'),
+    ('seap', 'synchronous', 2, 1): ('c05a71c4ba04fd7d', 'e1b12c6bea5a474d', '178a5b8e34c32ea3'),
+    ('seap', 'synchronous', 8, 0): ('2918f57f36bd975f', 'd06939338a165fc2', 'f3cf16b6d2054cef'),
+    ('seap', 'synchronous', 8, 1): ('aedfcd26b8456a78', 'ca4b983baa9d08a2', '91f0d60650889aa2'),
+    ('seap', 'synchronous', 32, 0): ('26d6d4d628936d20', '9a42dec75bd1d68e', 'bf733be3bf416548'),
+    ('seap', 'synchronous', 32, 1): ('9549f2a25ffe6a66', 'ace6191fa1c7f811', '86c1556eb765723d'),
+    ('seap', 'asynchronous', 2, 0): ('33314cc39bd3f3be', '3cc614f9072381d6', 'd597884fabbf5716'),
+    ('seap', 'asynchronous', 2, 1): ('c9b21e23088c0c0b', 'ddf0f70ad3f82eef', 'fef24d3614c8c742'),
+    ('seap', 'asynchronous', 8, 0): ('8f7040e0e8e21355', 'd06939338a165fc2', '0f8a8605de2d3094'),
+    ('seap', 'asynchronous', 8, 1): ('dc18c7e65ab0e8c0', 'ca4b983baa9d08a2', '30264fec1dd873eb'),
+    ('seap', 'asynchronous', 32, 0): ('77f1c103b80d0bef', '9a42dec75bd1d68e', '06eeff224695c099'),
+    ('seap', 'asynchronous', 32, 1): ('232ca868ff9c3816', 'ace6191fa1c7f811', 'e331951d2c9ad683'),
     ('kselect', 'synchronous', 2, 0): ('2ec2b6632ff7e8a8', '02110ae6881c39ad', '9d942ce15c7f33ca'),
     ('kselect', 'synchronous', 2, 1): ('0544cb428746c3a4', '7738fad936616975', '1e0b81009b293255'),
     ('kselect', 'synchronous', 8, 0): ('2f2a73833b61ff16', '532c3d6ee5d49b7b', '730d9b85b048eca4'),
