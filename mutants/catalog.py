@@ -165,7 +165,7 @@ CATALOG = (
     Mutant(
         name="decompose-drops-a-running-offset",
         file="src/distheap/batches.py",
-        old="            ins_off += n_ins\n",
+        old="            ins_off += sum(vec)\n",
         new="",
         killers=("tests/test_batches.py::test_decompose_offsets_accumulate",),
         source="ROADMAP item 11's seed catalog",
@@ -394,7 +394,7 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
 """,
         new="""\
             if j >= len(part.entries):
-                out[part_i].append(EntryShare((None,) * len(share_ins), (), 0, ins_off, del_off))
+                shares.append(EntryShare((), (), ins_off, del_off))
                 continue
 """,
         killers=(
@@ -402,6 +402,39 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
             "tests/test_batches.py::test_decompose_all_zero_subbatch_gets_empty_share",
         ),
         source="messages carry only what their receivers read: the unread all-None tail",
+    ),
+    Mutant(
+        name="decompose-start-skips-a-part",
+        file="src/distheap/batches.py",
+        old="            cursor = tuple(map(add, cursor, counts))\n",
+        new="",
+        killers=(
+            "tests/test_batches.py::test_decompose_down_a_batch_tree_tiles_the_anchors_positions",
+            "tests/test_batches.py::test_decompose_worked_example",
+        ),
+        source="shares carry only starts: the next part's start skips past this part's count",
+    ),
+    Mutant(
+        name="bottoms-derived-from-the-parent-count",
+        file="src/distheap/batches.py",
+        old="            need = d  # what the runs leave unmatched is this part's bottoms\n",
+        new="            need = sum(p.entries[j][1] for p in parts if j < len(p.entries))\n",
+        killers=(
+            "tests/test_batches.py::test_decompose_down_a_batch_tree_tiles_the_anchors_positions",
+            "tests/test_batches.py::test_decompose_worked_example",
+        ),
+        source="shares carry no bottoms: a part's runs, and so its bottoms, follow its own count",
+    ),
+    Mutant(
+        name="decompose-skips-the-length-check",
+        file="src/distheap/batches.py",
+        old="""\
+    if len(share) != length:
+        raise SimulationFault("share length does not match the parts' combined batch")
+""",
+        new="",
+        killers=("tests/test_batches.py::test_decompose_mismatch_is_fault",),
+        source="shares carry no bottoms: an entry no part reads is caught by the share's length",
     ),
     Mutant(
         name="slot-key-rebuilt-from-the-wrong-interval",

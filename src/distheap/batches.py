@@ -12,20 +12,38 @@ The anchor turns a combined batch into position intervals per entry:
 inserts extend the occupied interval of their priority at the top,
 deletes consume from the bottom of the most-prioritized non-empty
 interval, spilling into the next priority until satisfied or the heap is
-empty; the unmatched remainder is a bottom count (those deletes return
-nothing).  Shares are decomposed back down the tree in the exact order
-the batches were combined: own contribution first, then children
-ascending by label.  Alongside the intervals each share carries the
-global serialization index of this subtree's first insert and first
-delete of the entry, so every request can compute a unique serialization
-index locally.  A part gets a share only for the entries its own batch
-has, so its share is exactly as long as its batch; a part with no inserts
-in an entry gets an all-``None`` insert share without a walk over the
-priorities.
+empty; the deletes left unmatched are bottoms (they return nothing).
+Shares are decomposed back down the tree in the exact order the batches
+were combined: own contribution first, then children ascending by label.
+Alongside the positions each share carries the global serialization
+index of this subtree's first insert and first delete of the entry, so
+every request can compute a unique serialization index locally.  A part
+gets a share only for the entries its own batch has, so its share is
+exactly as long as its batch.
+
+A share carries only what its receiver cannot derive.  The receiver
+still holds the batch it combined on the way up, so for entry j it knows
+the counts ``vec`` and ``d``; from them it derives the rest:
+
+* an insert interval's end: the interval of priority p starts at its
+  start and holds ``vec[p]`` positions, so it ends at
+  ``start + vec[p] - 1``.  The share carries one start per priority the
+  subtree inserts into, in priority order, and nothing for a priority
+  with a zero count: the receiver knows which counts are zero;
+* the bottoms: the delete runs come first and the bottoms last, so there
+  are ``d`` minus the runs' lengths of them.
+
+What the counts cannot give stays: the starts, the delete runs
+``(priority, lo, hi)`` and the two serial starts.  ``decompose`` checks
+what the dropped values used to check: the starts must match the
+priorities the parts insert into, and the runs may not exceed the parts'
+deletes (which would make their bottoms negative).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add
 from typing import Iterable, Sequence
 
 from .sim import SimulationFault, nat_bits
@@ -147,30 +165,25 @@ class AnchorState:
 
 @dataclass(slots=True)
 class EntryShare:
-    """One batch entry's share of positions for some subtree."""
+    """One batch entry's share of positions for some subtree; the counts
+    of the subtree's entry give the rest (see the module docstring)."""
 
-    ins: tuple[tuple[int, int] | None, ...]  # interval per priority, or None
+    ins: tuple[int, ...]  # the first position of each priority inserted into, in order
     dels: tuple[tuple[int, int, int], ...]  # ordered (priority, lo, hi)
-    bottoms: int
     ins_first: int  # global serialization index of this subtree's first insert
     del_first: int  # global serialization index of this subtree's first delete
 
     def bits(self) -> int:
-        # three naturals, an interval (two) or ``None`` (1 bit) per priority
-        # and a priority and an interval per delete run; ``nat_bits`` inlined,
-        # a negative value still faults there
+        # a natural per start, three per delete run and the two serial
+        # starts; ``nat_bits`` inlined, a negative value still faults there
         total = 0
-        for x in (self.bottoms, self.ins_first, self.del_first):
+        for x in self.ins:
             total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
-        for iv in self.ins:
-            if not iv:
-                total += 1
-                continue
-            for x in iv:
-                total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
         for run in self.dels:
             for x in run:
                 total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
+        for x in (self.ins_first, self.del_first):
+            total += (2 if 2 > x else x).bit_length() if x >= 0 else nat_bits(x)
         return total
 
 
@@ -178,7 +191,7 @@ Share = tuple  # tuple[EntryShare, ...]
 
 
 def anchor_assign(state: AnchorState, batch: Batch, serial_base: int) -> tuple[Share, int]:
-    """Assign position intervals to every entry of a combined batch.
+    """Assign positions to every entry of a combined batch.
 
     Entries are processed left to right.  Returns the root share and the
     serialization counter after this batch.
@@ -186,31 +199,26 @@ def anchor_assign(state: AnchorState, batch: Batch, serial_base: int) -> tuple[S
     state.check()
     shares: list[EntryShare] = []
     counter = serial_base
+    last = state.last
     for vec, d in batch.entries:
-        ins: list[tuple[int, int] | None] = []
+        starts: list[int] = []
         for p, count in enumerate(vec):
-            if count == 0:
-                ins.append(None)
-            else:
-                lo = state.last[p] + 1
-                hi = state.last[p] + count
-                state.last[p] = hi
-                ins.append((lo, hi))
+            if count:
+                starts.append(last[p] + 1)
+                last[p] += count
         dels: list[tuple[int, int, int]] = []
-        rem = d
+        rem = d  # what no run matches is the entry's bottoms, which the share omits
         for p in range(state.priorities):  # most-prioritized first
             if rem == 0:
                 break
-            avail = state.last[p] - state.first[p] + 1
+            avail = last[p] - state.first[p] + 1
             take = min(rem, avail)
             if take > 0:
                 dels.append((p + 1, state.first[p], state.first[p] + take - 1))
                 state.first[p] += take
                 rem -= take
         del_first = counter + sum(vec)
-        shares.append(
-            EntryShare(tuple(ins), tuple(dels), rem, ins_first=counter, del_first=del_first)
-        )
+        shares.append(EntryShare(tuple(starts), tuple(dels), counter, del_first))
         counter = del_first + d
         state.check()
     return tuple(shares), counter
@@ -220,43 +228,42 @@ def decompose(share: Share, parts: Sequence[Batch]) -> list[Share]:
     """Split a share among sub-batches, consuming positions in combine order.
 
     ``parts`` must be the exact batches combined at this tree node, own
-    batch first, then children ascending by label.  Each part's share has
-    one entry per entry of its batch, and its serial starts follow the
-    inserts and deletes of the parts before it.
+    batch first, then children ascending by label; the share must be as
+    long as their combined batch.  Each part's share has one entry per
+    entry of its batch, and its serial starts follow the inserts and
+    deletes of the parts before it.  The starts advance part by part, by
+    each part's counts of the priorities the subtree inserts into, and a
+    part gets a start only where its count is not zero.
     """
-    priorities = parts[0].priorities if parts else 0
-    no_ins: tuple[None, ...] = (None,) * priorities
+    length = 0  # of the parts' combined batch
+    for part in parts:
+        if len(part.entries) > length:
+            length = len(part.entries)
+    if len(share) != length:
+        raise SimulationFault("share length does not match the parts' combined batch")
     out: list[list[EntryShare]] = [[] for _ in parts]
     for j, entry_share in enumerate(share):
-        share_ins = entry_share.ins
-        ins_cursor: list[int] = [iv[0] if iv else 0 for iv in share_ins]
+        # the priorities that some part with an entry j inserts into
+        inserted = tuple(
+            map(any, zip(*[part.entries[j][0] for part in parts if j < len(part.entries)]))
+        )
+        cursor = entry_share.ins  # the next start of each of them, in priority order
+        if sum(inserted) != len(cursor):
+            raise SimulationFault("insert starts do not match the priorities the parts insert into")
         del_stream = entry_share.dels
         del_stream_pos = 0  # index into del_stream
         del_inner = 0  # positions consumed within del_stream[del_stream_pos]
-        bottoms_left = entry_share.bottoms
         ins_off = entry_share.ins_first  # the serial index of the next part's first insert
         del_off = entry_share.del_first
-        for part_i, part in enumerate(parts):
+        for shares, part in zip(out, parts):
             if j >= len(part.entries):  # no receiver reads a share past its batch
                 continue
             vec, d = part.entries[j]
-            n_ins = sum(vec)
-            if n_ins:
-                part_ins: list[tuple[int, int] | None] = []
-                for p, count in enumerate(vec):
-                    if count == 0:
-                        part_ins.append(None)
-                        continue
-                    iv = share_ins[p]
-                    if iv is None or ins_cursor[p] + count - 1 > iv[1]:
-                        raise SimulationFault("insert share does not cover sub-batch")
-                    part_ins.append((ins_cursor[p], ins_cursor[p] + count - 1))
-                    ins_cursor[p] += count
-                ins_tuple: tuple[tuple[int, int] | None, ...] = tuple(part_ins)
-            else:
-                ins_tuple = no_ins
+            counts = tuple(compress(vec, inserted))  # this part's counts of those priorities
+            part_starts = tuple(compress(cursor, counts))  # a start where its count is not zero
+            cursor = tuple(map(add, cursor, counts))
             part_dels: list[tuple[int, int, int]] = []
-            need = d
+            need = d  # what the runs leave unmatched is this part's bottoms
             while need > 0 and del_stream_pos < len(del_stream):
                 prio, lo, hi = del_stream[del_stream_pos]
                 start = lo + del_inner
@@ -267,21 +274,9 @@ def decompose(share: Share, parts: Sequence[Batch]) -> list[Share]:
                 if start + take - 1 == hi:
                     del_stream_pos += 1
                     del_inner = 0
-            part_bottoms = 0
-            if need > 0:
-                if need > bottoms_left:
-                    raise SimulationFault("delete share does not cover sub-batch")
-                part_bottoms = need
-                bottoms_left -= need
-            out[part_i].append(
-                EntryShare(ins_tuple, tuple(part_dels), part_bottoms, ins_off, del_off)
-            )
-            ins_off += n_ins
+            shares.append(EntryShare(part_starts, tuple(part_dels), ins_off, del_off))
+            ins_off += sum(vec)
             del_off += d
-        if (
-            del_stream_pos != len(del_stream)
-            or bottoms_left != 0
-            or ins_cursor != [iv[1] + 1 if iv else 0 for iv in share_ins]
-        ):
-            raise SimulationFault("share cardinality does not match combined batch")
-    return [tuple(entries) for entries in out]
+        if del_stream_pos < len(del_stream):  # the parts' bottoms would be negative
+            raise SimulationFault("delete runs exceed the parts' deletes")
+    return list(map(tuple, out))

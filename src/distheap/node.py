@@ -87,9 +87,12 @@ evaluated inline, with no Python call per field, element or natural:
   ``value_bits``.
 * ``value_bits`` sizes an ``int`` and ``None`` inline and hands a tuple
   to the memo below before it looks the type up in its table; a tuple or
-  list is sized in one loop that sizes its ``int`` elements inline.
-  ``Element.bits``, ``Batch.bits`` and ``EntryShare.bits`` size their
-  naturals inline too.
+  list is sized in one loop that sizes its ``int`` elements inline and
+  calls ``EntryShare.bits`` without the table, so a Skeap share (a tuple
+  of them) is sized in one pass.  ``Element.bits``, ``Batch.bits`` and
+  ``EntryShare.bits`` size their naturals inline too; a share entry
+  costs a natural per start, three per delete run and its two serial
+  starts.
 * every inline natural sends a negative value to ``nat_bits``, which
   raises the "negative natural" fault, so no inline path loses it.  The
   built functions and ``.bits`` methods look ``nat_bits``, ``value_bits``
@@ -132,12 +135,16 @@ from .sim import Element, ProtocolNode, SimulationFault, Simulator, nat_bits
 
 def _sequence_bits(sim: Simulator, obj: tuple | list) -> int:
     # the ``int`` rule inline: ``nat_bits(abs(x)) + 1`` is
-    # ``max(x.bit_length(), 2) + 1``, as ``bit_length`` ignores the sign
+    # ``max(x.bit_length(), 2) + 1``, as ``bit_length`` ignores the sign;
+    # an ``EntryShare`` (a Skeap share is a tuple of them) without the table
     k = len(obj)
     bits = (2 if 2 > k else k).bit_length()
     for x in obj:
-        if type(x) is int:
+        cls = type(x)
+        if cls is int:
             bits += (2 if -2 < x < 2 else x.bit_length()) + 1
+        elif cls is EntryShare:
+            bits += x.bits()
         else:
             bits += value_bits(sim, x)
     return bits

@@ -91,8 +91,10 @@ Inline, with no helper call, are: naturals, ``int``, ``float``, ``str``,
 ``VirtualId`` and ``Element`` fields of exactly that type and ``None`` in
 an ``Any`` field (in the built functions); ``int`` and ``None`` values and
 ``int`` elements of a tuple or list (in ``node.value_bits`` and the
-sequence loop); and the naturals of ``Element.bits``, ``Batch.bits`` and
-``EntryShare.bits``.  A negative natural still reaches ``nat_bits`` and
+sequence loop, which also sizes a Skeap share's ``EntryShare`` entries
+without a table lookup); and the naturals of ``Element.bits``,
+``Batch.bits`` and ``EntryShare.bits`` (its starts, delete runs and two
+serial starts).  A negative natural still reaches ``nat_bits`` and
 faults.  Each simulator keeps a ``size_memo`` so that a tuple of
 value-sized elements (a protocol key, a copy-slot id) is sized once per
 run; the sizes are the rule's, unchanged.  Tuples holding ``bool``,

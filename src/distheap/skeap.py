@@ -14,10 +14,14 @@ Each epoch runs four phases, pipelined per node:
    epoch is one anchor program (``_epoch``) on the driver all three
    protocols share (``node.OverlayNode``), which waits for the epoch's
    ``sb`` wave and assigns in the same event as the wave reaches the root;
-3. the intervals decompose back down the tree in the combine order
+3. the positions decompose back down the tree in the combine order
    (``split_sb``): a part's share has one entry per entry of its own
    batch, and each entry's two serial starts move past the inserts and
-   deletes of the parts before it, so every request obtains a unique
+   deletes of the parts before it.  An entry carries only what the
+   receiver cannot derive from the counts of the batch it combined: the
+   first position of each priority it inserts into, the delete runs and
+   the two serial starts; an interval's end and the bottoms follow from
+   the counts (``batches``).  So every request obtains a unique
    (priority, position) pair or a bottom mark, plus its global
    serialization index, its serial start plus its place in its run
    (``deliver_sb``);
@@ -34,6 +38,7 @@ across epochs.
 """
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Any, Generator
 
 from . import batches
@@ -54,8 +59,8 @@ class SkeapNode(HeapNode, OverlayNode):
     ):
         super().__init__(sim, node_id, topo, script)
         self.priorities = sim.cfg.priority_count
-        # epoch -> (snapshot requests, their runs in the batch)
-        self.inflight: dict[int, tuple[list[OperationRecord], list]] = {}
+        # epoch -> (snapshot requests, their batch, their runs in it)
+        self.inflight: dict[int, tuple[list[OperationRecord], Batch, list]] = {}
         self.outstanding: dict[Any, OperationRecord] = {}
         if self.is_anchor:
             self.anchor_state = AnchorState(self.priorities)
@@ -67,7 +72,7 @@ class SkeapNode(HeapNode, OverlayNode):
         snapshot = self._snapshot(epoch)
         kinds = [(r.kind, r.element.priority if r.element else None) for r in snapshot]
         batch, runs = batches.snapshot_batch(kinds, self.priorities)
-        self.inflight[epoch] = (snapshot, runs)
+        self.inflight[epoch] = (snapshot, batch, runs)
         self.contribute_all(_WAVE, (epoch,), batch)
 
     @property
@@ -94,15 +99,17 @@ class SkeapNode(HeapNode, OverlayNode):
     # -- phases 3 and 4 --------------------------------------------------------------
     def deliver_sb(self, key: tuple, share: Share) -> None:
         epoch = key[0]
-        requests, runs = self.inflight.pop(epoch)
+        requests, batch, runs = self.inflight.pop(epoch)
         for j, (ins_idx, del_idx) in enumerate(runs):
             entry = share[j]
-            cursors = [iv[0] if iv else None for iv in entry.ins]
+            # one start per priority this node inserts into, in priority order
+            vec = batch.entries[j][0]
+            cursors = dict(zip(compress(count(1), vec), entry.ins))
             for offset, req_i in enumerate(ins_idx):
                 req = requests[req_i]
                 p = req.element.priority
-                pos = cursors[p - 1]
-                cursors[p - 1] += 1
+                pos = cursors[p]
+                cursors[p] += 1
                 req.assigned = (p, pos)
                 req.serial_index = entry.ins_first + offset
                 self._execute_insert(req)
@@ -114,7 +121,7 @@ class SkeapNode(HeapNode, OverlayNode):
             for offset, req_i in enumerate(del_idx):
                 req = requests[req_i]
                 req.serial_index = entry.del_first + offset
-                if offset < len(flat):
+                if offset < len(flat):  # the deletes past the runs are bottoms
                     req.assigned = flat[offset]
                     self._execute_delete(req)
                 else:

@@ -101,7 +101,7 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         self.ins_snapshot: dict[int, list[OperationRecord]] = {}
         self.del_snapshot: dict[int, list[OperationRecord]] = {}
         # one epoch's stores and gets at a time
-        self.pending_put_acks = 0
+        self.pending_stores = 0
         self.outstanding_gets: dict[Any, OperationRecord] = {}
         self.qualifying: dict[int, list[Element]] = {}
         if self.is_anchor:
@@ -113,7 +113,7 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         return (
             self.finished
             and not self.outstanding_gets
-            and not self.pending_put_acks
+            and not self.pending_stores
             and super().done
         )
 
@@ -163,13 +163,13 @@ class SkeapPlusNode(HeapNode, KSelectNode):
     def flood_fi(self, key: tuple, payload: None) -> None:
         """Store the epoch's inserts, each at the node its key hashes to."""
         epoch = key[0]
-        if self.pending_put_acks:
-            raise SimulationFault(f"epoch {epoch} stores its inserts with puts still open")
+        if self.pending_stores:
+            raise SimulationFault(f"epoch {epoch} stores its inserts with stores still open")
         snap = self.ins_snapshot.pop(epoch)
         if not snap:
             self._enter_delete(epoch)
             return
-        self.pending_put_acks = len(snap)
+        self.pending_stores = len(snap)
         seed = self.sim.cfg.seed
         for req in snap:
             e = req.element
@@ -188,8 +188,8 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         self.post(element.origin, StoreAckMsg(op.epoch))
 
     def on_StoreAckMsg(self, msg: StoreAckMsg) -> None:
-        self.pending_put_acks -= 1
-        if not self.pending_put_acks:
+        self.pending_stores -= 1
+        if not self.pending_stores:
             self._enter_delete(msg.epoch)
 
     # -- delete phase -------------------------------------------------------------------------

@@ -116,6 +116,17 @@ def test_combine_all_checks_the_priority_count_of_empty_parts():
         combine_all([B(((1, 0), 1)), Batch(3)], 2)
 
 
+def _expand(entry, vec, d):
+    """An entry share expanded with its receiver's counts ``(vec, d)``: the
+    insert interval per priority it inserts into, the delete positions in
+    order and the bottoms."""
+    inserted = [p for p, count in enumerate(vec, 1) if count]
+    assert len(entry.ins) == len(inserted)  # one start per priority inserted into
+    intervals = {p: (start, start + vec[p - 1] - 1) for p, start in zip(inserted, entry.ins)}
+    deletes = [(p, pos) for p, lo, hi in entry.dels for pos in range(lo, hi + 1)]
+    return intervals, deletes, d - len(deletes)
+
+
 def test_anchor_assign_worked_example():
     # fresh state, batch ((4,1),3): inserts [1,4] at p1 and [1,1] at p2,
     # deletes [1,3] at p1, ending at first=(4,1), last=(4,1)
@@ -123,9 +134,9 @@ def test_anchor_assign_worked_example():
     share, counter = anchor_assign(state, B(((4, 1), 3)), 1)
     assert len(share) == 1
     entry = share[0]
-    assert entry.ins == ((1, 4), (1, 1))
+    assert entry.ins == (1, 1)  # the starts; the counts give the ends
     assert entry.dels == ((1, 1, 3),)
-    assert entry.bottoms == 0
+    assert _expand(entry, (4, 1), 3) == ({1: (1, 4), 2: (1, 1)}, [(1, 1), (1, 2), (1, 3)], 0)
     assert state.first == [4, 1]
     assert state.last == [4, 1]
     assert counter == 1 + 5 + 3
@@ -138,8 +149,9 @@ def test_anchor_assign_multi_priority_delete():
     state.first = [3, 1]
     state.last = [4, 2]
     share, _ = anchor_assign(state, B(((0, 0), 3)), 1)
+    assert share[0].ins == ()
     assert share[0].dels == ((1, 3, 4), (2, 1, 1))
-    assert share[0].bottoms == 0
+    assert _expand(share[0], (0, 0), 3)[2] == 0  # no bottoms
     assert state.first == [5, 2]
     assert state.last == [4, 2]
 
@@ -148,7 +160,7 @@ def test_anchor_assign_empty_heap_bottoms():
     state = AnchorState(2)
     share, _ = anchor_assign(state, B(((0, 0), 2)), 1)
     assert share[0].dels == ()
-    assert share[0].bottoms == 2
+    assert _expand(share[0], (0, 0), 2)[2] == 2
 
 
 def test_anchor_invariant_violation_detected():
@@ -168,12 +180,13 @@ def test_decompose_worked_example():
     c1 = B(((1, 0), 2))
     c2 = B(((2, 1), 1))
     own_share, c1_share, c2_share = decompose(share, [own, c1, c2])
-    assert own_share[0].ins == ((1, 1), None)
+    assert own_share[0].ins == (1,)
     assert own_share[0].dels == ()
-    assert c1_share[0].ins == ((2, 2), None)
+    assert c1_share[0].ins == (2,)
     assert c1_share[0].dels == ((1, 1, 2),)
-    assert c2_share[0].ins == ((3, 4), (1, 1))
+    assert c2_share[0].ins == (3, 1)
     assert c2_share[0].dels == ((1, 3, 3),)
+    assert _expand(c2_share[0], (2, 1), 1)[0] == {1: (3, 4), 2: (1, 1)}
 
 
 def test_decompose_offsets_accumulate():
@@ -198,22 +211,12 @@ def test_decompose_leaf_identity():
     assert [e.dels for e in only] == [e.dels for e in share]
 
 
-def _ins_count(entry):
-    """The positions an entry share assigns to inserts."""
-    return sum(hi - lo + 1 for lo, hi in filter(None, entry.ins))
-
-
-def _del_count(entry):
-    """The deletes an entry share answers: matched positions and bottoms."""
-    return sum(hi - lo + 1 for _, lo, hi in entry.dels) + entry.bottoms
-
-
 def test_decompose_all_zero_subbatch_gets_empty_share():
     state = AnchorState(2)
     share, _ = anchor_assign(state, B(((2, 0), 1)), 1)
     z, full = decompose(share, [Batch(2), B(((2, 0), 1))])
     assert z == ()
-    assert full[0].ins == ((1, 2), None)
+    assert full[0].ins == (1,)
 
 
 def test_decompose_bottoms_go_to_latest_parts():
@@ -222,33 +225,55 @@ def test_decompose_bottoms_go_to_latest_parts():
     state = AnchorState(1)
     state.first, state.last = [1], [1]  # one stored element
     share, _ = anchor_assign(state, Batch(1, (((0,), 3),)), 1)
-    assert share[0].bottoms == 2
+    assert _expand(share[0], (0,), 3)[2] == 2
     p1, p2 = decompose(share, [Batch(1, (((0,), 2),)), Batch(1, (((0,), 1),))])
-    assert p1[0].dels == ((1, 1, 1),) and p1[0].bottoms == 1
-    assert p2[0].dels == () and p2[0].bottoms == 1
+    assert p1[0].dels == ((1, 1, 1),) and _expand(p1[0], (0,), 2)[2] == 1
+    assert p2[0].dels == () and _expand(p2[0], (0,), 1)[2] == 1
 
 
 def test_decompose_mismatch_is_fault():
-    state = AnchorState(1)
-    share, _ = anchor_assign(state, Batch(1, (((2,), 0),)), 1)
-    with pytest.raises(SimulationFault):
-        decompose(share, [Batch(1, (((1,), 0),))])  # covers only half
+    # the share starts priorities 1 and 2; the parts insert into 2 alone
+    share, _ = anchor_assign(AnchorState(2), B(((2, 1), 0)), 1)
+    with pytest.raises(SimulationFault, match="insert starts do not match"):
+        decompose(share, [B(((0, 1), 0))])
+    # the share starts priority 1; the parts insert into 1 and 2
+    share, _ = anchor_assign(AnchorState(2), B(((2, 0), 0)), 1)
+    with pytest.raises(SimulationFault, match="insert starts do not match"):
+        decompose(share, [B(((1, 0), 0)), B(((1, 1), 0))])
+    # the share's second entry has no starts and no runs (its delete finds
+    # the heap empty), but no part has a second entry to take it
+    share, _ = anchor_assign(AnchorState(2), B(((1, 0), 1), ((0, 0), 1)), 1)
+    assert share[1].ins == () and share[1].dels == ()
+    with pytest.raises(SimulationFault, match="share length does not match"):
+        decompose(share, [B(((1, 0), 1))])
 
 
 @pytest.mark.parametrize(
     "stored,total,parts",
     [
         (3, 2, [1]),  # the share matches two deletes, the parts consume one
-        (0, 2, [1]),  # the share has two bottoms, the parts consume one
-        (0, 1, [1, 1]),  # the parts need more deletes than the share holds
+        (2, 2, [1, 0]),  # a part with no deletes takes none of the runs
+        (3, 3, [1, 1]),  # the runs outlast the last part
     ],
 )
 def test_decompose_delete_cardinality_faults(stored, total, parts):
+    # the parts' derived bottoms would be negative
     state = AnchorState(1)
     state.first, state.last = [1], [stored]
     share, _ = anchor_assign(state, Batch(1, (((0,), total),)), 1)
-    with pytest.raises(SimulationFault):
+    with pytest.raises(SimulationFault, match="delete runs exceed the parts' deletes"):
         decompose(share, [Batch(1, (((0,), d),)) for d in parts])
+
+
+def test_decompose_derives_bottoms_from_the_parts_counts():
+    # the share carries no bottom count: deletes past the runs are bottoms,
+    # however many the parts have
+    share, _ = anchor_assign(AnchorState(1), Batch(1, (((0,), 2),)), 1)
+    for parts in ([1], [1, 1], [3]):
+        split = decompose(share, [Batch(1, (((0,), d),)) for d in parts])
+        assert [_expand(s[0], (0,), d) for s, d in zip(split, parts)] == [
+            ({}, [], d) for d in parts
+        ]
 
 
 @st.composite
@@ -272,23 +297,19 @@ def test_assign_then_decompose_conserves_counts(r1, r2, r3):
     share, _ = anchor_assign(state, total, 1)
     state.check()
     parts = decompose(share, batches)
-    for part_share, part_batch in zip(parts, batches):
-        for j, (vec, d) in enumerate(part_batch.entries):
-            assert _ins_count(part_share[j]) == sum(vec)
-            assert _del_count(part_share[j]) == d
     # every assigned position is unique
     seen = set()
-    for part_share in parts:
-        for entry in part_share:
-            for p, iv in enumerate(entry.ins):
-                if iv:
-                    for pos in range(iv[0], iv[1] + 1):
-                        assert ("i", p, pos) not in seen
-                        seen.add(("i", p, pos))
-            for p, lo, hi in entry.dels:
+    for part_share, part_batch in zip(parts, batches):
+        for entry, (vec, d) in zip(part_share, part_batch.entries, strict=True):
+            intervals, deletes, bottoms = _expand(entry, vec, d)
+            assert bottoms >= 0
+            for p, (lo, hi) in intervals.items():
                 for pos in range(lo, hi + 1):
-                    assert ("d", p, pos) not in seen
-                    seen.add(("d", p, pos))
+                    assert ("i", p, pos) not in seen
+                    seen.add(("i", p, pos))
+            for p, pos in deletes:
+                assert ("d", p, pos) not in seen
+                seen.add(("d", p, pos))
 
 
 @given(request_lists())
@@ -324,3 +345,62 @@ def test_decompose_carries_bases_and_running_offsets(r1, r2, r3):
                 vec, d = part_batch.entries[j]
                 ins_next += sum(vec)
                 del_next += d
+
+
+@st.composite
+def batch_trees(draw, depth=2):
+    """A tree node's own batch and its children's subtrees; any batch may
+    be empty or end in all-zero entries."""
+    own = draw(batches_with_zeros(priorities=3))
+    children = draw(st.lists(batch_trees(depth - 1), max_size=3)) if depth else []
+    return own, children
+
+
+def _combined(tree):
+    own, children = tree
+    return combine_all([own] + [_combined(child) for child in children], 3)
+
+
+def _check_split(tree, share):
+    """Decompose ``share`` at the root of ``tree``, check every part's share
+    against the root's, and recurse into the children."""
+    own, children = tree
+    parts = [own] + [_combined(child) for child in children]
+    split = decompose(share, parts)
+    for j, (entry, (vec, d)) in enumerate(zip(share, combine_all(parts, 3).entries, strict=True)):
+        intervals, deletes, bottoms = _expand(entry, vec, d)
+        assert bottoms >= 0
+        positions = {p: [] for p in intervals}
+        part_deletes, part_bottoms = [], 0
+        ins_next, del_next = entry.ins_first, entry.del_first
+        for part, part_share in zip(parts, split):
+            if j >= len(part.entries):
+                assert len(part_share) == len(part.entries)
+                continue
+            part_vec, part_d = part.entries[j]
+            got = part_share[j]
+            part_intervals, part_dels, part_bots = _expand(got, part_vec, part_d)
+            for p, (lo, hi) in part_intervals.items():
+                positions[p] += range(lo, hi + 1)
+            # each part's deletes are answered: matched positions plus bottoms
+            assert part_bots >= 0 and len(part_dels) + part_bots == part_d
+            part_deletes += part_dels
+            part_bottoms += part_bots
+            # the serial starts follow the parts before this one
+            assert (got.ins_first, got.del_first) == (ins_next, del_next)
+            ins_next += sum(part_vec)
+            del_next += part_d
+        # the parts' intervals tile the root's, in combine order, without overlap
+        assert positions == {p: list(range(lo, hi + 1)) for p, (lo, hi) in intervals.items()}
+        assert (part_deletes, part_bottoms) == (deletes, bottoms)
+    for child, child_share in zip(children, split[1:]):
+        _check_split(child, child_share)
+
+
+@given(batch_trees(), st.integers(0, 6), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_decompose_down_a_batch_tree_tiles_the_anchors_positions(tree, stored, serial_base):
+    state = AnchorState(3)
+    state.first, state.last = [1, 4, 2], [stored, 3, 2 + stored // 2]  # some stored elements
+    share, _ = anchor_assign(state, _combined(tree), serial_base)
+    _check_split(tree, share)

@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 EXPECTED = {
-    "skeap-sync-n512": "85d3b679a57756f9",
+    "skeap-sync-n512": "8defcfe4a113340c",
     "kselect-sync-n128": "12a7f011894d4ca2",
     "seap-async-n128": "781ac392a76cd8d9",
 }

@@ -131,7 +131,8 @@ def test_value_bits_matches_isinstance_chain():
         None, True, False, 0, 1, -5, 2**60, 0.25, "k2n",
         Element(3, 1, 7), Element(2**40, 5, 1, b"xy"),
         Batch(2, (((1, 0), 2), ((0, 3), 0))),
-        EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 8),
+        EntryShare((1, 4), ((2, 1, 3),), 5, 8),
+        (EntryShare((1, 4), ((2, 1, 3),), 5, 8), EntryShare((), (), 2**40, 0)),  # a Skeap share
         VirtualId(6, "M"), (), (1, "a", (None, 2.5)), [VirtualId(0, "L"), 9],
         pair(4, (1, 2)),
     ]
@@ -182,10 +183,10 @@ def test_tuple_memo_is_exact_in_every_order():
 
 def test_tuple_memo_resizes_mutable_elements():
     sim, _ = make_sim(n=8)
-    share = EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 8)
+    share = EntryShare((1, 4), ((2, 1, 3),), 5, 8)
     key = ("sd", 3, share)
     before = value_bits(sim, key)
-    share.bottoms = 2**40
+    share.del_first = 2**40
     assert value_bits(sim, key) == node_module._sequence_bits(sim, key) > before
     items = [1, "a"]
     before = value_bits(sim, items)
@@ -455,14 +456,14 @@ def test_tuple_field_holding_a_list_or_an_entry_share_is_sized_by_the_rule(cls):
     # ``key`` is annotated ``tuple``: these values fail the built sizer's exact
     # type guard, or hold an element the memo must not keep
     sim, _ = make_sim(n=8)
-    share = EntryShare(((1, 4), None), ((2, 1, 3),), 1, 5, 8)
+    share = EntryShare((1, 4), ((2, 1, 3),), 5, 8)
     items = [1, -7, "a"]
     vid = VirtualId(3, "M")
     for key in (items, share, (1, share), (2, items)):
         msg = FloodMsg("k2", key, vid, None) if cls is FloodMsg else WaveUpMsg("k2", key, vid, vid, 4)
         before = msg.size_bits(sim)
         assert before == _field_by_field(sim, msg), key
-        share.bottoms <<= 20  # sized again, not looked up
+        share.del_first <<= 20  # sized again, not looked up
         items.append(2**40)
         assert msg.size_bits(sim) == _field_by_field(sim, msg) > before, key
     assert sim.size_memo == {}
@@ -472,17 +473,16 @@ def _negative_naturals():
     """(name, a ``.bits()`` call with one natural set to -1) for every natural
     ``Element.bits``, ``Batch.bits`` and ``EntryShare.bits`` read."""
     elem = dict(priority=3, origin=1, seq=7)
-    share = dict(ins=((1, 4), None), dels=((2, 1, 3),), bottoms=1, ins_first=5, del_first=8)
+    share = dict(ins=(1, 4), dels=((2, 1, 3),), ins_first=5, del_first=8)
     cases = [(f"Element.{k}", lambda k=k: Element(**{**elem, k: -1}).bits()) for k in elem]
     cases += [
         ("Batch.insert", lambda: Batch(2, (((1, 0), 2), ((0, -1), 0))).bits()),
         ("Batch.delete", lambda: Batch(2, (((1, 0), 2), ((0, 3), -1))).bits()),
     ]
-    scalars = ("bottoms", "ins_first", "del_first")
+    scalars = ("ins_first", "del_first")
     cases += [(f"EntryShare.{k}", lambda k=k: EntryShare(**{**share, k: -1}).bits()) for k in scalars]
-    cases += [
-        ("EntryShare.ins.lo", lambda: EntryShare(**{**share, "ins": ((-1, 4), None)}).bits()),
-        ("EntryShare.ins.hi", lambda: EntryShare(**{**share, "ins": (None, (1, -1))}).bits()),
+    cases += [  # a start is the lo end of its insert interval
+        ("EntryShare.ins.lo", lambda: EntryShare(**{**share, "ins": (1, -1)}).bits()),
         ("EntryShare.dels.prio", lambda: EntryShare(**{**share, "dels": ((-1, 1, 3),)}).bits()),
         ("EntryShare.dels.lo", lambda: EntryShare(**{**share, "dels": ((2, -1, 3),)}).bits()),
         ("EntryShare.dels.hi", lambda: EntryShare(**{**share, "dels": ((2, 1, -1),)}).bits()),

@@ -1,8 +1,9 @@
-import pytest
-
+import dataclasses
 import re
 
-from distheap.batches import DELETE, INSERT, Batch
+import pytest
+
+from distheap.batches import DELETE, INSERT, Batch, combine_all
 from distheap.consistency import (
     BOTTOM,
     check_heap_consistency,
@@ -10,7 +11,7 @@ from distheap.consistency import (
     check_serializable,
 )
 from distheap.experiments import _run_heap, run_skeap
-from distheap.node import WaveUpMsg
+from distheap.node import WaveDownMsg, WaveUpMsg
 from distheap.overlay import CycleTopology
 from distheap.sim import ASYNC, SYNC, Element, SimConfig, SimulationFault, Simulator
 from distheap.skeap import build_skeap
@@ -128,6 +129,40 @@ def test_three_node_mixed_scenario():
         r for r in res.records if r.kind == INSERT and r.element.ident not in matched
     ]
     assert sorted(r.element.priority for r in unmatched) == [1, 2]
+
+
+def test_sb_shares_carry_one_start_per_inserted_priority_and_no_bottoms(monkeypatch):
+    # every share sent down the sb wave, against the batch its receiver
+    # combined: a start for each priority inserted into, nothing for a zero
+    # count, and no bottom count, though the run returns bottoms
+    script = {
+        0: {0: [(INSERT, 1), (INSERT, 1), (DELETE, None)]},
+        3: {0: [(INSERT, 3), (DELETE, None), (DELETE, None), (DELETE, None)]},
+        5: {0: [(DELETE, None), (INSERT, 2)], 1: [(INSERT, 3)]},
+        6: {1: [(DELETE, None)] * 4},
+    }
+    sent = []  # (the receiving session's combined batch, the share)
+    send = Simulator.send
+
+    def spy(sim, src, dst, payload):
+        if type(payload) is WaveDownMsg and payload.kind == "sb":
+            session = sim.nodes[dst]._waves[("sb", payload.key, payload.vid)]
+            sent.append((combine_all(session.parts, 3), payload.share))
+        send(sim, src, dst, payload)
+
+    monkeypatch.setattr(Simulator, "send", spy)
+    res = run_skeap(n=8, seed=1, priorities=3, epochs=2, script=script)
+    assert res.ok, res.verdict.violation
+    assert any(r.returned == BOTTOM for r in res.records)
+    zero_counts = 0
+    for combined, share in sent:
+        assert len(share) == len(combined.entries)
+        for entry, (vec, _) in zip(share, combined.entries):
+            fields = [f.name for f in dataclasses.fields(entry)]
+            assert fields == ["ins", "dels", "ins_first", "del_first"]
+            assert len(entry.ins) == len(vec) - vec.count(0)
+            zero_counts += vec.count(0)
+    assert len(sent) > 10 and zero_counts > 0
 
 
 def test_position_uniqueness_across_epochs():

@@ -327,13 +327,13 @@ def test_no_per_epoch_state_outlives_a_run(mode):
         for node in nodes:
             for name in ("_waves", "_programs", "waiting_gets") + names:
                 assert not getattr(node, name), (protocol, node.id, name)
-    assert all(node.pending_put_acks == 0 for node in seap)
+    assert all(node.pending_stores == 0 for node in seap)
 
 
 def _stepped_until(ready):
     """A sync two-epoch run in which node 0 inserts two elements and deletes
     them in epoch 0, stepped until ``ready(node 0)``; returns node 0."""
-    n = 16  # at n = 4 and 8 node 0's puts are acknowledged within their round
+    n = 16  # at n = 4 and 8 node 0's stores are acknowledged within their round
     sim = Simulator(SimConfig(n=n, seed=1, priority_universe=n * n, lam=1, epochs=2))
     script = {0: {0: [(INSERT, 1), (INSERT, 2), (DELETE, None), (DELETE, None)]}}
     node = build_skeap_plus(sim, CycleTopology.build(n, 1), script)[0]
@@ -344,9 +344,9 @@ def _stepped_until(ready):
 
 
 def test_next_epoch_may_not_store_inserts_with_puts_still_open():
-    node = _stepped_until(lambda node: node.pending_put_acks)
+    node = _stepped_until(lambda node: node.pending_stores)
     node.ins_snapshot[1] = []
-    with pytest.raises(SimulationFault, match="puts still open"):
+    with pytest.raises(SimulationFault, match="stores still open"):
         node.flood_fi((1,), None)
 
 

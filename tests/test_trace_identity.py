@@ -28,18 +28,18 @@ SEEDS = (0, 1)
 
 # (protocol, mode, n, seed) -> (trace, records, metrics)
 EXPECTED = {
-    ('skeap', 'synchronous', 2, 0): ('af7ad38c0e2f5bf8', '388368d3c75fc922', 'a72e221f6eaa7d0f'),
-    ('skeap', 'synchronous', 2, 1): ('c3dd5eb2f1be89b0', 'b28d0136ddafb062', '01b897c2c11c736f'),
-    ('skeap', 'synchronous', 8, 0): ('9935a8d3cbe219c7', 'c9e5fc435d38d1f1', 'f66e15bf0aa350fd'),
-    ('skeap', 'synchronous', 8, 1): ('3ed9fd6e90272860', '44be1a8a7c2cedf7', 'dc80bd767c27d7e4'),
-    ('skeap', 'synchronous', 32, 0): ('39e87ffe70cd162e', '24621a035be4f904', '7736e32860979e34'),
-    ('skeap', 'synchronous', 32, 1): ('72b159916ec0838f', 'f47010e4b7efe9d0', 'd8a56b1ff3d6d387'),
-    ('skeap', 'asynchronous', 2, 0): ('356f928a0fb150c8', '388368d3c75fc922', '1ee5a2726b32fe7f'),
-    ('skeap', 'asynchronous', 2, 1): ('c2fb1e2e62f65d6f', 'b28d0136ddafb062', '362fef6edd8f3df5'),
-    ('skeap', 'asynchronous', 8, 0): ('5475e2d28cbb0877', 'c9e5fc435d38d1f1', '1d0dd83f8c7fc2ee'),
-    ('skeap', 'asynchronous', 8, 1): ('070679e634129c04', '44be1a8a7c2cedf7', '3bab367f74ec5c87'),
-    ('skeap', 'asynchronous', 32, 0): ('cbbeb387ccdc7457', '24621a035be4f904', 'e948c26ce1ac2a14'),
-    ('skeap', 'asynchronous', 32, 1): ('4be9b3948949b73e', 'f47010e4b7efe9d0', '9a71f07c45de6f0e'),
+    ('skeap', 'synchronous', 2, 0): ('21d7f9b9d8e7d300', '388368d3c75fc922', 'd9bb4ce8ec9a4eeb'),
+    ('skeap', 'synchronous', 2, 1): ('3ea13ba246972417', 'b28d0136ddafb062', 'a3fcf65fa7b7f8d8'),
+    ('skeap', 'synchronous', 8, 0): ('ae9ed31f89c54071', 'c9e5fc435d38d1f1', '6b7514429f256e54'),
+    ('skeap', 'synchronous', 8, 1): ('b0300f13284f2d47', '44be1a8a7c2cedf7', 'c6346a8d6225a3e5'),
+    ('skeap', 'synchronous', 32, 0): ('be552005897c9419', '24621a035be4f904', '176c24fa1687933c'),
+    ('skeap', 'synchronous', 32, 1): ('c90ace5a5dc75b5d', 'f47010e4b7efe9d0', 'df07f35bea686236'),
+    ('skeap', 'asynchronous', 2, 0): ('1c524537638c1d22', '388368d3c75fc922', '69a5ffa4ac72402b'),
+    ('skeap', 'asynchronous', 2, 1): ('beef4bec5dd50591', 'b28d0136ddafb062', '052f1173968295be'),
+    ('skeap', 'asynchronous', 8, 0): ('098e5787453aa905', 'c9e5fc435d38d1f1', 'ba6b9d571cdc0eb3'),
+    ('skeap', 'asynchronous', 8, 1): ('7fa9874da446bdb1', '44be1a8a7c2cedf7', '5e14ecd2d1c93c1f'),
+    ('skeap', 'asynchronous', 32, 0): ('b31b24321a83e116', '24621a035be4f904', '22a758e1b46c46ec'),
+    ('skeap', 'asynchronous', 32, 1): ('3474a147cecd7a51', 'f47010e4b7efe9d0', '58364dd531afc09e'),
     ('seap', 'synchronous', 2, 0): ('6a15562bfee360e9', '20b74a1a27c9e5bd', '2ef73255cfe6f9cb'),
     ('seap', 'synchronous', 2, 1): ('c05a71c4ba04fd7d', 'e1b12c6bea5a474d', '178a5b8e34c32ea3'),
     ('seap', 'synchronous', 8, 0): ('2918f57f36bd975f', 'd06939338a165fc2', 'f3cf16b6d2054cef'),
