@@ -445,6 +445,29 @@ def hash_unit(tag: int, inputs: tuple[int, ...], seed: int) -> float:
         source="messages carry only what their receivers read: a copy slot named by naturals",
     ),
     Mutant(
+        name="phase1-runs-on-after-nothing-below",
+        file="src/distheap/kselect.py",
+        old="            if N <= threshold or not below:\n",
+        new="            if N <= threshold or not below + above:\n",
+        killers=(
+            "tests/test_kselect.py::"
+            "test_a_rank_n_selection_among_n_squared_floods_one_k1_and_one_k1p",
+            "tests/test_kselect.py::test_phase1_stops_after_a_cut_that_prunes_nothing",
+        ),
+        source="phase 1 ends at a cut that prunes nothing below: the next would repeat it",
+    ),
+    Mutant(
+        name="k1p-skipped-with-a-finite-upper-bound",
+        file="src/distheap/kselect.py",
+        old="            if k // n <= 1 and hi == POS_INF:\n",
+        new="            if k // n <= 1:\n",
+        killers=(
+            "tests/test_kselect.py::"
+            "test_a_rank_n_selection_among_n_squared_floods_one_k1_and_one_k1p",
+        ),
+        source="the anchor skips k1p only when neither side can cut; the answer stays right",
+    ),
+    Mutant(
         name="stored-elements-removed-by-prefix",
         file="src/distheap/skeap_plus.py",
         old="""\

@@ -11,10 +11,17 @@ which each ``ProbeReport`` resumes (``OverlayNode.resume``).
   takes the node's elements as its candidates, so the first count is N;
   the anchor checks every later one against its own N).  The global
   min/max of those bound the target's priority, everything outside is
-  pruned and the counts below/above update k and N exactly.  Nodes
-  holding too few candidates contribute sentinels that keep the bound
-  sound (an unbounded side prunes nothing).  An iteration that prunes
-  nothing is the last: the next would cut at the same bounds.
+  pruned (``k1p``) and the counts below/above update k and N exactly.
+  Nodes holding too few candidates contribute sentinels that keep the
+  bound sound (an unbounded side prunes nothing).  An iteration that
+  prunes nothing below the target is the last: k, and so both indices,
+  stay the same, and a finite upper bound means that every node held
+  and kept its first ``ceil(k/n)`` candidates, so the next ``k1`` wave
+  would return the same bounds and its cut would prune nothing.  When
+  ``k // n <= 1`` (the lower bound is -inf or the global minimum) and
+  the upper bound is open, neither side can cut: the anchor floods no
+  ``k1p`` and logs the cut of nothing.  So a selection with ``k < 2n``
+  runs exactly one phase-1 iteration.
 * Phase 2 (until ``N <= sqrt(n)``, at most ``PHASE2_CAP`` iterations):
   every candidate is sampled with probability ``sqrt(n)/N`` (floored so
   tiny systems still sample a handful); the sample is sorted by an
@@ -56,10 +63,11 @@ tree and a wave back up (``_REPLY`` pairs each flood with its wave), which
 in sync mode costs two rounds per edge between real nodes on the tree's
 longest root path (a node's own virtual nodes hand off locally); each
 sorting pass adds its routing and vote aggregation.  The anchor floods
-twice per phase-1 iteration (``k1``, ``k1p``), twice per phase-2
-iteration (``k2``, ``k2r``), once per re-drawn sample and once for phase
-3, so ``2 P1 + 2 P2 + retries + 1`` barriers run for P1 phase-1 and P2
-phase-2 iterations, at most ``2 (ceil(log2 q) + 1) + 2 PHASE2_CAP + retries + 1``.
+at most twice per phase-1 iteration (``k1``, and ``k1p`` unless neither
+side can cut), twice per phase-2 iteration (``k2``, ``k2r``), once per
+re-drawn sample and once for phase 3, so at most ``2 P1 + 2 P2 +
+retries + 1`` barriers run for P1 phase-1 and P2 phase-2 iterations,
+and at most ``2 (ceil(log2 q) + 1) + 2 PHASE2_CAP + retries + 1``.
 
 The sorting sub-protocol assigns sampled candidates unique positions via
 interval decomposition, routes each candidate to the node owning the
@@ -244,7 +252,6 @@ class CopyAggMsg(Message):
 class ProbeReport(Message):
     key: tuple
     role: str  # "lo", "hi" or "target"
-    order: Nat
     element: Element
 
 
@@ -369,10 +376,14 @@ class KSelectNode(OverlayNode):
                 lo, hi, count = yield self._ask("k1", key, (k, n))
                 if count != N:
                     raise SimulationFault(f"candidate count {count} does not match N={N}")
-            below, above = yield self._ask("k1p", key, (lo, hi))
+            if k // n <= 1 and hi == POS_INF:
+                # lo is -inf or the global minimum and hi is open: no side cuts
+                below = above = 0
+            else:
+                below, above = yield self._ask("k1p", key, (lo, hi))
             k, N = sel.cut(1, it, k, N, below, above, p_min=lo, p_max=hi)
-            if N <= threshold or not below + above:
-                # a cut that prunes nothing would repeat over the same candidates
+            if N <= threshold or not below:
+                # k is unchanged, so the next k1 wave would return these bounds
                 break
 
         # phase 2: sort a sample, rank-check two probes, keep what holds k;
@@ -566,12 +577,12 @@ class KSelectNode(OverlayNode):
         anchor = self.topo.root.owner
         if op.target:
             if order == op.target:
-                self.post(anchor, ProbeReport(key, "target", order, op.element))
+                self.post(anchor, ProbeReport(key, "target", op.element))
         else:
             if order == op.probe_lo:
-                self.post(anchor, ProbeReport(key, "lo", order, op.element))
+                self.post(anchor, ProbeReport(key, "lo", op.element))
             if order == op.probe_hi:
-                self.post(anchor, ProbeReport(key, "hi", order, op.element))
+                self.post(anchor, ProbeReport(key, "hi", op.element))
 
     # -- floods: a node answers each at its M, on the wave ``_REPLY`` names -------------
     def flood_k1(self, key: tuple, payload: tuple) -> None:

@@ -83,8 +83,7 @@ evaluated inline, with no Python call per field, element or natural:
   ``str``, ``tuple``, ``VirtualId`` or ``Element`` whose value has
   exactly that type, and an ``Any`` field holding ``None``, take the
   matching ``value_bits`` rule inline (an ``Element`` as its three
-  naturals plus 8 bits a payload byte); any other value goes through
-  ``value_bits``.
+  naturals); any other value goes through ``value_bits``.
 * ``value_bits`` sizes an ``int`` and ``None`` inline and hands a tuple
   to the memo below before it looks the type up in its table; a tuple or
   list is sized in one loop that sizes its ``int`` elements inline and
@@ -229,8 +228,7 @@ _FAST_PATHS = {
     "VirtualId": ("type(v) is VirtualId", _nat("v.owner") + " + 2"),
     "Element": (
         "type(v) is Element",
-        " + ".join(_nat(f"v.{name}") for name in ("priority", "origin", "seq"))
-        + " + 8 * len(v.payload)",
+        " + ".join(_nat(f"v.{name}") for name in ("priority", "origin", "seq")),
     ),
     "Any": ("v is None", "1"),
 }

@@ -21,18 +21,22 @@ runs inside it.  It waits for three counts in turn:
   origin, its issuer, in a ``StoreAckMsg``; the issuer enters the delete
   phase once all its stores are acknowledged.  No share comes down
   ``si``, so it has no ``deliver_si``.
-* ``sd``, the deletes k: the anchor shrinks m by k* = min(k, m).  If
-  k* = 0 no element moves: it splits [1, k] down the ``sd`` wave, every
-  delete returns bottom, and the epoch ends there (with k = 0 the share
-  is empty).  Otherwise it runs the KSelect program for the element of
-  rank k*, floods that bound (``fq``) and splits [1, k] down the ``sd``
-  wave over the deleting nodes; a delete fetches its position from a
-  position-salted DHT key, or returns bottom past k* (``deliver_sd``).
-* ``sq``, the stored elements up to the bound (``flood_fq``): it must
-  equal k*.  Then [1, k*] splits down the tree, and the storing nodes
-  move those elements (ascending) to the position keys as DHT puts
-  (``deliver_sq``).  No ack comes back for a put: the get at each
-  position completes the move.
+* ``sd``, the deletes k: the anchor shrinks m by k* = min(k, m).  Each
+  ``sd`` share is ``(lo, hi, k*, bound)``.  If k* = 0 no element moves:
+  the anchor splits [1, k] down the ``sd`` wave with no bound
+  (``None``), every delete returns bottom, and the epoch ends there
+  (with k = 0 the share is empty).  Otherwise it runs the KSelect
+  program for the element of rank k* and splits [1, k] down the ``sd``
+  wave with that element as the bound, so no flood of its own announces
+  it.  At its share a node first counts its stored elements up to the
+  bound, which qualify, and contributes that count to ``sq``; then each
+  delete fetches its position from a position-salted DHT key, or
+  returns bottom past k* (``deliver_sd``).
+* ``sq``, the qualifying elements: it must equal k*.  Then [1, k*]
+  splits down the tree, and the storing nodes move those elements
+  (ascending) to the position keys as DHT puts (``deliver_sq``).  No
+  ack comes back for a put: the get at each position completes the
+  move.
 
 Epochs reach the anchor in order: the ``si`` of epoch e+1 combines every
 node's count, and a node enters e+1 only at its ``sd`` share or when its
@@ -44,18 +48,21 @@ for is a fault.
 Each node keeps an epoch's insert and delete snapshots only until it has
 stored the inserts or assigned the deletes their positions, its
 outstanding gets until each has returned, and the elements up to the
-selected bound, taken at the ``fq`` flood, until its ``sq`` share moves
+selected bound, taken at its ``sd`` share, until its ``sq`` share moves
 them; after a run only the records, stamped with their epoch by the
-snapshot, remain.  A later epoch's stores can reach a node before its
-``sq`` share does, so what qualifies is fixed when it is counted, and
-the move takes exactly those elements out of ``elements``, not a prefix
-of it.  (Epoch e+1 stores only once every get of e has returned, that
-is, once every qualifying element has moved, so such a store finds
-nothing left to move; the move does not rest on that.)  Since a node
-enters epoch e+1 only after e's stores are acknowledged and its gets
-have returned, its open stores and outstanding gets always belong to one
-epoch: one count of pending acks and one table of gets, which must be
-empty when the next epoch stores its inserts or assigns its deletes.
+snapshot, remain.  Counting at the share sees no later epoch's store:
+the anchor floods ``fi`` of e+1 only once ``si`` of e+1 has combined,
+and a node contributes to that only after its ``sd`` share of e.  A
+later epoch's stores can reach a node before its ``sq`` share does,
+though, so what qualifies is fixed when it is counted, and the move
+takes exactly those elements out of ``elements``, not a prefix of it.
+(Epoch e+1 stores only once every get of e has returned, that is, once
+every qualifying element has moved, so such a store finds nothing left
+to move; the move does not rest on that.)  Since a node enters epoch
+e+1 only after e's stores are acknowledged and its gets have returned,
+its open stores and outstanding gets always belong to one epoch: one
+count of pending acks and one table of gets, which must be empty when
+the next epoch stores its inserts or assigns its deletes.
 The constructed serialization (``finalize_records``) per epoch is: all
 inserts (in ascending element order), then all deletes ordered by the
 key of the element they return, bottoms last (positions follow the tree,
@@ -144,14 +151,13 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         k_star = min(k, self.m)
         self.epoch_log.append({"epoch": epoch, "k": k, "k_star": k_star, "m": self.m})
         if not k_star:  # no element moves: every delete returns bottom
-            self.wave_down("sd", key, self.topo.root, (1, k, 0))
+            self.wave_down("sd", key, self.topo.root, (1, k, 0, None))
             return
         self.m -= k_star
         sel = yield from self.select(k_star, epoch)
         if sel.error:
             raise KSelectError(sel.error)
-        self.flood("fq", key, sel.result)
-        self.wave_down("sd", key, self.topo.root, (1, k, k_star))
+        self.wave_down("sd", key, self.topo.root, (1, k, k_star, sel.result))
         qualifying = yield "sq", key
         if qualifying != k_star:
             raise SimulationFault(
@@ -196,13 +202,6 @@ class SkeapPlusNode(HeapNode, KSelectNode):
     def _pos_key(self, epoch: int, pos: int) -> float:
         return hash_unit(Tag.SPLUS_POSITION_KEY, (epoch, pos), self.sim.cfg.seed)
 
-    def flood_fq(self, key: tuple, payload: Element) -> None:
-        """Count the stored elements up to the bound ``payload``: they qualify."""
-        elements = self.elements
-        qual = elements[: bisect_right(elements, payload.key, key=ELEMENT_KEY)]
-        self.qualifying[key[0]] = qual
-        self.contribute_all("sq", key, len(qual))
-
     # -- sd and sq shares: intervals split by counts -------------------------------------------
     def deliver_sq(self, key: tuple, share: tuple) -> None:
         """Move the qualifying elements to their positions."""
@@ -212,18 +211,25 @@ class SkeapPlusNode(HeapNode, KSelectNode):
         if hi - lo + 1 != len(qual):
             raise SimulationFault("qualifying share does not match stored elements")
         # by identity, not a prefix: a later epoch's element may have been
-        # stored under this epoch's bound since the fq flood
+        # stored under this epoch's bound since the sd share
         moved = set(map(id, qual))
         self.elements = [e for e in self.elements if id(e) not in moved]
         for pos, element in enumerate(qual, start=lo):
             self.dht_put((epoch, pos), self._pos_key(epoch, pos), element)
 
     def deliver_sd(self, key: tuple, share: tuple) -> None:
-        """Give each delete its position: a get, or bottom past k*."""
+        """Count the stored elements up to the selected bound, which
+        qualify, then give each delete its position: a get, or bottom
+        past k*."""
         epoch = key[0]
         if self.outstanding_gets:
             raise SimulationFault(f"epoch {epoch} assigns its deletes with gets still out")
-        lo, hi, k_star = share
+        lo, hi, k_star, bound = share
+        if bound is not None:
+            elements = self.elements
+            qual = elements[: bisect_right(elements, bound.key, key=ELEMENT_KEY)]
+            self.qualifying[epoch] = qual
+            self.contribute_all("sq", key, len(qual))
         snap = self.del_snapshot.pop(epoch)
         if hi - lo + 1 != len(snap):
             raise SimulationFault("delete share does not match snapshot")

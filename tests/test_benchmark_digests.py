@@ -23,8 +23,8 @@ import workloads  # noqa: E402
 
 EXPECTED = {
     "skeap-sync-n512": "8defcfe4a113340c",
-    "kselect-sync-n128": "12a7f011894d4ca2",
-    "seap-async-n128": "781ac392a76cd8d9",
+    "kselect-sync-n128": "254a64c93d31b0a4",
+    "seap-async-n128": "2797d3fa7c9eb2fd",
 }
 
 

@@ -61,13 +61,10 @@ ALLOWED = {
     "consistency.py:OperationRecord.to_json.elem": _PINNED,
 }
 
-_ITEM_23 = "ROADMAP item 23: always sized, never read; deleting it moves KSelect's pins"
 _RESULT = "a run's result, as the caller sees it: tests and perfbench read it"
 
 # "file:Class.field" -> why no run reads it
 UNREAD = {
-    "sim.py:Element.payload": _ITEM_23,
-    "kselect.py:ProbeReport.order": _ITEM_23,
     "node.py:RouteMsg.inner_bits": "sized only, by design: it holds the routed operation's "
     "size, which the built sizer adds in place of the operation's own",
     **{

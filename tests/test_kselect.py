@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import fields
 from functools import reduce
@@ -165,6 +166,56 @@ def test_phase1_prune_keeps_the_priorities_within_the_bounds(cands, lo, hi):
     assert above == sum(1 for e in cands if not _open(hi) and e.priority > hi)
 
 
+def _phase1_bounds(lists, k):
+    """The combined phase-1 bounds of per-node sorted priority lists."""
+    return combine_minmax(
+        order_statistics([Element(p, v, i) for i, p in enumerate(prios)], k, len(lists))
+        for v, prios in enumerate(lists)
+    )
+
+
+def _bisect_prune(lists, lo, hi):
+    """Keep each node's priorities within ``[lo, hi]`` (a sentinel leaves its
+    side open); return the kept lists and the counts pruned below and above."""
+    kept, below, above = [], 0, 0
+    for prios in lists:
+        start = 0 if _open(lo) else bisect_left(prios, lo)
+        stop = len(prios) if _open(hi) else bisect_right(prios, hi)
+        kept.append(prios[start:stop])
+        below += start
+        above += len(prios) - stop
+    return kept, below, above
+
+
+# per-node sorted priorities over few values (duplicates), empty nodes included
+_priority_lists = st.lists(
+    st.lists(st.integers(0, 5), max_size=6).map(sorted), min_size=1, max_size=6
+).filter(lambda lists: any(lists))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_priority_lists, st.data())
+def test_a_phase1_cut_with_nothing_below_leaves_the_bounds_as_they_were(lists, data):
+    # a cut that prunes nothing below leaves k, and so both indices, as they
+    # were; a finite hi means that every node held ceil(k/n) candidates, and
+    # the cut took only priorities above hi, which sort after each node's
+    # ceil(k/n)-th, so the next bounds are the same and prune nothing.  And
+    # with k // n <= 1 the lower bound (-inf or the global minimum) prunes
+    # nothing.  Phase 1 is replayed here cut by cut until one prunes nothing below
+    n = len(lists)
+    k = data.draw(st.integers(1, sum(map(len, lists))))
+    while True:
+        bounds = _phase1_bounds(lists, k)
+        lists, below, _ = _bisect_prune(lists, *bounds)
+        if k // n <= 1:
+            assert below == 0
+        if not below:
+            break
+        k -= below
+    assert _phase1_bounds(lists, k) == bounds
+    assert _bisect_prune(lists, *bounds) == (lists, 0, 0)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_candidate_lists, _window_ends, _window_ends)
 def test_phase2_prune_keeps_the_element_window(cands, lo, hi):
@@ -324,7 +375,7 @@ def test_anchor_rejects_a_stale_probe_report(monkeypatch):
     sim, _, anchor = _started(16, 256, 1)
     while len(passes) < 2:  # run into the second sorting pass
         sim.step_round()
-    report = ProbeReport(passes[0], "lo", 1, Element(1, 0, 1))
+    report = ProbeReport(passes[0], "lo", Element(1, 0, 1))
     refused = ("probes", passes[0])  # the first pass, which no program waits for
     with pytest.raises(SimulationFault, match=re.escape(f"barrier {refused} reached the anchor")):
         anchor.on_message(0, report)
@@ -516,19 +567,22 @@ def _recorded_floods(monkeypatch):
         (64, 4096, 64, 1, 0),
         (8, 512, 8, 1, 0),
         (16, 256, 128, 25, 1),
+        (8, 20, 12, 2, 0),  # an empty node: the one phase-1 iteration floods no k1p
     ],
 )
 def test_floods_per_selection(n, m, k, seed, retries, monkeypatch):
-    # a k1 and a k1p flood per phase-1 iteration, a k2 and a k2r flood per
+    # a k1 and a k1p flood per phase-1 iteration (no k1p where neither side
+    # can cut: k // n <= 1 and an open upper bound), a k2 and a k2r flood per
     # phase-2 iteration, a k2 flood per re-drawn sample and one for phase 3:
     # the count rides the first k1 wave, each prune the next k2 flood
     floods = _recorded_floods(monkeypatch)
     res = run_kselect(n=n, m=m, k=k, seed=seed)
     assert res.correct
     assert res.retries == retries
-    p1 = sum(row["phase"] == "p1" for row in res.diag)
+    p1 = [row for row in res.diag if row["phase"] == "p1"]
     p2 = sum(row["phase"] == "p2" for row in res.diag)
-    assert len(floods) == 2 * p1 + 2 * p2 + retries + 1
+    uncut = sum(row["k"] // n <= 1 and row["p_max"] == POS_INF for row in p1)
+    assert len(floods) == 2 * len(p1) - uncut + 2 * p2 + retries + 1
     assert {kind for kind, _, _ in floods} <= {"k1", "k1p", "k2", "k2r"}
 
 
@@ -556,18 +610,25 @@ def test_each_sample_is_drawn_from_the_pruned_candidates(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_phase1_stops_after_a_cut_that_prunes_nothing(n):
-    # with m > n^2 phase 1 may run three iterations; a second one that
-    # prunes nothing leaves the third the same bounds over the same candidates
+    # with m > n^2 phase 1 may run three iterations; a cut that prunes
+    # nothing below leaves the next the same bounds, so it is the last and
+    # no idle iteration follows it.  With k = n it is the first, which
+    # prunes above only; with k = m every cut but the last prunes below
     m = n**3
-    res = run_kselect(n=n, m=m, k=n, seed=1)
-    assert res.correct
-    p1 = [row for row in res.diag if row["phase"] == "p1"]
-    idle = [i for i, row in enumerate(p1) if row["pruned_below"] + row["pruned_above"] == 0]
-    assert idle == [len(p1) - 1]
-    assert len(p1) < phase1_iterations(exponent_for(n, m))
+    rows = {}
+    for k in (n, m):
+        res = run_kselect(n=n, m=m, k=k, seed=1)
+        assert res.correct
+        p1 = rows[k] = [row for row in res.diag if row["phase"] == "p1"]
+        assert len(p1) <= phase1_iterations(exponent_for(n, m))
+        assert all(row["pruned_below"] + row["pruned_above"] for row in p1), p1  # none idle
+        assert all(row["pruned_below"] for row in p1[:-1]), p1
+    assert [row["pruned_below"] for row in rows[n]] == [0]
+    assert len(rows[m]) > 1
 
 
 def test_anchor_checks_every_later_k1_count(monkeypatch):
+    # k >= 2n, so that the first cut prunes below and a second k1 wave runs
     prune = KSelectNode._prune
 
     def reporting_only(self, inv, lo_key, hi_key):
@@ -578,7 +639,63 @@ def test_anchor_checks_every_later_k1_count(monkeypatch):
 
     monkeypatch.setattr(KSelectNode, "_prune", reporting_only)
     with pytest.raises(SimulationFault, match="candidate count"):
-        run_kselect(n=8, m=64, k=8, seed=1)
+        run_kselect(n=8, m=64, k=32, seed=1)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_a_rank_n_selection_among_n_squared_floods_one_k1_and_one_k1p(n, monkeypatch):
+    # k // n = 1: the lower bound is the global minimum, so the first cut
+    # prunes nothing below and ends phase 1; the finite upper bound still cuts
+    floods = _recorded_floods(monkeypatch)
+    res = run_kselect(n, n * n, n, seed=1)
+    assert res.correct
+    kinds = Counter(kind for kind, _, _ in floods)
+    assert (kinds["k1"], kinds["k1p"]) == (1, 1)
+    [p1] = [row for row in res.diag if row["phase"] == "p1"]
+    assert p1["pruned_below"] == 0 < p1["pruned_above"]
+
+
+def _selected_from(lists, k):
+    """The anchor's record of a sync selection of rank ``k`` over nodes that
+    hold the priorities ``lists`` (node v's elements are ``(p, v, i)``)."""
+    n = len(lists)
+    sim = Simulator(SimConfig(n=n, seed=1))
+    topo = CycleTopology.build(n, 1)
+    nodes = [KSelectNode(sim, v, topo) for v in range(n)]
+    for v, node in enumerate(nodes):
+        sim.add_node(node)
+        node.seed_elements([Element(p, v, i) for i, p in enumerate(lists[v])])
+    anchor = nodes[topo.root.owner]
+    anchor.run_program(anchor.select(k))
+    sim.run_sync()
+    return anchor.selection
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 15])
+def test_a_selection_below_2n_with_an_empty_node_floods_no_k1p(k, monkeypatch):
+    # k // n <= 1 makes lo -inf or the global minimum, and the empty node's
+    # +inf makes hi +inf: neither side can cut, so the anchor skips the k1p
+    # barrier and logs the cut of nothing
+    floods = _recorded_floods(monkeypatch)
+    n = 8
+    lists = [[3 * v + j for j in range(3)] for v in range(n)]
+    lists[5] = []
+    sel = _selected_from(lists, k)
+    flat = sorted(p for prios in lists for p in prios)
+    assert sel.error is None and sel.result.priority == flat[k - 1]
+    kinds = Counter(kind for kind, _, _ in floods)
+    assert (kinds["k1"], kinds["k1p"]) == (1, 0)
+    [p1] = [row for row in sel.diag if row["phase"] == "p1"]
+    assert (p1["pruned_below"], p1["pruned_above"], p1["p_max"]) == (0, 0, POS_INF)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_a_selection_below_2n_runs_one_phase1_iteration(n):
+    for m in (n, n * n, n**3):
+        for k in sorted({1, n, 2 * n - 1} & set(range(1, m + 1))):
+            res = run_kselect(n=n, m=m, k=k, seed=n + m + k)
+            assert res.correct, (n, m, k)
+            assert sum(row["phase"] == "p1" for row in res.diag) == 1, (n, m, k)
 
 
 def test_no_candidate_list_outlives_a_selection():

@@ -439,15 +439,15 @@ def test_a_routed_operation_that_no_node_handles_is_a_fault_where_it_arrives():
 
 
 def test_a_flood_that_no_protocol_handles_is_a_fault(monkeypatch):
-    # Seap floods "fq " for "fq": the run fails where the flood arrives,
+    # Seap floods "fi " for "fi": the run fails where the flood arrives,
     # not later in a stall at quiescence
     flood = SkeapPlusNode.flood
 
     def misspelt(self, kind, key, payload):
-        flood(self, "fq " if kind == "fq" else kind, key, payload)
+        flood(self, "fi " if kind == "fi" else kind, key, payload)
 
     monkeypatch.setattr(SkeapPlusNode, "flood", misspelt)
-    with pytest.raises(SimulationFault, match="unhandled flood 'fq '"):
+    with pytest.raises(SimulationFault, match="unhandled flood 'fi '"):
         run_skeap_plus(8, seed=1)
 
 

@@ -176,10 +176,10 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
     # every message to node 2 takes the maximum delay and every other one
     # tick, so a node below node 2 gets its sq share of epoch 0 after epoch 1
     # has stored an element under epoch 0's bound there; what qualifies is
-    # what the node counted at the fq flood, and the move takes out exactly
+    # what the node counted at its sd share, and the move takes out exactly
     # that, not a prefix of the node's elements
     slow = {"now": False}
-    send, flood_fq = Simulator.send, SkeapPlusNode.flood_fq
+    send, deliver_sd = Simulator.send, SkeapPlusNode.deliver_sd
     move = SkeapPlusNode.deliver_sq
     bounds, late, moves = {}, [], []
 
@@ -187,9 +187,11 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
         slow["now"] = dst == 2
         send(self, src, dst, payload)
 
-    def noting_flood(self, key, payload):
-        bounds[key[0]] = payload.key
-        flood_fq(self, key, payload)
+    def noting_share(self, key, share):
+        bound = share[3]
+        if bound is not None:
+            bounds[key[0]] = bound.key
+        deliver_sd(self, key, share)
 
     def noting_move(self, key, share):
         epoch = key[0]
@@ -214,7 +216,7 @@ def test_a_later_epochs_element_never_qualifies_under_an_earlier_bound(monkeypat
         Simulator, "_deadline",
         lambda sim: sim.time + (ASYNC_DELAY_MAX if slow["now"] else 1),
     )
-    monkeypatch.setattr(SkeapPlusNode, "flood_fq", noting_flood)
+    monkeypatch.setattr(SkeapPlusNode, "deliver_sd", noting_share)
     monkeypatch.setattr(SkeapPlusNode, "deliver_sq", noting_move)
     result = run_skeap_plus(**args, mode=ASYNC)
     assert late, "no element of a later epoch reached a node before its sq share"

@@ -129,7 +129,7 @@ def test_value_bits_matches_isinstance_chain():
     pair = namedtuple("pair", "a b")
     fields = [
         None, True, False, 0, 1, -5, 2**60, 0.25, "k2n",
-        Element(3, 1, 7), Element(2**40, 5, 1, b"xy"),
+        Element(3, 1, 7), Element(2**40, 5, 1),
         Batch(2, (((1, 0), 2), ((0, 3), 0))),
         EntryShare((1, 4), ((2, 1, 3),), 5, 8),
         (EntryShare((1, 4), ((2, 1, 3),), 5, 8), EntryShare((), (), 2**40, 0)),  # a Skeap share
@@ -320,8 +320,8 @@ _MESSAGE_CASES = {
         + _vb(sim, m.vector),
     ),
     ProbeReport: (
-        lambda v: ProbeReport(_key(v), "target", v, _elem(v)),
-        lambda sim, m: _vb(sim, m.key) + 8 + nat_bits(m.order) + m.element.bits(),
+        lambda v: ProbeReport(_key(v), "target", _elem(v)),
+        lambda sim, m: _vb(sim, m.key) + 8 + m.element.bits(),
     ),
 }
 
@@ -388,7 +388,7 @@ _strs = st.one_of(st.sampled_from(["k2n", "elem", ""]), st.text(max_size=3))
 _vids = st.builds(
     VirtualId, st.one_of(_small, st.integers(0, 2**64), st.just(-1)), st.sampled_from("LMR")
 )
-_elements = st.builds(Element, _small, _small, st.integers(0, 2**64), st.binary(max_size=2))
+_elements = st.builds(Element, _small, _small, st.integers(0, 2**64))
 _scalars = st.one_of(
     _ints, st.sampled_from([0.0, 1.0, 2.0, 0.5]), st.none(), _strs, _vids, _elements
 )
@@ -514,15 +514,15 @@ def test_int_value_is_sized_by_the_int_rule(value):
 
 def test_element_keeps_its_dataclass_contract():
     e = Element(3, 1, 7)
-    for name in ("priority", "origin", "seq", "payload"):
+    for name in ("priority", "origin", "seq"):
         with pytest.raises(FrozenInstanceError):
             setattr(e, name, 4)
-    assert hash(e) == hash((3, 1, 7, b""))
-    assert hash(Element(3, 1, 7, b"ab")) == hash((3, 1, 7, b"ab"))
-    assert repr(e) == "Element(priority=3, origin=1, seq=7, payload=b'')"
-    assert e == Element(priority=3, origin=1, seq=7) != Element(3, 1, 7, b"ab")
-    assert list(inspect.signature(Element).parameters) == ["priority", "origin", "seq", "payload"]
-    assert inspect.signature(Element).parameters["payload"].default == b""
+    assert hash(e) == hash((3, 1, 7))
+    assert hash(Element(3, 1, 8)) == hash((3, 1, 8))
+    assert repr(e) == "Element(priority=3, origin=1, seq=7)"
+    assert e == Element(priority=3, origin=1, seq=7) != Element(3, 1, 8)
+    assert list(inspect.signature(Element).parameters) == ["priority", "origin", "seq"]
+    assert e.bits() == 2 + 2 + 3  # three naturals, nothing else
 
 
 def test_send_appends_to_channel():

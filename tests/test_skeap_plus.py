@@ -100,8 +100,8 @@ def test_no_wave_session_outlives_a_run(mode, script):
 
 @pytest.mark.parametrize("mode", [SYNC, ASYNC])
 def test_anchor_sends_only_what_nodes_read(mode, monkeypatch):
-    # the fq flood carries the bound alone; sd shares carry (lo, hi, k*) and
-    # sq shares (lo, hi): the epoch is already the wave key
+    # sd shares carry (lo, hi, k*, bound), the bound being the selected
+    # element, and sq shares (lo, hi): the epoch is already the wave key
     sent = []
 
     def noting(kind, handler):
@@ -111,16 +111,56 @@ def test_anchor_sends_only_what_nodes_read(mode, monkeypatch):
 
         return noted
 
-    for name in ("flood_fq", "deliver_sd", "deliver_sq"):
+    for name in ("deliver_sd", "deliver_sq"):
         kind = name.split("_")[1]
         monkeypatch.setattr(SkeapPlusNode, name, noting(kind, getattr(SkeapPlusNode, name)))
     run_script(
         mode, {1: {0: [(INSERT, 5), (INSERT, 7), (DELETE, None)]}, 2: {0: [(DELETE, None)] * 3}}
     )
-    limits = {payload for kind, payload in sent if kind == "fq"}
-    assert limits == {Element(7, 1, 2)}
-    assert {len(share) for kind, share in sent if kind == "sd"} == {3}
+    assert {len(share) for kind, share in sent if kind == "sd"} == {4}
+    assert {share[2:] for kind, share in sent if kind == "sd"} == {(2, Element(7, 1, 2))}
     assert {len(share) for kind, share in sent if kind == "sq"} == {2}
+
+
+@pytest.mark.parametrize("mode", [SYNC, ASYNC])
+@pytest.mark.parametrize(
+    "script",
+    [None, {1: {0: [(INSERT, 5), (INSERT, 7), (INSERT, 3), (DELETE, None)],
+                1: [(INSERT, 9), (DELETE, None), (DELETE, None)]}}],
+    ids=["generated", "scripted"],
+)
+def test_the_selected_bound_rides_the_sd_share(mode, script, monkeypatch):
+    # no flood announces the bound: the anchor floods fi and KSelect's
+    # kinds only, and every sd share of an epoch carries the element its
+    # selection returned, or None when k* = 0
+    floods, shares, selections = [], [], {}
+    flood, deliver, select = SkeapPlusNode.flood, SkeapPlusNode.deliver_sd, SkeapPlusNode.select
+
+    def recording_flood(self, kind, key, payload):
+        floods.append(kind)
+        flood(self, kind, key, payload)
+
+    def recording_share(self, key, share):
+        shares.append((key[0], share))
+        deliver(self, key, share)
+
+    def recording_select(self, k, inv=0):
+        selections[inv] = yield from select(self, k, inv)
+        return selections[inv]
+
+    monkeypatch.setattr(SkeapPlusNode, "flood", recording_flood)
+    monkeypatch.setattr(SkeapPlusNode, "deliver_sd", recording_share)
+    monkeypatch.setattr(SkeapPlusNode, "select", recording_select)
+    res = checked(
+        run_skeap_plus(16, seed=1, lam=2, epochs=2, mode=mode, schedule_seed=1, script=script)
+    )
+    k_star = {row["epoch"]: row["k_star"] for row in res.extra["epochs"]}
+    assert sorted(selections) == [epoch for epoch, star in k_star.items() if star]
+    assert selections and set(floods) <= {"fi", "k1", "k1p", "k2", "k2r"}
+    assert {epoch for epoch, _ in shares} == set(k_star)
+    for epoch, share in shares:
+        assert share[2] == k_star[epoch]
+        assert share[3] == (selections[epoch].result if k_star[epoch] else None)
 
 
 def _recorded_roots(monkeypatch):
@@ -354,4 +394,4 @@ def test_next_epoch_may_not_assign_deletes_with_gets_still_out():
     node = _stepped_until(lambda node: node.outstanding_gets)
     node.del_snapshot[1] = []
     with pytest.raises(SimulationFault, match="gets still out"):
-        node.deliver_sd((1,), (1, 0, 0))
+        node.deliver_sd((1,), (1, 0, 0, None))

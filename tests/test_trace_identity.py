@@ -40,30 +40,30 @@ EXPECTED = {
     ('skeap', 'asynchronous', 8, 1): ('7fa9874da446bdb1', '44be1a8a7c2cedf7', '5e14ecd2d1c93c1f'),
     ('skeap', 'asynchronous', 32, 0): ('b31b24321a83e116', '24621a035be4f904', '22a758e1b46c46ec'),
     ('skeap', 'asynchronous', 32, 1): ('3474a147cecd7a51', 'f47010e4b7efe9d0', '58364dd531afc09e'),
-    ('seap', 'synchronous', 2, 0): ('6a15562bfee360e9', '20b74a1a27c9e5bd', '2ef73255cfe6f9cb'),
-    ('seap', 'synchronous', 2, 1): ('c05a71c4ba04fd7d', 'e1b12c6bea5a474d', '178a5b8e34c32ea3'),
-    ('seap', 'synchronous', 8, 0): ('2918f57f36bd975f', 'd06939338a165fc2', 'f3cf16b6d2054cef'),
-    ('seap', 'synchronous', 8, 1): ('aedfcd26b8456a78', 'ca4b983baa9d08a2', '91f0d60650889aa2'),
-    ('seap', 'synchronous', 32, 0): ('26d6d4d628936d20', '9a42dec75bd1d68e', 'bf733be3bf416548'),
-    ('seap', 'synchronous', 32, 1): ('9549f2a25ffe6a66', 'ace6191fa1c7f811', '86c1556eb765723d'),
-    ('seap', 'asynchronous', 2, 0): ('33314cc39bd3f3be', '3cc614f9072381d6', 'd597884fabbf5716'),
-    ('seap', 'asynchronous', 2, 1): ('c9b21e23088c0c0b', 'ddf0f70ad3f82eef', 'fef24d3614c8c742'),
-    ('seap', 'asynchronous', 8, 0): ('8f7040e0e8e21355', 'd06939338a165fc2', '0f8a8605de2d3094'),
-    ('seap', 'asynchronous', 8, 1): ('dc18c7e65ab0e8c0', 'ca4b983baa9d08a2', '30264fec1dd873eb'),
-    ('seap', 'asynchronous', 32, 0): ('77f1c103b80d0bef', '9a42dec75bd1d68e', '06eeff224695c099'),
-    ('seap', 'asynchronous', 32, 1): ('232ca868ff9c3816', 'ace6191fa1c7f811', 'e331951d2c9ad683'),
-    ('kselect', 'synchronous', 2, 0): ('2ec2b6632ff7e8a8', '02110ae6881c39ad', '9d942ce15c7f33ca'),
-    ('kselect', 'synchronous', 2, 1): ('0544cb428746c3a4', '7738fad936616975', '1e0b81009b293255'),
-    ('kselect', 'synchronous', 8, 0): ('2f2a73833b61ff16', '532c3d6ee5d49b7b', '730d9b85b048eca4'),
-    ('kselect', 'synchronous', 8, 1): ('cea0af3ceeebe300', '8d24248dbef6fe6d', 'b2be18004c071cfa'),
-    ('kselect', 'synchronous', 32, 0): ('30e739bd5f5a9892', '447eb6ce8f84c61a', 'fb6ec8a6d4be9e58'),
-    ('kselect', 'synchronous', 32, 1): ('16eb59bac863f996', '3ba3c01ab8c48bb7', '658d807465e8e83c'),
-    ('kselect', 'asynchronous', 2, 0): ('63a3e6b41e69e8b7', '87c945b83f9ac2ab', 'd621577b85380664'),
-    ('kselect', 'asynchronous', 2, 1): ('3b504dcbbf2f92d1', '3b211b81226c168c', '5f1836fd9a9a670f'),
-    ('kselect', 'asynchronous', 8, 0): ('445e829aae009538', '2cc15b022bdc8d7f', 'ff1074b5e6758810'),
-    ('kselect', 'asynchronous', 8, 1): ('9b781a05e7b1036f', '1eaa4a956dd43ba6', '365d7b30fcc240be'),
-    ('kselect', 'asynchronous', 32, 0): ('169b221814c7e03c', '9a3e69843496aee4', '5ee31f08e40d4864'),
-    ('kselect', 'asynchronous', 32, 1): ('00ea4b8f78c26a33', '7c6800170a914d14', '6ed6e2f84c4be6da'),
+    ('seap', 'synchronous', 2, 0): ('5dea388db6b2fa20', '20b74a1a27c9e5bd', '59cb81bc4c441bb6'),
+    ('seap', 'synchronous', 2, 1): ('9aa669e85d5fab02', 'e1b12c6bea5a474d', 'aaa0ba01ef0117c9'),
+    ('seap', 'synchronous', 8, 0): ('e36b543e95e481fc', 'd06939338a165fc2', '028439fbab6b99c6'),
+    ('seap', 'synchronous', 8, 1): ('003806f0f25c8fb9', 'ca4b983baa9d08a2', '07dd55f3c40446c6'),
+    ('seap', 'synchronous', 32, 0): ('83113600e0329c7c', '9a42dec75bd1d68e', '5e0beca7a6138570'),
+    ('seap', 'synchronous', 32, 1): ('0d75daa18884d6de', 'ace6191fa1c7f811', '86da60033c98798e'),
+    ('seap', 'asynchronous', 2, 0): ('1f42b6c85671973e', '3cc614f9072381d6', 'a507fdc1bbcc2d9d'),
+    ('seap', 'asynchronous', 2, 1): ('65a22be496d91a34', 'ddf0f70ad3f82eef', '228091e8eddeee2f'),
+    ('seap', 'asynchronous', 8, 0): ('37595af77ad560c9', 'd06939338a165fc2', 'd6dac17abbea7b42'),
+    ('seap', 'asynchronous', 8, 1): ('6605bf99bd1fe64c', 'ca4b983baa9d08a2', '0a899f217ac3dd4b'),
+    ('seap', 'asynchronous', 32, 0): ('ec5882b85504fd0a', '9a42dec75bd1d68e', 'e7ec65bd906fbc04'),
+    ('seap', 'asynchronous', 32, 1): ('4c2b3c9c7f6a442a', 'ace6191fa1c7f811', '6040dd58792be53e'),
+    ('kselect', 'synchronous', 2, 0): ('ade66a546d9bc0f3', '91a1dbfb5ad1f9dd', '2e916dc2b9a544f2'),
+    ('kselect', 'synchronous', 2, 1): ('7ac579cc74314bff', '74116688be7b86cd', 'e8f1cb21a9e9dd61'),
+    ('kselect', 'synchronous', 8, 0): ('399f2e93791b2770', '160c3a6d6396aa27', '4540d67fb00ad70e'),
+    ('kselect', 'synchronous', 8, 1): ('81677e0046a3cfb2', 'e5bcdefa45c18414', '529ebb46ebd3e8b1'),
+    ('kselect', 'synchronous', 32, 0): ('a54ae55e22afba6a', '80d570b9d28a1fc8', 'e2a0581386fa05a7'),
+    ('kselect', 'synchronous', 32, 1): ('0e965af35c9612de', '245adcf9a99d7ee0', '21578cd0720c6e2a'),
+    ('kselect', 'asynchronous', 2, 0): ('6198befe2734c71b', '7836f2129cef4b42', 'f08700a9f7dacad5'),
+    ('kselect', 'asynchronous', 2, 1): ('40eeef55bae1fa11', 'd3a1e24296e90729', 'cb4f8fcb24bded60'),
+    ('kselect', 'asynchronous', 8, 0): ('0d60e55375e4dcf2', '0443c2e3e486eeb2', '69a9e93326a2c443'),
+    ('kselect', 'asynchronous', 8, 1): ('f7eef4f220233d6d', '2932d1aee8566d08', '0ff6f7cacfee22c7'),
+    ('kselect', 'asynchronous', 32, 0): ('ecd12179f9a7186a', 'c77eebe07f617a74', '31300b44a72d7a72'),
+    ('kselect', 'asynchronous', 32, 1): ('e84e271b7f37acae', '15f2d1fc5e7a43e6', 'da706474356dfce8'),
 }
 
 
